@@ -19,7 +19,6 @@ from .optimizer import (
     SelectionStrategy,
     identify_extended_centers,
     merge_clusters,
-    set_distance,
 )
 from .pipeline import ClusteringResult, run_baseline, run_optimized
 
@@ -55,5 +54,4 @@ __all__ = [
     "rand_index",
     "run_baseline",
     "run_optimized",
-    "set_distance",
 ]

@@ -1,17 +1,17 @@
 """Center-based clustering algorithms split into their two phases.
 
 Every algorithm here is expressed as a *center process* (pick k dataset
-objects as centers) and a *category assignment process* (label every
-object by one entry of an arbitrary center-id list). The optimizer only
-ever talks to these two callables, so anything decomposable this way can
-be plugged in.
+objects as centers, plus a dict of run metadata) and a *category
+assignment process* (label every object by one entry of an arbitrary
+center-id list). The optimizer only ever talks to these two callables,
+so anything decomposable this way can be plugged in.
 
 Ties anywhere break toward the lower object index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,17 +19,20 @@ from scipy.spatial.distance import cdist
 
 from .data import Dataset
 from .density import pairwise_distance_percentile
-from .errors import EmptyCenters, InvalidK, InvalidRadius
+from .errors import ConfigError, EmptyCenters, InvalidK, InvalidRadius
 
 
 @dataclass(frozen=True)
 class CenterBasedAlgorithm:
-    """The plug-in seam: a named (center process, assignment process) pair."""
+    """The plug-in seam: a named (center process, assignment process) pair.
+
+    ``center_process(dataset, k)`` returns ``(center ids, extras)``, where
+    ``extras`` is a dict of metadata recorded with the run.
+    """
 
     name: str
-    center_process: Callable[[Dataset, int], np.ndarray]
+    center_process: Callable[[Dataset, int], tuple[np.ndarray, dict]]
     assignment_process: Callable[[Dataset, Sequence[int]], np.ndarray]
-    params: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -213,46 +216,52 @@ def dpc_assignment(
 # ---------------------------------------------------------------------------
 # Registry
 
-def build_algorithm(name: str, **params) -> CenterBasedAlgorithm:
-    """Construct a named algorithm with its two phases bound to ``params``.
+def _kmeans(seed: int, max_iter: int, d_c: float | None):
+    def center_process(ds: Dataset, k: int):
+        ids, snap = kmeans_centers_with_snap(ds, k, seed, max_iter)
+        return ids, {"max_center_snap_distance": float(snap.max())}
 
-    ``kmeans`` accepts ``seed`` and ``max_iter``; ``dpc`` accepts ``d_c``
+    return center_process, nearest_center_assignment
+
+
+def _dpc(seed: int, max_iter: int, d_c: float | None):
+    # Quantities depend only on (dataset, d_c); compute once and share
+    # between the two phases. Only the most recent dataset is held, so a
+    # long-lived algorithm does not keep every dataset it has seen alive.
+    last = None
+
+    def quantities_for(ds: Dataset) -> DpcQuantities:
+        nonlocal last
+        if last is None or last[0] is not ds:
+            last = ds, compute_dpc_quantities(
+                ds, d_c if d_c is not None else default_cutoff(ds)
+            )
+        return last[1]
+
+    def center_process(ds: Dataset, k: int):
+        return dpc_center_process(ds, k, quantities=quantities_for(ds)), {}
+
+    def assignment_process(ds: Dataset, centers: Sequence[int]) -> np.ndarray:
+        return dpc_assignment(ds, centers, quantities_for(ds))
+
+    return center_process, assignment_process
+
+
+_BUILDERS = {"kmeans": _kmeans, "dpc": _dpc}
+ALGORITHM_NAMES = tuple(_BUILDERS)
+
+
+def build_algorithm(
+    name: str, seed: int = 0, max_iter: int = 300, d_c: float | None = None
+) -> CenterBasedAlgorithm:
+    """Construct a named algorithm with its two phases bound to the options.
+
+    ``kmeans`` uses ``seed`` and ``max_iter``; ``dpc`` uses ``d_c``
     (defaulting per dataset). DPC's quantities are computed once per
     dataset and reused by the assignment phase.
     """
-    if name == "kmeans":
-        seed = params.get("seed", 0)
-        max_iter = params.get("max_iter", 300)
-        return CenterBasedAlgorithm(
-            name="kmeans",
-            center_process=lambda ds, k: kmeans_center_process(ds, k, seed, max_iter),
-            assignment_process=nearest_center_assignment,
-            params={"seed": seed, "max_iter": max_iter},
+    if name not in _BUILDERS:
+        raise ConfigError(
+            f"unknown algorithm {name!r}; choose from {', '.join(ALGORITHM_NAMES)}"
         )
-    if name == "dpc":
-        d_c = params.get("d_c")
-        # Quantities depend only on (dataset, d_c); compute once and share
-        # between the two phases. The strong reference keys the cache safely.
-        cache: list = []
-
-        def quantities_for(ds: Dataset) -> DpcQuantities:
-            for held, q in cache:
-                if held is ds:
-                    return q
-            q = compute_dpc_quantities(
-                ds, d_c if d_c is not None else default_cutoff(ds)
-            )
-            cache.append((ds, q))
-            return q
-
-        return CenterBasedAlgorithm(
-            name="dpc",
-            center_process=lambda ds, k: dpc_center_process(
-                ds, k, quantities=quantities_for(ds)
-            ),
-            assignment_process=lambda ds, centers: dpc_assignment(
-                ds, centers, quantities_for(ds)
-            ),
-            params={"d_c": d_c},
-        )
-    raise ValueError(f"unknown algorithm {name!r}")
+    return CenterBasedAlgorithm(name, *_BUILDERS[name](seed, max_iter, d_c))

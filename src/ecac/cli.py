@@ -5,16 +5,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .algorithms import build_algorithm
+from .algorithms import ALGORITHM_NAMES, build_algorithm
 from .config import DEFAULT_PERCENTILE, DEFAULT_SWEEP, RunConfig, parse_config_file
 from .data import SpatialIndex
 from .density import pairwise_distance_percentile
 from .errors import ConfigError, EcacError, MissingResult, ZeroBaseline
 from .metrics import improvement_rate
-from .optimizer import SelectionStrategy
+from .optimizer import LOCAL, NODENSITY, RANDOM, STRATEGY_KINDS, SelectionStrategy
 from .pipeline import SCHEMA_VERSION, ClusteringResult, compute_centers, run_baseline, run_optimized
 from .svg import render_scatter
 
@@ -45,7 +44,11 @@ def _write_trace(path: Path, trace: list[dict]):
 
 
 def _resolve_deltas(config: RunConfig, dataset, truth) -> list[float]:
-    """Turn the delta options into a list of absolute radii to try."""
+    """Turn the delta options into a list of absolute radii to try.
+
+    With no sweep option and no ground truth this is a single radius:
+    the explicit value, else the default percentile.
+    """
     if config.delta is not None:
         return [float(config.delta)]
     if config.delta_percentile is not None:
@@ -60,24 +63,17 @@ def _resolve_deltas(config: RunConfig, dataset, truth) -> list[float]:
     return [pairwise_distance_percentile(dataset, p) for p in fractions]
 
 
-def _resolve_single_delta(config: RunConfig, dataset) -> float:
-    """One radius for comparison runs: explicit value, else the default."""
-    if config.delta is not None:
-        return float(config.delta)
-    percentile = (
-        config.delta_percentile if config.delta_percentile is not None else DEFAULT_PERCENTILE
-    )
-    return pairwise_distance_percentile(dataset, percentile)
-
-
-def _strategy(config: RunConfig, kind: str | None = None) -> SelectionStrategy:
-    kind = kind or config.strategy
-    seed = config.seed if kind == "random" else None
-    return SelectionStrategy(kind=kind, seed=seed, cap=config.cap)
+def _strategy(config: RunConfig, kind: str, cap: int | None) -> SelectionStrategy:
+    seed = config.seed if kind == RANDOM else None
+    return SelectionStrategy(kind=kind, seed=seed, cap=cap)
 
 
 def cmd_run(config: RunConfig, dump_trace: bool = False, quiet: bool = False) -> dict:
-    """Baseline and optimized pipelines on shared centers; persists JSON."""
+    """Baseline and optimized pipelines on shared centers; persists JSON.
+
+    The delta sweep tries its values one after another on the shared
+    centers and index, and keeps the first with the highest NMI.
+    """
     dataset, truth = config.load_dataset()
     algorithm = build_algorithm(config.algo, seed=config.seed, max_iter=config.max_iter, d_c=config.d_c)
     centers, extras = compute_centers(dataset, algorithm, config.k)
@@ -87,20 +83,14 @@ def cmd_run(config: RunConfig, dump_trace: bool = False, quiet: bool = False) ->
     baseline.extras.update(extras)
     baseline.attach_metrics(truth)
 
-    deltas = _resolve_deltas(config, dataset, truth)
-    strategy = _strategy(config)
-
-    def one(delta: float) -> ClusteringResult:
-        return run_optimized(
+    strategy = _strategy(config, config.strategy, config.cap)
+    sweep = [
+        run_optimized(
             dataset, algorithm, config.k, delta=delta, strategy=strategy,
             centers=centers, index=index,
         ).attach_metrics(truth)
-
-    if len(deltas) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(deltas))) as pool:
-            sweep = list(pool.map(one, deltas))
-    else:
-        sweep = [one(deltas[0])]
+        for delta in _resolve_deltas(config, dataset, truth)
+    ]
 
     if truth is not None:
         best = max(sweep, key=lambda r: r.nmi_score)
@@ -138,7 +128,7 @@ def cmd_ablate(config: RunConfig, variants: list[str], dump_trace: bool = False,
     if len(variants) < 2:
         raise ConfigError("ablate needs at least two variants")
     for v in variants:
-        if v not in ("local", "global", "random", "nodensity"):
+        if v not in STRATEGY_KINDS:
             raise ConfigError(f"unknown variant {v!r}")
     if config.delta_sweep is not None:
         raise ConfigError("ablate compares at a single delta, not a sweep")
@@ -147,26 +137,23 @@ def cmd_ablate(config: RunConfig, variants: list[str], dump_trace: bool = False,
     algorithm = build_algorithm(config.algo, seed=config.seed, max_iter=config.max_iter, d_c=config.d_c)
     centers, _ = compute_centers(dataset, algorithm, config.k)
     index = SpatialIndex(dataset)
-    delta = _resolve_single_delta(config, dataset)
+    (delta,) = _resolve_deltas(config, dataset, truth=None)
 
     cap = config.cap
-    if cap is None and "nodensity" in variants:
+    if cap is None and NODENSITY in variants:
         # Count-matched comparison: cap every variant at the mean per-set
         # extension an uncapped plain run uses on this dataset, so the
         # compared runs identify the same number of extended-centers.
         probe = run_optimized(
             dataset, algorithm, config.k, delta=delta,
-            strategy=SelectionStrategy(kind="local"), centers=centers, index=index,
+            strategy=SelectionStrategy(kind=LOCAL), centers=centers, index=index,
         )
         cap = max(1, -(-(probe.s - config.k) // config.k))
 
     records = []
     for kind in variants:
-        strategy = SelectionStrategy(
-            kind=kind, seed=config.seed if kind == "random" else None, cap=cap
-        )
         result = run_optimized(
-            dataset, algorithm, config.k, delta=delta, strategy=strategy,
+            dataset, algorithm, config.k, delta=delta, strategy=_strategy(config, kind, cap),
             centers=centers, index=index,
         ).attach_metrics(truth)
         records.append(result)
@@ -237,14 +224,14 @@ def _add_common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--data", help="CSV dataset path")
     parser.add_argument("--label-col", type=_label_col, dest="label_col",
                         help="label column index or header name")
-    parser.add_argument("--algo", choices=["kmeans", "dpc"])
+    parser.add_argument("--algo", choices=ALGORITHM_NAMES)
     parser.add_argument("--k", type=int)
     parser.add_argument("--delta", type=float, help="absolute neighborhood radius")
     parser.add_argument("--delta-percentile", type=float, dest="delta_percentile",
                         help="radius as a pairwise-distance percentile in (0,1)")
     parser.add_argument("--delta-sweep", dest="delta_sweep",
                         help="comma-separated percentile fractions to sweep")
-    parser.add_argument("--strategy", choices=["local", "global", "random", "nodensity"])
+    parser.add_argument("--strategy", choices=STRATEGY_KINDS)
     parser.add_argument("--cap", type=int, help="max extended-centers per set")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--d-c", type=float, dest="d_c", help="DPC cutoff distance")

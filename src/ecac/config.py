@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .algorithms import ALGORITHM_NAMES
 from .data import Dataset, GroundTruth, generate_gaussian_mixture, load_csv
 from .errors import ConfigError
+from .optimizer import STRATEGY_KINDS
 
 # Percentiles swept when no delta option is given and ground truth is
 # available to rank the sweep.
@@ -120,9 +122,11 @@ class RunConfig:
         ]
         if len(given) > 1:
             raise ConfigError(f"choose one delta option, got {given}")
-        if self.algo not in ("kmeans", "dpc"):
-            raise ConfigError(f"algo must be 'kmeans' or 'dpc', got {self.algo!r}")
-        if self.strategy not in ("local", "global", "random", "nodensity"):
+        if self.algo not in ALGORITHM_NAMES:
+            raise ConfigError(
+                f"algo must be one of {', '.join(ALGORITHM_NAMES)}, got {self.algo!r}"
+            )
+        if self.strategy not in STRATEGY_KINDS:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
 
     def echo(self) -> dict:

@@ -87,59 +87,41 @@ class SpatialIndex:
         self.dataset = dataset
         self._tree = cKDTree(dataset.points)
 
-    def range_query(self, center, radius: float) -> np.ndarray:
-        """Return the sorted ids at strict distance < radius from center."""
-        center = np.asarray(center, dtype=np.float64)
-        if center.shape != (self.dataset.d,):
+    def _checked(self, centers, radius: float, ndim: int) -> np.ndarray:
+        """Query point(s) as floats, after checking their shape and the radius."""
+        centers = np.asarray(centers, dtype=np.float64)
+        if centers.ndim != ndim or centers.shape[-1] != self.dataset.d:
             raise DimensionMismatch(
-                f"query point has shape {center.shape}, dataset is {self.dataset.d}-D"
+                f"query point has shape {centers.shape}, dataset is {self.dataset.d}-D"
             )
         if radius <= 0:
             raise InvalidRadius(f"radius must be > 0, got {radius}")
-        candidates = self._tree.query_ball_point(center, radius * (1.0 + _QUERY_SLACK))
-        candidates = np.asarray(candidates, dtype=np.int64)
-        if candidates.size == 0:
-            return candidates
-        dists = np.linalg.norm(self.dataset.points[candidates] - center, axis=1)
-        result = candidates[dists < radius]
-        result.sort()
-        return result
+        return centers
 
-    def range_query_with_distances(self, center, radius: float):
-        """Like ``range_query`` but also returns the matching distances."""
-        center = np.asarray(center, dtype=np.float64)
-        if center.shape != (self.dataset.d,):
-            raise DimensionMismatch(
-                f"query point has shape {center.shape}, dataset is {self.dataset.d}-D"
-            )
-        if radius <= 0:
-            raise InvalidRadius(f"radius must be > 0, got {radius}")
-        candidates = self._tree.query_ball_point(center, radius * (1.0 + _QUERY_SLACK))
-        candidates = np.asarray(candidates, dtype=np.int64)
-        if candidates.size == 0:
-            return candidates, np.empty(0)
-        candidates.sort()
+    def _within(self, center: np.ndarray, candidates, radius: float):
+        """Sorted candidate ids at strict distance < radius, with their distances."""
+        candidates = np.sort(np.asarray(candidates, dtype=np.int64))
         dists = np.linalg.norm(self.dataset.points[candidates] - center, axis=1)
         keep = dists < radius
         return candidates[keep], dists[keep]
 
+    def range_query(self, center, radius: float) -> np.ndarray:
+        """Return the sorted ids at strict distance < radius from center."""
+        return self.range_query_with_distances(center, radius)[0]
+
+    def range_query_with_distances(self, center, radius: float):
+        """Like ``range_query`` but also returns the matching distances."""
+        center = self._checked(center, radius, ndim=1)
+        candidates = self._tree.query_ball_point(center, radius * (1.0 + _QUERY_SLACK))
+        return self._within(center, candidates, radius)
+
     def range_query_many(self, centers: np.ndarray, radius: float) -> list[np.ndarray]:
         """Vectorized ``range_query`` for several centers at once."""
-        centers = np.asarray(centers, dtype=np.float64)
-        if radius <= 0:
-            raise InvalidRadius(f"radius must be > 0, got {radius}")
+        centers = self._checked(centers, radius, ndim=2)
         raw = self._tree.query_ball_point(
             centers, radius * (1.0 + _QUERY_SLACK), workers=-1
         )
-        out = []
-        for center, ids in zip(centers, raw):
-            ids = np.asarray(ids, dtype=np.int64)
-            if ids.size:
-                dists = np.linalg.norm(self.dataset.points[ids] - center, axis=1)
-                ids = ids[dists < radius]
-                ids.sort()
-            out.append(ids)
-        return out
+        return [self._within(center, ids, radius)[0] for center, ids in zip(centers, raw)]
 
 
 def _parse_cell(text: str) -> float:

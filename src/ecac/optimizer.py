@@ -97,39 +97,17 @@ class ExtendedSets:
         return bool(self.coverage.all())
 
 
-def set_distance(
-    o: int,
-    members: Sequence[int],
-    dataset: Dataset,
-    densities: DensityVector | None = None,
-    use_density: bool = True,
-) -> float:
-    """Distance from object ``o`` to an extended-set.
-
-    The minimum Euclidean distance to any member, divided by the density
-    of ``o`` when ``use_density`` (density >= 1, so always defined).
-    """
-    members = np.asarray(members, dtype=np.int64)
-    if members.size == 0:
-        raise EmptyCenters("extended-set must be nonempty")
-    d = float(np.linalg.norm(dataset.points[members] - dataset.points[o], axis=1).min())
-    if use_density:
-        return d / float(densities.rho[o])
-    return d
-
-
 class _GreedyState:
     """Bookkeeping shared by every strategy."""
 
-    def __init__(self, dataset, index, densities, centers, cap, pool_radius=None):
-        self.dataset = dataset
+    def __init__(self, dataset, index, densities, centers, cap, query_radius):
         self.points = dataset.points
         self.index = index
         self.densities = densities
         self.centers = centers
         self.delta = densities.delta
         self.cap = cap
-        self.pool_radius = pool_radius
+        self.query_radius = query_radius
         self.k = len(centers)
         self.n = dataset.n
         self.sets: list[list[int]] = [[] for _ in range(self.k)]
@@ -142,24 +120,18 @@ class _GreedyState:
         self.fallback_count = 0
 
     def add(self, o: int, j: int):
-        """Register a new member; returns its pool-radius neighbor ids.
+        """Register a new member; returns its query-radius neighbor ids.
 
-        With a pool radius, one tree query serves both purposes: ids
-        within the (strictly larger) pool radius feed the candidate
-        pool, and the subset at strict distance < delta is newly covered.
+        One tree query serves both purposes: ids within the query radius
+        (2*delta for the local pool, else delta) feed the candidate pool,
+        and the subset at strict distance < delta is newly covered.
         """
         self.member_of[o] = j
         self.sets[j].append(o)
         self.all.append(o)
         self.all_sets.append(j)
-        if self.pool_radius is not None:
-            ids, dists = self.index.range_query_with_distances(
-                self.points[o], self.pool_radius
-            )
-            newly = ids[dists < self.delta]
-        else:
-            ids = None
-            newly = self.index.range_query(self.points[o], self.delta)
+        ids, dists = self.index.range_query_with_distances(self.points[o], self.query_radius)
+        newly = ids[dists < self.delta]
         newly = newly[~self.covered[newly]]
         self.covered[newly] = True
         self.n_covered += newly.size
@@ -305,6 +277,7 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
 def _run_random(state: _GreedyState, rng: np.random.Generator):
     """Uniformly sampled objects, attached to the nearest center's set."""
     points = state.points
+    rho = state.densities.rho.astype(np.float64)
     center_pts = points[state.centers]
     for j, center in enumerate(state.centers):
         state.add(center, j)
@@ -315,7 +288,7 @@ def _run_random(state: _GreedyState, rng: np.random.Generator):
         dists[state.full_sets()] = np.inf
         j = int(np.argmin(dists))
         # Recorded for the trace only; random selection ignores distances.
-        dis = set_distance(o, state.sets[j], state.dataset, state.densities)
+        dis = np.linalg.norm(points[state.sets[j]] - points[o], axis=1).min() / rho[o]
         state.add(o, j)
         state.record(o, j, dis)
     return state.finish()
@@ -354,7 +327,7 @@ def identify_extended_centers(
     local = strategy.kind in (LOCAL, NODENSITY)
     state = _GreedyState(
         dataset, index, densities, centers, strategy.cap,
-        pool_radius=2.0 * delta if local else None,
+        query_radius=2.0 * delta if local else delta,
     )
     if strategy.kind == RANDOM:
         return _run_random(state, np.random.default_rng(strategy.seed))

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithms import CenterBasedAlgorithm, kmeans_centers_with_snap
+from .algorithms import CenterBasedAlgorithm
 from .data import Dataset, GroundTruth, SpatialIndex
 from .density import compute_densities, default_delta
 from .errors import InvalidK
@@ -34,7 +34,6 @@ class ClusteringResult:
     delta: float | None = None
     cap: int | None = None
     fallback_count: int = 0
-    iterations: int = 0
     nmi_score: float | None = None
     ri_score: float | None = None
     timings: dict = field(default_factory=dict)
@@ -62,7 +61,6 @@ class ClusteringResult:
             "delta": self.delta,
             "cap": self.cap,
             "s": self.s,
-            "iterations": self.iterations,
             "fallback_count": self.fallback_count,
             "labels": [int(x) for x in self.labels],
             "center_ids": [int(x) for x in self.center_ids],
@@ -85,7 +83,6 @@ class ClusteringResult:
             delta=record.get("delta"),
             cap=record.get("cap"),
             fallback_count=record.get("fallback_count", 0),
-            iterations=record.get("iterations", 0),
             nmi_score=record.get("nmi"),
             ri_score=record.get("ri"),
             timings=record.get("timings", {}),
@@ -97,12 +94,8 @@ def compute_centers(dataset: Dataset, algorithm: CenterBasedAlgorithm, k: int):
     """Run the center process; returns (center ids, metadata extras)."""
     if not 1 <= k <= dataset.n:
         raise InvalidK(f"k must be in 1..{dataset.n}, got {k}")
-    extras = {}
-    if algorithm.name == "kmeans":
-        ids, snap = kmeans_centers_with_snap(dataset, k, **algorithm.params)
-        extras["max_center_snap_distance"] = float(snap.max())
-        return list(int(i) for i in ids), extras
-    return [int(i) for i in algorithm.center_process(dataset, k)], extras
+    ids, extras = algorithm.center_process(dataset, k)
+    return [int(i) for i in ids], dict(extras)
 
 
 def run_baseline(
@@ -170,7 +163,6 @@ def run_optimized(
         delta=float(delta),
         cap=strategy.cap,
         fallback_count=ext.fallback_count,
-        iterations=len(ext.trace),
         timings={
             "total_ms": 1000.0 * (t3 - t0),
             "density_ms": 1000.0 * (t1 - t0),

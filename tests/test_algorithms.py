@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from ecac.algorithms import (
     nearest_center_assignment,
 )
 from ecac.data import Dataset, generate_gaussian_mixture
-from ecac.errors import EmptyCenters, InvalidK, InvalidRadius
+from ecac.errors import ConfigError, EmptyCenters, InvalidK, InvalidRadius
 from ecac.metrics import nmi
 
 from oracles import dpc_assignment_recursive, dpc_quantities_loops
@@ -163,7 +166,7 @@ class TestDpcAssignment:
     def test_two_blobs_recovered(self, two_blobs):
         ds, gt = two_blobs
         alg = build_algorithm("dpc")
-        centers = alg.center_process(ds, 2)
+        centers, _ = alg.center_process(ds, 2)
         labels = alg.assignment_process(ds, centers)
         assert nmi(gt.labels, labels) == pytest.approx(1.0)
 
@@ -212,9 +215,27 @@ class TestDpcAssignment:
     def test_totality(self, two_blobs):
         ds, _ = two_blobs
         alg = build_algorithm("dpc")
-        centers = alg.center_process(ds, 2)
+        centers, _ = alg.center_process(ds, 2)
         labels = alg.assignment_process(ds, centers)
         assert labels.shape == (ds.n,)
         assert ((labels >= 0) & (labels < 2)).all()
         for pos, c in enumerate(centers):
             assert labels[c] == pos
+
+
+class TestRegistry:
+    def test_unknown_name_lists_valid_names(self):
+        with pytest.raises(ConfigError, match="'kmean'.*kmeans, dpc"):
+            build_algorithm("kmean")
+
+    def test_dpc_holds_only_the_last_dataset(self):
+        alg = build_algorithm("dpc")
+        refs = []
+        for seed in range(3):
+            ds, _ = generate_gaussian_mixture(2, 20, [[0, 0], [10, 0]], 1.0, seed=seed)
+            centers, _ = alg.center_process(ds, 2)
+            alg.assignment_process(ds, centers)
+            refs.append(weakref.ref(ds))
+        del ds
+        gc.collect()
+        assert sum(ref() is not None for ref in refs) <= 1

@@ -159,6 +159,10 @@ class TestRangeQuery:
         ds = Dataset(np.array([[0.0, 0.0]]))
         with pytest.raises(DimensionMismatch):
             SpatialIndex(ds).range_query([0.0], 1.0)
+        with pytest.raises(DimensionMismatch):
+            SpatialIndex(ds).range_query_many(np.zeros((3, 3)), 1.0)
+        with pytest.raises(DimensionMismatch):
+            SpatialIndex(ds).range_query_many(np.zeros(2), 1.0)
 
     def test_nonpositive_radius(self):
         ds = Dataset(np.array([[0.0]]))

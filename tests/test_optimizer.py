@@ -11,50 +11,13 @@ from ecac.optimizer import (
     SelectionStrategy,
     identify_extended_centers,
     merge_clusters,
-    set_distance,
 )
 
-from oracles import naive_identify, set_distance_scan
+from oracles import naive_identify
 
 
 def identify(points, centers, delta, **kw):
     return identify_extended_centers(Dataset(np.asarray(points, float)), centers, delta, **kw)
-
-
-class TestSetDistance:
-    def test_density_weighted(self):
-        # Object 0 sits 0.5 away from three coincident neighbors, so its
-        # rho under delta=1 is 4; the nearest member is 2.0 away.
-        ds = Dataset(np.array([[0.0], [0.5], [0.5], [0.5], [2.0]]))
-        dens = compute_densities(ds, SpatialIndex(ds), 1.0)
-        assert dens.rho[0] == 4
-        assert set_distance(0, [4], ds, dens) == pytest.approx(0.5)
-
-    def test_unit_density(self):
-        ds = Dataset(np.array([[0.0], [2.0]]))
-        dens = compute_densities(ds, SpatialIndex(ds), 0.1)
-        assert dens.rho[0] == 1
-        assert set_distance(0, [1], ds, dens) == pytest.approx(2.0)
-
-    def test_no_density_is_min_distance(self):
-        ds = Dataset(np.array([[0.0], [3.0], [7.0]]))
-        assert set_distance(0, [1, 2], ds, use_density=False) == pytest.approx(3.0)
-
-    def test_matches_member_scan(self):
-        rng = np.random.default_rng(0)
-        pts = rng.normal(size=(40, 2))
-        ds = Dataset(pts)
-        dens = compute_densities(ds, SpatialIndex(ds), 0.8)
-        for _ in range(30):
-            members = rng.choice(40, size=rng.integers(1, 10), replace=False).tolist()
-            o = int(rng.choice([i for i in range(40) if i not in members]))
-            expected = set_distance_scan(pts, o, members, dens.rho)
-            assert set_distance(o, members, ds, dens) == pytest.approx(expected)
-
-    def test_empty_set_rejected(self):
-        ds = Dataset(np.array([[0.0]]))
-        with pytest.raises(EmptyCenters):
-            set_distance(0, [], ds, use_density=False)
 
 
 class TestIdentify:

@@ -22,7 +22,7 @@ def test_zero_cap_degenerates_to_baseline(blobs):
         ds, alg, 3, centers=centers, strategy=SelectionStrategy("local", cap=0)
     )
     assert degenerate.s == 3
-    assert degenerate.iterations == 0
+    assert degenerate.trace == []
     assert degenerate.labels.tolist() == base.labels.tolist()
 
 
@@ -31,13 +31,12 @@ def test_optimized_records_bookkeeping(blobs):
     alg = build_algorithm("kmeans", seed=0)
     result = run_optimized(ds, alg, 3).attach_metrics(gt)
     assert result.s == sum(len(g) for g in result.extended_sets)
-    assert result.iterations == result.s - 3
+    assert len(result.trace) == result.s - 3
     assert result.delta > 0
     assert set(result.timings) == {"total_ms", "density_ms", "extend_ms", "assign_ms"}
     assert result.extras["coverage_complete"] is True
     assert "max_center_snap_distance" in result.extras
     assert result.nmi_score == pytest.approx(1.0)
-    assert len(result.trace) == result.iterations
 
 
 def test_baseline_has_no_metrics_without_truth(blobs):
@@ -72,3 +71,6 @@ def test_result_dict_roundtrip(blobs):
     restored = ClusteringResult.from_dict(record)
     assert restored.to_dict() == record
     assert np.array_equal(restored.labels, result.labels)
+    # Older result files also carry an "iterations" count; they still load.
+    legacy = dict(record, iterations=len(result.trace))
+    assert ClusteringResult.from_dict(legacy).to_dict() == record
