@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Print the result-identity digests of the 30-cell grid.
+
+The grid is the 3 shipped CSVs x {kmeans, dpc} x five commands:
+``ecac run --strategy {local,global,nodensity,random}`` and
+``ecac ablate --variants local,global,random,nodensity``, each with
+``--seed 0 --trace`` and the default delta choice. Every cell prints
+two digests (first 16 hex of sha256):
+
+* ``result`` hashes the result JSON (``result.json`` or
+  ``ablate.json``) re-serialized with sorted keys after removing every
+  ``timings`` and ``iterations`` entry;
+* ``trace`` hashes the bytes of the cell's trace ``.jsonl`` files
+  (one for ``run``; one per variant, in variant order, for ``ablate``).
+
+The config echo inside the JSON holds the CSV and output paths, so two
+checkouts are compared by running this script against each one (chosen
+by ``PYTHONPATH``) with the same ``--data-dir`` and the same output root:
+
+    PYTHONPATH=old/src python3 scripts/result_digests.py /tmp/grid --data-dir data > old.txt
+    PYTHONPATH=src python3 scripts/result_digests.py /tmp/grid --data-dir data > new.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import shutil
+from pathlib import Path
+
+from ecac.cli import main as ecac_main
+
+ROOT = Path(__file__).resolve().parent.parent
+DATASETS = {"spiral": 3, "jain": 2, "pathbased": 3}
+ALGOS = ("kmeans", "dpc")
+STRATEGIES = ("local", "global", "nodensity", "random")
+ABLATE_VARIANTS = ("local", "global", "random", "nodensity")
+
+
+def _strip(value):
+    if isinstance(value, dict):
+        return {k: _strip(v) for k, v in value.items() if k not in ("timings", "iterations")}
+    if isinstance(value, list):
+        return [_strip(v) for v in value]
+    return value
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _run_cell(argv: list[str], out: Path, result_name: str, trace_names: list[str]) -> tuple[str, str]:
+    if out.exists():
+        shutil.rmtree(out)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = ecac_main(argv + ["--out", str(out)])
+    if code != 0:
+        raise SystemExit(f"ecac {' '.join(argv)} exited with {code}")
+    payload = json.loads((out / result_name).read_text(encoding="utf-8"))
+    result = _digest(json.dumps(_strip(payload), sort_keys=True).encode())
+    trace = _digest(b"".join((out / name).read_bytes() for name in trace_names))
+    return result, trace
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_root", help="directory for the cells' outputs (reused)")
+    parser.add_argument("--data-dir", default=str(ROOT / "data"),
+                        help="directory holding spiral.csv, jain.csv, pathbased.csv")
+    args = parser.parse_args()
+    out_root = Path(args.out_root)
+    data_dir = Path(args.data_dir)
+
+    for name, k in DATASETS.items():
+        for algo in ALGOS:
+            common = ["--data", str(data_dir / f"{name}.csv"), "--label-col", "-1",
+                      "--algo", algo, "--k", str(k), "--seed", "0", "--trace"]
+            cells = [
+                (f"{name}-{algo}-run-{kind}", ["run", *common, "--strategy", kind],
+                 "result.json", ["trace.jsonl"])
+                for kind in STRATEGIES
+            ]
+            cells.append((
+                f"{name}-{algo}-ablate",
+                ["ablate", *common, "--variants", ",".join(ABLATE_VARIANTS)],
+                "ablate.json", [f"trace-{v}.jsonl" for v in ABLATE_VARIANTS],
+            ))
+            for cell, argv, result_name, trace_names in cells:
+                result, trace = _run_cell(argv, out_root / cell, result_name, trace_names)
+                print(f"{cell} result={result} trace={trace}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

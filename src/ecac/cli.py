@@ -130,6 +130,10 @@ def cmd_ablate(config: RunConfig, variants: list[str], dump_trace: bool = False,
     for v in variants:
         if v not in STRATEGY_KINDS:
             raise ConfigError(f"unknown variant {v!r}")
+    repeated = sorted({v for v in variants if variants.count(v) > 1})
+    if repeated:
+        # Records, trace files and the JSON are keyed by strategy name.
+        raise ConfigError(f"variant listed more than once: {', '.join(repeated)}")
     if config.delta_sweep is not None:
         raise ConfigError("ablate compares at a single delta, not a sweep")
 

@@ -15,7 +15,9 @@ Strategies:
 * ``local`` (default) draws candidates from the 2*delta neighborhoods of
   the current members; if that pool empties while objects remain
   uncovered, a single whole-dataset step runs and local search resumes.
-* ``global`` draws candidates from all remaining objects.
+* ``global`` draws candidates from all remaining objects; each object's
+  best (distance, set) pair is cached and updated as members arrive, so
+  a step costs O(n) rather than a rescan of every member.
 * ``random`` samples the object uniformly (seeded) and attaches it to
   the set whose clustering center is nearest.
 * ``nodensity`` is ``local`` without the density weighting.
@@ -120,11 +122,12 @@ class _GreedyState:
         self.fallback_count = 0
 
     def add(self, o: int, j: int):
-        """Register a new member; returns its query-radius neighbor ids.
+        """Register a new member; returns its query-radius ``(ids, dists)``.
 
         One tree query serves both purposes: ids within the query radius
-        (2*delta for the local pool, else delta) feed the candidate pool,
-        and the subset at strict distance < delta is newly covered.
+        (2*delta for the local pool, else delta) feed the candidate pool
+        and its cache, and the subset at strict distance < delta is newly
+        covered.
         """
         self.member_of[o] = j
         self.sets[j].append(o)
@@ -135,7 +138,7 @@ class _GreedyState:
         newly = newly[~self.covered[newly]]
         self.covered[newly] = True
         self.n_covered += newly.size
-        return ids
+        return ids, dists
 
     def record(self, o: int, j: int, dis: float):
         self.trace.append(
@@ -184,19 +187,26 @@ def _nearest_open_member(points, cands, member_ids, member_sets, k):
 def _run_scored(state: _GreedyState, use_density: bool, local: bool):
     """Distance-minimizing selection with either the local or global pool.
 
-    The global pool re-scores every remaining object against every open
-    set member each iteration, straight from the definition. The local
-    pool is what makes the search fast: the 2*delta frontier is grown
-    incrementally, and because the density weight does not depend on the
-    set, each pooled object only needs a cached (min distance, best set)
-    pair, folded up as members arrive.
+    Both pools keep one cached (min distance, best set) pair per pooled
+    object and fold each new member into it; because the density weight
+    does not depend on the set, the cache is all selection needs. The
+    global pool holds every object from the start, so each fold is one
+    O(n) pass. The local pool is the 2*delta frontier, grown
+    incrementally. With no closed set, every pooled object already has a
+    member within 2*delta, so a new member can only improve the pooled
+    objects inside its own 2*delta query; and an entrant to the pool was
+    at least 2*delta from every earlier member, so the new member is its
+    nearest. Once a set reaches its cap, ``close_set`` can leave objects
+    with no open member that near, and the fold sweeps the whole pool
+    again. The from-definition loop is ``tests/oracles.naive_identify``.
     """
     points = state.points
     n, k = state.n, state.k
     rho = state.densities.rho.astype(np.float64)
     best_dis = np.full(n, np.inf)
     best_set = np.full(n, -1, dtype=np.int64)
-    in_pool = np.zeros(n, dtype=bool)
+    in_pool = np.full(n, not local)
+    sweep = not local
 
     def scan(ids: np.ndarray):
         """Fresh minima over open-set members for the given ids."""
@@ -209,21 +219,26 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
             return None, None
         return _nearest_open_member(points, ids, member_ids, member_sets, k)
 
-    def absorb(o: int, j: int, nearby):
-        """Fold the newest member of set j into the local pool's cache."""
-        rows = np.flatnonzero(in_pool)
-        d = np.linalg.norm(points[rows] - points[o], axis=1)
+    def fold(o: int, j: int, ids: np.ndarray, dists: np.ndarray):
+        """Fold the newest member o of set j into the pool's cache.
+
+        ``ids``/``dists`` are o's query-radius neighbours and distances.
+        Ties keep the lower set index.
+        """
+        if sweep:
+            rows = np.flatnonzero(in_pool & (state.member_of < 0))
+            d = np.linalg.norm(points[rows] - points[o], axis=1)
+        else:
+            pooled = in_pool[ids]
+            rows, d = ids[pooled], dists[pooled]
         better = (d < best_dis[rows]) | ((d == best_dis[rows]) & (j < best_set[rows]))
         rows = rows[better]
         best_dis[rows] = d[better]
         best_set[rows] = j
-        entrants = nearby[~in_pool[nearby]]
-        if entrants.size:
-            dis, sets = scan(entrants)
-            if dis is not None:
-                best_dis[entrants] = dis
-                best_set[entrants] = sets
-            in_pool[entrants] = True
+        entrants = ~in_pool[ids]  # none under the global pool
+        best_dis[ids[entrants]] = dists[entrants]
+        best_set[ids[entrants]] = j
+        in_pool[ids] = True
 
     def close_set(f: int):
         """Set f just reached its cap: re-point pool rows that relied on it."""
@@ -239,38 +254,26 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
             best_set[rows] = sets
 
     for j, center in enumerate(state.centers):
-        nearby = state.add(center, j)
-        if local:
-            absorb(center, j, nearby)
+        fold(center, j, *state.add(center, j))
 
-    was_full = state.full_sets()
     while not state.done():
         nonmember = state.member_of < 0
-        fallback = False
-        if local:
-            cands = np.flatnonzero(in_pool & nonmember)
-            if cands.size == 0:
-                # Disconnected region: one whole-dataset step, then resume.
-                cands = np.flatnonzero(nonmember)
-                fallback = True
-                state.fallback_count += 1
-        else:
-            cands = np.flatnonzero(nonmember)
-        if local and not fallback:
+        cands = np.flatnonzero(in_pool & nonmember)
+        if cands.size:
             dis_vec, set_vec = best_dis[cands], best_set[cands]
         else:
+            # Disconnected region: one whole-dataset step, then resume.
+            cands = np.flatnonzero(nonmember)
+            state.fallback_count += 1
             dis_vec, set_vec = scan(cands)
         scores = dis_vec / rho[cands] if use_density else dis_vec
         pick = int(np.argmin(scores))  # ties: lowest object id
         o, j, dis = int(cands[pick]), int(set_vec[pick]), float(scores[pick])
-        nearby = state.add(o, j)
+        fold(o, j, *state.add(o, j))
         state.record(o, j, dis)
-        if local:
-            absorb(o, j, nearby)
-            full = state.full_sets()
-            if full[j] and not was_full[j]:
-                close_set(j)
-            was_full = full
+        if state.cap is not None and len(state.sets[j]) - 1 == state.cap:
+            close_set(j)
+            sweep = True
     return state.finish()
 
 

@@ -131,6 +131,16 @@ class TestCmdAblate:
     def test_needs_two_variants(self, tmp_path):
         with pytest.raises(ConfigError):
             cmd_ablate(gen_config(tmp_path), ["local"])
+        with pytest.raises(ConfigError, match="local"):
+            cmd_ablate(gen_config(tmp_path), ["local", "global", "local"])
+
+    def test_repeated_variant_exits_2(self, tmp_path, capsys):
+        argv = ["ablate", "--data", "data/spiral.csv", "--label-col", "-1",
+                "--algo", "kmeans", "--k", "3", "--variants", "local,local",
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert not (tmp_path / "o").exists()
+        assert "local" in capsys.readouterr().err
 
     def test_variant_table(self, tmp_path):
         payload = cmd_ablate(gen_config(tmp_path), ["local", "global", "random"])

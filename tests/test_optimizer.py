@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecac.data import Dataset, SpatialIndex, generate_gaussian_mixture
@@ -107,6 +107,50 @@ def test_matches_naive_reference(kind, seed, clumps, delta, cap):
     got_trace = [(t["object"], t["set"], t["covered"]) for t in ext.trace]
     want_trace = [(o, j, c) for (o, j, _, c) in trace]
     assert got_trace == want_trace
+    for got, want in zip(ext.trace, trace):
+        assert got["dis"] == pytest.approx(want[2], rel=1e-9)
+
+
+GRID = 0.25  # dyadic spacing: squared distances are exact, so ties are exact
+
+
+@st.composite
+def grid_instances(draw):
+    """Clumps of points on a small grid (duplicates and exact distance
+    ties), centers, a radius on the same grid, and a strategy."""
+    d = draw(st.integers(1, 3))
+    offsets = st.lists(st.lists(st.integers(0, 2), min_size=d, max_size=d),
+                       min_size=1, max_size=8)
+    clumps = draw(st.lists(st.tuples(st.lists(st.integers(0, 12), min_size=d, max_size=d),
+                                     offsets), min_size=1, max_size=4))
+    base = [np.add(anchor, off) for anchor, offs in clumps for off in offs][:24]
+    copies = draw(st.lists(st.integers(0, len(base) - 1), max_size=6))
+    pts = np.array(base + [base[i] for i in copies], dtype=float) * GRID
+    centers = draw(st.lists(st.integers(0, len(pts) - 1), min_size=1,
+                            max_size=min(4, len(pts)), unique=True))
+    delta = GRID * draw(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+    kind = draw(st.sampled_from(["local", "global", "nodensity", "random"]))
+    cap = draw(st.sampled_from([None, 1, 2, 4]))
+    return pts, centers, delta, kind, cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_instances())
+# A set closes while a pooled object's only member within 2*delta is in it.
+@example((np.array([[0, 0], [0, 0], [0, 2], [1, 1], [2, 2], [0, 4], [0, 0]]) * GRID,
+          [0, 1], GRID, "local", 2))
+def test_matches_naive_reference_on_grid_ties(instance):
+    pts, centers, delta, kind, cap = instance
+    strategy = SelectionStrategy(kind, seed=7 if kind == "random" else None, cap=cap)
+    ext = identify(pts, centers, delta, strategy=strategy)
+    _, order, order_sets, _, fallbacks, trace = naive_identify(
+        pts, centers, delta, kind=kind, seed=7, cap=cap
+    )
+    assert ext.all == order
+    assert ext.all_sets == order_sets
+    assert ext.fallback_count == fallbacks
+    got_trace = [(t["object"], t["set"], t["covered"]) for t in ext.trace]
+    assert got_trace == [(o, j, c) for (o, j, _, c) in trace]
     for got, want in zip(ext.trace, trace):
         assert got["dis"] == pytest.approx(want[2], rel=1e-9)
 
