@@ -13,6 +13,12 @@ two digests (first 16 hex of sha256):
 * ``trace`` hashes the bytes of the cell's trace ``.jsonl`` files
   (one for ``run``; one per variant, in variant order, for ``ablate``).
 
+Two more lines digest the DPC quantities (``rho_dpc``, ``delta_dpc`` and
+``nearest_higher`` bytes, with the default cutoff) and the densities
+(``rho`` bytes, with the default delta) of the 4-component Gaussian
+mixture at n = 10,000 that the ``blobs-dpc-capped`` benchmark clusters,
+generated in-process.
+
 The config echo inside the JSON holds the CSV and output paths, so two
 checkouts are compared by running this script against each one (chosen
 by ``PYTHONPATH``) with the same ``--data-dir`` and the same output root:
@@ -31,6 +37,14 @@ import json
 import shutil
 from pathlib import Path
 
+from ecac import (
+    SpatialIndex,
+    compute_densities,
+    compute_dpc_quantities,
+    default_cutoff,
+    default_delta,
+    generate_gaussian_mixture,
+)
 from ecac.cli import main as ecac_main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,6 +79,16 @@ def _run_cell(argv: list[str], out: Path, result_name: str, trace_names: list[st
     return result, trace
 
 
+def _blob_digests() -> tuple[str, str]:
+    dataset, _ = generate_gaussian_mixture(
+        4, 2500, [[0, 0], [12, 0], [0, 12], [12, 12]], 2.0, 0
+    )
+    q = compute_dpc_quantities(dataset, default_cutoff(dataset))
+    dpc = _digest(b"".join(a.tobytes() for a in (q.rho_dpc, q.delta_dpc, q.nearest_higher)))
+    densities = compute_densities(dataset, SpatialIndex(dataset), default_delta(dataset))
+    return dpc, _digest(densities.rho.tobytes())
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_root", help="directory for the cells' outputs (reused)")
@@ -91,6 +115,10 @@ def main():
             for cell, argv, result_name, trace_names in cells:
                 result, trace = _run_cell(argv, out_root / cell, result_name, trace_names)
                 print(f"{cell} result={result} trace={trace}", flush=True)
+
+    dpc, densities = _blob_digests()
+    print(f"blobs-10k dpc-quantities={dpc}")
+    print(f"blobs-10k densities={densities}")
 
 
 if __name__ == "__main__":

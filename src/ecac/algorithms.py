@@ -6,7 +6,9 @@ assignment process* (label every object by one entry of an arbitrary
 center-id list). The optimizer only ever talks to these two callables,
 so anything decomposable this way can be plugged in.
 
-Ties anywhere break toward the lower object index.
+Ties break toward the earlier entry: the lower object index, the
+earlier position in a center list and, in DPC's nearest-higher search,
+the earlier density rank (see ``DpcQuantities``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .data import Dataset
+from .data import Dataset, SpatialIndex
 from .density import pairwise_distance_percentile
 from .errors import ConfigError, EmptyCenters, InvalidK, InvalidRadius
 
@@ -96,11 +98,26 @@ def nearest_center_assignment(dataset: Dataset, centers: Sequence[int]) -> np.nd
     centers = np.asarray(centers, dtype=np.int64)
     if centers.size == 0:
         raise EmptyCenters("need at least one center")
-    dists = cdist(dataset.points, dataset.points[centers])
-    labels = np.argmin(dists, axis=1).astype(np.int64)
-    # Coincident centers would otherwise tie-break onto one position.
+    # Centers label themselves (coincident centers would otherwise
+    # tie-break onto one position), so only the other rows need distances.
+    labels = np.empty(dataset.n, dtype=np.int64)
+    rows = _non_centers(dataset.n, centers)
+    labels[rows] = _nearest_center(dataset, rows, centers)
     labels[centers] = np.arange(centers.size)
     return labels
+
+
+def _non_centers(n: int, centers: np.ndarray) -> np.ndarray:
+    """Boolean mask of the objects that are not in ``centers``."""
+    mask = np.ones(n, dtype=bool)
+    mask[centers] = False
+    return mask
+
+
+def _nearest_center(dataset: Dataset, rows, centers: np.ndarray) -> np.ndarray:
+    """Position in ``centers`` of the nearest center to each selected row."""
+    points = dataset.points
+    return np.argmin(cdist(points[rows], points[centers]), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -111,16 +128,22 @@ class DpcQuantities:
     """Per-object density-peak statistics under a cutoff distance.
 
     ``rho_dpc`` counts neighbors at strict distance < d_c (self excluded).
-    ``delta_dpc[i]`` is the distance to the nearest object of higher
-    density, where equal densities rank by lower index; the top-ranked
-    object instead takes its distance to the farthest object, and its
-    ``nearest_higher`` is -1.
+    Objects rank by density, equal densities by lower index.
+    ``delta_dpc[i]`` is the distance to the nearest higher-ranked object
+    ``nearest_higher[i]``; among equally near ones the earliest in rank
+    wins. The top-ranked object instead takes its distance to the
+    farthest object, and its ``nearest_higher`` is -1.
     """
 
     rho_dpc: np.ndarray
     delta_dpc: np.ndarray
     nearest_higher: np.ndarray
     d_c: float
+
+
+# Ranks per block of the nearest-higher search; a block's distance matrix
+# holds _RANK_BLOCK x N floats.
+_RANK_BLOCK = 256
 
 
 def _density_order(rho: np.ndarray) -> np.ndarray:
@@ -130,29 +153,37 @@ def _density_order(rho: np.ndarray) -> np.ndarray:
 
 
 def compute_dpc_quantities(dataset: Dataset, d_c: float) -> DpcQuantities:
+    """Density, separation and nearest higher-ranked object of every object.
+
+    ``rho_dpc`` takes two KD-tree counts (``SpatialIndex.count_within``).
+    The nearest-higher search walks the objects in density order, 256
+    ranks at a time: each block's distances to every earlier rank (about
+    n^2 / 2 distances in all) with the not-higher columns masked, so
+    memory stays O(256 * n).
+    """
     if d_c <= 0:
         raise InvalidRadius(f"d_c must be > 0, got {d_c}")
     points = dataset.points
     n = dataset.n
-
-    rho = np.empty(n, dtype=np.int64)
-    for start in range(0, n, 512):
-        block = slice(start, min(start + 512, n))
-        d = cdist(points[block], points)
-        rho[block] = (d < d_c).sum(axis=1) - 1  # drop self
+    rho = SpatialIndex(dataset).count_within(points, d_c) - 1  # drop self
 
     order = _density_order(rho)
+    ranked = points[order]
     delta = np.empty(n, dtype=np.float64)
-    nearest = np.full(n, -1, dtype=np.int64)
+    nearest = np.empty(n, dtype=np.int64)
+    for start in range(0, n, _RANK_BLOCK):
+        stop = min(start + _RANK_BLOCK, n)
+        d = cdist(ranked[start:stop], ranked[:stop])
+        # Mask every rank at or below the row's own; argmin's first
+        # minimum is then the earliest-ranked of the nearest.
+        d[:, start:][np.triu_indices(stop - start)] = np.inf
+        best = np.argmin(d, axis=1)
+        ids = order[start:stop]
+        delta[ids] = d[np.arange(stop - start), best]
+        nearest[ids] = order[best]
     top = order[0]
     delta[top] = np.linalg.norm(points - points[top], axis=1).max()
-    for pos in range(1, n):
-        i = order[pos]
-        higher = order[:pos]
-        d = np.linalg.norm(points[higher] - points[i], axis=1)
-        best = np.argmin(d)
-        delta[i] = d[best]
-        nearest[i] = higher[best]
+    nearest[top] = -1
     return DpcQuantities(rho, delta, nearest, float(d_c))
 
 
@@ -200,16 +231,16 @@ def dpc_assignment(
     position[order] = np.arange(n)
     first_center_pos = position[centers].min()
 
+    nearest_higher = quantities.nearest_higher
     labels = np.full(n, -1, dtype=np.int64)
+    fallback = _non_centers(n, centers) & (
+        (position < first_center_pos) | (nearest_higher < 0)
+    )
+    labels[fallback] = _nearest_center(dataset, fallback, centers)
     labels[centers] = np.arange(centers.size)
-    center_dists = cdist(dataset.points, dataset.points[centers])
     for i in order:
-        if labels[i] >= 0:
-            continue
-        if position[i] < first_center_pos or quantities.nearest_higher[i] < 0:
-            labels[i] = np.argmin(center_dists[i])
-        else:
-            labels[i] = labels[quantities.nearest_higher[i]]
+        if labels[i] < 0:
+            labels[i] = labels[nearest_higher[i]]
     return labels
 
 

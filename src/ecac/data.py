@@ -123,6 +123,24 @@ class SpatialIndex:
         )
         return [self._within(center, ids, radius)[0] for center, ids in zip(centers, raw)]
 
+    def count_within(self, centers: np.ndarray, radius: float) -> np.ndarray:
+        """Per center, the number of ids at strict distance < radius.
+
+        The tree counts at ``radius * (1 -+ _QUERY_SLACK)``. Where the two
+        counts agree no point lies near the boundary, so the count is
+        exact; the other rows are re-counted through the exact filter.
+        """
+        centers = self._checked(centers, radius, ndim=2)
+
+        def tree_counts(r: float) -> np.ndarray:
+            counts = self._tree.query_ball_point(centers, r, return_length=True, workers=-1)
+            return np.asarray(counts, dtype=np.int64)
+
+        counts = tree_counts(radius * (1.0 - _QUERY_SLACK))
+        amb = np.flatnonzero(counts != tree_counts(radius * (1.0 + _QUERY_SLACK)))
+        counts[amb] = [len(ids) for ids in self.range_query_many(centers[amb], radius)]
+        return counts
+
 
 def _parse_cell(text: str) -> float:
     value = float(text)

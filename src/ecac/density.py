@@ -33,9 +33,7 @@ def compute_densities(dataset: Dataset, index: SpatialIndex, delta: float) -> De
     """Count, for every object, the objects within open radius ``delta``."""
     if delta <= 0:
         raise InvalidRadius(f"delta must be > 0, got {delta}")
-    neighborhoods = index.range_query_many(dataset.points, delta)
-    rho = np.array([len(ids) for ids in neighborhoods], dtype=np.int64)
-    return DensityVector(rho, float(delta))
+    return DensityVector(index.count_within(dataset.points, delta), float(delta))
 
 
 def pairwise_distance_percentile(

@@ -79,8 +79,9 @@ def pair_confusion_loop(u, v) -> tuple[int, int, int, int]:
 def dpc_quantities_loops(points: np.ndarray, d_c: float):
     """rho / delta / nearest-higher by explicit pairwise loops.
 
-    Equal densities rank by lower index; the top-ranked object takes its
-    max distance to anything and has no nearest-higher.
+    Equal densities rank by lower index; among equally near higher-ranked
+    objects the earliest in rank is the nearest-higher. The top-ranked
+    object takes its max distance to anything and has no nearest-higher.
     """
     n = len(points)
     rho = [
@@ -98,7 +99,7 @@ def dpc_quantities_loops(points: np.ndarray, d_c: float):
         if not higher:
             delta[i] = max(math.dist(points[i], points[j]) for j in range(n))
         else:
-            best = min(higher, key=lambda j: (math.dist(points[i], points[j]), j))
+            best = min(higher, key=lambda j: (math.dist(points[i], points[j]), -rho[j], j))
             nearest[i] = best
             delta[i] = math.dist(points[i], points[best])
     return rho, delta, nearest

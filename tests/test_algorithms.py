@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecac.algorithms import (
     build_algorithm,
@@ -17,6 +19,8 @@ from ecac.errors import ConfigError, EmptyCenters, InvalidK, InvalidRadius
 from ecac.metrics import nmi
 
 from oracles import dpc_assignment_recursive, dpc_quantities_loops
+
+GRID = 0.25  # dyadic spacing: squared distances are exact, so ties are exact
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +126,51 @@ class TestDpcQuantities:
         ds = Dataset(np.zeros((2, 1)))
         with pytest.raises(InvalidRadius):
             compute_dpc_quantities(ds, 0.0)
+
+    def test_distance_tie_takes_earliest_rank(self):
+        # Objects 1..5 are all at distance 1 from object 0; 3, 4, 5 are
+        # denser than 1 and 2, so rank 3 comes first, not index 1.
+        pts = np.array([[0.0], [-1.0], [-1.0], [1.0], [1.0], [1.0]])
+        q = compute_dpc_quantities(Dataset(pts), d_c=0.5)
+        assert q.rho_dpc.tolist() == [0, 1, 1, 2, 2, 2]
+        assert q.nearest_higher[0] == 3
+        _, _, nearest = dpc_quantities_loops(pts, 0.5)
+        assert nearest[0] == 3
+
+    def test_matches_loop_oracle_across_blocks(self):
+        # n > 512 on a coarse grid: the nearest-higher search crosses two
+        # block boundaries, with duplicates, density ties and exact
+        # distance ties throughout.
+        rng = np.random.default_rng(4)
+        pts = rng.integers(0, 12, size=(600, 2)) * GRID
+        assert_matches_loop_oracle(pts, 2 * GRID)
+
+
+def assert_matches_loop_oracle(pts, d_c):
+    q = compute_dpc_quantities(Dataset(pts), d_c)
+    rho, delta, nearest = dpc_quantities_loops(pts, d_c)
+    assert q.rho_dpc.tolist() == rho
+    assert q.nearest_higher.tolist() == nearest
+    np.testing.assert_allclose(q.delta_dpc, delta, rtol=1e-12, atol=0)
+
+
+@st.composite
+def grid_points(draw):
+    """Points on a small grid with duplicate copies, and a cutoff on the
+    same grid, so density ties and exact distance ties both occur."""
+    d = draw(st.integers(1, 3))
+    base = draw(st.lists(st.lists(st.integers(0, 8), min_size=d, max_size=d),
+                         min_size=1, max_size=24))
+    copies = draw(st.lists(st.integers(0, len(base) - 1), max_size=8))
+    pts = np.array(base + [base[i] for i in copies], dtype=float) * GRID
+    d_c = GRID * draw(st.integers(1, 8))
+    return pts, d_c
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_points())
+def test_dpc_quantities_match_loop_oracle_on_grid_ties(instance):
+    assert_matches_loop_oracle(*instance)
 
 
 class TestDpcCenters:

@@ -12,7 +12,7 @@ from ecac.errors import (
     ParseError,
 )
 
-from oracles import brute_range_query
+from oracles import brute_densities, brute_range_query
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -168,6 +168,45 @@ class TestRangeQuery:
         ds = Dataset(np.array([[0.0]]))
         with pytest.raises(InvalidRadius):
             SpatialIndex(ds).range_query([0.0], 0.0)
+
+
+class TestCountWithin:
+    def grid(self):
+        # A 2-D grid with unit gap plus duplicate copies: at r = 1 every
+        # axis neighbour sits exactly on the boundary and must be excluded.
+        xs, ys = np.meshgrid(np.arange(6.0), np.arange(5.0))
+        pts = np.column_stack([xs.ravel(), ys.ravel()])
+        return np.vstack([pts, pts[[0, 7, 7, 29]]])
+
+    @pytest.mark.parametrize("radius", [1.0, 1.5, np.sqrt(2.0), 2.0])
+    def test_matches_range_query_and_brute_force(self, radius):
+        pts = self.grid()
+        index = SpatialIndex(Dataset(pts))
+        got = index.count_within(pts, radius)
+        assert got.tolist() == [len(index.range_query(p, radius)) for p in pts]
+        assert got.tolist() == brute_densities(pts, radius)
+
+    def test_boundary_excluded(self):
+        ds = Dataset(np.array([[0.0], [1.0], [1.0], [3.0]]))
+        assert SpatialIndex(ds).count_within(ds.points, 1.0).tolist() == [1, 2, 2, 1]
+
+    def test_inside_slack_band_counted(self):
+        # 1 - 2**-40 is inside radius 1 but within the tree's query slack.
+        ds = Dataset(np.array([[0.0], [1.0 - 2.0**-40], [-1.0]]))
+        assert SpatialIndex(ds).count_within(ds.points, 1.0).tolist() == [2, 2, 1]
+
+    def test_dimension_mismatch(self):
+        index = SpatialIndex(Dataset(np.array([[0.0, 0.0]])))
+        with pytest.raises(DimensionMismatch):
+            index.count_within(np.zeros((3, 3)), 1.0)
+        with pytest.raises(DimensionMismatch):
+            index.count_within(np.zeros(2), 1.0)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0])
+    def test_nonpositive_radius(self, radius):
+        index = SpatialIndex(Dataset(np.array([[0.0]])))
+        with pytest.raises(InvalidRadius):
+            index.count_within(np.zeros((1, 1)), radius)
 
 
 @st.composite
