@@ -17,7 +17,10 @@ Two more lines digest the DPC quantities (``rho_dpc``, ``delta_dpc`` and
 ``nearest_higher`` bytes, with the default cutoff) and the densities
 (``rho`` bytes, with the default delta) of the 4-component Gaussian
 mixture at n = 10,000 that the ``blobs-dpc-capped`` benchmark clusters,
-generated in-process.
+generated in-process. A last line digests the DPC quantities of a
+clumped dataset: 120 mixture points, each repeated 17 to 24 times, so
+every object has more exact duplicates than the first k-nearest list of
+the nearest-higher search holds.
 
 The config echo inside the JSON holds the CSV and output paths, so two
 checkouts are compared by running this script against each one (chosen
@@ -37,7 +40,10 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
+
 from ecac import (
+    Dataset,
     SpatialIndex,
     compute_densities,
     compute_dpc_quantities,
@@ -83,10 +89,20 @@ def _blob_digests() -> tuple[str, str]:
     dataset, _ = generate_gaussian_mixture(
         4, 2500, [[0, 0], [12, 0], [0, 12], [12, 12]], 2.0, 0
     )
-    q = compute_dpc_quantities(dataset, default_cutoff(dataset))
-    dpc = _digest(b"".join(a.tobytes() for a in (q.rho_dpc, q.delta_dpc, q.nearest_higher)))
+    dpc = _dpc_digest(dataset)
     densities = compute_densities(dataset, SpatialIndex(dataset), default_delta(dataset))
     return dpc, _digest(densities.rho.tobytes())
+
+
+def _dpc_digest(dataset) -> str:
+    q = compute_dpc_quantities(dataset, default_cutoff(dataset))
+    return _digest(b"".join(a.tobytes() for a in (q.rho_dpc, q.delta_dpc, q.nearest_higher)))
+
+
+def _clump_digest() -> str:
+    base, _ = generate_gaussian_mixture(4, 30, [[0, 0], [12, 0], [0, 12], [12, 12]], 2.0, 0)
+    copies = 17 + np.arange(base.n) % 8
+    return _dpc_digest(Dataset(np.repeat(base.points, copies, axis=0)))
 
 
 def main():
@@ -119,6 +135,7 @@ def main():
     dpc, densities = _blob_digests()
     print(f"blobs-10k dpc-quantities={dpc}")
     print(f"blobs-10k densities={densities}")
+    print(f"clumps-dpc-quantities={_clump_digest()}")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .data import Dataset, SpatialIndex
+from .data import _QUERY_SLACK, Dataset, SpatialIndex
 from .density import pairwise_distance_percentile
 from .errors import ConfigError, EmptyCenters, InvalidK, InvalidRadius
 
@@ -133,6 +133,10 @@ class DpcQuantities:
     ``nearest_higher[i]``; among equally near ones the earliest in rank
     wins. The top-ranked object instead takes its distance to the
     farthest object, and its ``nearest_higher`` is -1.
+
+    Distances are ``np.linalg.norm`` of the coordinate difference. From
+    d = 8 on, NumPy sums the squares in another order than ``cdist``, so
+    ``delta_dpc`` can differ from a ``cdist`` value in the last ulp.
     """
 
     rho_dpc: np.ndarray
@@ -141,9 +145,12 @@ class DpcQuantities:
     d_c: float
 
 
-# Ranks per block of the nearest-higher search; a block's distance matrix
-# holds _RANK_BLOCK x N floats.
-_RANK_BLOCK = 256
+# Length of the first k-nearest list per object in the nearest-higher
+# search, and the factor by which a list that cannot certify its row is
+# widened. Each query is cut into row chunks of at most _FIRST_K * N
+# list entries, which bounds the search's memory.
+_FIRST_K = 16
+_WIDEN = 4
 
 
 def _density_order(rho: np.ndarray) -> np.ndarray:
@@ -152,38 +159,77 @@ def _density_order(rho: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(n), -rho))
 
 
+def _nearest_higher_from_lists(
+    index: SpatialIndex, rank: np.ndarray, rows: np.ndarray, k: int
+):
+    """Resolve the nearest higher-ranked object of each row from its k-NN list.
+
+    A row is certified when its list holds a higher-ranked object, at
+    tree distance t, and either lists every object or ends strictly
+    beyond ``t * (1 + _QUERY_SLACK)``: then no unlisted object can be as
+    near as that one. Among the listed higher-ranked objects within that
+    bound, the smallest (exact distance, rank) wins.
+
+    Returns (certified mask, nearest ids, distances), the last two for
+    the certified rows only.
+    """
+    points = index.dataset.points
+    dists, ids = index.k_nearest(points[rows], k)
+    higher = rank[ids] < rank[rows][:, None]
+    first = np.argmax(higher, axis=1)
+    bound = dists[np.arange(rows.size), first] * (1.0 + _QUERY_SLACK)
+    certified = higher.any(axis=1) & ((dists[:, -1] > bound) | (k == index.dataset.n))
+
+    ids, bound = ids[certified], bound[certified]
+    r, c = np.nonzero(higher[certified] & (dists[certified] <= bound[:, None]))
+    exact = np.full(ids.shape, np.inf)
+    exact[r, c] = np.linalg.norm(points[ids[r, c]] - points[rows[certified][r]], axis=1)
+    closest = exact.min(axis=1)
+    tied_rank = np.where(exact == closest[:, None], rank[ids], rank.size)
+    best = ids[np.arange(ids.shape[0]), np.argmin(tied_rank, axis=1)]
+    return certified, best, closest
+
+
 def compute_dpc_quantities(dataset: Dataset, d_c: float) -> DpcQuantities:
     """Density, separation and nearest higher-ranked object of every object.
 
     ``rho_dpc`` takes two KD-tree counts (``SpatialIndex.count_within``).
-    The nearest-higher search walks the objects in density order, 256
-    ranks at a time: each block's distances to every earlier rank (about
-    n^2 / 2 distances in all) with the not-higher columns masked, so
-    memory stays O(256 * n).
+    The nearest-higher search queries each object's 16 nearest on the
+    same tree and keeps the rows whose list provably holds the answer;
+    the others are queried again with a list 4 times as long, up to N.
+    Queries go in row chunks of at most 16 * N list entries, so memory
+    stays O(16 * N).
     """
     if d_c <= 0:
         raise InvalidRadius(f"d_c must be > 0, got {d_c}")
     points = dataset.points
     n = dataset.n
-    rho = SpatialIndex(dataset).count_within(points, d_c) - 1  # drop self
+    index = SpatialIndex(dataset)
+    rho = index.count_within(points, d_c) - 1  # drop self
 
     order = _density_order(rho)
-    ranked = points[order]
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
     delta = np.empty(n, dtype=np.float64)
     nearest = np.empty(n, dtype=np.int64)
-    for start in range(0, n, _RANK_BLOCK):
-        stop = min(start + _RANK_BLOCK, n)
-        d = cdist(ranked[start:stop], ranked[:stop])
-        # Mask every rank at or below the row's own; argmin's first
-        # minimum is then the earliest-ranked of the nearest.
-        d[:, start:][np.triu_indices(stop - start)] = np.inf
-        best = np.argmin(d, axis=1)
-        ids = order[start:stop]
-        delta[ids] = d[np.arange(stop - start), best]
-        nearest[ids] = order[best]
     top = order[0]
     delta[top] = np.linalg.norm(points - points[top], axis=1).max()
     nearest[top] = -1
+
+    pending = order[1:]
+    k = _FIRST_K
+    while pending.size:
+        k = min(k, n)
+        chunk = _FIRST_K * n // k
+        uncertified = []
+        for start in range(0, pending.size, chunk):
+            rows = pending[start:start + chunk]
+            certified, best, closest = _nearest_higher_from_lists(index, rank, rows, k)
+            nearest[rows[certified]] = best
+            delta[rows[certified]] = closest
+            uncertified.append(rows[~certified])
+        pending = np.concatenate(uncertified)
+        k *= _WIDEN
     return DpcQuantities(rho, delta, nearest, float(d_c))
 
 

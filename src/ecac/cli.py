@@ -10,7 +10,7 @@ from pathlib import Path
 from .algorithms import ALGORITHM_NAMES, build_algorithm
 from .config import DEFAULT_PERCENTILE, DEFAULT_SWEEP, RunConfig, parse_config_file
 from .data import SpatialIndex
-from .density import pairwise_distance_percentile
+from .density import pairwise_distance_percentiles
 from .errors import ConfigError, EcacError, MissingResult, ZeroBaseline
 from .metrics import improvement_rate
 from .optimizer import LOCAL, NODENSITY, RANDOM, STRATEGY_KINDS, SelectionStrategy
@@ -52,15 +52,15 @@ def _resolve_deltas(config: RunConfig, dataset, truth) -> list[float]:
     if config.delta is not None:
         return [float(config.delta)]
     if config.delta_percentile is not None:
-        return [pairwise_distance_percentile(dataset, config.delta_percentile)]
-    if config.delta_sweep is not None:
+        fractions = [config.delta_percentile]
+    elif config.delta_sweep is not None:
         fractions = [float(p) for p in config.delta_sweep]
     elif truth is not None:
         fractions = list(DEFAULT_SWEEP)
     else:
         # Without ground truth there is nothing to rank a sweep by.
         fractions = [DEFAULT_PERCENTILE]
-    return [pairwise_distance_percentile(dataset, p) for p in fractions]
+    return pairwise_distance_percentiles(dataset, fractions)
 
 
 def _strategy(config: RunConfig, kind: str, cap: int | None) -> SelectionStrategy:

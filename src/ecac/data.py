@@ -17,6 +17,7 @@ from scipy.spatial import cKDTree
 from .errors import (
     DimensionMismatch,
     EmptyDataset,
+    InvalidK,
     InvalidRadius,
     InvalidSpec,
     ParseError,
@@ -77,24 +78,25 @@ class GroundTruth:
 
 
 class SpatialIndex:
-    """KD-tree over a dataset answering open-ball radius queries.
+    """KD-tree over a dataset answering open-ball radius queries and
+    k-nearest queries.
 
-    Results depend only on point coordinates, never on build order, and
-    a query centered on dataset point ``i`` always contains ``i``.
+    Radius-query results depend only on point coordinates, never on build
+    order, and a query centered on dataset point ``i`` always contains ``i``.
     """
 
     def __init__(self, dataset: Dataset):
         self.dataset = dataset
         self._tree = cKDTree(dataset.points)
 
-    def _checked(self, centers, radius: float, ndim: int) -> np.ndarray:
-        """Query point(s) as floats, after checking their shape and the radius."""
+    def _checked(self, centers, ndim: int, radius: float | None = None) -> np.ndarray:
+        """Query point(s) as floats, after checking their shape and any radius."""
         centers = np.asarray(centers, dtype=np.float64)
         if centers.ndim != ndim or centers.shape[-1] != self.dataset.d:
             raise DimensionMismatch(
                 f"query point has shape {centers.shape}, dataset is {self.dataset.d}-D"
             )
-        if radius <= 0:
+        if radius is not None and radius <= 0:
             raise InvalidRadius(f"radius must be > 0, got {radius}")
         return centers
 
@@ -111,13 +113,13 @@ class SpatialIndex:
 
     def range_query_with_distances(self, center, radius: float):
         """Like ``range_query`` but also returns the matching distances."""
-        center = self._checked(center, radius, ndim=1)
+        center = self._checked(center, ndim=1, radius=radius)
         candidates = self._tree.query_ball_point(center, radius * (1.0 + _QUERY_SLACK))
         return self._within(center, candidates, radius)
 
     def range_query_many(self, centers: np.ndarray, radius: float) -> list[np.ndarray]:
         """Vectorized ``range_query`` for several centers at once."""
-        centers = self._checked(centers, radius, ndim=2)
+        centers = self._checked(centers, ndim=2, radius=radius)
         raw = self._tree.query_ball_point(
             centers, radius * (1.0 + _QUERY_SLACK), workers=-1
         )
@@ -130,7 +132,7 @@ class SpatialIndex:
         counts agree no point lies near the boundary, so the count is
         exact; the other rows are re-counted through the exact filter.
         """
-        centers = self._checked(centers, radius, ndim=2)
+        centers = self._checked(centers, ndim=2, radius=radius)
 
         def tree_counts(r: float) -> np.ndarray:
             counts = self._tree.query_ball_point(centers, r, return_length=True, workers=-1)
@@ -140,6 +142,22 @@ class SpatialIndex:
         amb = np.flatnonzero(counts != tree_counts(radius * (1.0 + _QUERY_SLACK)))
         counts[amb] = [len(ids) for ids in self.range_query_many(centers[amb], radius)]
         return counts
+
+    def k_nearest(self, centers: np.ndarray, k: int):
+        """Per center, the min(k, N) nearest ids and their tree distances.
+
+        Both (centers x min(k, N)) arrays are sorted by distance. The
+        distances are the tree's own, which may differ from the exact
+        ones in the last ulp, and the order among equal distances is the
+        tree's: callers that need the package's tie rule re-check.
+        """
+        centers = self._checked(centers, ndim=2)
+        if k < 1:
+            raise InvalidK(f"k must be >= 1 neighbor, got {k}")
+        k = min(k, self.dataset.n)
+        dists, ids = self._tree.query(centers, k=k, workers=-1)
+        shape = (centers.shape[0], k)
+        return dists.reshape(shape), ids.reshape(shape).astype(np.int64, copy=False)
 
 
 def _parse_cell(text: str) -> float:

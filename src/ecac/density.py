@@ -8,6 +8,7 @@ dividing a distance by a density is always safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -36,21 +37,22 @@ def compute_densities(dataset: Dataset, index: SpatialIndex, delta: float) -> De
     return DensityVector(index.count_within(dataset.points, delta), float(delta))
 
 
-def pairwise_distance_percentile(
+def pairwise_distance_percentiles(
     dataset: Dataset,
-    percentile: float,
+    percentiles: Sequence[float],
     sample_cap: int = 1000,
     seed: int = 0,
-) -> float:
-    """A low percentile of the (sampled) positive pairwise distances.
+) -> list[float]:
+    """Low percentiles of the (sampled) positive pairwise distances.
 
-    Distances are measured between min(N, sample_cap) points sampled
-    without replacement; zero distances (duplicate points) are excluded.
-    The percentile is taken as the ``int(p * count)``-th smallest
-    distance, clamped to the last one.
+    Distances are measured once, between min(N, sample_cap) points
+    sampled without replacement; zero distances (duplicate points) are
+    excluded. Each percentile p is taken as the ``int(p * count)``-th
+    smallest distance, clamped to the last one.
     """
-    if not 0 < percentile < 1:
-        raise InvalidRadius(f"percentile must be in (0, 1), got {percentile}")
+    for percentile in percentiles:
+        if not 0 < percentile < 1:
+            raise InvalidRadius(f"percentile must be in (0, 1), got {percentile}")
     if dataset.n < 2:
         raise DegenerateDataset("need at least two points")
     points = dataset.points
@@ -62,8 +64,18 @@ def pairwise_distance_percentile(
     if dists.size == 0:
         raise DegenerateDataset("all sampled points coincide")
     dists.sort()
-    idx = min(int(percentile * dists.size), dists.size - 1)
-    return float(dists[idx])
+    return [float(dists[min(int(p * dists.size), dists.size - 1)]) for p in percentiles]
+
+
+def pairwise_distance_percentile(
+    dataset: Dataset,
+    percentile: float,
+    sample_cap: int = 1000,
+    seed: int = 0,
+) -> float:
+    """One percentile of the sampled positive pairwise distances, as in
+    ``pairwise_distance_percentiles``."""
+    return pairwise_distance_percentiles(dataset, [percentile], sample_cap, seed)[0]
 
 
 def default_delta(dataset: Dataset, percentile: float = 0.02, sample_cap: int = 1000) -> float:

@@ -30,7 +30,7 @@ class DegenerateDataset(EcacError):
 
 
 class InvalidK(EcacError):
-    """Requested cluster count is outside 1..N."""
+    """A requested count (clusters, or neighbors per query) is out of range."""
 
 
 class EmptyCenters(EcacError):

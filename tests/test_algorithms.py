@@ -1,11 +1,16 @@
 import gc
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ecac
 from ecac.algorithms import (
     build_algorithm,
     compute_dpc_quantities,
@@ -14,7 +19,7 @@ from ecac.algorithms import (
     kmeans_center_process,
     nearest_center_assignment,
 )
-from ecac.data import Dataset, generate_gaussian_mixture
+from ecac.data import Dataset, SpatialIndex, generate_gaussian_mixture
 from ecac.errors import ConfigError, EmptyCenters, InvalidK, InvalidRadius
 from ecac.metrics import nmi
 
@@ -138,12 +143,47 @@ class TestDpcQuantities:
         assert nearest[0] == 3
 
     def test_matches_loop_oracle_across_blocks(self):
-        # n > 512 on a coarse grid: the nearest-higher search crosses two
-        # block boundaries, with duplicates, density ties and exact
-        # distance ties throughout.
+        # n = 600 on a 12 x 12 grid: about four copies per grid point,
+        # with density ties and exact distance ties throughout.
         rng = np.random.default_rng(4)
         pts = rng.integers(0, 12, size=(600, 2)) * GRID
         assert_matches_loop_oracle(pts, 2 * GRID)
+
+    def test_duplicate_clump_beyond_first_list(self):
+        # 40 copies of one point ranked below 50 copies of another: every
+        # k-NN list of 16 holds only tied copies until it is widened past
+        # the clump. Ids are shuffled so rank order is not index order.
+        pts = np.repeat([[0.0, 0.0], [3.0, 0.0]], [40, 50], axis=0)
+        pts = pts[np.random.default_rng(3).permutation(90)]
+        q = compute_dpc_quantities(Dataset(pts), d_c=1.0)
+        sparse = np.flatnonzero(pts[:, 0] == 0.0)
+        dense = np.flatnonzero(pts[:, 0] == 3.0)
+        assert q.nearest_higher[sparse[0]] == dense[0]
+        assert q.delta_dpc[sparse[0]] == 3.0
+        assert (q.nearest_higher[sparse[1:]] == sparse[0]).all()
+        assert (q.nearest_higher[dense[1:]] == dense[0]).all()
+        assert_matches_loop_oracle(pts, 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_fewer_objects_than_first_list(self, n):
+        pts = np.random.default_rng(n).normal(size=(n, 2))
+        assert_matches_loop_oracle(pts, 0.8)
+
+    def test_separated_peaks_need_widening(self, monkeypatch):
+        # Three far-apart clusters of 100: the two lower peaks' nearest
+        # higher object lies beyond the first 64 neighbors.
+        ks = []
+        k_nearest = SpatialIndex.k_nearest
+
+        def recording(self, centers, k):
+            ks.append(k)
+            return k_nearest(self, centers, k)
+
+        monkeypatch.setattr(SpatialIndex, "k_nearest", recording)
+        rng = np.random.default_rng(31)
+        pts = np.vstack([rng.normal(c, 1.0, size=(100, 2)) for c in ([0, 0], [50, 0], [0, 50])])
+        assert_matches_loop_oracle(pts, 1.0)
+        assert max(ks) >= 256
 
 
 def assert_matches_loop_oracle(pts, d_c):
@@ -171,6 +211,55 @@ def grid_points(draw):
 @given(grid_points())
 def test_dpc_quantities_match_loop_oracle_on_grid_ties(instance):
     assert_matches_loop_oracle(*instance)
+
+
+@st.composite
+def clumped_grid_points(draw):
+    """A few grid points, one of them copied often enough that the
+    copies overflow the first k-NN list of every object in its clump."""
+    d = draw(st.integers(1, 3))
+    base = draw(st.lists(st.lists(st.integers(0, 8), min_size=d, max_size=d),
+                         min_size=1, max_size=5))
+    heavy = draw(st.integers(0, len(base) - 1))
+    copies = [heavy] * draw(st.integers(16, 40))
+    copies += draw(st.lists(st.integers(0, len(base) - 1), max_size=20))
+    copies = draw(st.permutations(copies))
+    pts = np.array(base + [base[i] for i in copies], dtype=float) * GRID
+    d_c = GRID * draw(st.integers(1, 8))
+    return pts, d_c
+
+
+@settings(max_examples=100, deadline=None)
+@given(clumped_grid_points())
+def test_dpc_quantities_match_loop_oracle_on_overflowing_clumps(instance):
+    assert_matches_loop_oracle(*instance)
+
+
+# Peak resident memory allowed to a fresh process that computes the DPC
+# quantities of the 4-blob mixture at n = 50,000. Measured on a 2-core
+# Linux host: 108 MB in 0.9 s, of which about 77 MB is the interpreter
+# with NumPy, SciPy, ecac and the dataset before the call.
+PEAK_RSS_BUDGET_MB = 200
+
+_PEAK_RSS_SCRIPT = """
+from ecac import compute_dpc_quantities, default_cutoff, generate_gaussian_mixture
+ds, _ = generate_gaussian_mixture(4, 12500, [[0, 0], [12, 0], [0, 12], [12, 12]], 2.0, 0)
+compute_dpc_quantities(ds, default_cutoff(ds))
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+def test_dpc_quantities_peak_memory_at_50k():
+    if not Path("/proc/self/status").exists():
+        pytest.skip("VmHWM is read from /proc/self/status (Linux only)")
+    env = dict(os.environ, PYTHONPATH=str(Path(ecac.__file__).resolve().parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    peak_mb = int(child.stdout) / 1024
+    assert peak_mb < PEAK_RSS_BUDGET_MB
 
 
 class TestDpcCenters:

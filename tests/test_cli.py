@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from ecac.cli import cmd_ablate, cmd_plot, cmd_run, main
-from ecac.config import RunConfig, min_max_normalize, parse_config_file
+from ecac.config import DEFAULT_SWEEP, RunConfig, min_max_normalize, parse_config_file
 from ecac.data import Dataset, generate_gaussian_mixture
+from ecac.density import pairwise_distance_percentile
 from ecac.errors import ConfigError, MissingResult, NotPlottable
 from ecac.pipeline import ClusteringResult
 from ecac.svg import PALETTE, render_scatter
@@ -98,6 +99,14 @@ class TestCmdRun:
         a["config"].pop("out")
         b["config"].pop("out")
         assert strip_timings(a) == strip_timings(b)
+
+    def test_sweep_deltas_equal_per_fraction_percentiles(self, tmp_path):
+        config = gen_config(tmp_path)
+        dataset, _ = config.load_dataset()
+        payload = cmd_run(config)
+        assert [r["delta"] for r in payload["sweep"]] == [
+            pairwise_distance_percentile(dataset, p) for p in DEFAULT_SWEEP
+        ]
 
     def test_missing_file_mentions_path(self, tmp_path):
         config_kwargs = {"data": "no/such/file.csv", "k": 2, "algo": "kmeans"}

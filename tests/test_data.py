@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ecac.data import Dataset, SpatialIndex, generate_gaussian_mixture, load_csv
 from ecac.errors import (
     DimensionMismatch,
+    EcacError,
     EmptyDataset,
     InvalidRadius,
     InvalidSpec,
@@ -207,6 +208,43 @@ class TestCountWithin:
         index = SpatialIndex(Dataset(np.array([[0.0]])))
         with pytest.raises(InvalidRadius):
             index.count_within(np.zeros((1, 1)), radius)
+
+
+class TestKNearest:
+    def test_matches_brute_force_sort(self):
+        # Continuous random points: all distances from a query are distinct,
+        # so the nearest-first order is unique.
+        rng = np.random.default_rng(11)
+        pts = rng.normal(size=(60, 3))
+        queries = rng.normal(size=(7, 3))
+        for k in (1, 5, 60):
+            dists, ids = SpatialIndex(Dataset(pts)).k_nearest(queries, k)
+            brute = np.linalg.norm(pts[None, :, :] - queries[:, None, :], axis=2)
+            expected = np.argsort(brute, axis=1)[:, :k]
+            assert ids.shape == dists.shape == (7, k)
+            assert ids.tolist() == expected.tolist()
+            np.testing.assert_allclose(
+                dists, np.take_along_axis(brute, expected, axis=1), rtol=1e-12
+            )
+
+    def test_k_above_n_lists_every_object(self):
+        pts = np.array([[0.0], [3.0], [1.0]])
+        dists, ids = SpatialIndex(Dataset(pts)).k_nearest(np.array([[0.0]]), 10)
+        assert ids.tolist() == [[0, 2, 1]]
+        assert dists.tolist() == [[0.0, 1.0, 3.0]]
+
+    def test_dimension_mismatch(self):
+        index = SpatialIndex(Dataset(np.array([[0.0, 0.0]])))
+        with pytest.raises(DimensionMismatch):
+            index.k_nearest(np.zeros((3, 3)), 1)
+        with pytest.raises(DimensionMismatch):
+            index.k_nearest(np.zeros(2), 1)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one(self, k):
+        index = SpatialIndex(Dataset(np.array([[0.0]])))
+        with pytest.raises(EcacError, match="k must be >= 1"):
+            index.k_nearest(np.zeros((1, 1)), k)
 
 
 @st.composite

@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from ecac.data import Dataset, SpatialIndex
-from ecac.density import compute_densities, default_delta, pairwise_distance_percentile
+from ecac.density import (
+    compute_densities,
+    default_delta,
+    pairwise_distance_percentile,
+    pairwise_distance_percentiles,
+)
 from ecac.errors import DegenerateDataset, InvalidRadius
 
 from oracles import brute_densities
@@ -67,6 +72,27 @@ class TestDefaultDelta:
         rng = np.random.default_rng(1)
         ds = Dataset(rng.normal(size=(1500, 3)))
         assert default_delta(ds, sample_cap=200) == default_delta(ds, sample_cap=200)
+
+    def test_percentiles_read_one_sorted_sample(self):
+        # N above the sample cap, with duplicate points: one sample, one
+        # sort, and each percentile by the int(p * count) rule.
+        rng = np.random.default_rng(7)
+        pts = rng.integers(0, 40, size=(1500, 2)) * 0.5
+        ds = Dataset(pts)
+        fractions = [0.005, 0.01, 0.02, 0.04, 0.08, 0.9999]
+        got = pairwise_distance_percentiles(ds, fractions, sample_cap=1000, seed=3)
+        assert got == [
+            pairwise_distance_percentile(ds, p, sample_cap=1000, seed=3) for p in fractions
+        ]
+        sample = pts[np.sort(np.random.default_rng(3).choice(1500, size=1000, replace=False))]
+        dists = np.sort(pdist(sample))
+        dists = dists[dists > 0]
+        assert got == [dists[min(int(p * dists.size), dists.size - 1)] for p in fractions]
+
+    def test_percentiles_reject_any_bad_fraction(self):
+        ds = Dataset(np.array([[0.0], [1.0]]))
+        with pytest.raises(InvalidRadius):
+            pairwise_distance_percentiles(ds, [0.02, 1.0])
 
 
 @st.composite
