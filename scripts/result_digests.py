@@ -14,13 +14,17 @@ two digests (first 16 hex of sha256):
   (one for ``run``; one per variant, in variant order, for ``ablate``).
 
 Two more lines digest the DPC quantities (``rho_dpc``, ``delta_dpc`` and
-``nearest_higher`` bytes, with the default cutoff) and the densities
-(``rho`` bytes, with the default delta) of the 4-component Gaussian
-mixture at n = 10,000 that the ``blobs-dpc-capped`` benchmark clusters,
-generated in-process. A last line digests the DPC quantities of a
-clumped dataset: 120 mixture points, each repeated 17 to 24 times, so
-every object has more exact duplicates than the first k-nearest list of
-the nearest-higher search holds.
+``nearest_higher`` bytes, with the cutoff at the default delta) and the
+densities (``rho`` bytes, with the default delta) of the 4-component
+Gaussian mixture at n = 10,000 that the ``blobs-dpc-capped`` benchmark
+clusters, generated in-process. The next line digests the DPC
+quantities of a clumped dataset: 120 mixture points, each repeated 17 to
+24 times, so every object has more exact duplicates than the first
+k-nearest list of the nearest-higher search holds. A last line digests
+the labels and the trace of ``run_optimized`` (kmeans, k = 2, default
+delta, local strategy) on 4 blobs 100 apart at n = 8,000: two blobs are
+reached only by whole-dataset fallback steps, whose nearest-member scan
+spans several row chunks.
 
 The config echo inside the JSON holds the CSV and output paths, so two
 checkouts are compared by running this script against each one (chosen
@@ -45,11 +49,12 @@ import numpy as np
 from ecac import (
     Dataset,
     SpatialIndex,
+    build_algorithm,
     compute_densities,
     compute_dpc_quantities,
-    default_cutoff,
     default_delta,
     generate_gaussian_mixture,
+    run_optimized,
 )
 from ecac.cli import main as ecac_main
 
@@ -95,7 +100,7 @@ def _blob_digests() -> tuple[str, str]:
 
 
 def _dpc_digest(dataset) -> str:
-    q = compute_dpc_quantities(dataset, default_cutoff(dataset))
+    q = compute_dpc_quantities(dataset, default_delta(dataset))
     return _digest(b"".join(a.tobytes() for a in (q.rho_dpc, q.delta_dpc, q.nearest_higher)))
 
 
@@ -103,6 +108,15 @@ def _clump_digest() -> str:
     base, _ = generate_gaussian_mixture(4, 30, [[0, 0], [12, 0], [0, 12], [12, 12]], 2.0, 0)
     copies = 17 + np.arange(base.n) % 8
     return _dpc_digest(Dataset(np.repeat(base.points, copies, axis=0)))
+
+
+def _far_blobs_digest() -> str:
+    dataset, _ = generate_gaussian_mixture(
+        4, 2000, [[0, 0], [100, 0], [0, 100], [100, 100]], 2.0, 0
+    )
+    result = run_optimized(dataset, build_algorithm("kmeans"), 2)
+    trace = json.dumps(result.trace, sort_keys=True).encode()
+    return _digest(result.labels.tobytes() + trace)
 
 
 def main():
@@ -136,6 +150,7 @@ def main():
     print(f"blobs-10k dpc-quantities={dpc}")
     print(f"blobs-10k densities={densities}")
     print(f"clumps-dpc-quantities={_clump_digest()}")
+    print(f"farblobs-8k local-fallback={_far_blobs_digest()}")
 
 
 if __name__ == "__main__":

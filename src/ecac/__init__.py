@@ -5,7 +5,6 @@ from .algorithms import (
     DpcQuantities,
     build_algorithm,
     compute_dpc_quantities,
-    default_cutoff,
     dpc_assignment,
     dpc_center_process,
     kmeans_center_process,
@@ -37,7 +36,6 @@ __all__ = [
     "build_algorithm",
     "compute_densities",
     "compute_dpc_quantities",
-    "default_cutoff",
     "default_delta",
     "dpc_assignment",
     "dpc_center_process",

@@ -14,13 +14,14 @@ the earlier density rank (see ``DpcQuantities``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .data import _QUERY_SLACK, Dataset, SpatialIndex
-from .density import pairwise_distance_percentile
+from .data import _QUERY_SLACK, Dataset, SpatialIndex, nearest
+from .density import default_delta
 from .errors import ConfigError, EmptyCenters, InvalidK, InvalidRadius
 
 
@@ -50,7 +51,7 @@ def _lloyd(points: np.ndarray, k: int, seed: int, max_iter: int):
     centroids = points[rng.choice(points.shape[0], size=k, replace=False)].copy()
     labels = np.full(points.shape[0], -1, dtype=np.int64)
     for it in range(1, max_iter + 1):
-        new_labels = np.argmin(cdist(points, centroids), axis=1)
+        new_labels = nearest(points, centroids)[1]
         if np.array_equal(new_labels, labels):
             return centroids, labels, it
         labels = new_labels
@@ -75,22 +76,19 @@ def _snap_to_objects(points: np.ndarray, centroids: np.ndarray):
     return ids, snap
 
 
-def kmeans_centers_with_snap(
+def kmeans_center_process(
     dataset: Dataset, k: int, seed: int = 0, max_iter: int = 300
-):
-    """K-means center process, also reporting centroid-to-object snap distances."""
+) -> tuple[np.ndarray, dict]:
+    """Run Lloyd iteration and snap the final centroids to distinct objects.
+
+    Returns the center ids and ``{"max_center_snap_distance": ...}``, the
+    largest distance from a final centroid to its snapped object.
+    """
     if not 1 <= k <= dataset.n:
         raise InvalidK(f"k must be in 1..{dataset.n}, got {k}")
     centroids, _, _ = _lloyd(dataset.points, k, seed, max_iter)
-    return _snap_to_objects(dataset.points, centroids)
-
-
-def kmeans_center_process(
-    dataset: Dataset, k: int, seed: int = 0, max_iter: int = 300
-) -> np.ndarray:
-    """Run Lloyd iteration and snap the final centroids to distinct objects."""
-    ids, _ = kmeans_centers_with_snap(dataset, k, seed, max_iter)
-    return ids
+    ids, snap = _snap_to_objects(dataset.points, centroids)
+    return ids, {"max_center_snap_distance": float(snap.max())}
 
 
 def nearest_center_assignment(dataset: Dataset, centers: Sequence[int]) -> np.ndarray:
@@ -100,9 +98,10 @@ def nearest_center_assignment(dataset: Dataset, centers: Sequence[int]) -> np.nd
         raise EmptyCenters("need at least one center")
     # Centers label themselves (coincident centers would otherwise
     # tie-break onto one position), so only the other rows need distances.
+    points = dataset.points
     labels = np.empty(dataset.n, dtype=np.int64)
     rows = _non_centers(dataset.n, centers)
-    labels[rows] = _nearest_center(dataset, rows, centers)
+    labels[rows] = nearest(points[rows], points[centers])[1]
     labels[centers] = np.arange(centers.size)
     return labels
 
@@ -112,12 +111,6 @@ def _non_centers(n: int, centers: np.ndarray) -> np.ndarray:
     mask = np.ones(n, dtype=bool)
     mask[centers] = False
     return mask
-
-
-def _nearest_center(dataset: Dataset, rows, centers: np.ndarray) -> np.ndarray:
-    """Position in ``centers`` of the nearest center to each selected row."""
-    points = dataset.points
-    return np.argmin(cdist(points[rows], points[centers]), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +204,10 @@ def compute_dpc_quantities(dataset: Dataset, d_c: float) -> DpcQuantities:
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     delta = np.empty(n, dtype=np.float64)
-    nearest = np.empty(n, dtype=np.int64)
+    higher = np.empty(n, dtype=np.int64)
     top = order[0]
     delta[top] = np.linalg.norm(points - points[top], axis=1).max()
-    nearest[top] = -1
+    higher[top] = -1
 
     pending = order[1:]
     k = _FIRST_K
@@ -225,25 +218,15 @@ def compute_dpc_quantities(dataset: Dataset, d_c: float) -> DpcQuantities:
         for start in range(0, pending.size, chunk):
             rows = pending[start:start + chunk]
             certified, best, closest = _nearest_higher_from_lists(index, rank, rows, k)
-            nearest[rows[certified]] = best
+            higher[rows[certified]] = best
             delta[rows[certified]] = closest
             uncertified.append(rows[~certified])
         pending = np.concatenate(uncertified)
         k *= _WIDEN
-    return DpcQuantities(rho, delta, nearest, float(d_c))
+    return DpcQuantities(rho, delta, higher, float(d_c))
 
 
-def default_cutoff(dataset: Dataset, percentile: float = 0.02) -> float:
-    """Cutoff making the mean neighbor count roughly ``percentile * N``."""
-    return pairwise_distance_percentile(dataset, percentile)
-
-
-def dpc_center_process(
-    dataset: Dataset,
-    k: int,
-    d_c: float | None = None,
-    quantities: DpcQuantities | None = None,
-) -> np.ndarray:
+def dpc_center_process(dataset: Dataset, k: int, quantities: DpcQuantities) -> np.ndarray:
     """Pick the k objects with the largest density * separation product.
 
     This automates the usual visual decision-graph step. Ties on the
@@ -251,11 +234,9 @@ def dpc_center_process(
     """
     if not 1 <= k <= dataset.n:
         raise InvalidK(f"k must be in 1..{dataset.n}, got {k}")
-    q = quantities
-    if q is None:
-        q = compute_dpc_quantities(dataset, d_c if d_c is not None else default_cutoff(dataset))
-    gamma = q.rho_dpc * q.delta_dpc
-    ranking = np.lexsort((np.arange(dataset.n), -q.rho_dpc, -gamma))
+    rho = quantities.rho_dpc
+    gamma = rho * quantities.delta_dpc
+    ranking = np.lexsort((np.arange(dataset.n), -rho, -gamma))
     return ranking[:k].astype(np.int64)
 
 
@@ -282,7 +263,8 @@ def dpc_assignment(
     fallback = _non_centers(n, centers) & (
         (position < first_center_pos) | (nearest_higher < 0)
     )
-    labels[fallback] = _nearest_center(dataset, fallback, centers)
+    points = dataset.points
+    labels[fallback] = nearest(points[fallback], points[centers])[1]
     labels[centers] = np.arange(centers.size)
     for i in order:
         if labels[i] < 0:
@@ -293,15 +275,7 @@ def dpc_assignment(
 # ---------------------------------------------------------------------------
 # Registry
 
-def _kmeans(seed: int, max_iter: int, d_c: float | None):
-    def center_process(ds: Dataset, k: int):
-        ids, snap = kmeans_centers_with_snap(ds, k, seed, max_iter)
-        return ids, {"max_center_snap_distance": float(snap.max())}
-
-    return center_process, nearest_center_assignment
-
-
-def _dpc(seed: int, max_iter: int, d_c: float | None):
+def _dpc_phases(d_c: float | None):
     # Quantities depend only on (dataset, d_c); compute once and share
     # between the two phases. Only the most recent dataset is held, so a
     # long-lived algorithm does not keep every dataset it has seen alive.
@@ -311,12 +285,12 @@ def _dpc(seed: int, max_iter: int, d_c: float | None):
         nonlocal last
         if last is None or last[0] is not ds:
             last = ds, compute_dpc_quantities(
-                ds, d_c if d_c is not None else default_cutoff(ds)
+                ds, d_c if d_c is not None else default_delta(ds)
             )
         return last[1]
 
     def center_process(ds: Dataset, k: int):
-        return dpc_center_process(ds, k, quantities=quantities_for(ds)), {}
+        return dpc_center_process(ds, k, quantities_for(ds)), {}
 
     def assignment_process(ds: Dataset, centers: Sequence[int]) -> np.ndarray:
         return dpc_assignment(ds, centers, quantities_for(ds))
@@ -324,8 +298,7 @@ def _dpc(seed: int, max_iter: int, d_c: float | None):
     return center_process, assignment_process
 
 
-_BUILDERS = {"kmeans": _kmeans, "dpc": _dpc}
-ALGORITHM_NAMES = tuple(_BUILDERS)
+ALGORITHM_NAMES = ("kmeans", "dpc")
 
 
 def build_algorithm(
@@ -334,11 +307,14 @@ def build_algorithm(
     """Construct a named algorithm with its two phases bound to the options.
 
     ``kmeans`` uses ``seed`` and ``max_iter``; ``dpc`` uses ``d_c``
-    (defaulting per dataset). DPC's quantities are computed once per
-    dataset and reused by the assignment phase.
+    (defaulting per dataset to ``default_delta``). DPC's quantities are
+    computed once per dataset and reused by the assignment phase.
     """
-    if name not in _BUILDERS:
-        raise ConfigError(
-            f"unknown algorithm {name!r}; choose from {', '.join(ALGORITHM_NAMES)}"
-        )
-    return CenterBasedAlgorithm(name, *_BUILDERS[name](seed, max_iter, d_c))
+    if name == "kmeans":
+        center_process = partial(kmeans_center_process, seed=seed, max_iter=max_iter)
+        return CenterBasedAlgorithm(name, center_process, nearest_center_assignment)
+    if name == "dpc":
+        return CenterBasedAlgorithm(name, *_dpc_phases(d_c))
+    raise ConfigError(
+        f"unknown algorithm {name!r}; choose from {', '.join(ALGORITHM_NAMES)}"
+    )

@@ -8,9 +8,9 @@ import sys
 from pathlib import Path
 
 from .algorithms import ALGORITHM_NAMES, build_algorithm
-from .config import DEFAULT_PERCENTILE, DEFAULT_SWEEP, RunConfig, parse_config_file
+from .config import DEFAULT_SWEEP, RunConfig, parse_config_file
 from .data import SpatialIndex
-from .density import pairwise_distance_percentiles
+from .density import DEFAULT_PERCENTILE, pairwise_distance_percentiles
 from .errors import ConfigError, EcacError, MissingResult, ZeroBaseline
 from .metrics import improvement_rate
 from .optimizer import LOCAL, NODENSITY, RANDOM, STRATEGY_KINDS, SelectionStrategy

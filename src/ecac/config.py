@@ -9,13 +9,13 @@ import numpy as np
 
 from .algorithms import ALGORITHM_NAMES
 from .data import Dataset, GroundTruth, generate_gaussian_mixture, load_csv
+from .density import DEFAULT_PERCENTILE  # noqa: F401  (perfbench/workloads.py imports it from here)
 from .errors import ConfigError
 from .optimizer import STRATEGY_KINDS
 
 # Percentiles swept when no delta option is given and ground truth is
 # available to rank the sweep.
 DEFAULT_SWEEP = (0.005, 0.01, 0.02, 0.04, 0.08)
-DEFAULT_PERCENTILE = 0.02
 
 
 def _parse_scalar(text: str):

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from .errors import (
     DimensionMismatch,
@@ -27,6 +28,10 @@ from .errors import (
 # so last-ulp disagreements with the tree's internal metric cannot drop a
 # boundary point.
 _QUERY_SLACK = 1e-9
+
+# Most distances ``nearest`` holds at once, so its memory stays bounded
+# however many queries and targets there are.
+_NEAREST_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -158,6 +163,24 @@ class SpatialIndex:
         dists, ids = self._tree.query(centers, k=k, workers=-1)
         shape = (centers.shape[0], k)
         return dists.reshape(shape), ids.reshape(shape).astype(np.int64, copy=False)
+
+
+def nearest(queries: np.ndarray, targets: np.ndarray):
+    """Per query row, the distance to its nearest target row and that
+    target's position; an exact tie goes to the first position.
+
+    Both are 2-D float arrays, ``targets`` with at least one row.
+    Distances are ``cdist``'s, computed in row chunks of at most
+    ``_NEAREST_CHUNK`` entries.
+    """
+    distance = np.empty(queries.shape[0])
+    position = np.empty(queries.shape[0], dtype=np.int64)
+    rows = max(1, _NEAREST_CHUNK // targets.shape[0])
+    for start in range(0, queries.shape[0], rows):
+        block = cdist(queries[start:start + rows], targets)
+        position[start:start + rows] = block.argmin(axis=1)
+        distance[start:start + rows] = block.min(axis=1)
+    return distance, position
 
 
 def _parse_cell(text: str) -> float:

@@ -16,6 +16,8 @@ from scipy.spatial.distance import pdist
 from .data import Dataset, SpatialIndex
 from .errors import DegenerateDataset, InvalidRadius
 
+DEFAULT_PERCENTILE = 0.02  # sets the default radius and DPC's default cutoff
+
 
 @dataclass(frozen=True)
 class DensityVector:
@@ -78,11 +80,11 @@ def pairwise_distance_percentile(
     return pairwise_distance_percentiles(dataset, [percentile], sample_cap, seed)[0]
 
 
-def default_delta(dataset: Dataset, percentile: float = 0.02, sample_cap: int = 1000) -> float:
+def default_delta(dataset: Dataset) -> float:
     """Default neighborhood radius: a small pairwise-distance percentile.
 
-    The optimizer wants a radius well below the cluster scale; the 2nd
-    percentile of pairwise distances adapts to whatever units the data
-    is in. Deterministic (fixed sampling seed).
+    The optimizer wants a radius well below the cluster scale; the
+    ``DEFAULT_PERCENTILE`` (2nd) percentile of pairwise distances adapts
+    to whatever units the data is in. Deterministic (fixed sampling seed).
     """
-    return pairwise_distance_percentile(dataset, percentile, sample_cap)
+    return pairwise_distance_percentile(dataset, DEFAULT_PERCENTILE)

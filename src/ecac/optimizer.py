@@ -14,7 +14,8 @@ Strategies:
 
 * ``local`` (default) draws candidates from the 2*delta neighborhoods of
   the current members; if that pool empties while objects remain
-  uncovered, a single whole-dataset step runs and local search resumes.
+  uncovered, a single whole-dataset step (a chunked nearest-member scan
+  of every non-member) runs and local search resumes.
 * ``global`` draws candidates from all remaining objects; each object's
   best (distance, set) pair is cached and updated as members arrive, so
   a step costs O(n) rather than a rescan of every member.
@@ -32,9 +33,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .data import Dataset, SpatialIndex
+from .data import Dataset, SpatialIndex, nearest
 from .density import DensityVector, compute_densities
 from .errors import EmptyCenters, InvalidRadius, InvalidSpec, LabelOutOfRange
 
@@ -157,12 +157,6 @@ class _GreedyState:
             or (self.cap is not None and self.full_sets().all())
         )
 
-    def member_arrays(self):
-        return (
-            np.asarray(self.all, dtype=np.int64),
-            np.asarray(self.all_sets, dtype=np.int64),
-        )
-
     def finish(self) -> ExtendedSets:
         return ExtendedSets(
             sets=self.sets,
@@ -173,15 +167,6 @@ class _GreedyState:
             fallback_count=self.fallback_count,
             trace=self.trace,
         )
-
-
-def _nearest_open_member(points, cands, member_ids, member_sets, k):
-    """For each candidate: min distance to any listed member, and the set
-    attaining it (lowest set index when several members tie exactly)."""
-    d = cdist(points[cands], points[member_ids])
-    min_d = d.min(axis=1)
-    sets = np.where(d == min_d[:, None], member_sets[None, :], k).min(axis=1)
-    return min_d, sets
 
 
 def _run_scored(state: _GreedyState, use_density: bool, local: bool):
@@ -198,10 +183,12 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
     at least 2*delta from every earlier member, so the new member is its
     nearest. Once a set reaches its cap, ``close_set`` can leave objects
     with no open member that near, and the fold sweeps the whole pool
-    again. The from-definition loop is ``tests/oracles.naive_identify``.
+    again. When the local pool empties, a fallback step scores every
+    non-member by its nearest open member (``scan``). The from-definition
+    loop is ``tests/oracles.naive_identify``.
     """
     points = state.points
-    n, k = state.n, state.k
+    n = state.n
     rho = state.densities.rho.astype(np.float64)
     best_dis = np.full(n, np.inf)
     best_set = np.full(n, -1, dtype=np.int64)
@@ -209,15 +196,20 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
     sweep = not local
 
     def scan(ids: np.ndarray):
-        """Fresh minima over open-set members for the given ids."""
-        member_ids, member_sets = state.member_arrays()
-        full = state.full_sets()
-        if full.any():
-            keep = ~full[member_sets]
-            member_ids, member_sets = member_ids[keep], member_sets[keep]
-        if member_ids.size == 0:
-            return None, None
-        return _nearest_open_member(points, ids, member_ids, member_sets, k)
+        """Distance from each given id to its nearest open-set member, and
+        that member's set; (inf, -1) when every set is closed.
+
+        The members are listed set by set, so on an exact tie the first
+        nearest one lies in the lowest set. ``nearest`` works in bounded
+        row chunks, so no ids x members matrix is built.
+        """
+        open_sets = np.flatnonzero(~state.full_sets())
+        if open_sets.size == 0:
+            return np.inf, -1
+        member_ids = np.concatenate([state.sets[j] for j in open_sets])
+        member_sets = np.repeat(open_sets, [len(state.sets[j]) for j in open_sets])
+        dis, pos = nearest(points[ids], points[member_ids])
+        return dis, member_sets[pos]
 
     def fold(o: int, j: int, ids: np.ndarray, dists: np.ndarray):
         """Fold the newest member o of set j into the pool's cache.
@@ -243,15 +235,7 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
     def close_set(f: int):
         """Set f just reached its cap: re-point pool rows that relied on it."""
         rows = np.flatnonzero(in_pool & (best_set == f) & (state.member_of < 0))
-        if rows.size == 0:
-            return
-        dis, sets = scan(rows)
-        if dis is None:
-            best_dis[rows] = np.inf
-            best_set[rows] = -1
-        else:
-            best_dis[rows] = dis
-            best_set[rows] = sets
+        best_dis[rows], best_set[rows] = scan(rows)
 
     for j, center in enumerate(state.centers):
         fold(center, j, *state.add(center, j))
@@ -316,6 +300,9 @@ def identify_extended_centers(
     centers = [int(c) for c in centers]
     if not centers:
         raise EmptyCenters("need at least one clustering center")
+    for c in centers:
+        if not 0 <= c < dataset.n:
+            raise InvalidSpec(f"center id {c} is not an object id in 0..{dataset.n - 1}")
     if len(set(centers)) != len(centers):
         raise InvalidSpec("centers must be distinct object ids")
     if index is None:

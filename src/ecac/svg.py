@@ -50,7 +50,8 @@ def render_scatter(
 
     ``clusters`` colors every object by its final label. ``extended-sets``
     draws the dataset as a grey backdrop and colors only the extended-set
-    members, one palette color per set.
+    members, one palette color per set. Labels must cover exactly the
+    given points, and every center and member id must index one of them.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] < 2:
@@ -66,8 +67,13 @@ def render_scatter(
     if mode == "extended-sets" and extended_sets is None:
         raise NotPlottable("extended-sets mode needs the per-set member lists")
 
-    xy = _scale(points)
+    n = points.shape[0]
     labels = np.asarray(labels, dtype=np.int64)
+    ids = [*center_ids, *(m for members in extended_sets or () for m in members)]
+    if labels.shape != (n,) or any(not 0 <= i < n for i in ids):
+        raise NotPlottable(f"the result's {labels.size} labels or its ids do not fit {n} objects")
+
+    xy = _scale(points)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -20,6 +20,7 @@ from ecac.algorithms import (
     nearest_center_assignment,
 )
 from ecac.data import Dataset, SpatialIndex, generate_gaussian_mixture
+from ecac.density import default_delta
 from ecac.errors import ConfigError, EmptyCenters, InvalidK, InvalidRadius
 from ecac.metrics import nmi
 
@@ -36,12 +37,12 @@ def two_blobs():
 class TestKmeansCenters:
     def test_k_equals_n(self):
         ds = Dataset(np.arange(12.0).reshape(6, 2))
-        ids = kmeans_center_process(ds, k=6, seed=0)
+        ids, _ = kmeans_center_process(ds, k=6, seed=0)
         assert sorted(ids.tolist()) == list(range(6))
 
     def test_two_blobs_split(self, two_blobs):
         ds, gt = two_blobs
-        ids = kmeans_center_process(ds, k=2, seed=0)
+        ids, _ = kmeans_center_process(ds, k=2, seed=0)
         assert len(set(ids.tolist())) == 2
         assert gt.labels[ids[0]] != gt.labels[ids[1]]
 
@@ -50,13 +51,14 @@ class TestKmeansCenters:
         pts = rng.normal(size=(40, 3))
         ds = Dataset(pts)
         expected = int(np.argmin(np.linalg.norm(pts - pts.mean(axis=0), axis=1)))
-        assert kmeans_center_process(ds, k=1, seed=4).tolist() == [expected]
+        ids, _ = kmeans_center_process(ds, k=1, seed=4)
+        assert ids.tolist() == [expected]
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(1)
         ds = Dataset(rng.normal(size=(60, 2)))
-        a = kmeans_center_process(ds, k=4, seed=123)
-        b = kmeans_center_process(ds, k=4, seed=123)
+        a, _ = kmeans_center_process(ds, k=4, seed=123)
+        b, _ = kmeans_center_process(ds, k=4, seed=123)
         assert a.tolist() == b.tolist()
 
     def test_invalid_k(self):
@@ -242,9 +244,9 @@ def test_dpc_quantities_match_loop_oracle_on_overflowing_clumps(instance):
 PEAK_RSS_BUDGET_MB = 200
 
 _PEAK_RSS_SCRIPT = """
-from ecac import compute_dpc_quantities, default_cutoff, generate_gaussian_mixture
+from ecac import compute_dpc_quantities, default_delta, generate_gaussian_mixture
 ds, _ = generate_gaussian_mixture(4, 12500, [[0, 0], [12, 0], [0, 12], [12, 12]], 2.0, 0)
-compute_dpc_quantities(ds, default_cutoff(ds))
+compute_dpc_quantities(ds, default_delta(ds))
 with open("/proc/self/status") as fh:
     print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
 """
@@ -267,7 +269,7 @@ class TestDpcCenters:
         ds, gt = generate_gaussian_mixture(
             3, [60, 60, 8], [[0, 0], [40, 0], [20, 30]], [1.0, 1.0, 12.0], seed=6
         )
-        centers = dpc_center_process(ds, k=2)
+        centers = dpc_center_process(ds, 2, compute_dpc_quantities(ds, default_delta(ds)))
         assert gt.labels[centers[0]] != gt.labels[centers[1]]
         assert set(gt.labels[centers].tolist()) == {0, 1}
 
@@ -277,7 +279,8 @@ class TestDpcCenters:
         ds = Dataset(pts)
         q = compute_dpc_quantities(ds, d_c=0.8)
         gamma = q.rho_dpc * q.delta_dpc
-        assert dpc_center_process(ds, k=1, d_c=0.8).tolist() == [int(np.argmax(gamma))]
+        ids = dpc_center_process(ds, 1, compute_dpc_quantities(ds, 0.8))
+        assert ids.tolist() == [int(np.argmax(gamma))]
 
     def test_ranking_matches_oracle(self):
         rng = np.random.default_rng(13)
@@ -287,7 +290,7 @@ class TestDpcCenters:
         rho, delta, _ = dpc_quantities_loops(pts, d_c)
         gamma = [r * d for r, d in zip(rho, delta)]
         oracle = sorted(range(200), key=lambda i: (-gamma[i], -rho[i], i))
-        got = dpc_center_process(ds, k=10, d_c=d_c)
+        got = dpc_center_process(ds, 10, compute_dpc_quantities(ds, d_c))
         assert got.tolist() == oracle[:10]
 
 
@@ -297,7 +300,7 @@ class TestDpcAssignment:
         pts = rng.normal(size=(60, 2))
         ds = Dataset(pts)
         q = compute_dpc_quantities(ds, d_c=0.6)
-        top = dpc_center_process(ds, k=1, d_c=0.6)
+        top = dpc_center_process(ds, 1, compute_dpc_quantities(ds, 0.6))
         labels = dpc_assignment(ds, top, q)
         assert set(labels.tolist()) == {0}
 
@@ -339,7 +342,7 @@ class TestDpcAssignment:
         pts = rng.normal(size=(80, 2))
         ds = Dataset(pts)
         q = compute_dpc_quantities(ds, d_c=0.7)
-        centers = dpc_center_process(ds, k=3, d_c=0.7)
+        centers = dpc_center_process(ds, 3, compute_dpc_quantities(ds, 0.7))
         labels = dpc_assignment(ds, centers, q)
         order = np.lexsort((np.arange(80), -q.rho_dpc))
         position = np.empty(80, dtype=int)

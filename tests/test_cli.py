@@ -197,6 +197,20 @@ class TestCmdPlot:
         with pytest.raises(MissingResult):
             cmd_plot(tmp_path / "nothing.json", "clusters")
 
+    @pytest.mark.parametrize("rows", [100, 300])
+    def test_csv_resized_since_run_exits_2(self, tmp_path, capsys, rows):
+        ds, gt = generate_gaussian_mixture(2, 150, [[0, 0], [25, 0]], 1.0, seed=3)
+        lines = [f"{x},{y},{c}" for (x, y), c in zip(ds.points, gt.labels)]
+        csv = tmp_path / "data.csv"
+        csv.write_text("\n".join(lines[:200]) + "\n")
+        out = tmp_path / "out"
+        assert main(["run", "--data", str(csv), "--label-col", "-1", "--algo", "kmeans",
+                     "--k", "2", "--delta-percentile", "0.02", "--out", str(out)]) == 0
+        csv.write_text("\n".join(lines[:rows]) + "\n")
+        for mode in ("clusters", "extended-sets"):
+            assert main(["plot", str(out / "result.json"), "--mode", mode]) == 2
+            assert f"fit {rows} objects" in capsys.readouterr().err
+
 
 class TestRenderScatter:
     def test_one_dimensional_rejected(self):
@@ -212,6 +226,12 @@ class TestRenderScatter:
     def test_bad_mode(self):
         with pytest.raises(NotPlottable):
             render_scatter(np.zeros((2, 2)), [0, 0], [0], mode="sideways")
+
+    def test_ids_outside_points_rejected(self):
+        with pytest.raises(NotPlottable):
+            render_scatter(np.zeros((3, 2)), [0, 0, 0], [3])
+        with pytest.raises(NotPlottable):
+            render_scatter(np.zeros((3, 2)), [0, 0, 0], [0], "extended-sets", [[0, -1]])
 
     def test_center_markers_present(self):
         ds, _ = generate_gaussian_mixture(2, 10, [[0, 0], [9, 9]], 1.0, seed=1)

@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
-from ecac.data import Dataset, SpatialIndex, generate_gaussian_mixture, load_csv
+from ecac.data import (
+    _NEAREST_CHUNK,
+    Dataset,
+    SpatialIndex,
+    generate_gaussian_mixture,
+    load_csv,
+    nearest,
+)
 from ecac.errors import (
     DimensionMismatch,
     EcacError,
@@ -245,6 +253,27 @@ class TestKNearest:
         index = SpatialIndex(Dataset(np.array([[0.0]])))
         with pytest.raises(EcacError, match="k must be >= 1"):
             index.k_nearest(np.zeros((1, 1)), k)
+
+
+class TestNearest:
+    def test_matches_unchunked_scan_with_ties(self):
+        # A 0.25 grid with duplicate points: squared distances are exact,
+        # so many rows have several equally near targets.
+        rng = np.random.default_rng(5)
+        queries = rng.integers(0, 12, size=(3000, 2)) * 0.25
+        targets = rng.integers(0, 12, size=(1000, 2)) * 0.25
+        assert queries.shape[0] > 2 * (_NEAREST_CHUNK // targets.shape[0])  # >= 3 chunks
+        full = cdist(queries, targets)
+        distance, position = nearest(queries, targets)
+        assert distance.tolist() == full.min(axis=1).tolist()
+        assert position.tolist() == full.argmin(axis=1).tolist()  # first of equal minima
+        tied = (full == distance[:, None]).sum(axis=1) > 1
+        assert tied.sum() > 1000
+
+    def test_empty_queries(self):
+        distance, position = nearest(np.empty((0, 2)), np.zeros((3, 2)))
+        assert distance.shape == position.shape == (0,)
+        assert position.dtype == np.int64
 
 
 @st.composite

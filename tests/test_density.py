@@ -71,7 +71,8 @@ class TestDefaultDelta:
     def test_sampling_deterministic(self):
         rng = np.random.default_rng(1)
         ds = Dataset(rng.normal(size=(1500, 3)))
-        assert default_delta(ds, sample_cap=200) == default_delta(ds, sample_cap=200)
+        first = pairwise_distance_percentile(ds, 0.02, sample_cap=200)
+        assert first == pairwise_distance_percentile(ds, 0.02, sample_cap=200)
 
     def test_percentiles_read_one_sorted_sample(self):
         # N above the sample cap, with duplicate points: one sample, one

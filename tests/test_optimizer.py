@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ecac
 from ecac.data import Dataset, SpatialIndex, generate_gaussian_mixture
 from ecac.density import compute_densities
 from ecac.errors import EmptyCenters, InvalidRadius, InvalidSpec, LabelOutOfRange
@@ -65,6 +71,12 @@ class TestIdentify:
             SelectionStrategy("random")  # no seed
         with pytest.raises(InvalidSpec):
             SelectionStrategy("local", cap=-1)
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_center_id_out_of_range(self, bad):
+        ds = Dataset(np.arange(4.0).reshape(4, 1))
+        with pytest.raises(InvalidSpec, match=f"center id {bad} "):
+            identify_extended_centers(ds, [bad, 3], 1.0)
 
     def test_densities_delta_mismatch_rejected(self):
         ds = Dataset(np.arange(4.0).reshape(4, 1))
@@ -260,3 +272,33 @@ def test_identify_always_terminates_covered(seed, delta):
     assert ext.fully_covered
     assert ext.s <= 25
     assert len(ext.trace) == ext.s - 2
+
+
+# Peak resident memory allowed to a fresh process whose local extension
+# needs whole-dataset fallback steps: 4 blobs 100 apart at n = 8,000 with
+# 2 kmeans centers, so two blobs are reached only by fallback. Measured
+# on a 2-core Linux host: 88 MB; a dense non-members x members scan took
+# 331 MB.
+FALLBACK_PEAK_RSS_BUDGET_MB = 200
+
+_FALLBACK_PEAK_SCRIPT = """
+from ecac import build_algorithm, generate_gaussian_mixture, run_optimized
+ds, _ = generate_gaussian_mixture(4, 2000, [[0, 0], [100, 0], [0, 100], [100, 100]], 2.0, 0)
+result = run_optimized(ds, build_algorithm("kmeans"), 2)
+with open("/proc/self/status") as fh:
+    peak_kb = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(result.fallback_count, peak_kb)
+"""
+
+
+def test_far_blobs_fallback_peak_memory_at_8k():
+    if not Path("/proc/self/status").exists():
+        pytest.skip("VmHWM is read from /proc/self/status (Linux only)")
+    env = dict(os.environ, PYTHONPATH=str(Path(ecac.__file__).resolve().parents[1]))
+    child = subprocess.run(
+        [sys.executable, "-c", _FALLBACK_PEAK_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    fallbacks, peak_kb = map(int, child.stdout.split())
+    assert fallbacks >= 1
+    assert peak_kb / 1024 < FALLBACK_PEAK_RSS_BUDGET_MB
