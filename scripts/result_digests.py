@@ -20,11 +20,15 @@ Gaussian mixture at n = 10,000 that the ``blobs-dpc-capped`` benchmark
 clusters, generated in-process. The next line digests the DPC
 quantities of a clumped dataset: 120 mixture points, each repeated 17 to
 24 times, so every object has more exact duplicates than the first
-k-nearest list of the nearest-higher search holds. A last line digests
+k-nearest list of the nearest-higher search holds. The next line digests
 the labels and the trace of ``run_optimized`` (kmeans, k = 2, default
 delta, local strategy) on 4 blobs 100 apart at n = 8,000: two blobs are
 reached only by whole-dataset fallback steps, whose nearest-member scan
-spans several row chunks.
+spans several row chunks. Two more lines digest the sets and the trace
+of ``identify_extended_centers`` with the local and the nodensity
+strategy on a 5,001-point spiral (``make_benchmarks.spiral`` with
+``n_per_arm=1667, seed=7``), kmeans k = 3 centers and the default delta:
+runs long enough to rebuild the extension's non-member tree many times.
 
 The config echo inside the JSON holds the CSV and output paths, so two
 checkouts are compared by running this script against each one (chosen
@@ -57,6 +61,8 @@ from ecac import (
     run_optimized,
 )
 from ecac.cli import main as ecac_main
+from ecac.optimizer import SelectionStrategy, identify_extended_centers
+from make_benchmarks import spiral
 
 ROOT = Path(__file__).resolve().parent.parent
 DATASETS = {"spiral": 3, "jain": 2, "pathbased": 3}
@@ -119,6 +125,19 @@ def _far_blobs_digest() -> str:
     return _digest(result.labels.tobytes() + trace)
 
 
+def _spiral_extension_digests() -> dict[str, str]:
+    points, _ = spiral(n_per_arm=1667, seed=7)
+    dataset = Dataset(points)
+    centers, _ = build_algorithm("kmeans").center_process(dataset, 3)
+    digests = {}
+    for kind in ("local", "nodensity"):
+        ext = identify_extended_centers(
+            dataset, centers, default_delta(dataset), SelectionStrategy(kind)
+        )
+        digests[kind] = _digest(json.dumps([ext.sets, ext.trace], sort_keys=True).encode())
+    return digests
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_root", help="directory for the cells' outputs (reused)")
@@ -151,6 +170,8 @@ def main():
     print(f"blobs-10k densities={densities}")
     print(f"clumps-dpc-quantities={_clump_digest()}")
     print(f"farblobs-8k local-fallback={_far_blobs_digest()}")
+    for kind, digest in _spiral_extension_digests().items():
+        print(f"spiral-5k {kind}-extension={digest}")
 
 
 if __name__ == "__main__":

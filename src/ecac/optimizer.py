@@ -25,6 +25,12 @@ Strategies:
 
 Ties in the minimization break toward the lower object id, then the
 lower set index; every run is deterministic.
+
+The scored strategies keep one score per object (inf for members and
+objects outside the pool), so a step is one ``argmin``, and send each
+new member's radius query to a KD-tree of the non-members, rebuilt once
+a quarter of it has joined. ``_run_scored`` and ``_GreedyState`` say why
+both are exact.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, SpatialIndex, nearest
+from .data import Dataset, SpatialIndex, _row_norms, nearest
 from .density import DensityVector, compute_densities
 from .errors import EmptyCenters, InvalidRadius, InvalidSpec, LabelOutOfRange
 
@@ -43,6 +49,10 @@ GLOBAL = "global"
 RANDOM = "random"
 NODENSITY = "nodensity"
 STRATEGY_KINDS = (LOCAL, GLOBAL, RANDOM, NODENSITY)
+
+# Members added since the extension's non-member tree was built, as a
+# share of its size, beyond which the tree is rebuilt.
+_REBUILD_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -100,11 +110,23 @@ class ExtendedSets:
 
 
 class _GreedyState:
-    """Bookkeeping shared by every strategy."""
+    """Bookkeeping shared by every strategy.
+
+    Radius queries go to a KD-tree over the objects that were non-members
+    when it was built, starting from the full ``index``. Members added
+    since then are filtered out of each answer by ``member_of``, and the
+    tree is rebuilt over the remaining non-members once they exceed
+    ``_REBUILD_FRACTION`` of its size, so a query lists few members. The
+    answers hold every non-member a full-dataset query would: only
+    members are dropped, and a member needs no query, because it is
+    always covered (it covers itself when it joins) and never re-scored.
+    """
 
     def __init__(self, dataset, index, densities, centers, cap, query_radius):
+        self.dataset = dataset
         self.points = dataset.points
-        self.index = index
+        self.tree = index
+        self.stale = 0
         self.densities = densities
         self.centers = centers
         self.delta = densities.delta
@@ -116,26 +138,38 @@ class _GreedyState:
         self.all: list[int] = []
         self.all_sets: list[int] = []
         self.member_of = np.full(self.n, -1, dtype=np.int64)
+        self.closed = np.zeros(self.k, dtype=bool)
         self.covered = np.zeros(self.n, dtype=bool)
         self.n_covered = 0
         self.trace: list[dict] = []
         self.fallback_count = 0
 
     def add(self, o: int, j: int):
-        """Register a new member; returns its query-radius ``(ids, dists)``.
+        """Register a new member; returns its query-radius non-member
+        ``(ids, dists)``, ids in no particular order.
 
         One tree query serves both purposes: ids within the query radius
         (2*delta for the local pool, else delta) feed the candidate pool
         and its cache, and the subset at strict distance < delta is newly
-        covered.
+        covered. Set j is closed once it holds ``cap`` extended-centers.
         """
         self.member_of[o] = j
         self.sets[j].append(o)
         self.all.append(o)
         self.all_sets.append(j)
-        ids, dists = self.index.range_query_with_distances(self.points[o], self.query_radius)
-        newly = ids[dists < self.delta]
-        newly = newly[~self.covered[newly]]
+        if len(self.sets[j]) - 1 == self.cap:
+            self.closed[j] = True
+        if not self.covered[o]:
+            self.covered[o] = True
+            self.n_covered += 1
+        self.stale += 1
+        if self.stale > _REBUILD_FRACTION * self.tree.size:
+            self.tree = SpatialIndex(self.dataset, np.flatnonzero(self.member_of < 0))
+            self.stale = 0
+        ids, dists = self.tree.range_query_with_distances(self.points[o], self.query_radius)
+        keep = self.member_of[ids] < 0
+        ids, dists = ids[keep], dists[keep]
+        newly = ids[(dists < self.delta) & ~self.covered[ids]]
         self.covered[newly] = True
         self.n_covered += newly.size
         return ids, dists
@@ -145,17 +179,8 @@ class _GreedyState:
             {"object": int(o), "set": int(j), "dis": float(dis), "covered": self.n_covered}
         )
 
-    def full_sets(self) -> np.ndarray:
-        if self.cap is None:
-            return np.zeros(self.k, dtype=bool)
-        return np.array([len(s) - 1 >= self.cap for s in self.sets])
-
     def done(self) -> bool:
-        return (
-            self.n_covered == self.n
-            or len(self.all) == self.n
-            or (self.cap is not None and self.full_sets().all())
-        )
+        return self.n_covered == self.n or len(self.all) == self.n or self.closed.all()
 
     def finish(self) -> ExtendedSets:
         return ExtendedSets(
@@ -181,17 +206,26 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
     member within 2*delta, so a new member can only improve the pooled
     objects inside its own 2*delta query; and an entrant to the pool was
     at least 2*delta from every earlier member, so the new member is its
-    nearest. Once a set reaches its cap, ``close_set`` can leave objects
+    nearest: its cache starts at (inf, k) and any (distance, set) beats
+    that. Once a set reaches its cap, ``close_set`` can leave objects
     with no open member that near, and the fold sweeps the whole pool
-    again. When the local pool empties, a fallback step scores every
-    non-member by its nearest open member (``scan``). The from-definition
-    loop is ``tests/oracles.naive_identify``.
+    again.
+
+    ``score[i]`` is ``best_dis[i] / rho[i]`` (``best_dis[i]`` without the
+    density weight), and inf for members and for objects outside the
+    pool; it is rewritten wherever the cache changes, from the same
+    operands, so a step is one ``argmin`` and its ties go to the lowest
+    object id, as a scan of the sorted pool would. When the minimum is
+    inf (the local pool has emptied while objects remain uncovered), a
+    fallback step scores every non-member by its nearest open member
+    (``scan``). The from-definition loop is ``tests/oracles.naive_identify``.
     """
     points = state.points
     n = state.n
-    rho = state.densities.rho.astype(np.float64)
+    weight = state.densities.rho.astype(np.float64) if use_density else np.ones(n)
     best_dis = np.full(n, np.inf)
-    best_set = np.full(n, -1, dtype=np.int64)
+    best_set = np.full(n, state.k, dtype=np.int64)
+    score = np.full(n, np.inf)
     in_pool = np.full(n, not local)
     sweep = not local
 
@@ -203,7 +237,7 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
         nearest one lies in the lowest set. ``nearest`` works in bounded
         row chunks, so no ids x members matrix is built.
         """
-        open_sets = np.flatnonzero(~state.full_sets())
+        open_sets = np.flatnonzero(~state.closed)
         if open_sets.size == 0:
             return np.inf, -1
         member_ids = np.concatenate([state.sets[j] for j in open_sets])
@@ -214,48 +248,47 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
     def fold(o: int, j: int, ids: np.ndarray, dists: np.ndarray):
         """Fold the newest member o of set j into the pool's cache.
 
-        ``ids``/``dists`` are o's query-radius neighbours and distances.
+        ``ids``/``dists`` are o's query-radius non-members and distances.
         Ties keep the lower set index.
         """
+        in_pool[ids] = True
+        score[o] = np.inf
         if sweep:
             rows = np.flatnonzero(in_pool & (state.member_of < 0))
-            d = np.linalg.norm(points[rows] - points[o], axis=1)
+            d = _row_norms(points[rows] - points[o])
         else:
-            pooled = in_pool[ids]
-            rows, d = ids[pooled], dists[pooled]
-        better = (d < best_dis[rows]) | ((d == best_dis[rows]) & (j < best_set[rows]))
-        rows = rows[better]
-        best_dis[rows] = d[better]
+            rows, d = ids, dists
+        old = best_dis[rows]
+        better = (d < old) | ((d == old) & (j < best_set[rows]))
+        rows, d = rows[better], d[better]
+        best_dis[rows] = d
         best_set[rows] = j
-        entrants = ~in_pool[ids]  # none under the global pool
-        best_dis[ids[entrants]] = dists[entrants]
-        best_set[ids[entrants]] = j
-        in_pool[ids] = True
+        score[rows] = d / weight[rows]
 
     def close_set(f: int):
         """Set f just reached its cap: re-point pool rows that relied on it."""
         rows = np.flatnonzero(in_pool & (best_set == f) & (state.member_of < 0))
         best_dis[rows], best_set[rows] = scan(rows)
+        score[rows] = best_dis[rows] / weight[rows]
 
     for j, center in enumerate(state.centers):
         fold(center, j, *state.add(center, j))
 
     while not state.done():
-        nonmember = state.member_of < 0
-        cands = np.flatnonzero(in_pool & nonmember)
-        if cands.size:
-            dis_vec, set_vec = best_dis[cands], best_set[cands]
+        o = int(score.argmin())  # ties: lowest object id
+        if score[o] < np.inf:
+            j, dis = int(best_set[o]), float(score[o])
         else:
             # Disconnected region: one whole-dataset step, then resume.
-            cands = np.flatnonzero(nonmember)
+            cands = np.flatnonzero(state.member_of < 0)
             state.fallback_count += 1
             dis_vec, set_vec = scan(cands)
-        scores = dis_vec / rho[cands] if use_density else dis_vec
-        pick = int(np.argmin(scores))  # ties: lowest object id
-        o, j, dis = int(cands[pick]), int(set_vec[pick]), float(scores[pick])
+            scores = dis_vec / weight[cands]
+            pick = int(np.argmin(scores))
+            o, j, dis = int(cands[pick]), int(set_vec[pick]), float(scores[pick])
         fold(o, j, *state.add(o, j))
         state.record(o, j, dis)
-        if state.cap is not None and len(state.sets[j]) - 1 == state.cap:
+        if state.closed[j]:
             close_set(j)
             sweep = True
     return state.finish()
@@ -271,14 +304,28 @@ def _run_random(state: _GreedyState, rng: np.random.Generator):
     while not state.done():
         cands = np.flatnonzero(state.member_of < 0)
         o = int(rng.choice(cands))
-        dists = np.linalg.norm(center_pts - points[o], axis=1)
-        dists[state.full_sets()] = np.inf
+        dists = _row_norms(center_pts - points[o])
+        dists[state.closed] = np.inf
         j = int(np.argmin(dists))
         # Recorded for the trace only; random selection ignores distances.
-        dis = np.linalg.norm(points[state.sets[j]] - points[o], axis=1).min() / rho[o]
+        dis = _row_norms(points[state.sets[j]] - points[o]).min() / rho[o]
         state.add(o, j)
         state.record(o, j, dis)
     return state.finish()
+
+
+def _object_id(c, n: int) -> int:
+    """``c`` as an object id in 0..n-1; ``InvalidSpec`` when it is not an
+    integer value or lies outside that range."""
+    try:
+        i = int(c)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != c:
+        raise InvalidSpec(f"center id {c} is not an integer")
+    if not 0 <= i < n:
+        raise InvalidSpec(f"center id {i} is not an object id in 0..{n - 1}")
+    return i
 
 
 def identify_extended_centers(
@@ -297,12 +344,9 @@ def identify_extended_centers(
     strategy = strategy or SelectionStrategy()
     if delta <= 0:
         raise InvalidRadius(f"delta must be > 0, got {delta}")
-    centers = [int(c) for c in centers]
+    centers = [_object_id(c, dataset.n) for c in centers]
     if not centers:
         raise EmptyCenters("need at least one clustering center")
-    for c in centers:
-        if not 0 <= c < dataset.n:
-            raise InvalidSpec(f"center id {c} is not an object id in 0..{dataset.n - 1}")
     if len(set(centers)) != len(centers):
         raise InvalidSpec("centers must be distinct object ids")
     if index is None:

@@ -6,6 +6,7 @@ from scipy.spatial.distance import cdist
 
 from ecac.data import (
     _NEAREST_CHUNK,
+    _row_norms,
     Dataset,
     SpatialIndex,
     generate_gaussian_mixture,
@@ -253,6 +254,45 @@ class TestKNearest:
         index = SpatialIndex(Dataset(np.array([[0.0]])))
         with pytest.raises(EcacError, match="k must be >= 1"):
             index.k_nearest(np.zeros((1, 1)), k)
+
+
+class TestSubsetIndex:
+    def test_queries_return_dataset_ids(self):
+        # A 0.25 grid with duplicates; some query points are outside the
+        # subset, so their own id must not come back.
+        rng = np.random.default_rng(3)
+        pts = rng.integers(0, 12, size=(200, 2)) * 0.25
+        subset = np.flatnonzero(rng.random(200) < 0.6)
+        outside = np.setdiff1d(np.arange(200), subset)
+        index = SpatialIndex(Dataset(pts), subset)
+        assert index.size == subset.size
+        for i in [*subset[:6], *outside[:6]]:
+            for radius in (0.25, 0.6, 1.3):
+                want = sorted(set(subset.tolist()) & brute_range_query(pts, pts[i], radius))
+                assert index.range_query(pts[i], radius).tolist() == want
+                ids, dists = index.range_query_with_distances(pts[i], radius)
+                assert sorted(ids.tolist()) == want
+                assert dists.tolist() == np.linalg.norm(pts[ids] - pts[i], axis=1).tolist()
+            assert i in subset or i not in index.range_query(pts[i], 1.3)
+        in_subset = [set(subset.tolist()) & brute_range_query(pts, p, 0.6) for p in pts]
+        assert index.count_within(pts, 0.6).tolist() == [len(ids) for ids in in_subset]
+        dists, ids = index.k_nearest(pts[outside[:10]], 4)
+        assert np.isin(ids, subset).all()
+        for q, row_d, row_ids in zip(pts[outside[:10]], dists, ids):
+            want = np.sort(np.linalg.norm(pts[subset] - q, axis=1))[:4]
+            assert np.allclose(row_d, want)
+            assert np.allclose(np.linalg.norm(pts[row_ids] - q, axis=1), want)
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 13])
+    def test_bit_identical_to_linalg_norm(self, d):
+        rng = np.random.default_rng(d)
+        scaled = rng.normal(size=(500, d)) * 10.0 ** rng.integers(-6, 7, size=(500, 1))
+        grid = rng.integers(0, 5, size=(400, d)) * 0.25
+        grid = np.vstack([grid, grid[:100]]) - grid[7]
+        for x in (scaled, grid):
+            assert np.array_equal(_row_norms(x), np.linalg.norm(x, axis=1))
 
 
 class TestNearest:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ecac
+from ecac import optimizer
 from ecac.data import Dataset, SpatialIndex, generate_gaussian_mixture
 from ecac.density import compute_densities
 from ecac.errors import EmptyCenters, InvalidRadius, InvalidSpec, LabelOutOfRange
@@ -72,7 +73,7 @@ class TestIdentify:
         with pytest.raises(InvalidSpec):
             SelectionStrategy("local", cap=-1)
 
-    @pytest.mark.parametrize("bad", [-1, 4])
+    @pytest.mark.parametrize("bad", [-1, 4, 1.7, 0.5])
     def test_center_id_out_of_range(self, bad):
         ds = Dataset(np.arange(4.0).reshape(4, 1))
         with pytest.raises(InvalidSpec, match=f"center id {bad} "):
@@ -158,6 +159,40 @@ def test_matches_naive_reference_on_grid_ties(instance):
     _, order, order_sets, _, fallbacks, trace = naive_identify(
         pts, centers, delta, kind=kind, seed=7, cap=cap
     )
+    assert ext.all == order
+    assert ext.all_sets == order_sets
+    assert ext.fallback_count == fallbacks
+    got_trace = [(t["object"], t["set"], t["covered"]) for t in ext.trace]
+    assert got_trace == [(o, j, c) for (o, j, _, c) in trace]
+    for got, want in zip(ext.trace, trace):
+        assert got["dis"] == pytest.approx(want[2], rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["local", "global", "nodensity"])
+@pytest.mark.parametrize("cap", [None, 3])
+def test_matches_naive_reference_across_tree_rebuilds(monkeypatch, kind, cap):
+    # 172 points on the grid: 130 drawn, 30 duplicate copies and a far
+    # clump of 12 that local search reaches only by fallback steps. The 24
+    # leftmost points are the centers, so even the capped runs add enough
+    # members for the non-member tree to be rebuilt twice.
+    rng = np.random.default_rng(0)
+    base = np.column_stack([rng.integers(0, 24, 130), rng.integers(0, 6, 130)])
+    pts = np.vstack([base, base[rng.integers(0, 130, 30)], base[:12] + [60, 0]]) * GRID
+    centers = np.lexsort((pts[:, 1], pts[:, 0]))[:24].tolist()
+    delta = 2.2 * GRID
+    rebuilds = []
+
+    def counting_index(dataset, ids=None):
+        if ids is not None:
+            rebuilds.append(len(ids))
+        return SpatialIndex(dataset, ids)
+
+    monkeypatch.setattr(optimizer, "SpatialIndex", counting_index)
+    ext = identify(pts, centers, delta, strategy=SelectionStrategy(kind, cap=cap))
+    _, order, order_sets, _, fallbacks, trace = naive_identify(
+        pts, centers, delta, kind=kind, cap=cap
+    )
+    assert len(rebuilds) >= 2
     assert ext.all == order
     assert ext.all_sets == order_sets
     assert ext.fallback_count == fallbacks
