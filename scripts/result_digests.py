@@ -13,11 +13,13 @@ two digests (first 16 hex of sha256):
 * ``trace`` hashes the bytes of the cell's trace ``.jsonl`` files
   (one for ``run``; one per variant, in variant order, for ``ablate``).
 
-Two more lines digest the DPC quantities (``rho_dpc``, ``delta_dpc`` and
-``nearest_higher`` bytes, with the cutoff at the default delta) and the
-densities (``rho`` bytes, with the default delta) of the 4-component
-Gaussian mixture at n = 10,000 that the ``blobs-dpc-capped`` benchmark
-clusters, generated in-process. The next line digests the DPC
+Three more lines digest the DPC quantities (``rho_dpc``, ``delta_dpc``
+and ``nearest_higher`` bytes, with the cutoff at the default delta), the
+densities (``rho`` bytes, with the default delta) and a capped DPC run
+(the labels and the trace of ``run_optimized`` with k = 4, the default
+delta, which equals the default cutoff, and the local strategy capped at
+100 per set) of the 4-component Gaussian mixture at n = 10,000 that the
+``blobs-dpc-capped`` benchmark clusters, generated in-process. The next line digests the DPC
 quantities of a clumped dataset: 120 mixture points, each repeated 17 to
 24 times, so every object has more exact duplicates than the first
 k-nearest list of the nearest-higher search holds. The next line digests
@@ -96,13 +98,16 @@ def _run_cell(argv: list[str], out: Path, result_name: str, trace_names: list[st
     return result, trace
 
 
-def _blob_digests() -> tuple[str, str]:
+def _blob_digests() -> tuple[str, str, str]:
     dataset, _ = generate_gaussian_mixture(
         4, 2500, [[0, 0], [12, 0], [0, 12], [12, 12]], 2.0, 0
     )
     dpc = _dpc_digest(dataset)
     densities = compute_densities(dataset, SpatialIndex(dataset), default_delta(dataset))
-    return dpc, _digest(densities.rho.tobytes())
+    capped = run_optimized(
+        dataset, build_algorithm("dpc"), 4, strategy=SelectionStrategy(cap=100)
+    )
+    return dpc, _digest(densities.rho.tobytes()), _run_digest(capped)
 
 
 def _dpc_digest(dataset) -> str:
@@ -120,7 +125,10 @@ def _far_blobs_digest() -> str:
     dataset, _ = generate_gaussian_mixture(
         4, 2000, [[0, 0], [100, 0], [0, 100], [100, 100]], 2.0, 0
     )
-    result = run_optimized(dataset, build_algorithm("kmeans"), 2)
+    return _run_digest(run_optimized(dataset, build_algorithm("kmeans"), 2))
+
+
+def _run_digest(result) -> str:
     trace = json.dumps(result.trace, sort_keys=True).encode()
     return _digest(result.labels.tobytes() + trace)
 
@@ -165,9 +173,10 @@ def main():
                 result, trace = _run_cell(argv, out_root / cell, result_name, trace_names)
                 print(f"{cell} result={result} trace={trace}", flush=True)
 
-    dpc, densities = _blob_digests()
+    dpc, densities, capped = _blob_digests()
     print(f"blobs-10k dpc-quantities={dpc}")
     print(f"blobs-10k densities={densities}")
+    print(f"blobs-10k dpc-capped-run={capped}")
     print(f"clumps-dpc-quantities={_clump_digest()}")
     print(f"farblobs-8k local-fallback={_far_blobs_digest()}")
     for kind, digest in _spiral_extension_digests().items():

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .data import _QUERY_SLACK, Dataset, SpatialIndex, nearest
+from .data import _QUERY_SLACK, Dataset, SpatialIndex, _row_norms, nearest
 from .density import default_delta
 from .errors import ConfigError, EmptyCenters, InvalidK, InvalidRadius
 
@@ -127,9 +127,9 @@ class DpcQuantities:
     wins. The top-ranked object instead takes its distance to the
     farthest object, and its ``nearest_higher`` is -1.
 
-    Distances are ``np.linalg.norm`` of the coordinate difference. From
-    d = 8 on, NumPy sums the squares in another order than ``cdist``, so
-    ``delta_dpc`` can differ from a ``cdist`` value in the last ulp.
+    Distances are ``_row_norms`` of the coordinate difference, as in
+    ``np.linalg.norm``. From d = 8 on, NumPy sums the squares in another
+    order than ``cdist``, so ``delta_dpc`` may differ from it in the last ulp.
     """
 
     rho_dpc: np.ndarray
@@ -176,7 +176,7 @@ def _nearest_higher_from_lists(
     ids, bound = ids[certified], bound[certified]
     r, c = np.nonzero(higher[certified] & (dists[certified] <= bound[:, None]))
     exact = np.full(ids.shape, np.inf)
-    exact[r, c] = np.linalg.norm(points[ids[r, c]] - points[rows[certified][r]], axis=1)
+    exact[r, c] = _row_norms(points[ids[r, c]] - points[rows[certified][r]])
     closest = exact.min(axis=1)
     tied_rank = np.where(exact == closest[:, None], rank[ids], rank.size)
     best = ids[np.arange(ids.shape[0]), np.argmin(tied_rank, axis=1)]
@@ -186,19 +186,19 @@ def _nearest_higher_from_lists(
 def compute_dpc_quantities(dataset: Dataset, d_c: float) -> DpcQuantities:
     """Density, separation and nearest higher-ranked object of every object.
 
-    ``rho_dpc`` takes two KD-tree counts (``SpatialIndex.count_within``).
-    The nearest-higher search queries each object's 16 nearest on the
-    same tree and keeps the rows whose list provably holds the answer;
-    the others are queried again with a list 4 times as long, up to N.
-    Queries go in row chunks of at most 16 * N list entries, so memory
-    stays O(16 * N).
+    ``rho_dpc`` is the shared count ``dataset.index.density(d_c)``, less
+    self. The nearest-higher search queries each object's 16 nearest on
+    the same tree and keeps the rows whose list provably holds the
+    answer; the others are queried again with a list 4 times as long, up
+    to N. Queries go in row chunks of at most 16 * N list entries, so
+    memory stays O(16 * N).
     """
     if d_c <= 0:
         raise InvalidRadius(f"d_c must be > 0, got {d_c}")
     points = dataset.points
     n = dataset.n
-    index = SpatialIndex(dataset)
-    rho = index.count_within(points, d_c) - 1  # drop self
+    index = dataset.index
+    rho = index.density(d_c) - 1  # drop self
 
     order = _density_order(rho)
     rank = np.empty(n, dtype=np.int64)
@@ -206,7 +206,7 @@ def compute_dpc_quantities(dataset: Dataset, d_c: float) -> DpcQuantities:
     delta = np.empty(n, dtype=np.float64)
     higher = np.empty(n, dtype=np.int64)
     top = order[0]
-    delta[top] = np.linalg.norm(points - points[top], axis=1).max()
+    delta[top] = _row_norms(points - points[top]).max()
     higher[top] = -1
 
     pending = order[1:]

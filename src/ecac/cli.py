@@ -9,7 +9,6 @@ from pathlib import Path
 
 from .algorithms import ALGORITHM_NAMES, build_algorithm
 from .config import DEFAULT_SWEEP, RunConfig, parse_config_file
-from .data import SpatialIndex
 from .density import DEFAULT_PERCENTILE, pairwise_distance_percentiles
 from .errors import ConfigError, EcacError, MissingResult, ZeroBaseline
 from .metrics import improvement_rate
@@ -72,12 +71,11 @@ def cmd_run(config: RunConfig, dump_trace: bool = False, quiet: bool = False) ->
     """Baseline and optimized pipelines on shared centers; persists JSON.
 
     The delta sweep tries its values one after another on the shared
-    centers and index, and keeps the first with the highest NMI.
+    centers and ``dataset.index``, and keeps the first with the highest NMI.
     """
     dataset, truth = config.load_dataset()
     algorithm = build_algorithm(config.algo, seed=config.seed, max_iter=config.max_iter, d_c=config.d_c)
     centers, extras = compute_centers(dataset, algorithm, config.k)
-    index = SpatialIndex(dataset)
 
     baseline = run_baseline(dataset, algorithm, config.k, centers=centers)
     baseline.extras.update(extras)
@@ -86,8 +84,7 @@ def cmd_run(config: RunConfig, dump_trace: bool = False, quiet: bool = False) ->
     strategy = _strategy(config, config.strategy, config.cap)
     sweep = [
         run_optimized(
-            dataset, algorithm, config.k, delta=delta, strategy=strategy,
-            centers=centers, index=index,
+            dataset, algorithm, config.k, delta=delta, strategy=strategy, centers=centers
         ).attach_metrics(truth)
         for delta in _resolve_deltas(config, dataset, truth)
     ]
@@ -140,7 +137,6 @@ def cmd_ablate(config: RunConfig, variants: list[str], dump_trace: bool = False,
     dataset, truth = config.load_dataset()
     algorithm = build_algorithm(config.algo, seed=config.seed, max_iter=config.max_iter, d_c=config.d_c)
     centers, _ = compute_centers(dataset, algorithm, config.k)
-    index = SpatialIndex(dataset)
     (delta,) = _resolve_deltas(config, dataset, truth=None)
 
     cap = config.cap
@@ -150,7 +146,7 @@ def cmd_ablate(config: RunConfig, variants: list[str], dump_trace: bool = False,
         # compared runs identify the same number of extended-centers.
         probe = run_optimized(
             dataset, algorithm, config.k, delta=delta,
-            strategy=SelectionStrategy(kind=LOCAL), centers=centers, index=index,
+            strategy=SelectionStrategy(kind=LOCAL), centers=centers,
         )
         cap = max(1, -(-(probe.s - config.k) // config.k))
 
@@ -158,7 +154,7 @@ def cmd_ablate(config: RunConfig, variants: list[str], dump_trace: bool = False,
     for kind in variants:
         result = run_optimized(
             dataset, algorithm, config.k, delta=delta, strategy=_strategy(config, kind, cap),
-            centers=centers, index=index,
+            centers=centers,
         ).attach_metrics(truth)
         records.append(result)
 
@@ -249,12 +245,8 @@ def _add_common_flags(parser: argparse.ArgumentParser):
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     file_values = parse_config_file(args.config) if args.config else None
-    flag_keys = (
-        "data", "label_col", "algo", "k", "delta", "delta_percentile",
-        "delta_sweep", "strategy", "cap", "seed", "d_c", "max_iter",
-        "normalize", "out",
-    )
-    flags = {key: getattr(args, key) for key in flag_keys}
+    fields = RunConfig.__dataclass_fields__
+    flags = {key: value for key, value in vars(args).items() if key in fields}
     if isinstance(flags.get("delta_sweep"), str):
         flags["delta_sweep"] = [float(p) for p in flags["delta_sweep"].split(",")]
     return RunConfig.from_sources(file_values, flags)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -59,6 +60,11 @@ class Dataset:
     def d(self) -> int:
         return self.points.shape[1]
 
+    @cached_property
+    def index(self) -> SpatialIndex:
+        """The KD-tree over every object, built on first use and kept."""
+        return SpatialIndex(self)
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -96,6 +102,7 @@ class SpatialIndex:
         self.dataset = dataset
         self._ids = None if ids is None else np.asarray(ids, dtype=np.int64)
         self._tree = cKDTree(dataset.points if ids is None else dataset.points[self._ids])
+        self._densities: dict[float, np.ndarray] = {}
 
     @property
     def size(self) -> int:
@@ -147,23 +154,28 @@ class SpatialIndex:
         )
         return [np.sort(self._within(center, ids, radius)[0]) for center, ids in zip(centers, raw)]
 
-    def count_within(self, centers: np.ndarray, radius: float) -> np.ndarray:
-        """Per center, the number of ids at strict distance < radius.
+    def density(self, radius: float) -> np.ndarray:
+        """Per dataset object, the number of indexed ids at strict distance
+        < radius: a read-only array, counted once per radius and kept.
 
         The tree counts at ``radius * (1 -+ _QUERY_SLACK)``. Where the two
         counts agree no point lies near the boundary, so the count is
         exact; the other rows are re-counted through the exact filter.
         """
-        centers = self._checked(centers, ndim=2, radius=radius)
-
-        def tree_counts(r: float) -> np.ndarray:
-            counts = self._tree.query_ball_point(centers, r, return_length=True, workers=-1)
-            return np.asarray(counts, dtype=np.int64)
-
-        counts = tree_counts(radius * (1.0 - _QUERY_SLACK))
-        amb = np.flatnonzero(counts != tree_counts(radius * (1.0 + _QUERY_SLACK)))
-        counts[amb] = [len(ids) for ids in self.range_query_many(centers[amb], radius)]
-        return counts
+        radius = float(radius)
+        if radius not in self._densities:
+            points = self._checked(self.dataset.points, ndim=2, radius=radius)
+            inner, outer = radius * (1.0 - _QUERY_SLACK), radius * (1.0 + _QUERY_SLACK)
+            counts, upper = (
+                self._tree.query_ball_point(points, r, return_length=True, workers=-1)
+                for r in (inner, outer)
+            )
+            amb = np.flatnonzero(counts != upper)
+            raw = self._tree.query_ball_point(points[amb], outer, workers=-1)
+            counts[amb] = [self._within(points[i], ids, radius)[0].size for i, ids in zip(amb, raw)]
+            counts.flags.writeable = False
+            self._densities[radius] = counts
+        return self._densities[radius]
 
     def k_nearest(self, centers: np.ndarray, k: int):
         """Per center, the min(k, size) nearest indexed ids and their tree

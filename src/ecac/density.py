@@ -34,9 +34,7 @@ class DensityVector:
 
 def compute_densities(dataset: Dataset, index: SpatialIndex, delta: float) -> DensityVector:
     """Count, for every object, the objects within open radius ``delta``."""
-    if delta <= 0:
-        raise InvalidRadius(f"delta must be > 0, got {delta}")
-    return DensityVector(index.count_within(dataset.points, delta), float(delta))
+    return DensityVector(index.density(delta), float(delta))
 
 
 def pairwise_distance_percentiles(

@@ -340,6 +340,7 @@ def identify_extended_centers(
 
     ``index`` and ``densities`` may be passed in to reuse previously
     built structures; densities must have been computed at ``delta``.
+    Without ``index`` the dataset's own ``dataset.index`` is used.
     """
     strategy = strategy or SelectionStrategy()
     if delta <= 0:
@@ -350,7 +351,7 @@ def identify_extended_centers(
     if len(set(centers)) != len(centers):
         raise InvalidSpec("centers must be distinct object ids")
     if index is None:
-        index = SpatialIndex(dataset)
+        index = dataset.index
     if densities is None:
         densities = compute_densities(dataset, index, delta)
     elif densities.delta != delta:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithms import CenterBasedAlgorithm
-from .data import Dataset, GroundTruth, SpatialIndex
+from .data import Dataset, GroundTruth
 from .density import compute_densities, default_delta
 from .errors import InvalidK
 from .metrics import nmi, rand_index
@@ -130,24 +130,19 @@ def run_optimized(
     delta: float | None = None,
     strategy: SelectionStrategy | None = None,
     centers: list[int] | None = None,
-    index: SpatialIndex | None = None,
 ) -> ClusteringResult:
     """Center process, extended-center identification, assignment, merge."""
     strategy = strategy or SelectionStrategy()
     extras = {}
     if centers is None:
         centers, extras = compute_centers(dataset, algorithm, k)
-    if index is None:
-        index = SpatialIndex(dataset)
     if delta is None:
         delta = default_delta(dataset)
 
     t0 = time.perf_counter()
-    densities = compute_densities(dataset, index, delta)
+    densities = compute_densities(dataset, dataset.index, delta)
     t1 = time.perf_counter()
-    ext = identify_extended_centers(
-        dataset, centers, delta, strategy, index=index, densities=densities
-    )
+    ext = identify_extended_centers(dataset, centers, delta, strategy, densities=densities)
     t2 = time.perf_counter()
     initial = algorithm.assignment_process(dataset, ext.all)
     labels = merge_clusters(initial, ext)

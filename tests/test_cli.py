@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from ecac.cli import cmd_ablate, cmd_plot, cmd_run, main
+from ecac.cli import _config_from_args, build_parser, cmd_ablate, cmd_plot, cmd_run, main
 from ecac.config import DEFAULT_SWEEP, RunConfig, min_max_normalize, parse_config_file
 from ecac.data import Dataset, generate_gaussian_mixture
 from ecac.density import pairwise_distance_percentile
@@ -73,6 +73,23 @@ class TestConfig:
     def test_sweep_nonempty(self):
         with pytest.raises(ConfigError):
             RunConfig.from_sources(None, {"k": 2, "data": "a.csv", "delta_sweep": []})
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    @pytest.mark.parametrize("delta_flag, delta_field", [
+        (["--delta", "0.4"], {"delta": 0.4}),
+        (["--delta-percentile", "0.03"], {"delta_percentile": 0.03}),
+        (["--delta-sweep", "0.01,0.05"], {"delta_sweep": [0.01, 0.05]}),
+    ])
+    def test_every_flag_reaches_the_config(self, command, delta_flag, delta_field):
+        argv = [command, "--data", "a.csv", "--label-col", "-1", "--algo", "dpc",
+                "--k", "3", *delta_flag, "--strategy", "global", "--cap", "5",
+                "--seed", "7", "--d-c", "0.5", "--max-iter", "9", "--normalize",
+                "--out", "o", "--trace"]
+        config = _config_from_args(build_parser().parse_args(argv))
+        assert config == RunConfig(
+            data="a.csv", label_col=-1, algo="dpc", k=3, strategy="global", cap=5,
+            seed=7, d_c=0.5, max_iter=9, normalize=True, out="o", **delta_field,
+        )
 
     def test_min_max_normalize(self):
         ds = Dataset(np.array([[0.0, 5.0], [10.0, 5.0], [5.0, 15.0]]))

@@ -192,31 +192,24 @@ class TestCountWithin:
     def test_matches_range_query_and_brute_force(self, radius):
         pts = self.grid()
         index = SpatialIndex(Dataset(pts))
-        got = index.count_within(pts, radius)
+        got = index.density(radius)
         assert got.tolist() == [len(index.range_query(p, radius)) for p in pts]
         assert got.tolist() == brute_densities(pts, radius)
 
     def test_boundary_excluded(self):
         ds = Dataset(np.array([[0.0], [1.0], [1.0], [3.0]]))
-        assert SpatialIndex(ds).count_within(ds.points, 1.0).tolist() == [1, 2, 2, 1]
+        assert SpatialIndex(ds).density(1.0).tolist() == [1, 2, 2, 1]
 
     def test_inside_slack_band_counted(self):
         # 1 - 2**-40 is inside radius 1 but within the tree's query slack.
         ds = Dataset(np.array([[0.0], [1.0 - 2.0**-40], [-1.0]]))
-        assert SpatialIndex(ds).count_within(ds.points, 1.0).tolist() == [2, 2, 1]
-
-    def test_dimension_mismatch(self):
-        index = SpatialIndex(Dataset(np.array([[0.0, 0.0]])))
-        with pytest.raises(DimensionMismatch):
-            index.count_within(np.zeros((3, 3)), 1.0)
-        with pytest.raises(DimensionMismatch):
-            index.count_within(np.zeros(2), 1.0)
+        assert SpatialIndex(ds).density(1.0).tolist() == [2, 2, 1]
 
     @pytest.mark.parametrize("radius", [0.0, -1.0])
     def test_nonpositive_radius(self, radius):
         index = SpatialIndex(Dataset(np.array([[0.0]])))
         with pytest.raises(InvalidRadius):
-            index.count_within(np.zeros((1, 1)), radius)
+            index.density(radius)
 
 
 class TestKNearest:
@@ -275,7 +268,7 @@ class TestSubsetIndex:
                 assert dists.tolist() == np.linalg.norm(pts[ids] - pts[i], axis=1).tolist()
             assert i in subset or i not in index.range_query(pts[i], 1.3)
         in_subset = [set(subset.tolist()) & brute_range_query(pts, p, 0.6) for p in pts]
-        assert index.count_within(pts, 0.6).tolist() == [len(ids) for ids in in_subset]
+        assert index.density(0.6).tolist() == [len(ids) for ids in in_subset]
         dists, ids = index.k_nearest(pts[outside[:10]], 4)
         assert np.isin(ids, subset).all()
         for q, row_d, row_ids in zip(pts[outside[:10]], dists, ids):
