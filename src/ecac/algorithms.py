@@ -247,7 +247,13 @@ def dpc_assignment(
 
     Objects denser than every center (possible when the optimizer
     supplies extra centers) have no labeled ancestor to inherit from and
-    fall back to their nearest center.
+    fall back to their nearest center. Every other object takes the label
+    of its first labeled ancestor along ``nearest_higher``, found by
+    pointer jumping: each pass replaces every pointer by its target's,
+    so a chain of length L resolves in about log2(L) passes. Each link
+    climbs in density rank, so every chain reaches a center or a
+    fallback object. The one-object-at-a-time loop is
+    ``tests/oracles.dpc_assignment_loop``.
     """
     centers = np.asarray(centers, dtype=np.int64)
     if centers.size == 0:
@@ -266,10 +272,12 @@ def dpc_assignment(
     points = dataset.points
     labels[fallback] = nearest(points[fallback], points[centers])[1]
     labels[centers] = np.arange(centers.size)
-    for i in order:
-        if labels[i] < 0:
-            labels[i] = labels[nearest_higher[i]]
-    return labels
+    ancestor = np.where(labels < 0, nearest_higher, np.arange(n))
+    while True:
+        jumped = ancestor[ancestor]
+        if np.array_equal(jumped, ancestor):
+            return labels[ancestor]
+        ancestor = jumped
 
 
 # ---------------------------------------------------------------------------

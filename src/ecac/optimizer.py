@@ -27,10 +27,14 @@ Ties in the minimization break toward the lower object id, then the
 lower set index; every run is deterministic.
 
 The scored strategies keep one score per object (inf for members and
-objects outside the pool), so a step is one ``argmin``, and send each
-new member's radius query to a KD-tree of the non-members, rebuilt once
-a quarter of it has joined. ``_run_scored`` and ``_GreedyState`` say why
-both are exact.
+objects outside the pool), so a step is one ``argmin``. A new member's
+fold visits only its radius query's answer and the pooled rows whose
+cached distance is at least the query radius (``far``). Radius queries
+go to a KD-tree of the non-members, rebuilt once a quarter of it has
+joined, in batches: one tree call answers a new member together with
+the lowest-scored pooled non-members that have no answer yet, whose
+answers wait until they join. ``_run_scored`` and ``_GreedyState`` say
+why all of this is exact.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, SpatialIndex, _row_norms, nearest
+from .data import _NEAREST_CHUNK, Dataset, SpatialIndex, _row_norms, nearest
 from .density import DensityVector, compute_densities
 from .errors import EmptyCenters, InvalidRadius, InvalidSpec, LabelOutOfRange
 
@@ -53,6 +57,10 @@ STRATEGY_KINDS = (LOCAL, GLOBAL, RANDOM, NODENSITY)
 # Members added since the extension's non-member tree was built, as a
 # share of its size, beyond which the tree is rebuilt.
 _REBUILD_FRACTION = 0.25
+
+# Most objects whose radius queries one tree call answers: a new member
+# and the lowest-scored pooled non-members that have no answer yet.
+_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -85,7 +93,9 @@ class ExtendedSets:
     first); ``sets[i]`` starts with center i; ``all_sets[p]`` is the set
     index of ``all[p]``. ``trace`` holds one record per greedy selection:
     object id, set index, selection distance, and covered count after
-    the step.
+    the step. ``stats`` counts the radius-query work: tree calls, answers
+    fetched (one per member is used), the peak count of entries in
+    fetched answers not yet used, and non-member tree rebuilds.
     """
 
     sets: list[list[int]]
@@ -95,6 +105,7 @@ class ExtendedSets:
     delta: float
     fallback_count: int = 0
     trace: list[dict] = field(default_factory=list)
+    stats: dict = field(default_factory=dict)
 
     @property
     def s(self) -> int:
@@ -112,17 +123,36 @@ class ExtendedSets:
 class _GreedyState:
     """Bookkeeping shared by every strategy.
 
-    Radius queries go to a KD-tree over the objects that were non-members
-    when it was built, starting from the full ``index``. Members added
-    since then are filtered out of each answer by ``member_of``, and the
-    tree is rebuilt over the remaining non-members once they exceed
-    ``_REBUILD_FRACTION`` of its size, so a query lists few members. The
-    answers hold every non-member a full-dataset query would: only
-    members are dropped, and a member needs no query, because it is
-    always covered (it covers itself when it joins) and never re-scored.
+    Each member's radius query lists the non-members within the query
+    radius: 2*delta for the local pool, else delta. The queries go to a
+    KD-tree over the objects that were non-members when it was built,
+    starting from the full ``index``; it is rebuilt over the remaining
+    non-members once the members added since exceed
+    ``_REBUILD_FRACTION`` of its size, so an answer lists few members.
+
+    With ``fetch_ahead``, answers are fetched in batches. When a new
+    member has none, one ``range_query_batch`` call fetches its answer
+    with those of the lowest-scored pooled non-members that have none
+    (``score``, which the scored strategies write), up to ``_BATCH``
+    objects, and the extra answers wait in ``pending`` until their
+    object joins. While the pending answers hold more than
+    ``_NEAREST_CHUNK`` entries, a fetch asks for the new member's alone,
+    so they never hold more than that plus one batch. The random
+    strategy has no scores to look ahead by, and a capped run usually
+    stops long before its pool is used up, so answers fetched ahead
+    would mostly go unused (929 fetched for 404 members on 4 blobs of
+    2,500 with a cap of 100): both fetch every answer alone.
+
+    Why this is exact: an answer lists every object within the radius
+    that was a non-member when it was fetched, with its ``_row_norms``
+    distance. Objects only ever leave the non-members, so filtering an
+    answer by ``member_of`` when it is used gives exactly the non-members
+    a query at that moment would list. A member needs no query, because
+    it is always covered (it covers itself when it joins) and never
+    re-scored.
     """
 
-    def __init__(self, dataset, index, densities, centers, cap, query_radius):
+    def __init__(self, dataset, index, densities, centers, cap, query_radius, fetch_ahead):
         self.dataset = dataset
         self.points = dataset.points
         self.tree = index
@@ -134,13 +164,20 @@ class _GreedyState:
         self.query_radius = query_radius
         self.k = len(centers)
         self.n = dataset.n
+        self.ahead = min(_BATCH - 1, self.n - 1) if fetch_ahead else 0
         self.sets: list[list[int]] = [[] for _ in range(self.k)]
         self.all: list[int] = []
         self.all_sets: list[int] = []
         self.member_of = np.full(self.n, -1, dtype=np.int64)
+        self.score = np.full(self.n, np.inf)
         self.closed = np.zeros(self.k, dtype=bool)
+        self.n_closed = 0
         self.covered = np.zeros(self.n, dtype=bool)
         self.n_covered = 0
+        self.pending: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.fetched = np.zeros(self.n, dtype=bool)  # an answer was fetched for it
+        self.pending_entries = 0
+        self.stats = {"tree_calls": 0, "lists_fetched": 0, "peak_pending_entries": 0, "rebuilds": 0}
         self.trace: list[dict] = []
         self.fallback_count = 0
 
@@ -148,31 +185,56 @@ class _GreedyState:
         """Register a new member; returns its query-radius non-member
         ``(ids, dists)``, ids in no particular order.
 
-        One tree query serves both purposes: ids within the query radius
-        (2*delta for the local pool, else delta) feed the candidate pool
-        and its cache, and the subset at strict distance < delta is newly
-        covered. Set j is closed once it holds ``cap`` extended-centers.
+        The answer feeds the candidate pool and its cache, and its subset
+        at strict distance < delta is newly covered. Set j is closed once
+        it holds ``cap`` extended-centers.
         """
         self.member_of[o] = j
+        self.score[o] = np.inf
         self.sets[j].append(o)
         self.all.append(o)
         self.all_sets.append(j)
         if len(self.sets[j]) - 1 == self.cap:
             self.closed[j] = True
-        if not self.covered[o]:
-            self.covered[o] = True
-            self.n_covered += 1
+            self.n_closed += 1
         self.stale += 1
         if self.stale > _REBUILD_FRACTION * self.tree.size:
             self.tree = SpatialIndex(self.dataset, np.flatnonzero(self.member_of < 0))
             self.stale = 0
-        ids, dists = self.tree.range_query_with_distances(self.points[o], self.query_radius)
+            self.stats["rebuilds"] += 1
+        answer = self.pending.pop(o, None)
+        if answer is None:
+            ids, dists = self._fetch(o)
+        else:
+            ids, dists = answer
+            self.pending_entries -= ids.size
         keep = self.member_of[ids] < 0
         ids, dists = ids[keep], dists[keep]
-        newly = ids[(dists < self.delta) & ~self.covered[ids]]
-        self.covered[newly] = True
-        self.n_covered += newly.size
+        self.covered[o] = True
+        self.covered[ids[dists < self.delta]] = True
+        self.n_covered = int(np.count_nonzero(self.covered))
         return ids, dists
+
+    def _fetch(self, o: int):
+        """o's answer, fetched in one tree call with the answers of up to
+        ``_BATCH - 1`` of the lowest-scored pooled non-members that have
+        none, which wait in ``pending``."""
+        batch = np.array([o])
+        if self.ahead and self.pending_entries <= _NEAREST_CHUNK:
+            free = np.where(self.fetched, np.inf, self.score)
+            lowest = np.argpartition(free, self.ahead - 1)[:self.ahead]
+            batch = np.concatenate((batch, lowest[free[lowest] < np.inf]))
+        ids, dists, bounds = self.tree.range_query_batch(self.points[batch], self.query_radius)
+        # Copies, so that an answer left unused keeps no other answer alive.
+        for p, lo, hi in zip(batch[1:].tolist(), bounds[1:-1].tolist(), bounds[2:].tolist()):
+            self.pending[p] = ids[lo:hi].copy(), dists[lo:hi].copy()
+        self.fetched[batch[1:]] = True
+        self.pending_entries += int(bounds[-1] - bounds[1])
+        stats = self.stats
+        stats["tree_calls"] += 1
+        stats["lists_fetched"] += batch.size
+        stats["peak_pending_entries"] = max(stats["peak_pending_entries"], self.pending_entries)
+        return ids[:bounds[1]], dists[:bounds[1]]
 
     def record(self, o: int, j: int, dis: float):
         self.trace.append(
@@ -180,7 +242,7 @@ class _GreedyState:
         )
 
     def done(self) -> bool:
-        return self.n_covered == self.n or len(self.all) == self.n or self.closed.all()
+        return self.n_covered == self.n or len(self.all) == self.n or self.n_closed == self.k
 
     def finish(self) -> ExtendedSets:
         return ExtendedSets(
@@ -191,6 +253,7 @@ class _GreedyState:
             delta=self.delta,
             fallback_count=self.fallback_count,
             trace=self.trace,
+            stats=self.stats,
         )
 
 
@@ -200,34 +263,39 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
     Both pools keep one cached (min distance, best set) pair per pooled
     object and fold each new member into it; because the density weight
     does not depend on the set, the cache is all selection needs. The
-    global pool holds every object from the start, so each fold is one
-    O(n) pass. The local pool is the 2*delta frontier, grown
-    incrementally. With no closed set, every pooled object already has a
-    member within 2*delta, so a new member can only improve the pooled
-    objects inside its own 2*delta query; and an entrant to the pool was
-    at least 2*delta from every earlier member, so the new member is its
-    nearest: its cache starts at (inf, k) and any (distance, set) beats
-    that. Once a set reaches its cap, ``close_set`` can leave objects
-    with no open member that near, and the fold sweeps the whole pool
-    again.
+    global pool holds every object from the start; the local pool is the
+    2*delta frontier, grown incrementally.
 
-    ``score[i]`` is ``best_dis[i] / rho[i]`` (``best_dis[i]`` without the
-    density weight), and inf for members and for objects outside the
-    pool; it is rewritten wherever the cache changes, from the same
-    operands, so a step is one ``argmin`` and its ties go to the lowest
-    object id, as a scan of the sorted pool would. When the minimum is
-    inf (the local pool has emptied while objects remain uncovered), a
-    fallback step scores every non-member by its nearest open member
-    (``scan``). The from-definition loop is ``tests/oracles.naive_identify``.
+    A fold visits the new member's query answer and ``far``, the pooled
+    non-members whose cached distance is at least the query radius, and
+    nothing else. A pooled row with a smaller cached distance can only be
+    improved by a member nearer still, inside that member's query. An
+    entrant to the local pool was at least 2*delta from every earlier
+    member, so the new member is its nearest: its cache starts at
+    (inf, k) and any (distance, set) beats that. So ``far`` starts as
+    every object for the global pool and empty for the local one; it
+    sheds the rows a fold brings within the radius, and gains the rows
+    that ``close_set`` re-points, once a set reaches its cap, to a
+    farther member of an open set.
+
+    ``score[i]`` (``state.score``) is ``best_dis[i] / rho[i]``
+    (``best_dis[i]`` without the density weight), and inf for members and
+    for objects outside the pool; it is rewritten wherever the cache
+    changes, from the same operands, so a step is one ``argmin`` and its
+    ties go to the lowest object id, as a scan of the sorted pool would.
+    When the minimum is inf (the local pool has emptied while objects
+    remain uncovered), a fallback step scores every non-member by its
+    nearest open member (``scan``). The from-definition loop is
+    ``tests/oracles.naive_identify``.
     """
     points = state.points
     n = state.n
+    radius = state.query_radius
     weight = state.densities.rho.astype(np.float64) if use_density else np.ones(n)
     best_dis = np.full(n, np.inf)
     best_set = np.full(n, state.k, dtype=np.int64)
-    score = np.full(n, np.inf)
-    in_pool = np.full(n, not local)
-    sweep = not local
+    score = state.score
+    far = np.empty(0, dtype=np.int64) if local else np.arange(n)
 
     def scan(ids: np.ndarray):
         """Distance from each given id to its nearest open-set member, and
@@ -245,31 +313,39 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
         dis, pos = nearest(points[ids], points[member_ids])
         return dis, member_sets[pos]
 
-    def fold(o: int, j: int, ids: np.ndarray, dists: np.ndarray):
-        """Fold the newest member o of set j into the pool's cache.
-
-        ``ids``/``dists`` are o's query-radius non-members and distances.
-        Ties keep the lower set index.
-        """
-        in_pool[ids] = True
-        score[o] = np.inf
-        if sweep:
-            rows = np.flatnonzero(in_pool & (state.member_of < 0))
-            d = _row_norms(points[rows] - points[o])
-        else:
-            rows, d = ids, dists
+    def improve(j: int, rows: np.ndarray, d: np.ndarray):
+        """Cache (d, j) wherever it beats a row's cache; ties keep the
+        lower set index."""
         old = best_dis[rows]
-        better = (d < old) | ((d == old) & (j < best_set[rows]))
+        better = d < old
+        tie = d == old
+        if tie.any():
+            better |= tie & (j < best_set[rows])
         rows, d = rows[better], d[better]
         best_dis[rows] = d
         best_set[rows] = j
         score[rows] = d / weight[rows]
 
+    def fold(o: int, j: int, ids: np.ndarray, dists: np.ndarray):
+        """Fold the newest member o of set j into the pool's cache.
+
+        ``ids``/``dists`` are o's query-radius non-members and distances.
+        """
+        nonlocal far
+        improve(j, ids, dists)
+        if far.size:
+            far = far[far != o]  # each earlier member left far at its own fold
+            improve(j, far, _row_norms(points.take(far, axis=0) - points[o]))
+            far = far[best_dis[far] >= radius]
+
     def close_set(f: int):
         """Set f just reached its cap: re-point pool rows that relied on it."""
-        rows = np.flatnonzero(in_pool & (best_set == f) & (state.member_of < 0))
+        nonlocal far
+        # Rows outside the pool keep best_set == k, so only pooled rows match.
+        rows = np.flatnonzero((best_set == f) & (state.member_of < 0))
         best_dis[rows], best_set[rows] = scan(rows)
         score[rows] = best_dis[rows] / weight[rows]
+        far = np.union1d(far, rows[best_dis[rows] >= radius])
 
     for j, center in enumerate(state.centers):
         fold(center, j, *state.add(center, j))
@@ -290,7 +366,6 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
         state.record(o, j, dis)
         if state.closed[j]:
             close_set(j)
-            sweep = True
     return state.finish()
 
 
@@ -363,6 +438,7 @@ def identify_extended_centers(
     state = _GreedyState(
         dataset, index, densities, centers, strategy.cap,
         query_radius=2.0 * delta if local else delta,
+        fetch_ahead=strategy.kind != RANDOM and strategy.cap is None,
     )
     if strategy.kind == RANDOM:
         return _run_random(state, np.random.default_rng(strategy.seed))

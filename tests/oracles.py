@@ -210,3 +210,31 @@ def naive_identify(points: np.ndarray, centers, delta: float, kind="local",
         covered |= brute_range_query(points, points[o], delta)
         trace.append((o, j, dis, len(covered)))
     return sets, order, order_sets, covered, fallbacks, trace
+
+
+def dpc_assignment_loop(points: np.ndarray, centers, rho, nearest_higher) -> list[int]:
+    """One object at a time, in density order, from the definition.
+
+    Centers label themselves; objects denser than every center, and the
+    top-ranked object, take their nearest center (the earlier list
+    position on ties); every other object copies the label of its
+    nearest higher-ranked object, which is labeled before it.
+    """
+    n = len(points)
+    centers = [int(c) for c in centers]
+    order = sorted(range(n), key=lambda i: (-rho[i], i))
+    first_center = min(order.index(c) for c in centers)
+    labels = [-1] * n
+    for pos, c in enumerate(centers):
+        labels[c] = pos
+    for rank, i in enumerate(order):
+        if labels[i] >= 0:
+            continue
+        if rank < first_center or nearest_higher[i] < 0:
+            labels[i] = min(
+                range(len(centers)),
+                key=lambda j: (math.dist(points[i], points[centers[j]]), j),
+            )
+        else:
+            labels[i] = labels[nearest_higher[i]]
+    return labels

@@ -24,7 +24,7 @@ from ecac.density import default_delta
 from ecac.errors import ConfigError, EmptyCenters, InvalidK, InvalidRadius
 from ecac.metrics import nmi
 
-from oracles import dpc_assignment_recursive, dpc_quantities_loops
+from oracles import dpc_assignment_loop, dpc_assignment_recursive, dpc_quantities_loops
 
 GRID = 0.25  # dyadic spacing: squared distances are exact, so ties are exact
 
@@ -363,6 +363,59 @@ class TestDpcAssignment:
         for pos, c in enumerate(centers):
             assert labels[c] == pos
 
+
+class TestDpcAssignmentAgainstLoop:
+    """The pointer-jumping assignment against the density-order loop."""
+
+    @staticmethod
+    def check(pts, centers, d_c):
+        ds = Dataset(pts)
+        q = compute_dpc_quantities(ds, d_c)
+        labels = dpc_assignment(ds, centers, q)
+        oracle = dpc_assignment_loop(pts, centers, q.rho_dpc.tolist(), q.nearest_higher.tolist())
+        assert labels.tolist() == oracle
+        return q, labels
+
+    def test_duplicate_densities_on_a_grid(self):
+        # A 0.25 grid with duplicates: many equal densities, ranked by index.
+        rng = np.random.default_rng(5)
+        base = rng.integers(0, 12, size=(90, 2))
+        pts = np.vstack([base, base[:30]]) * GRID
+        q = compute_dpc_quantities(Dataset(pts), 2 * GRID)
+        assert len(set(q.rho_dpc.tolist())) < 40
+        for k in (1, 3, 7):
+            centers = dpc_center_process(Dataset(pts), k, q)
+            self.check(pts, centers, 2 * GRID)
+
+    def test_extra_centers_denser_than_every_center(self):
+        # Centers from the sparse tail, as the optimizer may supply: every
+        # denser object takes its nearest center.
+        rng = np.random.default_rng(11)
+        pts = np.vstack([rng.normal(0, 0.4, (60, 2)), rng.uniform(-6, 6, (40, 2))])
+        ds = Dataset(pts)
+        q = compute_dpc_quantities(ds, 0.8)
+        sparse_first = np.lexsort((np.arange(100), q.rho_dpc))
+        centers = sparse_first[:5].tolist()
+        _, labels = self.check(pts, centers, 0.8)
+        fallback = [i for i in range(100) if i not in centers
+                    and (q.rho_dpc[i], -i) > max((q.rho_dpc[c], -c) for c in centers)]
+        assert len(fallback) > 50
+        assert labels.tolist() == dpc_assignment_recursive(
+            pts, centers, q.rho_dpc.tolist(), q.nearest_higher.tolist()
+        )
+
+    def test_fallback_rows_and_long_chains(self):
+        # A line whose gaps widen from index 0: density peaks at index 3
+        # and falls from there on, so each later object's nearest-higher
+        # link points one step back, and a chain down from the top can be
+        # hundreds of links long. The centers split it; objects denser
+        # than every center fall back.
+        pts = np.column_stack([np.cumsum(np.linspace(0.1, 1.0, 300)), np.zeros(300)])
+        for centers in ([3], [3, 100, 200], [0], [150, 250], [299, 40, 200]):
+            q, labels = self.check(pts, centers, 0.35)
+            assert (labels >= 0).all()
+        assert q.nearest_higher[4:].tolist() == list(range(3, 299))
+        assert dpc_assignment(Dataset(pts), [3, 100], q).tolist() == [0] * 100 + [1] * 200
 
 class TestRegistry:
     def test_unknown_name_lists_valid_names(self):

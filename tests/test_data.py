@@ -277,6 +277,74 @@ class TestSubsetIndex:
             assert np.allclose(np.linalg.norm(pts[row_ids] - q, axis=1), want)
 
 
+class TestRangeQueryBatch:
+    @staticmethod
+    def check(index, pts, centers, radius, indexed):
+        ids, dists, bounds = index.range_query_batch(centers, radius)
+        assert bounds.tolist()[0] == 0 and bounds.tolist()[-1] == ids.size
+        assert (np.diff(bounds) >= 0).all()
+        for c, center in enumerate(centers):
+            got_ids, got_d = ids[bounds[c]:bounds[c + 1]], dists[bounds[c]:bounds[c + 1]]
+            want = sorted(set(indexed) & brute_range_query(pts, center, radius))
+            assert sorted(got_ids.tolist()) == want
+            assert got_d.tolist() == np.linalg.norm(pts[got_ids] - center, axis=1).tolist()
+            one_ids, one_d = index.range_query_with_distances(center, radius)
+            assert dict(zip(got_ids.tolist(), got_d.tolist())) == dict(
+                zip(one_ids.tolist(), one_d.tolist())
+            )
+
+    def test_full_index_with_duplicates(self):
+        # A 0.25 grid with duplicate points and duplicate centers: the
+        # zero-distance pairs must all come back.
+        rng = np.random.default_rng(4)
+        base = rng.integers(0, 10, size=(120, 2)) * 0.25
+        pts = np.vstack([base, base[:40], base[:5]])
+        index = SpatialIndex(Dataset(pts))
+        centers = pts[[0, 0, 3, 120, 7, 160]]
+        for radius in (0.25, 0.5, 0.9):
+            self.check(index, pts, centers, radius, range(len(pts)))
+        ids, dists, bounds = index.range_query_batch(pts[[0]], 1e-3)
+        assert sorted(ids.tolist()) == sorted(brute_range_query(pts, pts[0], 1e-3))
+        assert {0, 120, 160} <= set(ids.tolist()) and dists.tolist() == [0.0] * ids.size
+
+    def test_subset_index(self):
+        rng = np.random.default_rng(6)
+        pts = rng.integers(0, 12, size=(200, 3)) * 0.25
+        subset = np.flatnonzero(rng.random(200) < 0.5)
+        index = SpatialIndex(Dataset(pts), subset)
+        centers = pts[rng.choice(200, 40, replace=False)]
+        for radius in (0.3, 0.75):
+            self.check(index, pts, centers, radius, subset.tolist())
+
+    def test_boundary_and_slack_band(self):
+        # Exactly at r is out; just inside r, within the tree's slack band,
+        # is in; just past r * (1 + slack) is out.
+        r = 1.0
+        pts = np.array([[0.0], [r], [r - 2.0**-40], [-r * (1 + 2e-9)], [0.5]])
+        index = SpatialIndex(Dataset(pts))
+        ids, dists, bounds = index.range_query_batch(pts[[0, 4]], r)
+        assert bounds.tolist() == [0, 3, 7]
+        assert sorted(ids[:3].tolist()) == [0, 2, 4]
+        assert sorted(ids[3:].tolist()) == [0, 1, 2, 4]
+        self.check(index, pts, pts, r, range(5))
+
+    def test_many_centers_and_none(self):
+        # More than 256 centers groups through a wider sort key.
+        rng = np.random.default_rng(8)
+        pts = rng.normal(size=(400, 2))
+        index = SpatialIndex(Dataset(pts))
+        self.check(index, pts, pts[::-1][:300], 0.2, range(400))
+        ids, dists, bounds = index.range_query_batch(np.empty((0, 2)), 0.2)
+        assert ids.size == dists.size == 0 and bounds.tolist() == [0]
+
+    def test_validation(self):
+        index = SpatialIndex(Dataset(np.zeros((3, 2))))
+        with pytest.raises(DimensionMismatch):
+            index.range_query_batch(np.zeros(2), 1.0)
+        with pytest.raises(InvalidRadius):
+            index.range_query_batch(np.zeros((1, 2)), 0.0)
+
+
 class TestRowNorms:
     @pytest.mark.parametrize("d", [1, 2, 3, 8, 13])
     def test_bit_identical_to_linalg_norm(self, d):

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import ecac
 from ecac import optimizer
-from ecac.data import Dataset, SpatialIndex, generate_gaussian_mixture
+from ecac.data import Dataset, SpatialIndex, generate_gaussian_mixture, nearest
 from ecac.density import compute_densities
 from ecac.errors import EmptyCenters, InvalidRadius, InvalidSpec, LabelOutOfRange
 from ecac.optimizer import (
@@ -200,6 +201,105 @@ def test_matches_naive_reference_across_tree_rebuilds(monkeypatch, kind, cap):
     assert got_trace == [(o, j, c) for (o, j, _, c) in trace]
     for got, want in zip(ext.trace, trace):
         assert got["dis"] == pytest.approx(want[2], rel=1e-9)
+
+
+
+def _record_repointed(monkeypatch):
+    """Record the distances ``close_set`` re-points rows to: every
+    ``nearest`` call of a run without fallback steps comes from it."""
+    repointed = []
+
+    def recording_nearest(queries, targets):
+        dis, pos = nearest(queries, targets)
+        repointed.extend(np.atleast_1d(dis).tolist())
+        return dis, pos
+
+    monkeypatch.setattr(optimizer, "nearest", recording_nearest)
+    return repointed
+
+
+@pytest.mark.parametrize("kind", ["local", "global", "nodensity"])
+@pytest.mark.parametrize("seed,delta,cap", [(0, 0.6, 10), (3, 0.6, 10), (4, 0.8, 12), (5, 0.6, 4)])
+def test_matches_naive_reference_with_far_rows_after_close(monkeypatch, kind, seed, delta, cap):
+    # A dense clump around center 0 and a sparse line ending at center 54:
+    # set 0 reaches its cap first, and close_set re-points the clump's
+    # rows to set 1's members at least the query radius away. Set 1 then
+    # grows toward them, so only the fold over those far rows keeps
+    # their cached distances right.
+    rng = np.random.default_rng(seed)
+    clump = rng.normal([0, 0], 0.3, (30, 2))
+    line = np.column_stack([np.linspace(2, 12, 25), rng.normal(0, 0.2, 25)])
+    pts = np.vstack([clump, line])
+    repointed = _record_repointed(monkeypatch)
+    ext = identify(pts, [0, 54], delta, strategy=SelectionStrategy(kind, cap=cap))
+    _, order, order_sets, covered, fallbacks, trace = naive_identify(
+        pts, [0, 54], delta, kind=kind, cap=cap
+    )
+    radius = delta if kind == "global" else 2 * delta
+    assert ext.fallback_count == fallbacks == 0
+    assert max(repointed) >= radius
+    assert ext.all == order
+    assert ext.all_sets == order_sets
+    assert set(np.flatnonzero(ext.coverage).tolist()) == covered
+    got_trace = [(t["object"], t["set"], t["covered"]) for t in ext.trace]
+    assert got_trace == [(o, j, c) for (o, j, _, c) in trace]
+    for got, want in zip(ext.trace, trace):
+        assert got["dis"] == pytest.approx(want[2], rel=1e-9)
+
+
+def _spiral_1500():
+    """The 1,500-point spiral of the sweep benchmark (seed 0), kmeans k = 3
+    centers and the default delta, its densities counted and kept."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "make_benchmarks.py"
+    spec = importlib.util.spec_from_file_location("make_benchmarks", path)
+    make_benchmarks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_benchmarks)
+    points, _ = make_benchmarks.spiral(n_per_arm=500, seed=0)
+    ds = Dataset(points)
+    centers, _ = ecac.build_algorithm("kmeans").center_process(ds, 3)
+    delta = ecac.default_delta(ds)
+    ds.index.density(delta)
+    return ds, centers.tolist(), delta
+
+
+def _counting_batches(monkeypatch):
+    """Record (centers, entries) of every ``range_query_batch`` call."""
+    calls = []
+    batch = SpatialIndex.range_query_batch
+
+    def counting(self, centers, radius):
+        ids, dists, bounds = batch(self, centers, radius)
+        calls.append((len(centers), ids.size))
+        return ids, dists, bounds
+
+    monkeypatch.setattr(SpatialIndex, "range_query_batch", counting)
+    return calls
+
+
+def test_batched_fetches_cut_tree_calls(monkeypatch):
+    ds, centers, delta = _spiral_1500()
+    calls = _counting_batches(monkeypatch)
+    ext = identify_extended_centers(ds, centers, delta)
+    assert ext.s > 1000
+    assert len(calls) == ext.stats["tree_calls"] <= ext.s / 4
+    assert ext.stats["lists_fetched"] == sum(m for m, _ in calls) >= ext.s
+    assert ext.stats["peak_pending_entries"] <= optimizer._NEAREST_CHUNK
+
+
+def test_pending_bound_stops_prefetching(monkeypatch):
+    # With a bound of 2,000 pending entries the fetches fall back to the
+    # new member alone once it is passed; the pending entries never exceed
+    # the bound plus one batch, and the run is unchanged.
+    ds, centers, delta = _spiral_1500()
+    want = identify_extended_centers(ds, centers, delta)
+    calls = _counting_batches(monkeypatch)
+    monkeypatch.setattr(optimizer, "_NEAREST_CHUNK", 2000)
+    got = identify_extended_centers(ds, centers, delta)
+    assert (got.sets, got.all_sets, got.trace) == (want.sets, want.all_sets, want.trace)
+    assert got.coverage.tolist() == want.coverage.tolist()
+    assert sum(1 for m, _ in calls if m == 1) > 10
+    assert 2000 < got.stats["peak_pending_entries"] <= 2000 + max(e for _, e in calls)
+    assert got.stats["tree_calls"] > want.stats["tree_calls"]
 
 
 class TestIdentifyProperties:
