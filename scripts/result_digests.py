@@ -31,6 +31,10 @@ of ``identify_extended_centers`` with the local and the nodensity
 strategy on a 5,001-point spiral (``make_benchmarks.spiral`` with
 ``n_per_arm=1667, seed=7``), kmeans k = 3 centers and the default delta:
 runs long enough to rebuild the extension's non-member tree many times.
+The last line digests the labels of ``run_optimized`` (default delta,
+local strategy) with one ``build_algorithm("dpc")`` object used on
+``spiral.csv`` (k = 3), then ``jain.csv`` (k = 2), then the same
+``spiral.csv`` dataset again.
 
 The config echo inside the JSON holds the CSV and output paths, so two
 checkouts are compared by running this script against each one (chosen
@@ -60,6 +64,7 @@ from ecac import (
     compute_dpc_quantities,
     default_delta,
     generate_gaussian_mixture,
+    load_csv,
     run_optimized,
 )
 from ecac.cli import main as ecac_main
@@ -146,6 +151,17 @@ def _spiral_extension_digests() -> dict[str, str]:
     return digests
 
 
+def _dpc_alternating_digest(data_dir: Path) -> str:
+    spiral_ds, _ = load_csv(data_dir / "spiral.csv", -1)
+    jain_ds, _ = load_csv(data_dir / "jain.csv", -1)
+    algorithm = build_algorithm("dpc")
+    runs = [
+        run_optimized(ds, algorithm, k)
+        for ds, k in ((spiral_ds, 3), (jain_ds, 2), (spiral_ds, 3))
+    ]
+    return _digest(b"".join(result.labels.tobytes() for result in runs))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_root", help="directory for the cells' outputs (reused)")
@@ -181,6 +197,7 @@ def main():
     print(f"farblobs-8k local-fallback={_far_blobs_digest()}")
     for kind, digest in _spiral_extension_digests().items():
         print(f"spiral-5k {kind}-extension={digest}")
+    print(f"dpc-alternating={_dpc_alternating_digest(data_dir)}")
 
 
 if __name__ == "__main__":

@@ -125,7 +125,8 @@ class DpcQuantities:
     ``delta_dpc[i]`` is the distance to the nearest higher-ranked object
     ``nearest_higher[i]``; among equally near ones the earliest in rank
     wins. The top-ranked object instead takes its distance to the
-    farthest object, and its ``nearest_higher`` is -1.
+    farthest object, and its ``nearest_higher`` is -1. ``rank[i]`` is
+    object i's position in that density order. The arrays are read-only.
 
     Distances are ``_row_norms`` of the coordinate difference, as in
     ``np.linalg.norm``. From d = 8 on, NumPy sums the squares in another
@@ -135,6 +136,7 @@ class DpcQuantities:
     rho_dpc: np.ndarray
     delta_dpc: np.ndarray
     nearest_higher: np.ndarray
+    rank: np.ndarray
     d_c: float
 
 
@@ -144,12 +146,6 @@ class DpcQuantities:
 # list entries, which bounds the search's memory.
 _FIRST_K = 16
 _WIDEN = 4
-
-
-def _density_order(rho: np.ndarray) -> np.ndarray:
-    """Object ids sorted from highest to lowest density, lower id first on ties."""
-    n = rho.shape[0]
-    return np.lexsort((np.arange(n), -rho))
 
 
 def _nearest_higher_from_lists(
@@ -183,9 +179,11 @@ def _nearest_higher_from_lists(
     return certified, best, closest
 
 
-def compute_dpc_quantities(dataset: Dataset, d_c: float) -> DpcQuantities:
+def compute_dpc_quantities(dataset: Dataset, d_c: float | None = None) -> DpcQuantities:
     """Density, separation and nearest higher-ranked object of every object.
 
+    Computed once per dataset and requested cutoff, and kept in
+    ``dataset.derived``; ``d_c=None`` asks for ``default_delta(dataset)``.
     ``rho_dpc`` is the shared count ``dataset.index.density(d_c)``, less
     self. The nearest-higher search queries each object's 16 nearest on
     the same tree and keeps the rows whose list provably holds the
@@ -193,6 +191,11 @@ def compute_dpc_quantities(dataset: Dataset, d_c: float) -> DpcQuantities:
     to N. Queries go in row chunks of at most 16 * N list entries, so
     memory stays O(16 * N).
     """
+    key = ("dpc", d_c)
+    if key in dataset.derived:
+        return dataset.derived[key]
+    if d_c is None:
+        d_c = default_delta(dataset)
     if d_c <= 0:
         raise InvalidRadius(f"d_c must be > 0, got {d_c}")
     points = dataset.points
@@ -200,7 +203,7 @@ def compute_dpc_quantities(dataset: Dataset, d_c: float) -> DpcQuantities:
     index = dataset.index
     rho = index.density(d_c) - 1  # drop self
 
-    order = _density_order(rho)
+    order = np.lexsort((np.arange(n), -rho))  # densest first, lower id on ties
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     delta = np.empty(n, dtype=np.float64)
@@ -223,25 +226,30 @@ def compute_dpc_quantities(dataset: Dataset, d_c: float) -> DpcQuantities:
             uncertified.append(rows[~certified])
         pending = np.concatenate(uncertified)
         k *= _WIDEN
-    return DpcQuantities(rho, delta, higher, float(d_c))
+    for array in (rho, delta, higher, rank):
+        array.flags.writeable = False
+    dataset.derived[key] = DpcQuantities(rho, delta, higher, rank, float(d_c))
+    return dataset.derived[key]
 
 
-def dpc_center_process(dataset: Dataset, k: int, quantities: DpcQuantities) -> np.ndarray:
+def dpc_center_process(
+    dataset: Dataset, k: int, d_c: float | None = None
+) -> tuple[np.ndarray, dict]:
     """Pick the k objects with the largest density * separation product.
 
     This automates the usual visual decision-graph step. Ties on the
-    product break toward higher density, then lower index.
+    product break toward the earlier density rank: higher density, then
+    lower index. Returns the center ids and an empty extras dict.
     """
     if not 1 <= k <= dataset.n:
         raise InvalidK(f"k must be in 1..{dataset.n}, got {k}")
-    rho = quantities.rho_dpc
-    gamma = rho * quantities.delta_dpc
-    ranking = np.lexsort((np.arange(dataset.n), -rho, -gamma))
-    return ranking[:k].astype(np.int64)
+    quantities = compute_dpc_quantities(dataset, d_c)
+    gamma = quantities.rho_dpc * quantities.delta_dpc
+    return np.lexsort((quantities.rank, -gamma))[:k].astype(np.int64), {}
 
 
 def dpc_assignment(
-    dataset: Dataset, centers: Sequence[int], quantities: DpcQuantities
+    dataset: Dataset, centers: Sequence[int], d_c: float | None = None
 ) -> np.ndarray:
     """Propagate labels down the density gradient from the given centers.
 
@@ -258,16 +266,13 @@ def dpc_assignment(
     centers = np.asarray(centers, dtype=np.int64)
     if centers.size == 0:
         raise EmptyCenters("need at least one center")
+    quantities = compute_dpc_quantities(dataset, d_c)
     n = dataset.n
-    order = _density_order(quantities.rho_dpc)
-    position = np.empty(n, dtype=np.int64)
-    position[order] = np.arange(n)
-    first_center_pos = position[centers].min()
-
+    rank = quantities.rank
     nearest_higher = quantities.nearest_higher
     labels = np.full(n, -1, dtype=np.int64)
     fallback = _non_centers(n, centers) & (
-        (position < first_center_pos) | (nearest_higher < 0)
+        (rank < rank[centers].min()) | (nearest_higher < 0)
     )
     points = dataset.points
     labels[fallback] = nearest(points[fallback], points[centers])[1]
@@ -283,29 +288,6 @@ def dpc_assignment(
 # ---------------------------------------------------------------------------
 # Registry
 
-def _dpc_phases(d_c: float | None):
-    # Quantities depend only on (dataset, d_c); compute once and share
-    # between the two phases. Only the most recent dataset is held, so a
-    # long-lived algorithm does not keep every dataset it has seen alive.
-    last = None
-
-    def quantities_for(ds: Dataset) -> DpcQuantities:
-        nonlocal last
-        if last is None or last[0] is not ds:
-            last = ds, compute_dpc_quantities(
-                ds, d_c if d_c is not None else default_delta(ds)
-            )
-        return last[1]
-
-    def center_process(ds: Dataset, k: int):
-        return dpc_center_process(ds, k, quantities_for(ds)), {}
-
-    def assignment_process(ds: Dataset, centers: Sequence[int]) -> np.ndarray:
-        return dpc_assignment(ds, centers, quantities_for(ds))
-
-    return center_process, assignment_process
-
-
 ALGORITHM_NAMES = ("kmeans", "dpc")
 
 
@@ -315,14 +297,16 @@ def build_algorithm(
     """Construct a named algorithm with its two phases bound to the options.
 
     ``kmeans`` uses ``seed`` and ``max_iter``; ``dpc`` uses ``d_c``
-    (defaulting per dataset to ``default_delta``). DPC's quantities are
-    computed once per dataset and reused by the assignment phase.
+    (defaulting per dataset to ``default_delta``). DPC's two phases share
+    the quantities that ``compute_dpc_quantities`` keeps with the dataset.
     """
     if name == "kmeans":
         center_process = partial(kmeans_center_process, seed=seed, max_iter=max_iter)
         return CenterBasedAlgorithm(name, center_process, nearest_center_assignment)
     if name == "dpc":
-        return CenterBasedAlgorithm(name, *_dpc_phases(d_c))
+        return CenterBasedAlgorithm(
+            name, partial(dpc_center_process, d_c=d_c), partial(dpc_assignment, d_c=d_c)
+        )
     raise ConfigError(
         f"unknown algorithm {name!r}; choose from {', '.join(ALGORITHM_NAMES)}"
     )

@@ -53,7 +53,7 @@ def _resolve_deltas(config: RunConfig, dataset, truth) -> list[float]:
     if config.delta_percentile is not None:
         fractions = [config.delta_percentile]
     elif config.delta_sweep is not None:
-        fractions = [float(p) for p in config.delta_sweep]
+        fractions = config.delta_sweep
     elif truth is not None:
         fractions = list(DEFAULT_SWEEP)
     else:
@@ -247,8 +247,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     file_values = parse_config_file(args.config) if args.config else None
     fields = RunConfig.__dataclass_fields__
     flags = {key: value for key, value in vars(args).items() if key in fields}
-    if isinstance(flags.get("delta_sweep"), str):
-        flags["delta_sweep"] = [float(p) for p in flags["delta_sweep"].split(",")]
     return RunConfig.from_sources(file_values, flags)
 
 

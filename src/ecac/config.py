@@ -61,6 +61,19 @@ def parse_config_file(path) -> dict:
     return values
 
 
+def _parse_sweep(value) -> list[float]:
+    """``delta_sweep`` as a list of floats, from a list or a comma string."""
+    entries = value.split(",") if isinstance(value, str) else value
+    if not isinstance(entries, list) or not entries:
+        raise ConfigError(
+            f"delta_sweep must be a nonempty list or comma-separated string, got {value!r}"
+        )
+    try:
+        return [float(p) for p in entries]
+    except (TypeError, ValueError):
+        raise ConfigError(f"delta_sweep entries must be numbers, got {value!r}") from None
+
+
 @dataclass
 class RunConfig:
     """Everything a benchmark run needs, resolvable from file and flags."""
@@ -101,16 +114,25 @@ class RunConfig:
         return config
 
     def validate(self):
+        """Reject bad or conflicting values; parse ``delta_sweep`` to floats."""
         has_file = self.data is not None
         has_gen = self.gen_k is not None
         if has_file == has_gen:
             raise ConfigError(
                 "exactly one dataset source required: 'data' or a gen_* block"
             )
+        for keys, kinds, what in (
+            (("k", "cap", "seed", "max_iter"), int, "an integer"),
+            (("delta", "delta_percentile", "d_c"), (int, float), "a number"),
+        ):
+            for key in keys:
+                value = getattr(self, key)
+                if value is not None and (isinstance(value, bool) or not isinstance(value, kinds)):
+                    raise ConfigError(f"{key} must be {what}, got {value!r}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.delta_sweep is not None and not self.delta_sweep:
-            raise ConfigError("delta_sweep must be nonempty")
+        if self.delta_sweep is not None:
+            self.delta_sweep = _parse_sweep(self.delta_sweep)
         given = [
             name
             for name, value in (

@@ -65,6 +65,13 @@ class Dataset:
         """The KD-tree over every object, built on first use and kept."""
         return SpatialIndex(self)
 
+    @cached_property
+    def derived(self) -> dict:
+        """Results computed from the points and kept with them, such as
+        DPC's quantities per cutoff: built on first use, gone with the
+        dataset."""
+        return {}
+
 
 @dataclass(frozen=True)
 class GroundTruth:

@@ -18,6 +18,11 @@ from .errors import DegenerateDataset, InvalidRadius
 
 DEFAULT_PERCENTILE = 0.02  # sets the default radius and DPC's default cutoff
 
+# The pairwise-distance percentiles are read from the distances between at
+# most SAMPLE_CAP points, drawn with a fixed seed.
+SAMPLE_CAP = 1000
+SAMPLE_SEED = 0
+
 
 @dataclass(frozen=True)
 class DensityVector:
@@ -37,18 +42,13 @@ def compute_densities(dataset: Dataset, index: SpatialIndex, delta: float) -> De
     return DensityVector(index.density(delta), float(delta))
 
 
-def pairwise_distance_percentiles(
-    dataset: Dataset,
-    percentiles: Sequence[float],
-    sample_cap: int = 1000,
-    seed: int = 0,
-) -> list[float]:
+def pairwise_distance_percentiles(dataset: Dataset, percentiles: Sequence[float]) -> list[float]:
     """Low percentiles of the (sampled) positive pairwise distances.
 
-    Distances are measured once, between min(N, sample_cap) points
-    sampled without replacement; zero distances (duplicate points) are
-    excluded. Each percentile p is taken as the ``int(p * count)``-th
-    smallest distance, clamped to the last one.
+    Distances are measured once, between min(N, SAMPLE_CAP) points
+    sampled without replacement (seed SAMPLE_SEED); zero distances
+    (duplicate points) are excluded. Each percentile p is taken as the
+    ``int(p * count)``-th smallest distance, clamped to the last one.
     """
     for percentile in percentiles:
         if not 0 < percentile < 1:
@@ -56,9 +56,9 @@ def pairwise_distance_percentiles(
     if dataset.n < 2:
         raise DegenerateDataset("need at least two points")
     points = dataset.points
-    if dataset.n > sample_cap:
-        rng = np.random.default_rng(seed)
-        points = points[np.sort(rng.choice(dataset.n, size=sample_cap, replace=False))]
+    if dataset.n > SAMPLE_CAP:
+        rng = np.random.default_rng(SAMPLE_SEED)
+        points = points[np.sort(rng.choice(dataset.n, size=SAMPLE_CAP, replace=False))]
     dists = pdist(points)
     dists = dists[dists > 0]
     if dists.size == 0:
@@ -67,15 +67,10 @@ def pairwise_distance_percentiles(
     return [float(dists[min(int(p * dists.size), dists.size - 1)]) for p in percentiles]
 
 
-def pairwise_distance_percentile(
-    dataset: Dataset,
-    percentile: float,
-    sample_cap: int = 1000,
-    seed: int = 0,
-) -> float:
+def pairwise_distance_percentile(dataset: Dataset, percentile: float) -> float:
     """One percentile of the sampled positive pairwise distances, as in
     ``pairwise_distance_percentiles``."""
-    return pairwise_distance_percentiles(dataset, [percentile], sample_cap, seed)[0]
+    return pairwise_distance_percentiles(dataset, [percentile])[0]
 
 
 def default_delta(dataset: Dataset) -> float:

@@ -112,10 +112,6 @@ class ExtendedSets:
         return len(self.all)
 
     @property
-    def k(self) -> int:
-        return len(self.sets)
-
-    @property
     def fully_covered(self) -> bool:
         return bool(self.coverage.all())
 

@@ -166,6 +166,24 @@ class TestDpcQuantities:
         assert (q.nearest_higher[dense[1:]] == dense[0]).all()
         assert_matches_loop_oracle(pts, 1.0)
 
+    def test_kept_with_the_dataset_and_read_only(self):
+        rng = np.random.default_rng(9)
+        ds = Dataset(rng.normal(size=(60, 2)))
+        q = compute_dpc_quantities(ds, 0.5)
+        assert compute_dpc_quantities(ds, 0.5) is q
+        assert compute_dpc_quantities(ds, 0.6) is not q
+        assert compute_dpc_quantities(Dataset(ds.points), 0.5) is not q
+        default = compute_dpc_quantities(ds)
+        assert compute_dpc_quantities(ds, None) is default
+        assert default.d_c == default_delta(ds)
+        for array in (q.rho_dpc, q.delta_dpc, q.nearest_higher, q.rank):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            q.rank[0] = 1
+        # rank is each object's position in the density order.
+        order = np.lexsort((np.arange(60), -q.rho_dpc))
+        assert np.argsort(q.rank).tolist() == order.tolist()
+
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_fewer_objects_than_first_list(self, n):
         pts = np.random.default_rng(n).normal(size=(n, 2))
@@ -269,7 +287,8 @@ class TestDpcCenters:
         ds, gt = generate_gaussian_mixture(
             3, [60, 60, 8], [[0, 0], [40, 0], [20, 30]], [1.0, 1.0, 12.0], seed=6
         )
-        centers = dpc_center_process(ds, 2, compute_dpc_quantities(ds, default_delta(ds)))
+        centers, extras = dpc_center_process(ds, 2)
+        assert extras == {}
         assert gt.labels[centers[0]] != gt.labels[centers[1]]
         assert set(gt.labels[centers].tolist()) == {0, 1}
 
@@ -279,7 +298,7 @@ class TestDpcCenters:
         ds = Dataset(pts)
         q = compute_dpc_quantities(ds, d_c=0.8)
         gamma = q.rho_dpc * q.delta_dpc
-        ids = dpc_center_process(ds, 1, compute_dpc_quantities(ds, 0.8))
+        ids, _ = dpc_center_process(ds, 1, 0.8)
         assert ids.tolist() == [int(np.argmax(gamma))]
 
     def test_ranking_matches_oracle(self):
@@ -290,7 +309,7 @@ class TestDpcCenters:
         rho, delta, _ = dpc_quantities_loops(pts, d_c)
         gamma = [r * d for r, d in zip(rho, delta)]
         oracle = sorted(range(200), key=lambda i: (-gamma[i], -rho[i], i))
-        got = dpc_center_process(ds, 10, compute_dpc_quantities(ds, d_c))
+        got, _ = dpc_center_process(ds, 10, d_c)
         assert got.tolist() == oracle[:10]
 
 
@@ -300,8 +319,8 @@ class TestDpcAssignment:
         pts = rng.normal(size=(60, 2))
         ds = Dataset(pts)
         q = compute_dpc_quantities(ds, d_c=0.6)
-        top = dpc_center_process(ds, 1, compute_dpc_quantities(ds, 0.6))
-        labels = dpc_assignment(ds, top, q)
+        top, _ = dpc_center_process(ds, 1, 0.6)
+        labels = dpc_assignment(ds, top, 0.6)
         assert set(labels.tolist()) == {0}
 
     def test_two_blobs_recovered(self, two_blobs):
@@ -318,7 +337,7 @@ class TestDpcAssignment:
         d_c = 0.5
         q = compute_dpc_quantities(ds, d_c)
         centers = [3, 57, 90]
-        labels = dpc_assignment(ds, centers, q)
+        labels = dpc_assignment(ds, centers, d_c)
         oracle = dpc_assignment_recursive(pts, centers, q.rho_dpc.tolist(), q.nearest_higher.tolist())
         assert labels.tolist() == oracle
 
@@ -332,7 +351,7 @@ class TestDpcAssignment:
         ds = Dataset(pts)
         q = compute_dpc_quantities(ds, d_c=1.0)
         centers = [40, 41]
-        labels = dpc_assignment(ds, centers, q)
+        labels = dpc_assignment(ds, centers, 1.0)
         oracle = dpc_assignment_recursive(pts, centers, q.rho_dpc.tolist(), q.nearest_higher.tolist())
         assert labels.tolist() == oracle
         assert labels[40] == 0 and labels[41] == 1
@@ -342,8 +361,8 @@ class TestDpcAssignment:
         pts = rng.normal(size=(80, 2))
         ds = Dataset(pts)
         q = compute_dpc_quantities(ds, d_c=0.7)
-        centers = dpc_center_process(ds, 3, compute_dpc_quantities(ds, 0.7))
-        labels = dpc_assignment(ds, centers, q)
+        centers, _ = dpc_center_process(ds, 3, 0.7)
+        labels = dpc_assignment(ds, centers, 0.7)
         order = np.lexsort((np.arange(80), -q.rho_dpc))
         position = np.empty(80, dtype=int)
         position[order] = np.arange(80)
@@ -371,7 +390,7 @@ class TestDpcAssignmentAgainstLoop:
     def check(pts, centers, d_c):
         ds = Dataset(pts)
         q = compute_dpc_quantities(ds, d_c)
-        labels = dpc_assignment(ds, centers, q)
+        labels = dpc_assignment(ds, centers, d_c)
         oracle = dpc_assignment_loop(pts, centers, q.rho_dpc.tolist(), q.nearest_higher.tolist())
         assert labels.tolist() == oracle
         return q, labels
@@ -381,10 +400,11 @@ class TestDpcAssignmentAgainstLoop:
         rng = np.random.default_rng(5)
         base = rng.integers(0, 12, size=(90, 2))
         pts = np.vstack([base, base[:30]]) * GRID
-        q = compute_dpc_quantities(Dataset(pts), 2 * GRID)
+        ds = Dataset(pts)
+        q = compute_dpc_quantities(ds, 2 * GRID)
         assert len(set(q.rho_dpc.tolist())) < 40
         for k in (1, 3, 7):
-            centers = dpc_center_process(Dataset(pts), k, q)
+            centers, _ = dpc_center_process(ds, k, 2 * GRID)
             self.check(pts, centers, 2 * GRID)
 
     def test_extra_centers_denser_than_every_center(self):
@@ -415,14 +435,14 @@ class TestDpcAssignmentAgainstLoop:
             q, labels = self.check(pts, centers, 0.35)
             assert (labels >= 0).all()
         assert q.nearest_higher[4:].tolist() == list(range(3, 299))
-        assert dpc_assignment(Dataset(pts), [3, 100], q).tolist() == [0] * 100 + [1] * 200
+        assert dpc_assignment(Dataset(pts), [3, 100], 0.35).tolist() == [0] * 100 + [1] * 200
 
 class TestRegistry:
     def test_unknown_name_lists_valid_names(self):
         with pytest.raises(ConfigError, match="'kmean'.*kmeans, dpc"):
             build_algorithm("kmean")
 
-    def test_dpc_holds_only_the_last_dataset(self):
+    def test_dpc_holds_no_dataset(self):
         alg = build_algorithm("dpc")
         refs = []
         for seed in range(3):
@@ -432,4 +452,32 @@ class TestRegistry:
             refs.append(weakref.ref(ds))
         del ds
         gc.collect()
-        assert sum(ref() is not None for ref in refs) <= 1
+        assert sum(ref() is not None for ref in refs) == 0
+
+    def test_dpc_alternating_datasets_compute_quantities_once(self, monkeypatch):
+        calls = []
+        k_nearest = SpatialIndex.k_nearest
+
+        def counted(index, centers, k):
+            calls.append(index.dataset)
+            return k_nearest(index, centers, k)
+
+        monkeypatch.setattr(SpatialIndex, "k_nearest", counted)
+        a, _ = generate_gaussian_mixture(2, 30, [[0, 0], [10, 0]], 1.0, seed=1)
+        b, _ = generate_gaussian_mixture(2, 30, [[0, 0], [10, 0]], 1.0, seed=2)
+        alg = build_algorithm("dpc")
+
+        def run(ds):
+            centers, _ = alg.center_process(ds, 2)
+            return alg.assignment_process(ds, centers)
+
+        def calls_on_a():
+            return sum(dataset is a for dataset in calls)
+
+        first = run(a)
+        after_first = calls_on_a()
+        run(b)
+        again = run(a)
+        assert after_first >= 1
+        assert calls_on_a() == after_first
+        assert again.tolist() == first.tolist()

@@ -3,7 +3,9 @@ import re
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
+from ecac import density
 from ecac.cli import _config_from_args, build_parser, cmd_ablate, cmd_plot, cmd_run, main
 from ecac.config import DEFAULT_SWEEP, RunConfig, min_max_normalize, parse_config_file
 from ecac.data import Dataset, generate_gaussian_mixture
@@ -73,6 +75,36 @@ class TestConfig:
     def test_sweep_nonempty(self):
         with pytest.raises(ConfigError):
             RunConfig.from_sources(None, {"k": 2, "data": "a.csv", "delta_sweep": []})
+
+    def test_sweep_from_comma_string_or_list(self):
+        for value in ("0.01, 0.05", [0.01, 0.05], ["0.01", "0.05"]):
+            config = RunConfig.from_sources(None, {"k": 2, "data": "a.csv", "delta_sweep": value})
+            assert config.delta_sweep == [0.01, 0.05]
+
+    def test_bad_sweep_flag_exits_2(self, tmp_path, capsys):
+        argv = ["run", "--data", "data/spiral.csv", "--label-col", "-1", "--k", "3",
+                "--delta-sweep", "0.01,abc", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "delta_sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, key", [
+        ("delta_sweep = 0.02", "delta_sweep"),
+        ('delta_sweep = [0.01, "x"]', "delta_sweep"),
+        ('k = "three"', "k"),
+        ('cap = "x"', "cap"),
+        ('delta_percentile = "x"', "delta_percentile"),
+        ('delta = "x"', "delta"),
+        ("seed = 1.5", "seed"),
+        ("max_iter = true", "max_iter"),
+        ('d_c = "x"', "d_c"),
+    ])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, line, key):
+        cfg_file = tmp_path / "run.toml"
+        cfg_file.write_text(f'data = "data/spiral.csv"\nlabel_col = -1\nk = 3\n{line}\n')
+        argv = ["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert f"error: {key} " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run", "ablate"])
     @pytest.mark.parametrize("delta_flag, delta_field", [
@@ -151,6 +183,22 @@ class TestCmdRun:
         assert all(set(r) == {"object", "set", "dis", "covered"} for r in records)
         covered = [r["covered"] for r in records]
         assert covered == sorted(covered)
+
+
+    def test_dpc_run_samples_pairwise_distances_twice(self, tmp_path, monkeypatch):
+        # Once for DPC's default cutoff, shared by both phases, and once
+        # for the requested percentile.
+        calls = []
+
+        def counted(points):
+            calls.append(points.shape[0])
+            return pdist(points)
+
+        monkeypatch.setattr(density, "pdist", counted)
+        argv = ["run", "--data", "data/spiral.csv", "--label-col", "-1", "--algo", "dpc",
+                "--k", "3", "--delta-percentile", "0.02", "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert len(calls) == 2
 
 
 class TestCmdAblate:

@@ -69,10 +69,9 @@ class TestDefaultDelta:
         assert pairwise_distance_percentile(ds, 0.01) == 7.0
 
     def test_sampling_deterministic(self):
-        rng = np.random.default_rng(1)
-        ds = Dataset(rng.normal(size=(1500, 3)))
-        first = pairwise_distance_percentile(ds, 0.02, sample_cap=200)
-        assert first == pairwise_distance_percentile(ds, 0.02, sample_cap=200)
+        points = np.random.default_rng(1).normal(size=(1500, 3))
+        first = pairwise_distance_percentile(Dataset(points), 0.02)
+        assert first == pairwise_distance_percentile(Dataset(points.copy()), 0.02)
 
     def test_percentiles_read_one_sorted_sample(self):
         # N above the sample cap, with duplicate points: one sample, one
@@ -81,11 +80,9 @@ class TestDefaultDelta:
         pts = rng.integers(0, 40, size=(1500, 2)) * 0.5
         ds = Dataset(pts)
         fractions = [0.005, 0.01, 0.02, 0.04, 0.08, 0.9999]
-        got = pairwise_distance_percentiles(ds, fractions, sample_cap=1000, seed=3)
-        assert got == [
-            pairwise_distance_percentile(ds, p, sample_cap=1000, seed=3) for p in fractions
-        ]
-        sample = pts[np.sort(np.random.default_rng(3).choice(1500, size=1000, replace=False))]
+        got = pairwise_distance_percentiles(ds, fractions)
+        assert got == [pairwise_distance_percentile(ds, p) for p in fractions]
+        sample = pts[np.sort(np.random.default_rng(0).choice(1500, size=1000, replace=False))]
         dists = np.sort(pdist(sample))
         dists = dists[dists > 0]
         assert got == [dists[min(int(p * dists.size), dists.size - 1)] for p in fractions]
