@@ -144,7 +144,7 @@ class DpcQuantities:
 # search, and the factor by which a list that cannot certify its row is
 # widened. Each query is cut into row chunks of at most _FIRST_K * N
 # list entries, which bounds the search's memory.
-_FIRST_K = 16
+_FIRST_K = 8
 _WIDEN = 4
 
 
@@ -185,11 +185,11 @@ def compute_dpc_quantities(dataset: Dataset, d_c: float | None = None) -> DpcQua
     Computed once per dataset and requested cutoff, and kept in
     ``dataset.derived``; ``d_c=None`` asks for ``default_delta(dataset)``.
     ``rho_dpc`` is the shared count ``dataset.index.density(d_c)``, less
-    self. The nearest-higher search queries each object's 16 nearest on
+    self. The nearest-higher search queries each object's 8 nearest on
     the same tree and keeps the rows whose list provably holds the
     answer; the others are queried again with a list 4 times as long, up
-    to N. Queries go in row chunks of at most 16 * N list entries, so
-    memory stays O(16 * N).
+    to N. Queries go in row chunks of at most 8 * N list entries, so
+    memory stays O(8 * N).
     """
     key = ("dpc", d_c)
     if key in dataset.derived:

@@ -32,7 +32,9 @@ def _fmt_gain(baseline, optimized) -> str:
 
 def _write_json(path: Path, payload: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    # One compact line: with ``indent`` the json module falls back from its
+    # C encoder to the pure-Python one, which is several times slower.
+    path.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _write_trace(path: Path, trace: list[dict]):

@@ -68,8 +68,8 @@ class Dataset:
     @cached_property
     def derived(self) -> dict:
         """Results computed from the points and kept with them, such as
-        DPC's quantities per cutoff: built on first use, gone with the
-        dataset."""
+        DPC's quantities per cutoff and the pairwise-distance percentiles
+        per fraction: built on first use, gone with the dataset."""
         return {}
 
 
@@ -140,7 +140,14 @@ class SpatialIndex:
         """The ids at strict distance < radius from center, in no
         particular order, and their distances."""
         center = self._checked(center, ndim=1, radius=radius)
-        return self.range_query_batch(center[None, :], radius)[:2]
+        found = self._tree.query_ball_point(center, radius * (1.0 + _QUERY_SLACK))
+        # fromiter with a known length skips asarray's type inference.
+        ids = self._dataset_ids(np.fromiter(found, np.int64, len(found)))
+        dists = _row_norms(self.dataset.points.take(ids, axis=0) - center)
+        keep = dists < radius
+        if not keep.all():  # a point in the slack band
+            ids, dists = ids[keep], dists[keep]
+        return ids, dists
 
     def range_query_many(self, centers: np.ndarray, radius: float) -> list[np.ndarray]:
         """Vectorized ``range_query`` for several centers at once."""
@@ -164,23 +171,17 @@ class SpatialIndex:
         """
         centers = self._checked(centers, ndim=2, radius=radius)
         m = centers.shape[0]
-        reach = radius * (1.0 + _QUERY_SLACK)
         if m == 1:
-            found = self._tree.query_ball_point(centers[0], reach)
-            # fromiter with a known length skips asarray's type inference.
-            ids = self._dataset_ids(np.fromiter(found, np.int64, len(found)))
-            row = np.zeros(ids.size, dtype=np.int64)
-            near = centers[0]
-        else:
-            pairs = cKDTree(centers).sparse_distance_matrix(
-                self._tree, reach, output_type="ndarray"
-            )
-            order = np.argsort(pairs["i"].astype(np.min_scalar_type(m - 1)), kind="stable")
-            row = pairs["i"][order]
-            ids = self._dataset_ids(pairs["j"][order])
-            # take, not fancy indexing: several times faster on rows.
-            near = centers.take(row, axis=0)
-        dists = _row_norms(self.dataset.points.take(ids, axis=0) - near)
+            ids, dists = self.range_query_with_distances(centers[0], radius)
+            return ids, dists, np.array([0, ids.size])
+        pairs = cKDTree(centers).sparse_distance_matrix(
+            self._tree, radius * (1.0 + _QUERY_SLACK), output_type="ndarray"
+        )
+        order = np.argsort(pairs["i"].astype(np.min_scalar_type(m - 1)), kind="stable")
+        row = pairs["i"][order]
+        ids = self._dataset_ids(pairs["j"][order])
+        # take, not fancy indexing: several times faster on rows.
+        dists = _row_norms(self.dataset.points.take(ids, axis=0) - centers.take(row, axis=0))
         keep = dists < radius
         if not keep.all():  # a pair in the slack band
             ids, dists, row = ids[keep], dists[keep], row[keep]
@@ -293,7 +294,7 @@ def load_csv(path, label_column=None) -> tuple[Dataset, GroundTruth | None]:
     (Dataset, GroundTruth or None)
     """
     with open(path, encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+        rows = [row for row in csv.reader(fh) if "".join(row).strip()]
     if not rows:
         raise EmptyDataset(f"{path}: no rows")
 

@@ -45,26 +45,38 @@ def compute_densities(dataset: Dataset, index: SpatialIndex, delta: float) -> De
 def pairwise_distance_percentiles(dataset: Dataset, percentiles: Sequence[float]) -> list[float]:
     """Low percentiles of the (sampled) positive pairwise distances.
 
-    Distances are measured once, between min(N, SAMPLE_CAP) points
-    sampled without replacement (seed SAMPLE_SEED); zero distances
-    (duplicate points) are excluded. Each percentile p is taken as the
+    Distances are measured between min(N, SAMPLE_CAP) points sampled
+    without replacement (seed SAMPLE_SEED); zero distances (duplicate
+    points) are excluded. Each percentile p is taken as the
     ``int(p * count)``-th smallest distance, clamped to the last one.
+    Each resolved percentile is kept, one float per fraction, in
+    ``dataset.derived``, so the distances are sampled only when a
+    requested fraction has not been resolved before; the sample itself
+    is not kept.
     """
     for percentile in percentiles:
         if not 0 < percentile < 1:
             raise InvalidRadius(f"percentile must be in (0, 1), got {percentile}")
-    if dataset.n < 2:
-        raise DegenerateDataset("need at least two points")
-    points = dataset.points
-    if dataset.n > SAMPLE_CAP:
-        rng = np.random.default_rng(SAMPLE_SEED)
-        points = points[np.sort(rng.choice(dataset.n, size=SAMPLE_CAP, replace=False))]
-    dists = pdist(points)
-    dists = dists[dists > 0]
-    if dists.size == 0:
-        raise DegenerateDataset("all sampled points coincide")
-    dists.sort()
-    return [float(dists[min(int(p * dists.size), dists.size - 1)]) for p in percentiles]
+    kept = dataset.derived
+    missing = sorted({p for p in percentiles if ("percentile", p) not in kept})
+    if missing:
+        if dataset.n < 2:
+            raise DegenerateDataset("need at least two points")
+        points = dataset.points
+        if dataset.n > SAMPLE_CAP:
+            rng = np.random.default_rng(SAMPLE_SEED)
+            points = points[np.sort(rng.choice(dataset.n, size=SAMPLE_CAP, replace=False))]
+        dists = pdist(points)
+        dists = dists[dists > 0]
+        if dists.size == 0:
+            raise DegenerateDataset("all sampled points coincide")
+        positions = [min(int(p * dists.size), dists.size - 1) for p in missing]
+        # Only the smallest distances up to the last position are sorted.
+        head = np.partition(dists, positions[-1])[:positions[-1] + 1]
+        head.sort()
+        for p, position in zip(missing, positions):
+            kept[("percentile", p)] = float(head[position])
+    return [kept[("percentile", p)] for p in percentiles]
 
 
 def pairwise_distance_percentile(dataset: Dataset, percentile: float) -> float:

@@ -29,12 +29,15 @@ lower set index; every run is deterministic.
 The scored strategies keep one score per object (inf for members and
 objects outside the pool), so a step is one ``argmin``. A new member's
 fold visits only its radius query's answer and the pooled rows whose
-cached distance is at least the query radius (``far``). Radius queries
-go to a KD-tree of the non-members, rebuilt once a quarter of it has
-joined, in batches: one tree call answers a new member together with
-the lowest-scored pooled non-members that have no answer yet, whose
-answers wait until they join. ``_run_scored`` and ``_GreedyState`` say
-why all of this is exact.
+cached distance is at least the query radius (``far``); a member's
+cached distance is -inf, so no fold changes it and answers need no
+member filtering. Radius queries go to a KD-tree of the non-members,
+rebuilt once a quarter of it has joined. Uncapped scored runs fetch in
+batches: one tree call answers a new member together with the
+lowest-scored pooled non-members that have no answer yet, whose answers
+wait until they join; the random strategy and capped runs query one
+member at a time. ``_run_scored`` and ``_GreedyState`` say why all of
+this is exact.
 """
 
 from __future__ import annotations
@@ -93,7 +96,8 @@ class ExtendedSets:
     first); ``sets[i]`` starts with center i; ``all_sets[p]`` is the set
     index of ``all[p]``. ``trace`` holds one record per greedy selection:
     object id, set index, selection distance, and covered count after
-    the step. ``stats`` counts the radius-query work: tree calls, answers
+    the step, as a dict with the keys ``object``, ``set``, ``dis`` and
+    ``covered``. ``stats`` counts the radius-query work: tree calls, answers
     fetched (one per member is used), the peak count of entries in
     fetched answers not yet used, and non-member tree rebuilds.
     """
@@ -137,15 +141,18 @@ class _GreedyState:
     strategy has no scores to look ahead by, and a capped run usually
     stops long before its pool is used up, so answers fetched ahead
     would mostly go unused (929 fetched for 404 members on 4 blobs of
-    2,500 with a cap of 100): both fetch every answer alone.
+    2,500 with a cap of 100): both fetch every answer alone, with one
+    ball query and no batch bookkeeping.
 
     Why this is exact: an answer lists every object within the radius
     that was a non-member when it was fetched, with its ``_row_norms``
-    distance. Objects only ever leave the non-members, so filtering an
-    answer by ``member_of`` when it is used gives exactly the non-members
-    a query at that moment would list. A member needs no query, because
-    it is always covered (it covers itself when it joins) and never
-    re-scored.
+    distance. Objects only ever leave the non-members, so an answer,
+    used when its object joins, holds every non-member a query at that
+    moment would list, plus some members. Those members are already
+    covered, and the scored strategies never change a member's cache
+    (see ``_run_scored``), so they are left in. A member needs no query,
+    because it is always covered (it covers itself when it joins) and
+    never re-scored.
     """
 
     def __init__(self, dataset, index, densities, centers, cap, query_radius, fetch_ahead):
@@ -174,12 +181,19 @@ class _GreedyState:
         self.fetched = np.zeros(self.n, dtype=bool)  # an answer was fetched for it
         self.pending_entries = 0
         self.stats = {"tree_calls": 0, "lists_fetched": 0, "peak_pending_entries": 0, "rebuilds": 0}
-        self.trace: list[dict] = []
+        # The trace as columns (object, set, dis, covered), one entry per
+        # step; ``finish`` builds the records. Ints and floats are not
+        # tracked by the garbage collector, so a step allocates no
+        # container: with one tuple per step as well as the records, an
+        # ``ecac ablate`` in a fresh interpreter ran a full collection over
+        # every loaded module's objects (about 20 ms).
+        self.trace = ([], [], [], [])
         self.fallback_count = 0
 
     def add(self, o: int, j: int):
-        """Register a new member; returns its query-radius non-member
-        ``(ids, dists)``, ids in no particular order.
+        """Register a new member; returns its answer ``(ids, dists)``:
+        every non-member within the query radius, and possibly members,
+        ids in no particular order.
 
         The answer feeds the candidate pool and its cache, and its subset
         at strict distance < delta is newly covered. Set j is closed once
@@ -204,8 +218,6 @@ class _GreedyState:
         else:
             ids, dists = answer
             self.pending_entries -= ids.size
-        keep = self.member_of[ids] < 0
-        ids, dists = ids[keep], dists[keep]
         self.covered[o] = True
         self.covered[ids[dists < self.delta]] = True
         self.n_covered = int(np.count_nonzero(self.covered))
@@ -214,9 +226,14 @@ class _GreedyState:
     def _fetch(self, o: int):
         """o's answer, fetched in one tree call with the answers of up to
         ``_BATCH - 1`` of the lowest-scored pooled non-members that have
-        none, which wait in ``pending``."""
+        none, which wait in ``pending``; alone without ``fetch_ahead``."""
+        stats = self.stats
+        stats["tree_calls"] += 1
+        if not self.ahead:
+            stats["lists_fetched"] += 1
+            return self.tree.range_query_with_distances(self.points[o], self.query_radius)
         batch = np.array([o])
-        if self.ahead and self.pending_entries <= _NEAREST_CHUNK:
+        if self.pending_entries <= _NEAREST_CHUNK:
             free = np.where(self.fetched, np.inf, self.score)
             lowest = np.argpartition(free, self.ahead - 1)[:self.ahead]
             batch = np.concatenate((batch, lowest[free[lowest] < np.inf]))
@@ -226,16 +243,16 @@ class _GreedyState:
             self.pending[p] = ids[lo:hi].copy(), dists[lo:hi].copy()
         self.fetched[batch[1:]] = True
         self.pending_entries += int(bounds[-1] - bounds[1])
-        stats = self.stats
-        stats["tree_calls"] += 1
         stats["lists_fetched"] += batch.size
         stats["peak_pending_entries"] = max(stats["peak_pending_entries"], self.pending_entries)
         return ids[:bounds[1]], dists[:bounds[1]]
 
     def record(self, o: int, j: int, dis: float):
-        self.trace.append(
-            {"object": int(o), "set": int(j), "dis": float(dis), "covered": self.n_covered}
-        )
+        objects, sets, dis_values, covered = self.trace
+        objects.append(o)
+        sets.append(j)
+        dis_values.append(dis)
+        covered.append(self.n_covered)
 
     def done(self) -> bool:
         return self.n_covered == self.n or len(self.all) == self.n or self.n_closed == self.k
@@ -248,7 +265,10 @@ class _GreedyState:
             coverage=self.covered,
             delta=self.delta,
             fallback_count=self.fallback_count,
-            trace=self.trace,
+            trace=[
+                {"object": int(o), "set": int(j), "dis": float(dis), "covered": covered}
+                for o, j, dis, covered in zip(*self.trace)
+            ],
             stats=self.stats,
         )
 
@@ -262,17 +282,20 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
     global pool holds every object from the start; the local pool is the
     2*delta frontier, grown incrementally.
 
-    A fold visits the new member's query answer and ``far``, the pooled
-    non-members whose cached distance is at least the query radius, and
-    nothing else. A pooled row with a smaller cached distance can only be
-    improved by a member nearer still, inside that member's query. An
-    entrant to the local pool was at least 2*delta from every earlier
-    member, so the new member is its nearest: its cache starts at
-    (inf, k) and any (distance, set) beats that. So ``far`` starts as
-    every object for the global pool and empty for the local one; it
-    sheds the rows a fold brings within the radius, and gains the rows
-    that ``close_set`` re-points, once a set reaches its cap, to a
-    farther member of an open set.
+    A new member's cached distance becomes -inf, which no distance beats,
+    so no later fold changes a member's cache or score, and the answers
+    a fold visits may list members. A fold visits the new member's query
+    answer and ``far``, the pooled non-members whose cached distance is
+    at least the query radius, and nothing else. A pooled row with a
+    smaller cached distance can only be improved by a member nearer
+    still, inside that member's query. An entrant to the local pool was
+    at least 2*delta from every earlier member, so the new member is its
+    nearest: its cache starts at (inf, k) and any (distance, set) beats
+    that. So ``far`` starts as every object for the global pool and
+    empty for the local one; it sheds the rows a fold brings within the
+    radius and the new member (at -inf), and gains the rows that
+    ``close_set`` re-points, once a set reaches its cap, to a farther
+    member of an open set.
 
     ``score[i]`` (``state.score``) is ``best_dis[i] / rho[i]``
     (``best_dis[i]`` without the density weight), and inf for members and
@@ -325,12 +348,12 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
     def fold(o: int, j: int, ids: np.ndarray, dists: np.ndarray):
         """Fold the newest member o of set j into the pool's cache.
 
-        ``ids``/``dists`` are o's query-radius non-members and distances.
+        ``ids``/``dists`` are o's answer from ``state.add`` and distances.
         """
         nonlocal far
+        best_dis[o] = -np.inf
         improve(j, ids, dists)
         if far.size:
-            far = far[far != o]  # each earlier member left far at its own fold
             improve(j, far, _row_norms(points.take(far, axis=0) - points[o]))
             far = far[best_dis[far] >= radius]
 

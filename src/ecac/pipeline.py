@@ -62,9 +62,9 @@ class ClusteringResult:
             "cap": self.cap,
             "s": self.s,
             "fallback_count": self.fallback_count,
-            "labels": [int(x) for x in self.labels],
-            "center_ids": [int(x) for x in self.center_ids],
-            "extended_sets": [[int(x) for x in group] for group in self.extended_sets],
+            "labels": _int_list(self.labels),
+            "center_ids": _int_list(self.center_ids),
+            "extended_sets": [_int_list(group) for group in self.extended_sets],
             "nmi": self.nmi_score,
             "ri": self.ri_score,
             "timings": dict(self.timings),
@@ -88,6 +88,11 @@ class ClusteringResult:
             timings=record.get("timings", {}),
             extras=record.get("extras", {}),
         )
+
+
+def _int_list(values) -> list[int]:
+    """Integer values as a list of Python ints, converted in one call."""
+    return np.asarray(values, dtype=np.int64).tolist()
 
 
 def compute_centers(dataset: Dataset, algorithm: CenterBasedAlgorithm, k: int):

@@ -185,9 +185,23 @@ class TestCmdRun:
         assert covered == sorted(covered)
 
 
-    def test_dpc_run_samples_pairwise_distances_twice(self, tmp_path, monkeypatch):
-        # Once for DPC's default cutoff, shared by both phases, and once
-        # for the requested percentile.
+    def test_result_file_is_one_line_that_parses_back(self, tmp_path):
+        # A DPC run with the default sweep: labels, sets and five sweep
+        # records, written as one compact JSON line.
+        config = RunConfig.from_sources(None, {
+            "data": "data/spiral.csv", "label_col": -1, "algo": "dpc", "k": 3,
+            "out": str(tmp_path / "o"),
+        })
+        payload = cmd_run(config, quiet=True)
+        text = (tmp_path / "o" / "result.json").read_text(encoding="utf-8")
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert json.loads(text) == payload
+        assert len(payload["sweep"]) == len(DEFAULT_SWEEP)
+        assert all(type(x) is int for x in payload["optimized"]["labels"])
+
+    def test_dpc_run_samples_pairwise_distances_once(self, tmp_path, monkeypatch):
+        # DPC's default cutoff and the requested percentile are the same
+        # fraction, which the dataset keeps once it is resolved.
         calls = []
 
         def counted(points):
@@ -198,7 +212,7 @@ class TestCmdRun:
         argv = ["run", "--data", "data/spiral.csv", "--label-col", "-1", "--algo", "dpc",
                 "--k", "3", "--delta-percentile", "0.02", "--out", str(tmp_path / "o")]
         assert main(argv) == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 class TestCmdAblate:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
+from ecac import density
 from ecac.data import Dataset, SpatialIndex
 from ecac.density import (
     compute_densities,
@@ -86,6 +87,30 @@ class TestDefaultDelta:
         dists = np.sort(pdist(sample))
         dists = dists[dists > 0]
         assert got == [dists[min(int(p * dists.size), dists.size - 1)] for p in fractions]
+
+    @pytest.mark.parametrize("n", [400, 1500])
+    def test_partial_sort_equals_full_sort(self, n):
+        # Integer points on a small grid: many duplicates (zero distances,
+        # excluded) and long runs of equal distances. Fractions are
+        # resolved a few at a time, in any order, and each must equal the
+        # full sort's value; a resolved one is kept with the dataset.
+        rng = np.random.default_rng(n)
+        pts = rng.integers(0, 12, size=(n, 2)).astype(float)
+        fractions = [0.9999, 0.001, 0.3, 0.02, 0.5, 0.005, 0.75, 0.0001]
+        sample = pts
+        if n > density.SAMPLE_CAP:
+            chosen = np.random.default_rng(density.SAMPLE_SEED).choice(
+                n, size=density.SAMPLE_CAP, replace=False
+            )
+            sample = pts[np.sort(chosen)]
+        dists = np.sort(pdist(sample))
+        assert dists[0] == 0
+        dists = dists[dists > 0]
+        want = {p: float(dists[min(int(p * dists.size), dists.size - 1)]) for p in fractions}
+        ds = Dataset(pts)
+        for group in ([0.02], fractions[:3], fractions[3:], fractions[::-1]):
+            assert pairwise_distance_percentiles(ds, group) == [want[p] for p in group]
+        assert {p: ds.derived[("percentile", p)] for p in fractions} == want
 
     def test_percentiles_reject_any_bad_fraction(self):
         ds = Dataset(np.array([[0.0], [1.0]]))

@@ -169,18 +169,22 @@ def test_matches_naive_reference_on_grid_ties(instance):
         assert got["dis"] == pytest.approx(want[2], rel=1e-9)
 
 
-@pytest.mark.parametrize("kind", ["local", "global", "nodensity"])
-@pytest.mark.parametrize("cap", [None, 3])
-def test_matches_naive_reference_across_tree_rebuilds(monkeypatch, kind, cap):
-    # 172 points on the grid: 130 drawn, 30 duplicate copies and a far
-    # clump of 12 that local search reaches only by fallback steps. The 24
-    # leftmost points are the centers, so even the capped runs add enough
-    # members for the non-member tree to be rebuilt twice.
+def _grid_with_far_clump():
+    """172 points on the grid: 130 drawn, 30 duplicate copies and a far
+    clump of 12 that local search reaches only by fallback steps. The 24
+    leftmost points are the centers, so even the capped runs add enough
+    members for the non-member tree to be rebuilt twice. Returns (points,
+    centers, delta)."""
     rng = np.random.default_rng(0)
     base = np.column_stack([rng.integers(0, 24, 130), rng.integers(0, 6, 130)])
     pts = np.vstack([base, base[rng.integers(0, 130, 30)], base[:12] + [60, 0]]) * GRID
-    centers = np.lexsort((pts[:, 1], pts[:, 0]))[:24].tolist()
-    delta = 2.2 * GRID
+    return pts, np.lexsort((pts[:, 1], pts[:, 0]))[:24].tolist(), 2.2 * GRID
+
+
+@pytest.mark.parametrize("kind", ["local", "global", "nodensity"])
+@pytest.mark.parametrize("cap", [None, 3])
+def test_matches_naive_reference_across_tree_rebuilds(monkeypatch, kind, cap):
+    pts, centers, delta = _grid_with_far_clump()
     rebuilds = []
 
     def counting_index(dataset, ids=None):
@@ -202,6 +206,39 @@ def test_matches_naive_reference_across_tree_rebuilds(monkeypatch, kind, cap):
     for got, want in zip(ext.trace, trace):
         assert got["dis"] == pytest.approx(want[2], rel=1e-9)
 
+
+
+@pytest.mark.parametrize("kind", ["local", "global", "nodensity"])
+@pytest.mark.parametrize("cap", [None, 3])
+def test_matches_naive_reference_with_members_in_answers(monkeypatch, kind, cap):
+    # With the non-member tree never rebuilt, every answer is a query of
+    # the full tree and lists the members near its object; folds must
+    # leave them alone.
+    pts, centers, delta = _grid_with_far_clump()
+    monkeypatch.setattr(optimizer, "_REBUILD_FRACTION", np.inf)
+    listed_members = []
+    add = optimizer._GreedyState.add
+
+    def counting_add(state, o, j):
+        ids, dists = add(state, o, j)
+        listed_members.append(int(np.count_nonzero(state.member_of[ids] >= 0)) - 1)
+        return ids, dists
+
+    monkeypatch.setattr(optimizer._GreedyState, "add", counting_add)
+    ext = identify(pts, centers, delta, strategy=SelectionStrategy(kind, cap=cap))
+    _, order, order_sets, covered, fallbacks, trace = naive_identify(
+        pts, centers, delta, kind=kind, cap=cap
+    )
+    assert ext.stats["rebuilds"] == 0
+    assert sum(listed_members) > 5 * len(listed_members)
+    assert ext.all == order
+    assert ext.all_sets == order_sets
+    assert set(np.flatnonzero(ext.coverage).tolist()) == covered
+    assert ext.fallback_count == fallbacks
+    got_trace = [(t["object"], t["set"], t["covered"]) for t in ext.trace]
+    assert got_trace == [(o, j, c) for (o, j, _, c) in trace]
+    for got, want in zip(ext.trace, trace):
+        assert got["dis"] == pytest.approx(want[2], rel=1e-9)
 
 
 def _record_repointed(monkeypatch):

@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
+from ecac import density
 from ecac.algorithms import build_algorithm
-from ecac.data import generate_gaussian_mixture
+from ecac.data import generate_gaussian_mixture, load_csv
 from ecac.errors import InvalidK
 from ecac.optimizer import SelectionStrategy
 from ecac.pipeline import ClusteringResult, compute_centers, run_baseline, run_optimized
@@ -74,3 +78,19 @@ def test_result_dict_roundtrip(blobs):
     # Older result files also carry an "iterations" count; they still load.
     legacy = dict(record, iterations=len(result.trace))
     assert ClusteringResult.from_dict(legacy).to_dict() == record
+
+
+def test_default_delta_runs_sample_once(monkeypatch):
+    # The default delta, resolved on the first run, is kept with the
+    # dataset, so later runs on it do not sample the distances again.
+    ds, _ = load_csv(Path(__file__).resolve().parent.parent / "data" / "spiral.csv", -1)
+    calls = []
+
+    def counted(points):
+        calls.append(points.shape[0])
+        return pdist(points)
+
+    monkeypatch.setattr(density, "pdist", counted)
+    runs = [run_optimized(ds, build_algorithm("kmeans"), 3) for _ in range(3)]
+    assert len(calls) == 1
+    assert len({r.delta for r in runs}) == 1
