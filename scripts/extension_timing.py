@@ -4,9 +4,9 @@
     python3 scripts/extension_timing.py
     python3 scripts/extension_timing.py --src old/src --src src --repeats 7
 
-The inputs are those of the three benchmark workloads, generated the way
-the benchmark generates them (the same generators, sizes and seed,
-written to CSV and read back), plus a 20,001-point spiral
+The inputs are those of the three benchmark workloads, written by the
+benchmark's own ``Workload.write_input`` (``perfbench/workloads.py``)
+and read back, plus a 20,001-point spiral
 (``make_benchmarks.spiral(n_per_arm=6667, seed=7)``, kmeans k = 3,
 default delta, local strategy):
 
@@ -46,9 +46,11 @@ from pathlib import Path
 import make_benchmarks
 
 ROOT = Path(__file__).resolve().parent.parent
-INPUTS = ("sweep-spiral-kmeans", "blobs-dpc-capped", "ablate-spiral-global", "spiral-20k")
-BLOB_MEANS = [[0.0, 0.0], [12.0, 0.0], [0.0, 12.0], [12.0, 12.0]]
-BLOB_STDDEV = 2.0
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from workloads import WORKLOADS  # noqa: E402
+
+INPUTS = (*WORKLOADS, "spiral-20k")
 
 
 def load_package(src: Path, alias: str):
@@ -63,16 +65,13 @@ def load_package(src: Path, alias: str):
     return module
 
 
-def write_input(name: str, seed: int, path: Path, ecac):
-    """Write the input's CSV, points then label, as the benchmark does."""
-    if name == "blobs-dpc-capped":
-        dataset, truth = ecac.generate_gaussian_mixture(4, 2500, BLOB_MEANS, BLOB_STDDEV, seed)
-        points, labels = dataset.points, truth.labels
-    else:
-        per_arm = {"sweep-spiral-kmeans": 500, "ablate-spiral-global": 400, "spiral-20k": 6667}
-        points, labels = make_benchmarks.spiral(
-            n_per_arm=per_arm[name], seed=7 if name == "spiral-20k" else seed
-        )
+def write_input(name: str, seed: int, path: Path):
+    """Write the input's CSV, points then label, as the benchmark does;
+    spiral-20k, which no workload runs, through its own generator call."""
+    if name in WORKLOADS:
+        WORKLOADS[name].write_input(ROOT, seed, path)
+        return
+    points, labels = make_benchmarks.spiral(n_per_arm=6667, seed=7)
     with contextlib.redirect_stdout(io.StringIO()):  # write_csv reports each file
         make_benchmarks.write_csv(path, points, labels)
 
@@ -146,7 +145,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
             csv_path = Path(tmp) / f"{name}.csv"
-            write_input(name, args.seed, csv_path, packages[0])
+            write_input(name, args.seed, csv_path)
             calls = [prepare(name, csv_path, ecac) for ecac in packages]
             times = [[] for _ in packages]
             counters = [None] * len(packages)

@@ -222,7 +222,7 @@ def _label_col(value: str):
 
 
 def _add_common_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="flat key = value config file")
+    parser.add_argument("--config", help="TOML config file (top-level keys)")
     parser.add_argument("--data", help="CSV dataset path")
     parser.add_argument("--label-col", type=_label_col, dest="label_col",
                         help="label column index or header name")

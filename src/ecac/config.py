@@ -1,4 +1,4 @@
-"""Run configuration: flat key = value config files plus flag overrides."""
+"""Run configuration: TOML config files plus flag overrides."""
 
 from __future__ import annotations
 
@@ -18,47 +18,18 @@ from .optimizer import STRATEGY_KINDS
 DEFAULT_SWEEP = (0.005, 0.01, 0.02, 0.04, 0.08)
 
 
-def _parse_scalar(text: str):
-    text = text.strip()
-    if len(text) >= 2 and text[0] == '"' and text[-1] == '"':
-        return text[1:-1]
-    low = text.lower()
-    if low == "true":
-        return True
-    if low == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
-
-
 def parse_config_file(path) -> dict:
-    """Parse a flat ``key = value`` file (# comments, [..] lists, quotes)."""
-    values = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if value.startswith("[") and value.endswith("]"):
-            inner = value[1:-1].strip()
-            values[key] = (
-                [_parse_scalar(v) for v in inner.split(",")] if inner else []
-            )
-        else:
-            values[key] = _parse_scalar(value)
-    return values
+    """The top-level keys of a TOML file; an unreadable or malformed file
+    is a ``ConfigError`` that names it."""
+    # Imported here, not at module level: the benchmark's workloads pass
+    # flags only, so `import ecac.cli` must not pay for loading tomllib.
+    import tomllib
+
+    try:
+        with open(path, "rb") as fh:
+            return tomllib.load(fh)
+    except (OSError, tomllib.TOMLDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
 
 
 def _parse_sweep(value) -> list[float]:

@@ -1,10 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
+import ecac
 from ecac import density
 from ecac.cli import _config_from_args, build_parser, cmd_ablate, cmd_plot, cmd_run, main
 from ecac.config import DEFAULT_SWEEP, RunConfig, min_max_normalize, parse_config_file
@@ -24,6 +29,10 @@ GEN_FLAGS = {
     "k": 2,
     "seed": 0,
 }
+
+
+# A generated source as config-file lines, without k or out.
+GEN_TOML = 'gen_k = 2\ngen_n = 40\ngen_means = "0,0 | 30,0"\ngen_seed = 5\nalgo = "kmeans"\n'
 
 
 def gen_config(tmp_path, **overrides) -> RunConfig:
@@ -100,11 +109,64 @@ class TestConfig:
     ])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, line, key):
         cfg_file = tmp_path / "run.toml"
-        cfg_file.write_text(f'data = "data/spiral.csv"\nlabel_col = -1\nk = 3\n{line}\n')
+        base = 'data = "data/spiral.csv"\nlabel_col = -1\n' + ("" if key == "k" else "k = 3\n")
+        cfg_file.write_text(f"{base}{line}\n")
         argv = ["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")]
         assert main(argv) == 2
         assert f"error: {key} " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text", [
+        None,  # no such file
+        "k = 2\nk = 3\n",  # a key given twice
+        "algo = kmeans\n",  # a bare string
+        'out = "unterminated\n',
+    ])
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, text):
+        cfg_file = tmp_path / "run.toml"
+        if text is not None:
+            cfg_file.write_text(GEN_TOML + text)
+        argv = ["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cfg_file) in err
+        assert not (tmp_path / "o").exists()
+
+    def test_hash_inside_a_string_is_kept(self, tmp_path):
+        cfg_file = tmp_path / "run.toml"
+        cfg_file.write_text(GEN_TOML + 'k = 2\nout = "runs/#3"  # comment\n')
+        config = RunConfig.from_sources(parse_config_file(cfg_file), {})
+        assert config.out == "runs/#3"
+
+    def test_nested_list_means_run(self, tmp_path):
+        cfg_file = tmp_path / "run.toml"
+        cfg_file.write_text(
+            GEN_TOML.replace('"0,0 | 30,0"', "[[0, 0], [30, 0]]") + "k = 2\n"
+        )
+        argv = ["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        dataset, truth = _config_from_args(build_parser().parse_args(argv)).load_dataset()
+        assert dataset.n == 80 and truth.labels.tolist() == [0] * 40 + [1] * 40
+        payload = json.loads((tmp_path / "o" / "result.json").read_text())
+        assert payload["config"]["gen_means"] == [[0, 0], [30, 0]]
+
+    def test_readme_config_block_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```toml\n(.*?)```", readme, flags=re.S)
+        cfg_file = tmp_path / "demo.toml"
+        cfg_file.write_text(block)
+        config = RunConfig.from_sources(parse_config_file(cfg_file), {})
+        assert (config.gen_k, config.gen_n, config.algo, config.k) == (2, 40, "kmeans", 2)
+        dataset, truth = config.load_dataset()
+        assert dataset.n == 80 and truth.k_true == 2
+
+    def test_importing_the_cli_leaves_tomllib_unloaded(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(ecac.__file__).resolve().parents[1]))
+        child = subprocess.run(
+            [sys.executable, "-c", "import sys, ecac.cli; print('tomllib' in sys.modules)"],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert child.stdout.strip() == "False"
 
     @pytest.mark.parametrize("command", ["run", "ablate"])
     @pytest.mark.parametrize("delta_flag, delta_field", [
