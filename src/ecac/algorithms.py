@@ -18,9 +18,8 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .data import _QUERY_SLACK, Dataset, SpatialIndex, _row_norms, nearest
+from .data import Dataset, SpatialIndex, _distance_matrix, _row_norms, nearest
 from .density import default_delta
 from .errors import ConfigError, EmptyCenters, InvalidK, InvalidRadius
 
@@ -63,13 +62,14 @@ def _lloyd(points: np.ndarray, k: int, seed: int, max_iter: int):
 
 
 def _snap_to_objects(points: np.ndarray, centroids: np.ndarray):
-    """Map each centroid to the nearest not-yet-used dataset object."""
-    dists = cdist(centroids, points)
+    """Map each centroid to the nearest not-yet-used dataset object,
+    holding one centroid's distances at a time."""
     ids = np.empty(centroids.shape[0], dtype=np.int64)
     snap = np.empty(centroids.shape[0], dtype=np.float64)
     used = np.zeros(points.shape[0], dtype=bool)
     for j in range(centroids.shape[0]):
-        row = np.where(used, np.inf, dists[j])
+        row = _distance_matrix(centroids[j:j + 1], points)[0]
+        row[used] = np.inf
         ids[j] = np.argmin(row)
         snap[j] = row[ids[j]]
         used[ids[j]] = True
@@ -129,8 +129,7 @@ class DpcQuantities:
     object i's position in that density order. The arrays are read-only.
 
     Distances are ``_row_norms`` of the coordinate difference, as in
-    ``np.linalg.norm``. From d = 8 on, NumPy sums the squares in another
-    order than ``cdist``, so ``delta_dpc`` may differ from it in the last ulp.
+    ``np.linalg.norm``, the distances that ``SpatialIndex`` queries return.
     """
 
     rho_dpc: np.ndarray
@@ -153,28 +152,21 @@ def _nearest_higher_from_lists(
 ):
     """Resolve the nearest higher-ranked object of each row from its k-NN list.
 
-    A row is certified when its list holds a higher-ranked object, at
-    tree distance t, and either lists every object or ends strictly
-    beyond ``t * (1 + _QUERY_SLACK)``: then no unlisted object can be as
-    near as that one. Among the listed higher-ranked objects within that
-    bound, the smallest (exact distance, rank) wins.
+    The list is exact and ordered by (distance, id). A row is certified
+    when it holds a higher-ranked object, at distance t, and either lists
+    every object or ends strictly beyond t: then every object at distance
+    t is listed, and the one of lowest rank among them wins.
 
     Returns (certified mask, nearest ids, distances), the last two for
     the certified rows only.
     """
-    points = index.dataset.points
-    dists, ids = index.k_nearest(points[rows], k)
+    dists, ids = index.k_nearest(index.dataset.points[rows], k)
     higher = rank[ids] < rank[rows][:, None]
-    first = np.argmax(higher, axis=1)
-    bound = dists[np.arange(rows.size), first] * (1.0 + _QUERY_SLACK)
-    certified = higher.any(axis=1) & ((dists[:, -1] > bound) | (k == index.dataset.n))
+    closest = dists[np.arange(rows.size), np.argmax(higher, axis=1)]
+    certified = higher.any(axis=1) & ((dists[:, -1] > closest) | (k == index.size))
 
-    ids, bound = ids[certified], bound[certified]
-    r, c = np.nonzero(higher[certified] & (dists[certified] <= bound[:, None]))
-    exact = np.full(ids.shape, np.inf)
-    exact[r, c] = _row_norms(points[ids[r, c]] - points[rows[certified][r]])
-    closest = exact.min(axis=1)
-    tied_rank = np.where(exact == closest[:, None], rank[ids], rank.size)
+    ids, dists, higher, closest = ids[certified], dists[certified], higher[certified], closest[certified]
+    tied_rank = np.where(higher & (dists == closest[:, None]), rank[ids], rank.size)
     best = ids[np.arange(ids.shape[0]), np.argmin(tied_rank, axis=1)]
     return certified, best, closest
 
@@ -186,7 +178,7 @@ def compute_dpc_quantities(dataset: Dataset, d_c: float | None = None) -> DpcQua
     ``dataset.derived``; ``d_c=None`` asks for ``default_delta(dataset)``.
     ``rho_dpc`` is the shared count ``dataset.index.density(d_c)``, less
     self. The nearest-higher search queries each object's 8 nearest on
-    the same tree and keeps the rows whose list provably holds the
+    the same index and keeps the rows whose list provably holds the
     answer; the others are queried again with a list 4 times as long, up
     to N. Queries go in row chunks of at most 8 * N list entries, so
     memory stays O(8 * N).

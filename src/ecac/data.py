@@ -3,7 +3,9 @@
 Objects are identified by their row index in an immutable N x d point
 matrix. All distances in this package are Euclidean, and neighborhoods
 are open balls: ``range_query(p, r)`` returns exactly the ids at strict
-distance ``< r``.
+distance ``< r``. Radius and k-nearest queries go to a cell grid
+(``SpatialIndex``), and all-pairs distances to chunked NumPy blocks
+(``nearest``, ``pairwise_distances``), so memory stays bounded.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .errors import (
     DimensionMismatch,
@@ -25,14 +25,29 @@ from .errors import (
     ParseError,
 )
 
-# Inflation applied to KD-tree query radii before the exact strict-< filter,
-# so last-ulp disagreements with the tree's internal metric cannot drop a
-# boundary point.
-_QUERY_SLACK = 1e-9
-
-# Most distances ``nearest`` holds at once, so its memory stays bounded
-# however many queries and targets there are.
+# Most distances that ``nearest``, ``pairwise_distances`` or one pass of
+# an index query hold at once, so memory stays bounded however many
+# queries and points there are.
 _NEAREST_CHUNK = 1 << 20
+
+# A query box reaches this share beyond its radius, which covers the
+# rounding between a coordinate difference and a computed distance in
+# any practical dimension, and at least _TINY, below which squared
+# differences underflow.
+_ROUNDING = 1e-9
+_TINY = 1e-150
+
+# Cells per radius along a grid axis, for radius queries and counts.
+_CELLS_PER_RADIUS = 3
+
+# Points per cell of the k-nearest grid, as the average point sees it.
+_KNN_OCCUPANCY = 2.0
+
+# Most candidates that one pass of an index query judges at once, and
+# the entries of one block of ``pairwise_distances``: blocks that stay in
+# cache are judged faster.
+_PASS = 1 << 16
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -62,7 +77,7 @@ class Dataset:
 
     @cached_property
     def index(self) -> SpatialIndex:
-        """The KD-tree over every object, built on first use and kept."""
+        """The spatial index over every object, built on first use and kept."""
         return SpatialIndex(self)
 
     @cached_property
@@ -90,36 +105,51 @@ class GroundTruth:
         if labels.size and (
             labels.min() < 0
             or labels.max() != self.k_true - 1
-            or len(np.unique(labels)) != self.k_true
+            or not np.bincount(labels).all()
         ):
             raise InvalidSpec("labels must densely cover 0..k_true-1")
 
 
 class SpatialIndex:
-    """KD-tree over a dataset, or over a subset of its ids, answering
-    open-ball radius queries and k-nearest queries.
+    """A uniform cell grid over a dataset, or over a subset of its ids,
+    answering open-ball radius queries and k-nearest queries.
 
     Every query returns dataset ids; with ``ids`` given, only those ids
     are indexed and found. Radius-query results depend only on point
     coordinates, never on build order, and a query centered on an indexed
     point ``i`` always contains ``i``.
+
+    The points are sorted by cell (``_Grid``) over at most two coordinate
+    axes, those of largest extent. A query's candidates are the points of
+    the cells that its box meets, and each is judged by its ``_row_norms``
+    distance, so answers are exact in any dimension. A grid is built per
+    cell side on first use and kept: side r / ``_CELLS_PER_RADIUS`` for
+    queries at radius r, and one side, set by the points' spacing, for
+    k-nearest queries.
     """
 
     def __init__(self, dataset: Dataset, ids=None):
         self.dataset = dataset
         self._ids = None if ids is None else np.asarray(ids, dtype=np.int64)
-        self._tree = cKDTree(dataset.points if ids is None else dataset.points[self._ids])
+        self._points = dataset.points if ids is None else dataset.points[self._ids]
+        extent = np.ptp(self._points, axis=0) if self.size else np.zeros(dataset.d)
+        # The (at most two) axes of largest extent, in axis order.
+        self._axes = np.sort(np.argsort(-extent, kind="stable")[:2])
+        self._grids: dict[float, _Grid] = {}
+        self._knn_side: float | None = None
         self._densities: dict[float, np.ndarray] = {}
 
     @property
     def size(self) -> int:
         """Number of indexed objects."""
-        return self._tree.n
+        return self._points.shape[0]
 
-    def _dataset_ids(self, positions) -> np.ndarray:
-        """Dataset ids of tree positions."""
-        positions = np.asarray(positions, dtype=np.int64)
-        return positions if self._ids is None else self._ids[positions]
+    def _grid(self, side: float) -> _Grid:
+        """The grid of cell side ``side``, built on first use and kept."""
+        grid = self._grids.get(side)
+        if grid is None:
+            grid = self._grids[side] = _Grid(self._points, self._ids, self._axes, side)
+        return grid
 
     def _checked(self, centers, ndim: int, radius: float | None = None) -> np.ndarray:
         """Query point(s) as floats, after checking their shape and any radius."""
@@ -128,8 +158,8 @@ class SpatialIndex:
             raise DimensionMismatch(
                 f"query point has shape {centers.shape}, dataset is {self.dataset.d}-D"
             )
-        if radius is not None and radius <= 0:
-            raise InvalidRadius(f"radius must be > 0, got {radius}")
+        if radius is not None and not 0 < radius < np.inf:
+            raise InvalidRadius(f"radius must be finite and > 0, got {radius}")
         return centers
 
     def range_query(self, center, radius: float) -> np.ndarray:
@@ -140,13 +170,7 @@ class SpatialIndex:
         """The ids at strict distance < radius from center, in no
         particular order, and their distances."""
         center = self._checked(center, ndim=1, radius=radius)
-        found = self._tree.query_ball_point(center, radius * (1.0 + _QUERY_SLACK))
-        # fromiter with a known length skips asarray's type inference.
-        ids = self._dataset_ids(np.fromiter(found, np.int64, len(found)))
-        dists = _row_norms(self.dataset.points.take(ids, axis=0) - center)
-        keep = dists < radius
-        if not keep.all():  # a point in the slack band
-            ids, dists = ids[keep], dists[keep]
+        ids, dists, _ = self.range_query_batch(center[None, :], radius)
         return ids, dists
 
     def range_query_many(self, centers: np.ndarray, radius: float) -> list[np.ndarray]:
@@ -155,76 +179,302 @@ class SpatialIndex:
         return [np.sort(ids[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def range_query_batch(self, centers, radius: float):
-        """Radius queries for several centers in one tree call.
+        """Radius queries for several centers at once.
 
         Returns ``(ids, dists, bounds)``: the ids at strict distance
         < radius from center c, in no particular order, are
         ``ids[bounds[c]:bounds[c + 1]]``, and ``dists`` holds their
         ``_row_norms`` distances.
-
-        Several centers go to one pair search between a tree of the
-        centers and this one, which lists the candidate pairs as arrays.
-        They are grouped by center with a stable sort of the center
-        index, cast to the smallest unsigned type that holds it, which
-        NumPy radix-sorts. A single center goes to a ball query instead:
-        building a tree for it costs more than the pair search saves.
         """
         centers = self._checked(centers, ndim=2, radius=radius)
-        m = centers.shape[0]
-        if m == 1:
-            ids, dists = self.range_query_with_distances(centers[0], radius)
-            return ids, dists, np.array([0, ids.size])
-        pairs = cKDTree(centers).sparse_distance_matrix(
-            self._tree, radius * (1.0 + _QUERY_SLACK), output_type="ndarray"
-        )
-        order = np.argsort(pairs["i"].astype(np.min_scalar_type(m - 1)), kind="stable")
-        row = pairs["i"][order]
-        ids = self._dataset_ids(pairs["j"][order])
-        # take, not fancy indexing: several times faster on rows.
-        dists = _row_norms(self.dataset.points.take(ids, axis=0) - centers.take(row, axis=0))
-        keep = dists < radius
-        if not keep.all():  # a pair in the slack band
-            ids, dists, row = ids[keep], dists[keep], row[keep]
-        return ids, dists, np.searchsorted(row, np.arange(m + 1))
+        grid = self._grid(radius / _CELLS_PER_RADIUS)
+        ids, dists, owners = [], [], []
+        for pos, owner in grid.candidates(*grid.slices(centers, _reach(radius))):
+            d = _row_norms(grid.points.take(pos, axis=0) - centers.take(owner, axis=0))
+            keep = np.flatnonzero(d < radius)
+            ids.append(grid.ids.take(pos.take(keep)))
+            dists.append(d.take(keep))
+            owners.append(owner.take(keep))
+        bounds = np.searchsorted(_joined(owners), np.arange(centers.shape[0] + 1))
+        return _joined(ids), _joined(dists), bounds
 
     def density(self, radius: float) -> np.ndarray:
         """Per dataset object, the number of indexed ids at strict distance
-        < radius: a read-only array, counted once per radius and kept.
-
-        The tree counts at ``radius * (1 -+ _QUERY_SLACK)``. Where the two
-        counts agree no point lies near the boundary, so the count is
-        exact; the other rows are re-counted through the exact filter.
-        """
+        < radius: a read-only array, counted once per radius and kept."""
         radius = float(radius)
         if radius not in self._densities:
-            points = self._checked(self.dataset.points, ndim=2, radius=radius)
-            inner, outer = radius * (1.0 - _QUERY_SLACK), radius * (1.0 + _QUERY_SLACK)
-            counts, upper = (
-                self._tree.query_ball_point(points, r, return_length=True, workers=-1)
-                for r in (inner, outer)
-            )
-            amb = np.flatnonzero(counts != upper)
-            counts[amb] = np.diff(self.range_query_batch(points[amb], radius)[2])
+            counts = self._count(radius)
             counts.flags.writeable = False
             self._densities[radius] = counts
         return self._densities[radius]
 
-    def k_nearest(self, centers: np.ndarray, k: int):
-        """Per center, the min(k, size) nearest indexed ids and their tree
-        distances.
+    def _count(self, radius: float) -> np.ndarray:
+        """One exact counting pass: per dataset object, the indexed ids at
+        strict distance < radius.
 
-        Both (centers x min(k, size)) arrays are sorted by distance. The
-        distances are the tree's own, which may differ from the exact
-        ones in the last ulp, and the order among equal distances is the
-        tree's: callers that need the package's tie rule re-check.
+        Over the whole dataset, each object's candidates are cut to those
+        after it in the grid's order, so each pair is judged once and
+        counts for both of its objects. Over a subset, the objects go in
+        cell order, so that a pass reads a few neighbouring cells.
+        """
+        points = self._checked(self.dataset.points, ndim=2, radius=radius)
+        grid = self._grid(radius / _CELLS_PER_RADIUS)
+        if self._ids is None:
+            order, queries = grid.ids, grid.points
+            owner, start, stop = grid.slices(queries, _reach(radius))
+            start = np.maximum(start, owner + 1)
+            slices = owner, start, np.maximum(stop, start)
+            counts = np.ones(order.size, dtype=np.int64)  # each object itself
+        else:
+            order = grid.cell_order(points)
+            queries = points.take(order, axis=0)
+            slices = grid.slices(queries, _reach(radius))
+            counts = np.zeros(order.size, dtype=np.int64)
+        for pos, owner in grid.candidates(*slices):
+            inside = _row_norms(grid.points.take(pos, axis=0) - queries.take(owner, axis=0)) < radius
+            for near in (owner[inside], pos[inside]) if self._ids is None else (owner[inside],):
+                if near.size:
+                    lo, hi = near.min(), near.max()
+                    counts[lo:hi + 1] += np.bincount(near - lo)
+        result = np.empty_like(counts)
+        result[order] = counts
+        return result
+
+    def k_nearest(self, centers: np.ndarray, k: int):
+        """Per center, the min(k, size) nearest indexed ids and their
+        ``_row_norms`` distances, as two (centers x min(k, size)) arrays
+        ordered by (distance, id).
+
+        A center's candidates are the points of the cells that its box
+        [c - reach, c + reach] meets. Every other point lies beyond reach
+        on a grid axis, so the k nearest candidates are the k nearest of
+        all once the k-th is nearer than reach, or once every point is a
+        candidate; until then, reach doubles.
         """
         centers = self._checked(centers, ndim=2)
         if k < 1:
             raise InvalidK(f"k must be >= 1 neighbor, got {k}")
+        if not np.isfinite(centers).all():
+            raise InvalidSpec("query points must be finite")
         k = min(k, self.size)
-        dists, ids = self._tree.query(centers, k=k, workers=-1)
-        shape = (centers.shape[0], k)
-        return dists.reshape(shape), self._dataset_ids(ids).reshape(shape)
+        dists = np.empty((centers.shape[0], k))
+        ids = np.empty((centers.shape[0], k), dtype=np.int64)
+        if k == 0 or centers.shape[0] == 0:
+            return dists, ids
+        grid = self._grid(self._k_nearest_side())
+        # A box of this reach holds about 4k points where the grid is dense.
+        reach = grid.side * (k / _KNN_OCCUPANCY) ** (1.0 / grid.axes.size)
+        # Centers go in cell order, so that a pass holds neighbours with
+        # like numbers of candidates.
+        pending = grid.cell_order(centers)
+        while pending.size:
+            reach = max(reach, _TINY)
+            rows = centers.take(pending, axis=0)
+            unresolved = []
+            slices = grid.slices(rows, reach)
+            for pos, owner, lo, hi in grid.candidates(*slices, centers=rows.shape[0]):
+                d = _row_norms(grid.points.take(pos, axis=0) - rows.take(owner, axis=0))
+                owner -= lo
+                # A row is resolved once k candidates lie inside reach, or
+                # once every point is its candidate; only those count.
+                everything = np.bincount(owner, minlength=hi - lo) == self.size
+                inside = np.flatnonzero((d < reach * (1.0 - _ROUNDING)) | everything[owner])
+                owner = owner.take(inside)
+                done = np.bincount(owner, minlength=hi - lo) >= k
+                keep = np.flatnonzero(done[owner])
+                served = pending[lo:hi]
+                if keep.size:
+                    renumbered = (np.cumsum(done) - 1).take(owner.take(keep))
+                    near, found = _k_smallest(
+                        renumbered, d.take(inside.take(keep)),
+                        grid.ids.take(pos.take(inside.take(keep))), k,
+                    )
+                    dists[served[done]] = near
+                    ids[served[done]] = found
+                unresolved.append(served[~done])
+            pending = np.concatenate(unresolved)
+            reach *= 2.0
+        return dists, ids
+
+    def _k_nearest_side(self) -> float:
+        """Cell side of the k-nearest grid: about ``_KNN_OCCUPANCY`` points
+        per cell as the average point sees it (the mean over points of
+        their cell's count), found from a trial grid of one point per cell
+        over the points' bounding box."""
+        if self._knn_side is None:
+            extent = np.ptp(self._points[:, self._axes], axis=0) if self.size else np.zeros(1)
+            extent = extent[extent > 0]
+            if extent.size == 0:  # every point on one spot of the grid axes
+                self._knn_side = 1.0
+            else:
+                power = 1.0 / extent.size
+                trial = float((np.prod(extent) / self.size) ** power)
+                keys = _Grid(self._points, self._ids, self._axes, trial).keys
+                ends = np.flatnonzero(np.diff(keys, append=keys[-1] + 1)) + 1
+                counts = np.diff(ends, prepend=0)
+                occupancy = float(counts @ counts) / self.size
+                self._knn_side = trial * (_KNN_OCCUPANCY / occupancy) ** power
+        return self._knn_side
+
+
+class _Grid:
+    """The points of an index sorted by cell, for cells of one side over
+    the index's grid axes (at most two).
+
+    A coordinate's label on an axis is ``floor((x - origin) / side)``,
+    kept as a float so that no extent-to-side ratio can overflow, and a
+    cell's key comes from the ranks of its labels among the points'
+    distinct labels, so keys stay below size**2. A label never falls as
+    its coordinate grows, so the cells that a box meets hold every point
+    inside it, and those of one row are one slice of the sorted points.
+    Where the keys are few, the first position of every key is kept in a
+    table; otherwise it is found by binary search.
+    """
+
+    def __init__(self, points: np.ndarray, ids, axes: np.ndarray, side: float):
+        self.axes = axes
+        self.side = side
+        coords = points[:, axes]
+        self.origin = coords.min(axis=0) if coords.size else np.zeros(axes.size)
+        labels = self._label(coords)
+        self.labels = [_distinct(column) for column in labels.T]
+        ranks = [np.searchsorted(u, column) for u, column in zip(self.labels, labels.T)]
+        self.width = self.labels[-1].size
+        key = ranks[0] if axes.size == 1 else ranks[0] * self.width + ranks[1]
+        order = np.argsort(key, kind="stable")
+        self.keys = key[order]
+        self.points = points.take(order, axis=0)
+        self.ids = order if ids is None else ids[order]
+        cells = self.labels[0].size * (self.width if axes.size == 2 else 1)
+        self.starts = None
+        if cells <= 4 * key.size + 64:
+            self.starts = self.keys.searchsorted(np.arange(cells + 1))
+
+    def _label(self, coords: np.ndarray) -> np.ndarray:
+        return np.floor((coords - self.origin) / self.side)
+
+    def _first(self, keys: np.ndarray) -> np.ndarray:
+        """The first sorted position whose key is at least each of ``keys``."""
+        return self.keys.searchsorted(keys) if self.starts is None else self.starts.take(keys)
+
+    def cell_order(self, points: np.ndarray) -> np.ndarray:
+        """The order of ``points`` by their cells' labels."""
+        labels = self._label(points[:, self.axes])
+        return np.lexsort(labels.T[::-1])
+
+    def slices(self, centers: np.ndarray, reach):
+        """``(owner, start, stop)``: the slices of sorted positions that
+        hold the cells each center's box [c - reach, c + reach] meets,
+        ``owner`` ascending."""
+        q = centers[:, self.axes]
+        # nextafter: the box's float ends lie outside its true ends.
+        low = self._label(np.nextafter(q - reach, -np.inf))
+        high = self._label(np.nextafter(q + reach, np.inf))
+        first = [u.searchsorted(low[:, a], "left") for a, u in enumerate(self.labels)]
+        last = [u.searchsorted(high[:, a], "right") for a, u in enumerate(self.labels)]
+        if self.axes.size == 1:
+            return np.arange(q.shape[0]), self._first(first[0]), self._first(last[0])
+        rows = last[0] - first[0]
+        owner = np.repeat(np.arange(q.shape[0]), rows)
+        base = _ragged_arange(first[0], rows) * self.width
+        return owner, self._first(base + first[1][owner]), self._first(base + last[1][owner])
+
+    def candidates(self, owner, start, stop, centers: int | None = None):
+        """Yield ``(positions, owner)`` over the given slices, in passes of
+        at most ``_PASS`` candidates (a longer cell row is a pass alone).
+        Given the number of ``centers``, a center's candidates stay in one
+        pass, a pass's centers times its most candidates per center are at
+        most ``_PASS``, and each pass also yields the range ``lo, hi`` of
+        its centers."""
+        lengths = stop - start
+        if centers is None:
+            for a, b in _passes(lengths):
+                yield _expand(owner[a:b], start[a:b], lengths[a:b])
+            return
+        per_center = np.bincount(owner, weights=lengths, minlength=centers)
+        for lo, hi in _passes(per_center.astype(np.int64), padded=True):
+            a, b = owner.searchsorted([lo, hi])
+            yield (*_expand(owner[a:b], start[a:b], lengths[a:b]), lo, hi)
+
+
+def _reach(radius: float) -> float:
+    """Half-width of the box that holds every point a computed distance
+    puts within ``radius``: the rounding between a coordinate difference
+    and a distance is far below ``_ROUNDING``, and below ``_TINY`` squared
+    differences underflow."""
+    return max(radius * (1.0 + _ROUNDING), _TINY)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values (``np.unique``, which would load
+    ``numpy.ma`` on first use)."""
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))] if values.size else values
+
+
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated ranges ``starts[i] .. starts[i] + lengths[i] - 1``."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(starts - ends + lengths, lengths)
+
+
+def _expand(owner, start, lengths):
+    """Positions of the slices, and the owner of each."""
+    return _ragged_arange(start, lengths), np.repeat(owner, lengths)
+
+
+def _passes(sizes: np.ndarray, padded: bool = False):
+    """Consecutive ranges ``lo, hi`` of items whose sizes add up to at
+    most ``_PASS``, or, ``padded``, whose count times their largest size
+    is at most ``_PASS``; an item too large for that is a range alone.
+    There is at least one range."""
+    n = sizes.size
+    ends = np.cumsum(sizes)
+    lo = 0
+    while True:
+        if padded:
+            cost = np.maximum.accumulate(sizes[lo:]) * np.arange(1, n - lo + 1)
+            hi = lo + int(cost.searchsorted(_PASS, "right"))
+        else:
+            hi = int(ends.searchsorted((ends[lo - 1] if lo else 0) + _PASS, "right"))
+        hi = min(n, max(hi, lo + 1))
+        yield lo, hi
+        if hi >= n:
+            return
+        lo = hi
+
+
+def _k_smallest(owner, dists, ids, k: int):
+    """Per row (``owner`` value, ascending from 0, each with at least k
+    candidates), the k smallest (distance, id) pairs of its candidates,
+    as two (rows x k) arrays.
+
+    The candidates go into a table of one row per owner, padded with
+    inf, whose rows are sorted by distance. A row where two of the first
+    k + 1 distances are equal is sorted again by (distance, id).
+    """
+    count = np.bincount(owner)
+    rows, width = count.size, int(count.max())
+    cell = owner * width + np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+    table = np.full(rows * width, np.inf)
+    table[cell] = dists
+    table = table.reshape(rows, width)
+    key = np.full(rows * width, np.iinfo(np.int64).max)
+    key[cell] = ids
+    key = key.reshape(rows, width)
+    order = np.argsort(table, axis=1)[:, :k + 1]
+    near = np.take_along_axis(table, order, axis=1)
+    real = np.arange(1, order.shape[1]) < count[:, None]
+    tied = np.flatnonzero(((near[:, 1:] == near[:, :-1]) & real).any(axis=1))
+    if tied.size:
+        order[tied] = np.lexsort((key[tied], table[tied]), axis=1)[:, :k + 1]
+    order = order[:, :k]
+    return np.take_along_axis(table, order, axis=1), np.take_along_axis(key, order, axis=1)
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -242,22 +492,56 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(sq.sum(axis=1))
 
 
+def _distance_matrix(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Euclidean distances between every query row and every target row.
+
+    The squared coordinate differences are added in coordinate order
+    before the square root, as SciPy's ``cdist`` does, so the values are
+    bit-identical to its; they equal ``_row_norms`` below d = 8, where
+    NumPy's row sum starts summing pairwise.
+    """
+    block = np.subtract.outer(queries[:, 0], targets[:, 0])
+    block *= block
+    for j in range(1, queries.shape[1]):
+        diff = np.subtract.outer(queries[:, j], targets[:, j])
+        diff *= diff
+        block += diff
+    return np.sqrt(block, out=block)
+
+
 def nearest(queries: np.ndarray, targets: np.ndarray):
     """Per query row, the distance to its nearest target row and that
     target's position; an exact tie goes to the first position.
 
     Both are 2-D float arrays, ``targets`` with at least one row.
-    Distances are ``cdist``'s, computed in row chunks of at most
-    ``_NEAREST_CHUNK`` entries.
+    Distances are ``_distance_matrix``'s, computed in row chunks of at
+    most ``_NEAREST_CHUNK`` entries.
     """
     distance = np.empty(queries.shape[0])
     position = np.empty(queries.shape[0], dtype=np.int64)
     rows = max(1, _NEAREST_CHUNK // targets.shape[0])
     for start in range(0, queries.shape[0], rows):
-        block = cdist(queries[start:start + rows], targets)
-        position[start:start + rows] = block.argmin(axis=1)
-        distance[start:start + rows] = block.min(axis=1)
+        block = _distance_matrix(queries[start:start + rows], targets)
+        found = block.argmin(axis=1)
+        position[start:start + rows] = found
+        distance[start:start + rows] = block[np.arange(found.size), found]
     return distance, position
+
+
+def pairwise_distances(points: np.ndarray) -> np.ndarray:
+    """The distances between rows i < j of ``points``, in SciPy's
+    ``pdist`` order (by i, then j) and with its values
+    (``_distance_matrix``), computed in blocks of about ``_BLOCK``
+    entries."""
+    n = points.shape[0]
+    rows = max(1, _BLOCK // n)
+    parts = []
+    for start in range(0, n - 1, rows):
+        stop = min(start + rows, n - 1)
+        block = _distance_matrix(points[start:stop], points[start + 1:])
+        # Row i of the block is point start + i; column j is point start + 1 + j.
+        parts.append(block[np.arange(stop - start)[:, None] <= np.arange(n - start - 1)])
+    return np.concatenate(parts) if parts else np.empty(0)
 
 
 def _parse_cell(text: str) -> float:

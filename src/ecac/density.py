@@ -11,9 +11,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
-from .data import Dataset, SpatialIndex
+from .data import Dataset, SpatialIndex, pairwise_distances
 from .errors import DegenerateDataset, InvalidRadius
 
 DEFAULT_PERCENTILE = 0.02  # sets the default radius and DPC's default cutoff
@@ -66,7 +65,7 @@ def pairwise_distance_percentiles(dataset: Dataset, percentiles: Sequence[float]
         if dataset.n > SAMPLE_CAP:
             rng = np.random.default_rng(SAMPLE_SEED)
             points = points[np.sort(rng.choice(dataset.n, size=SAMPLE_CAP, replace=False))]
-        dists = pdist(points)
+        dists = pairwise_distances(points)
         dists = dists[dists > 0]
         if dists.size == 0:
             raise DegenerateDataset("all sampled points coincide")

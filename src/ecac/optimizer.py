@@ -364,7 +364,11 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
         rows = np.flatnonzero((best_set == f) & (state.member_of < 0))
         best_dis[rows], best_set[rows] = scan(rows)
         score[rows] = best_dis[rows] / weight[rows]
-        far = np.union1d(far, rows[best_dis[rows] >= radius])
+        # The sorted union, as np.union1d, which would load numpy.ma.
+        joined = np.zeros(n, dtype=bool)
+        joined[far] = True
+        joined[rows[best_dis[rows] >= radius]] = True
+        far = np.flatnonzero(joined)
 
     for j, center in enumerate(state.centers):
         fold(center, j, *state.add(center, j))

@@ -7,13 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import pdist
 
 import ecac
 from ecac import density
 from ecac.cli import _config_from_args, build_parser, cmd_ablate, cmd_plot, cmd_run, main
 from ecac.config import DEFAULT_SWEEP, RunConfig, min_max_normalize, parse_config_file
-from ecac.data import Dataset, generate_gaussian_mixture
+from ecac.data import Dataset, generate_gaussian_mixture, pairwise_distances
 from ecac.density import pairwise_distance_percentile
 from ecac.errors import ConfigError, MissingResult, NotPlottable
 from ecac.pipeline import ClusteringResult
@@ -268,9 +267,9 @@ class TestCmdRun:
 
         def counted(points):
             calls.append(points.shape[0])
-            return pdist(points)
+            return pairwise_distances(points)
 
-        monkeypatch.setattr(density, "pdist", counted)
+        monkeypatch.setattr(density, "pairwise_distances", counted)
         argv = ["run", "--data", "data/spiral.csv", "--label-col", "-1", "--algo", "dpc",
                 "--k", "3", "--delta-percentile", "0.02", "--out", str(tmp_path / "o")]
         assert main(argv) == 0

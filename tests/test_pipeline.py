@@ -2,11 +2,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import pdist
 
 from ecac import density
 from ecac.algorithms import build_algorithm
-from ecac.data import generate_gaussian_mixture, load_csv
+from ecac.data import generate_gaussian_mixture, load_csv, pairwise_distances
 from ecac.errors import InvalidK
 from ecac.optimizer import SelectionStrategy
 from ecac.pipeline import ClusteringResult, compute_centers, run_baseline, run_optimized
@@ -88,9 +87,9 @@ def test_default_delta_runs_sample_once(monkeypatch):
 
     def counted(points):
         calls.append(points.shape[0])
-        return pdist(points)
+        return pairwise_distances(points)
 
-    monkeypatch.setattr(density, "pdist", counted)
+    monkeypatch.setattr(density, "pairwise_distances", counted)
     runs = [run_optimized(ds, build_algorithm("kmeans"), 3) for _ in range(3)]
     assert len(calls) == 1
     assert len({r.delta for r in runs}) == 1

@@ -1,7 +1,7 @@
-"""One KD-tree and one neighbour count per dataset and radius.
+"""One spatial index and one neighbour count per dataset and radius.
 
-The whole-dataset tree is ``Dataset.index`` and every count of a radius
-goes through its ``density``, so a run builds that tree once and counts
+The whole-dataset index is ``Dataset.index`` and every count of a radius
+goes through its ``density``, so a run builds that index once and counts
 each radius once, however many layers (DPC's ρ, the extension's
 densities, several ablation variants) ask for it.
 """
@@ -15,10 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 
 import ecac
-from ecac import data
 from ecac.cli import main
 from ecac.data import SpatialIndex, generate_gaussian_mixture
 
@@ -34,29 +32,28 @@ def write_blobs_csv(path: Path, per_blob: int) -> Path:
 
 @pytest.fixture
 def neighbour_work(monkeypatch):
-    """Counts whole-dataset tree builds and full-set tree counts.
+    """Counts whole-dataset index builds and exact counting passes.
 
-    A count of one radius is two ``query_ball_point(..., return_length=True)``
-    calls, at radius * (1 -+ slack).
+    A count of one radius is one ``SpatialIndex._count`` pass.
     """
-    work = {"trees": 0, "count_calls": 0}
+    work = {"indexes": 0, "count_calls": 0}
     init = SpatialIndex.__init__
+    count = SpatialIndex._count
 
     def counting_init(self, dataset, ids=None):
-        work["trees"] += ids is None
+        work["indexes"] += ids is None
         init(self, dataset, ids)
 
-    class CountingTree(cKDTree):
-        def query_ball_point(self, x, r, *args, **kwargs):
-            work["count_calls"] += bool(kwargs.get("return_length"))
-            return super().query_ball_point(x, r, *args, **kwargs)
+    def counting_count(self, radius):
+        work["count_calls"] += 1
+        return count(self, radius)
 
     monkeypatch.setattr(SpatialIndex, "__init__", counting_init)
-    monkeypatch.setattr(data, "cKDTree", CountingTree)
+    monkeypatch.setattr(SpatialIndex, "_count", counting_count)
     return work
 
 
-def test_dpc_run_builds_one_tree_and_counts_its_radius_once(tmp_path, neighbour_work):
+def test_dpc_run_builds_one_index_and_counts_its_radius_once(tmp_path, neighbour_work):
     # d_c and δ both default to the 2% percentile: one radius.
     csv = write_blobs_csv(tmp_path / "blobs.csv", 40)
     code = main([
@@ -64,7 +61,7 @@ def test_dpc_run_builds_one_tree_and_counts_its_radius_once(tmp_path, neighbour_
         "--delta-percentile", "0.02", "--out", str(tmp_path / "o"),
     ])
     assert code == 0
-    assert neighbour_work == {"trees": 1, "count_calls": 2}
+    assert neighbour_work == {"indexes": 1, "count_calls": 1}
 
 
 def test_ablate_counts_delta_once(tmp_path, neighbour_work):
@@ -74,7 +71,7 @@ def test_ablate_counts_delta_once(tmp_path, neighbour_work):
         "--variants", "local,global", "--out", str(tmp_path / "o"),
     ])
     assert code == 0
-    assert neighbour_work == {"trees": 1, "count_calls": 2}
+    assert neighbour_work == {"indexes": 1, "count_calls": 1}
 
 
 def test_index_and_density_are_kept():
