@@ -102,6 +102,8 @@ class RunConfig:
                     raise ConfigError(f"{key} must be {what}, got {value!r}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
+        if self.data is not None and (not isinstance(self.data, str) or not self.data):
+            raise ConfigError(f"data must be a nonempty file path, got {self.data!r}")
         if self.delta_sweep is not None:
             self.delta_sweep = _parse_sweep(self.delta_sweep)
         given = [
@@ -132,11 +134,14 @@ class RunConfig:
         if means is None:
             raise ConfigError("generator block needs gen_means")
         if isinstance(means, str):
-            means = [
-                [float(x) for x in group.split(",")]
-                for group in means.split("|")
-                if group.strip()
-            ]
+            try:
+                means = [
+                    [float(x) for x in group.split(",")]
+                    for group in means.split("|")
+                    if group.strip()
+                ]
+            except ValueError:
+                raise ConfigError(f"gen_means entries must be numbers, got {means!r}") from None
         counts = self.gen_n if self.gen_n is not None else 100
         return self.gen_k, counts, means, self.gen_stddev, self.gen_seed
 
@@ -145,6 +150,8 @@ class RunConfig:
             path = Path(self.data)
             if not path.exists():
                 raise ConfigError(f"dataset file not found: {path}")
+            if not path.is_file():
+                raise ConfigError(f"dataset path is not a file: {path}")
             dataset, truth = load_csv(path, self.label_col)
         else:
             dataset, truth = generate_gaussian_mixture(*self._generator_spec())

@@ -577,8 +577,11 @@ def load_csv(path, label_column=None) -> tuple[Dataset, GroundTruth | None]:
     -------
     (Dataset, GroundTruth or None)
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if "".join(row).strip()]
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = [row for row in csv.reader(fh) if "".join(row).strip()]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if not rows:
         raise EmptyDataset(f"{path}: no rows")
 
@@ -652,11 +655,14 @@ def generate_gaussian_mixture(
     """
     if k < 1:
         raise InvalidSpec(f"k must be >= 1, got {k}")
-    means = np.asarray(means, dtype=np.float64)
-    if means.ndim != 2 or means.shape[0] != k:
-        raise InvalidSpec(f"means must be k x d, got shape {means.shape}")
-    counts = np.broadcast_to(np.asarray(per_cluster_n, dtype=np.int64), (k,))
-    sigmas = np.broadcast_to(np.asarray(stddev, dtype=np.float64), (k,))
+    try:
+        means = np.asarray(means, dtype=np.float64)
+        if means.ndim != 2 or means.shape[0] != k:
+            raise InvalidSpec(f"means must be k x d, got shape {means.shape}")
+        counts = np.broadcast_to(np.asarray(per_cluster_n, dtype=np.int64), (k,))
+        sigmas = np.broadcast_to(np.asarray(stddev, dtype=np.float64), (k,))
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"bad mixture specification: {exc}") from None
     if (counts < 1).any():
         raise InvalidSpec("every per-cluster count must be >= 1")
     if (sigmas <= 0).any():

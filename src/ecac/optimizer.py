@@ -31,18 +31,19 @@ objects outside the pool), so a step is one ``argmin``. A new member's
 fold visits only its radius query's answer and the pooled rows whose
 cached distance is at least the query radius (``far``); a member's
 cached distance is -inf, so no fold changes it and answers need no
-member filtering. Radius queries go to a KD-tree of the non-members,
-rebuilt once a quarter of it has joined. Uncapped scored runs fetch in
-batches: one tree call answers a new member together with the
-lowest-scored pooled non-members that have no answer yet, whose answers
-wait until they join; the random strategy and capped runs query one
-member at a time. ``_run_scored`` and ``_GreedyState`` say why all of
-this is exact.
+member filtering. Radius queries go to a spatial index of the
+non-members, rebuilt once a quarter of it has joined. Uncapped scored
+runs fetch in batches: one index call answers a new member together
+with the lowest-scored pooled non-members that have no answer yet,
+whose answers wait until they join; the random strategy and capped
+runs query one member at a time. ``_run_scored`` and ``_GreedyState``
+say why all of this is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -57,11 +58,11 @@ RANDOM = "random"
 NODENSITY = "nodensity"
 STRATEGY_KINDS = (LOCAL, GLOBAL, RANDOM, NODENSITY)
 
-# Members added since the extension's non-member tree was built, as a
-# share of its size, beyond which the tree is rebuilt.
+# Members added since the extension's non-member index was built, as a
+# share of its size, beyond which the index is rebuilt.
 _REBUILD_FRACTION = 0.25
 
-# Most objects whose radius queries one tree call answers: a new member
+# Most objects whose radius queries one index call answers: a new member
 # and the lowest-scored pooled non-members that have no answer yet.
 _BATCH = 32
 
@@ -94,12 +95,13 @@ class ExtendedSets:
 
     ``all`` lists every member in identification order (the k centers
     first); ``sets[i]`` starts with center i; ``all_sets[p]`` is the set
-    index of ``all[p]``. ``trace`` holds one record per greedy selection:
-    object id, set index, selection distance, and covered count after
-    the step, as a dict with the keys ``object``, ``set``, ``dis`` and
-    ``covered``. ``stats`` counts the radius-query work: tree calls, answers
-    fetched (one per member is used), the peak count of entries in
-    fetched answers not yet used, and non-member tree rebuilds.
+    index of ``all[p]``. ``steps`` holds four columns with one entry per
+    greedy selection: object id, set index, selection distance, and
+    covered count after the step; ``trace`` reads them as one dict per
+    step (see ``trace_records``). ``stats`` counts the radius-query work:
+    index calls (``tree_calls``), answers fetched (one per member is
+    used), the peak count of entries in fetched answers not yet used, and
+    non-member index rebuilds.
     """
 
     sets: list[list[int]]
@@ -108,8 +110,13 @@ class ExtendedSets:
     coverage: np.ndarray
     delta: float
     fallback_count: int = 0
-    trace: list[dict] = field(default_factory=list)
+    steps: tuple = ((), (), (), ())
     stats: dict = field(default_factory=dict)
+
+    @cached_property
+    def trace(self) -> list[dict]:
+        """The steps as records, built on first read."""
+        return trace_records(self.steps)
 
     @property
     def s(self) -> int:
@@ -124,8 +131,8 @@ class _GreedyState:
     """Bookkeeping shared by every strategy.
 
     Each member's radius query lists the non-members within the query
-    radius: 2*delta for the local pool, else delta. The queries go to a
-    KD-tree over the objects that were non-members when it was built,
+    radius: 2*delta for the local pool, else delta. The queries go to an
+    index over the objects that were non-members when it was built,
     starting from the full ``index``; it is rebuilt over the remaining
     non-members once the members added since exceed
     ``_REBUILD_FRACTION`` of its size, so an answer lists few members.
@@ -158,7 +165,7 @@ class _GreedyState:
     def __init__(self, dataset, index, densities, centers, cap, query_radius, fetch_ahead):
         self.dataset = dataset
         self.points = dataset.points
-        self.tree = index
+        self.index = index
         self.stale = 0
         self.densities = densities
         self.centers = centers
@@ -182,12 +189,12 @@ class _GreedyState:
         self.pending_entries = 0
         self.stats = {"tree_calls": 0, "lists_fetched": 0, "peak_pending_entries": 0, "rebuilds": 0}
         # The trace as columns (object, set, dis, covered), one entry per
-        # step; ``finish`` builds the records. Ints and floats are not
-        # tracked by the garbage collector, so a step allocates no
-        # container: with one tuple per step as well as the records, an
-        # ``ecac ablate`` in a fresh interpreter ran a full collection over
-        # every loaded module's objects (about 20 ms).
-        self.trace = ([], [], [], [])
+        # step. Ints and floats are not tracked by the garbage collector,
+        # so a step allocates no container: with one tuple per step as
+        # well as the records, an ``ecac ablate`` in a fresh interpreter
+        # ran a full collection over every loaded module's objects (about
+        # 20 ms). The records are built only when the trace is read.
+        self.steps = ([], [], [], [])
         self.fallback_count = 0
 
     def add(self, o: int, j: int):
@@ -208,8 +215,8 @@ class _GreedyState:
             self.closed[j] = True
             self.n_closed += 1
         self.stale += 1
-        if self.stale > _REBUILD_FRACTION * self.tree.size:
-            self.tree = SpatialIndex(self.dataset, np.flatnonzero(self.member_of < 0))
+        if self.stale > _REBUILD_FRACTION * self.index.size:
+            self.index = SpatialIndex(self.dataset, np.flatnonzero(self.member_of < 0))
             self.stale = 0
             self.stats["rebuilds"] += 1
         answer = self.pending.pop(o, None)
@@ -224,20 +231,20 @@ class _GreedyState:
         return ids, dists
 
     def _fetch(self, o: int):
-        """o's answer, fetched in one tree call with the answers of up to
+        """o's answer, fetched in one index call with the answers of up to
         ``_BATCH - 1`` of the lowest-scored pooled non-members that have
         none, which wait in ``pending``; alone without ``fetch_ahead``."""
         stats = self.stats
         stats["tree_calls"] += 1
         if not self.ahead:
             stats["lists_fetched"] += 1
-            return self.tree.range_query_with_distances(self.points[o], self.query_radius)
+            return self.index.range_query_with_distances(self.points[o], self.query_radius)
         batch = np.array([o])
         if self.pending_entries <= _NEAREST_CHUNK:
             free = np.where(self.fetched, np.inf, self.score)
             lowest = np.argpartition(free, self.ahead - 1)[:self.ahead]
             batch = np.concatenate((batch, lowest[free[lowest] < np.inf]))
-        ids, dists, bounds = self.tree.range_query_batch(self.points[batch], self.query_radius)
+        ids, dists, bounds = self.index.range_query_batch(self.points[batch], self.query_radius)
         # Copies, so that an answer left unused keeps no other answer alive.
         for p, lo, hi in zip(batch[1:].tolist(), bounds[1:-1].tolist(), bounds[2:].tolist()):
             self.pending[p] = ids[lo:hi].copy(), dists[lo:hi].copy()
@@ -248,7 +255,7 @@ class _GreedyState:
         return ids[:bounds[1]], dists[:bounds[1]]
 
     def record(self, o: int, j: int, dis: float):
-        objects, sets, dis_values, covered = self.trace
+        objects, sets, dis_values, covered = self.steps
         objects.append(o)
         sets.append(j)
         dis_values.append(dis)
@@ -265,12 +272,18 @@ class _GreedyState:
             coverage=self.covered,
             delta=self.delta,
             fallback_count=self.fallback_count,
-            trace=[
-                {"object": int(o), "set": int(j), "dis": float(dis), "covered": covered}
-                for o, j, dis, covered in zip(*self.trace)
-            ],
+            steps=self.steps,
             stats=self.stats,
         )
+
+
+def trace_records(steps) -> list[dict]:
+    """Trace columns (object, set, dis, covered) as one dict per step,
+    with the keys ``object``, ``set``, ``dis`` and ``covered``."""
+    return [
+        {"object": int(o), "set": int(j), "dis": float(dis), "covered": covered}
+        for o, j, dis, covered in zip(*steps)
+    ]
 
 
 def _run_scored(state: _GreedyState, use_density: bool, local: bool):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -12,7 +13,7 @@ from .data import Dataset, GroundTruth
 from .density import compute_densities, default_delta
 from .errors import InvalidK
 from .metrics import nmi, rand_index
-from .optimizer import SelectionStrategy, identify_extended_centers, merge_clusters
+from .optimizer import SelectionStrategy, identify_extended_centers, merge_clusters, trace_records
 
 SCHEMA_VERSION = 1
 
@@ -38,13 +39,19 @@ class ClusteringResult:
     ri_score: float | None = None
     timings: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
-    # Per-selection trace; dumped to a JSON-lines file on request, never
-    # part of the result record itself.
-    trace: list = field(default_factory=list, repr=False)
+    # The extension's per-selection trace as columns
+    # (``ExtendedSets.steps``); dumped to a JSON-lines file on request,
+    # never part of the result record itself.
+    steps: tuple = field(default=((), (), (), ()), repr=False)
 
     @property
     def s(self) -> int:
         return sum(len(group) for group in self.extended_sets)
+
+    @cached_property
+    def trace(self) -> list[dict]:
+        """The steps as records (``trace_records``), built on first read."""
+        return trace_records(self.steps)
 
     def attach_metrics(self, truth: GroundTruth | None):
         if truth is not None:
@@ -170,7 +177,7 @@ def run_optimized(
             "assign_ms": 1000.0 * (t3 - t2),
         },
         extras=extras,
-        trace=ext.trace,
+        steps=ext.steps,
     )
     result.extras["coverage_complete"] = ext.fully_covered
     return result

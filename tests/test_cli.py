@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 import ecac
-from ecac import density
+from ecac import density, optimizer, pipeline
 from ecac.cli import _config_from_args, build_parser, cmd_ablate, cmd_plot, cmd_run, main
 from ecac.config import DEFAULT_SWEEP, RunConfig, min_max_normalize, parse_config_file
 from ecac.data import Dataset, generate_gaussian_mixture, pairwise_distances
 from ecac.density import pairwise_distance_percentile
 from ecac.errors import ConfigError, MissingResult, NotPlottable
+from ecac.optimizer import trace_records
 from ecac.pipeline import ClusteringResult
 from ecac.svg import PALETTE, render_scatter
 
@@ -131,6 +132,42 @@ class TestConfig:
         assert err.startswith("error: ") and str(cfg_file) in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("lines", [
+        'gen_means = "0,x | 1,2"',
+        "gen_means = [[0, 0], [30]]",
+        'gen_means = "0,0 | 30,0"\ngen_n = "x"',
+    ])
+    def test_bad_generator_value_exits_2(self, tmp_path, capsys, lines):
+        cfg_file = tmp_path / "run.toml"
+        cfg_file.write_text(f"gen_k = 2\n{lines}\nk = 2\n")
+        argv = ["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_data_naming_a_directory_exits_2(self, tmp_path, capsys):
+        argv = ["run", "--data", str(tmp_path), "--k", "2", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_data_path_exits_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.toml"
+        cfg_file.write_text('data = ""\nk = 2\n')
+        argv = ["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_csv_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        csv = tmp_path / "latin1.csv"
+        csv.write_bytes("x,y\n1,2\n3,\u00e9\n".encode("latin-1"))
+        argv = ["run", "--data", str(csv), "--k", "2", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(csv) in err
+        assert not (tmp_path / "o").exists()
+
     def test_hash_inside_a_string_is_kept(self, tmp_path):
         cfg_file = tmp_path / "run.toml"
         cfg_file.write_text(GEN_TOML + 'k = 2\nout = "runs/#3"  # comment\n')
@@ -166,6 +203,22 @@ class TestConfig:
             capture_output=True, text=True, env=env, check=True,
         )
         assert child.stdout.strip() == "False"
+
+    def test_cli_runs_without_loading_scipy(self, tmp_path):
+        # The package is pure NumPy: neither the import nor a run or an
+        # ablation loads SciPy, whatever is installed.
+        script = (
+            "import sys, ecac.cli\n"
+            "argv = ['--data', 'data/spiral.csv', '--label-col', '-1', '--k', '3']\n"
+            f"assert ecac.cli.main(['run', *argv, '--algo', 'dpc', '--out', {str(tmp_path / 'r')!r}]) == 0\n"
+            f"assert ecac.cli.main(['ablate', *argv, '--out', {str(tmp_path / 'a')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(ecac.__file__).resolve().parents[1]))
+        child = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True,
+        )
+        assert child.stdout.strip().splitlines()[-1] == "[]"
 
     @pytest.mark.parametrize("command", ["run", "ablate"])
     @pytest.mark.parametrize("delta_flag, delta_field", [
@@ -259,6 +312,23 @@ class TestCmdRun:
         assert json.loads(text) == payload
         assert len(payload["sweep"]) == len(DEFAULT_SWEEP)
         assert all(type(x) is int for x in payload["optimized"]["labels"])
+
+    def test_trace_records_are_built_only_for_trace_output(self, tmp_path, monkeypatch):
+        built = []
+
+        def counted(steps):
+            built.append(len(steps[0]))
+            return trace_records(steps)
+
+        monkeypatch.setattr(optimizer, "trace_records", counted)
+        monkeypatch.setattr(pipeline, "trace_records", counted)
+        argv = ["run", "--data", "data/spiral.csv", "--label-col", "-1", "--k", "3",
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert built == []
+        assert main(argv + ["--trace"]) == 0
+        lines = (tmp_path / "o" / "trace.jsonl").read_text(encoding="utf-8").splitlines()
+        assert built == [len(lines)] and lines
 
     def test_dpc_run_samples_pairwise_distances_once(self, tmp_path, monkeypatch):
         # DPC's default cutoff and the requested percentile are the same
