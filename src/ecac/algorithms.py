@@ -18,6 +18,7 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.random import default_rng
 
 from .data import Dataset, SpatialIndex, _distance_matrix, _row_norms, nearest
 from .density import default_delta
@@ -46,7 +47,7 @@ def _lloyd(points: np.ndarray, k: int, seed: int, max_iter: int):
     Returns (centroids, labels, n_iter). Stops when the assignment
     stabilizes. An emptied cluster keeps its previous centroid.
     """
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     centroids = points[rng.choice(points.shape[0], size=k, replace=False)].copy()
     labels = np.full(points.shape[0], -1, dtype=np.int64)
     for it in range(1, max_iter + 1):

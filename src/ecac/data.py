@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import (
     DimensionMismatch,
@@ -42,6 +43,9 @@ _CELLS_PER_RADIUS = 3
 
 # Points per cell of the k-nearest grid, as the average point sees it.
 _KNN_OCCUPANCY = 2.0
+
+# The two ends of a query box: below and above its center.
+_SIDES = np.array([-1.0, 1.0])[:, None, None]
 
 # Most candidates that one pass of an index query judges at once, and
 # the entries of one block of ``pairwise_distances``: blocks that stay in
@@ -362,14 +366,13 @@ class _Grid:
         labels = self._label(points[:, self.axes])
         return np.lexsort(labels.T[::-1])
 
-    def slices(self, centers: np.ndarray, reach):
+    def slices(self, centers: np.ndarray, reach: float):
         """``(owner, start, stop)``: the slices of sorted positions that
         hold the cells each center's box [c - reach, c + reach] meets,
         ``owner`` ascending."""
-        q = centers[:, self.axes]
+        q = centers if self.axes.size == centers.shape[1] else centers[:, self.axes]
         # nextafter: the box's float ends lie outside its true ends.
-        low = self._label(np.nextafter(q - reach, -np.inf))
-        high = self._label(np.nextafter(q + reach, np.inf))
+        low, high = self._label(np.nextafter(q + _SIDES * reach, _SIDES * np.inf))
         first = [u.searchsorted(low[:, a], "left") for a, u in enumerate(self.labels)]
         last = [u.searchsorted(high[:, a], "right") for a, u in enumerate(self.labels)]
         if self.axes.size == 1:
@@ -389,12 +392,12 @@ class _Grid:
         lengths = stop - start
         if centers is None:
             for a, b in _passes(lengths):
-                yield _expand(owner[a:b], start[a:b], lengths[a:b])
+                yield _ragged_arange(start[a:b], lengths[a:b]), np.repeat(owner[a:b], lengths[a:b])
             return
         per_center = np.bincount(owner, weights=lengths, minlength=centers)
         for lo, hi in _passes(per_center.astype(np.int64), padded=True):
             a, b = owner.searchsorted([lo, hi])
-            yield (*_expand(owner[a:b], start[a:b], lengths[a:b]), lo, hi)
+            yield _ragged_arange(start[a:b], lengths[a:b]), np.repeat(owner[a:b], lengths[a:b]), lo, hi
 
 
 def _reach(radius: float) -> float:
@@ -423,11 +426,6 @@ def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(total) + np.repeat(starts - ends + lengths, lengths)
 
 
-def _expand(owner, start, lengths):
-    """Positions of the slices, and the owner of each."""
-    return _ragged_arange(start, lengths), np.repeat(owner, lengths)
-
-
 def _passes(sizes: np.ndarray, padded: bool = False):
     """Consecutive ranges ``lo, hi`` of items whose sizes add up to at
     most ``_PASS``, or, ``padded``, whose count times their largest size
@@ -435,8 +433,11 @@ def _passes(sizes: np.ndarray, padded: bool = False):
     There is at least one range."""
     n = sizes.size
     ends = np.cumsum(sizes)
+    if not n or ends[-1] <= _PASS:
+        yield 0, n
+        return
     lo = 0
-    while True:
+    while lo < n:
         if padded:
             cost = np.maximum.accumulate(sizes[lo:]) * np.arange(1, n - lo + 1)
             hi = lo + int(cost.searchsorted(_PASS, "right"))
@@ -444,8 +445,6 @@ def _passes(sizes: np.ndarray, padded: bool = False):
             hi = int(ends.searchsorted((ends[lo - 1] if lo else 0) + _PASS, "right"))
         hi = min(n, max(hi, lo + 1))
         yield lo, hi
-        if hi >= n:
-            return
         lo = hi
 
 
@@ -668,7 +667,7 @@ def generate_gaussian_mixture(
     if (sigmas <= 0).any():
         raise InvalidSpec("every stddev must be > 0")
 
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     blocks = []
     labels = []
     for c in range(k):

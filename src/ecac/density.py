@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.random import default_rng
 
 from .data import Dataset, SpatialIndex, pairwise_distances
 from .errors import DegenerateDataset, InvalidRadius
@@ -63,7 +64,7 @@ def pairwise_distance_percentiles(dataset: Dataset, percentiles: Sequence[float]
             raise DegenerateDataset("need at least two points")
         points = dataset.points
         if dataset.n > SAMPLE_CAP:
-            rng = np.random.default_rng(SAMPLE_SEED)
+            rng = default_rng(SAMPLE_SEED)
             points = points[np.sort(rng.choice(dataset.n, size=SAMPLE_CAP, replace=False))]
         dists = pairwise_distances(points)
         dists = dists[dists > 0]

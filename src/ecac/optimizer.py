@@ -47,6 +47,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+from numpy.random import Generator, default_rng
 
 from .data import _NEAREST_CHUNK, Dataset, SpatialIndex, _row_norms, nearest
 from .density import DensityVector, compute_densities
@@ -405,7 +406,7 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
     return state.finish()
 
 
-def _run_random(state: _GreedyState, rng: np.random.Generator):
+def _run_random(state: _GreedyState, rng: Generator):
     """Uniformly sampled objects, attached to the nearest center's set."""
     points = state.points
     rho = state.densities.rho.astype(np.float64)
@@ -477,7 +478,7 @@ def identify_extended_centers(
         fetch_ahead=strategy.kind != RANDOM and strategy.cap is None,
     )
     if strategy.kind == RANDOM:
-        return _run_random(state, np.random.default_rng(strategy.seed))
+        return _run_random(state, default_rng(strategy.seed))
     return _run_scored(state, use_density=strategy.kind != NODENSITY, local=local)
 
 
