@@ -193,7 +193,8 @@ class SpatialIndex:
         centers = self._checked(centers, ndim=2, radius=radius)
         grid = self._grid(radius / _CELLS_PER_RADIUS)
         ids, dists, owners = [], [], []
-        for pos, owner in grid.candidates(*grid.slices(centers, _reach(radius))):
+        reach = _reach(radius)
+        for pos, owner in grid.candidates(*grid.slices(centers, reach), near=(centers, reach)):
             d = _row_norms(grid.points.take(pos, axis=0) - centers.take(owner, axis=0))
             keep = np.flatnonzero(d < radius)
             ids.append(grid.ids.take(pos.take(keep)))
@@ -234,7 +235,7 @@ class SpatialIndex:
             queries = points.take(order, axis=0)
             slices = grid.slices(queries, _reach(radius))
             counts = np.zeros(order.size, dtype=np.int64)
-        for pos, owner in grid.candidates(*slices):
+        for pos, owner in grid.candidates(*slices, near=(queries, _reach(radius))):
             inside = _row_norms(grid.points.take(pos, axis=0) - queries.take(owner, axis=0)) < radius
             for near in (owner[inside], pos[inside]) if self._ids is None else (owner[inside],):
                 if near.size:
@@ -349,6 +350,11 @@ class _Grid:
         self.keys = key[order]
         self.points = points.take(order, axis=0)
         self.ids = order if ids is None else ids[order]
+        # The grid axes' coordinates, one contiguous column each, where the
+        # grid leaves other axes out.
+        self.columns = [np.ascontiguousarray(self.points[:, a]) for a in axes]
+        if axes.size == points.shape[1]:
+            self.columns = None
         cells = self.labels[0].size * (self.width if axes.size == 2 else 1)
         self.starts = None
         if cells <= 4 * key.size + 64:
@@ -382,17 +388,33 @@ class _Grid:
         base = _ragged_arange(first[0], rows) * self.width
         return owner, self._first(base + first[1][owner]), self._first(base + last[1][owner])
 
-    def candidates(self, owner, start, stop, centers: int | None = None):
+    def candidates(self, owner, start, stop, centers: int | None = None, near=None):
         """Yield ``(positions, owner)`` over the given slices, in passes of
         at most ``_PASS`` candidates (a longer cell row is a pass alone).
+
         Given the number of ``centers``, a center's candidates stay in one
         pass, a pass's centers times its most candidates per center are at
         most ``_PASS``, and each pass also yields the range ``lo, hi`` of
-        its centers."""
+        its centers. Given ``near=(centers, reach)`` and a grid that
+        leaves some axes out, a candidate whose distance over the grid
+        axes alone is at least reach is dropped: its full distance cannot
+        be below the radius that reach covers, so only the rest of its
+        coordinates are read.
+        """
         lengths = stop - start
         if centers is None:
             for a, b in _passes(lengths):
-                yield _ragged_arange(start[a:b], lengths[a:b]), np.repeat(owner[a:b], lengths[a:b])
+                pos = _ragged_arange(start[a:b], lengths[a:b])
+                owner_of = np.repeat(owner[a:b], lengths[a:b])
+                if near is not None and self.columns is not None:
+                    queries, reach = near
+                    partial = sum(
+                        (column.take(pos) - queries[:, axis].take(owner_of)) ** 2
+                        for column, axis in zip(self.columns, self.axes)
+                    )
+                    keep = np.flatnonzero(np.sqrt(partial) < reach)
+                    pos, owner_of = pos.take(keep), owner_of.take(keep)
+                yield pos, owner_of
             return
         per_center = np.bincount(owner, weights=lengths, minlength=centers)
         for lo, hi in _passes(per_center.astype(np.int64), padded=True):
