@@ -26,9 +26,8 @@ from .errors import (
     ParseError,
 )
 
-# Most distances that ``nearest``, ``pairwise_distances`` or one pass of
-# an index query hold at once, so memory stays bounded however many
-# queries and points there are.
+# Most distances that ``nearest`` holds at once, so its memory stays
+# bounded however many queries and targets there are.
 _NEAREST_CHUNK = 1 << 20
 
 # A query box reaches this share beyond its radius, which covers the
@@ -48,8 +47,8 @@ _KNN_OCCUPANCY = 2.0
 _SIDES = np.array([-1.0, 1.0])[:, None, None]
 
 # Most candidates that one pass of an index query judges at once, and
-# the entries of one block of ``pairwise_distances``: blocks that stay in
-# cache are judged faster.
+# about the most entries of one block of ``pairwise_distances``: passes
+# and blocks that stay in cache go faster.
 _PASS = 1 << 16
 _BLOCK = 1 << 15
 
@@ -237,10 +236,11 @@ class SpatialIndex:
             counts = np.zeros(order.size, dtype=np.int64)
         for pos, owner in grid.candidates(*slices, near=(queries, _reach(radius))):
             inside = _row_norms(grid.points.take(pos, axis=0) - queries.take(owner, axis=0)) < radius
-            for near in (owner[inside], pos[inside]) if self._ids is None else (owner[inside],):
-                if near.size:
-                    lo, hi = near.min(), near.max()
-                    counts[lo:hi + 1] += np.bincount(near - lo)
+            ends = (owner[inside], pos[inside]) if self._ids is None else (owner[inside],)
+            for end in ends:
+                if end.size:
+                    lo = end.min()
+                    counts[lo:end.max() + 1] += np.bincount(end - lo)
         result = np.empty_like(counts)
         result[order] = counts
         return result
@@ -352,9 +352,9 @@ class _Grid:
         self.ids = order if ids is None else ids[order]
         # The grid axes' coordinates, one contiguous column each, where the
         # grid leaves other axes out.
-        self.columns = [np.ascontiguousarray(self.points[:, a]) for a in axes]
-        if axes.size == points.shape[1]:
-            self.columns = None
+        self.columns = None
+        if axes.size < points.shape[1]:
+            self.columns = [np.ascontiguousarray(self.points[:, a]) for a in axes]
         cells = self.labels[0].size * (self.width if axes.size == 2 else 1)
         self.starts = None
         if cells <= 4 * key.size + 64:
