@@ -193,14 +193,14 @@ class SpatialIndex:
         grid = self._grid(radius / _CELLS_PER_RADIUS)
         ids, dists, owners = [], [], []
         reach = _reach(radius)
-        for pos, owner in grid.candidates(*grid.slices(centers, reach), near=(centers, reach)):
+        for pos, owner in grid.candidates(*grid.slices(centers, reach), (centers, reach)):
             d = _row_norms(grid.points.take(pos, axis=0) - centers.take(owner, axis=0))
             keep = np.flatnonzero(d < radius)
             ids.append(grid.ids.take(pos.take(keep)))
             dists.append(d.take(keep))
             owners.append(owner.take(keep))
-        bounds = np.searchsorted(_joined(owners), np.arange(centers.shape[0] + 1))
-        return _joined(ids), _joined(dists), bounds
+        bounds = np.searchsorted(np.concatenate(owners), np.arange(centers.shape[0] + 1))
+        return np.concatenate(ids), np.concatenate(dists), bounds
 
     def density(self, radius: float) -> np.ndarray:
         """Per dataset object, the number of indexed ids at strict distance
@@ -234,7 +234,7 @@ class SpatialIndex:
             queries = points.take(order, axis=0)
             slices = grid.slices(queries, _reach(radius))
             counts = np.zeros(order.size, dtype=np.int64)
-        for pos, owner in grid.candidates(*slices, near=(queries, _reach(radius))):
+        for pos, owner in grid.candidates(*slices, (queries, _reach(radius))):
             inside = _row_norms(grid.points.take(pos, axis=0) - queries.take(owner, axis=0)) < radius
             ends = (owner[inside], pos[inside]) if self._ids is None else (owner[inside],)
             for end in ends:
@@ -276,10 +276,16 @@ class SpatialIndex:
             reach = max(reach, _TINY)
             rows = centers.take(pending, axis=0)
             unresolved = []
-            slices = grid.slices(rows, reach)
-            for pos, owner, lo, hi in grid.candidates(*slices, centers=rows.shape[0]):
-                d = _row_norms(grid.points.take(pos, axis=0) - rows.take(owner, axis=0))
-                owner -= lo
+            owners, start, stop = grid.slices(rows, reach)
+            lengths = stop - start
+            per_center = np.bincount(owners, weights=lengths, minlength=rows.shape[0])
+            # A pass holds whole centers, and its centers times its most
+            # candidates per center stay within _PASS (``_k_smallest``'s table).
+            for lo, hi in _passes(per_center.astype(np.int64), padded=True):
+                a, b = owners.searchsorted([lo, hi])
+                pos = _ragged_arange(start[a:b], lengths[a:b])
+                owner = np.repeat(owners[a:b] - lo, lengths[a:b])
+                d = _row_norms(grid.points.take(pos, axis=0) - rows[lo:hi].take(owner, axis=0))
                 # A row is resolved once k candidates lie inside reach, or
                 # once every point is its candidate; only those count.
                 everything = np.bincount(owner, minlength=hi - lo) == self.size
@@ -388,38 +394,29 @@ class _Grid:
         base = _ragged_arange(first[0], rows) * self.width
         return owner, self._first(base + first[1][owner]), self._first(base + last[1][owner])
 
-    def candidates(self, owner, start, stop, centers: int | None = None, near=None):
+    def candidates(self, owner, start, stop, near):
         """Yield ``(positions, owner)`` over the given slices, in passes of
         at most ``_PASS`` candidates (a longer cell row is a pass alone).
 
-        Given the number of ``centers``, a center's candidates stay in one
-        pass, a pass's centers times its most candidates per center are at
-        most ``_PASS``, and each pass also yields the range ``lo, hi`` of
-        its centers. Given ``near=(centers, reach)`` and a grid that
-        leaves some axes out, a candidate whose distance over the grid
-        axes alone is at least reach is dropped: its full distance cannot
-        be below the radius that reach covers, so only the rest of its
-        coordinates are read.
+        ``near`` is ``(centers, reach)``. Where the grid leaves some axes
+        out, a candidate whose distance over the grid axes alone is at
+        least reach is dropped: its full distance cannot be below the
+        radius that reach covers, so only the rest of its coordinates are
+        read.
         """
         lengths = stop - start
-        if centers is None:
-            for a, b in _passes(lengths):
-                pos = _ragged_arange(start[a:b], lengths[a:b])
-                owner_of = np.repeat(owner[a:b], lengths[a:b])
-                if near is not None and self.columns is not None:
-                    queries, reach = near
-                    partial = sum(
-                        (column.take(pos) - queries[:, axis].take(owner_of)) ** 2
-                        for column, axis in zip(self.columns, self.axes)
-                    )
-                    keep = np.flatnonzero(np.sqrt(partial) < reach)
-                    pos, owner_of = pos.take(keep), owner_of.take(keep)
-                yield pos, owner_of
-            return
-        per_center = np.bincount(owner, weights=lengths, minlength=centers)
-        for lo, hi in _passes(per_center.astype(np.int64), padded=True):
-            a, b = owner.searchsorted([lo, hi])
-            yield _ragged_arange(start[a:b], lengths[a:b]), np.repeat(owner[a:b], lengths[a:b]), lo, hi
+        for a, b in _passes(lengths):
+            pos = _ragged_arange(start[a:b], lengths[a:b])
+            owner_of = np.repeat(owner[a:b], lengths[a:b])
+            if self.columns is not None:
+                queries, reach = near
+                partial = sum(
+                    (column.take(pos) - queries[:, axis].take(owner_of)) ** 2
+                    for column, axis in zip(self.columns, self.axes)
+                )
+                keep = np.flatnonzero(np.sqrt(partial) < reach)
+                pos, owner_of = pos.take(keep), owner_of.take(keep)
+            yield pos, owner_of
 
 
 def _reach(radius: float) -> float:
@@ -435,10 +432,6 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     ``numpy.ma`` on first use)."""
     values = np.sort(values)
     return values[np.concatenate(([True], values[1:] != values[:-1]))] if values.size else values
-
-
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
