@@ -154,6 +154,11 @@ class SpatialIndex:
             grid = self._grids[side] = _Grid(self._points, self._ids, self._axes, side)
         return grid
 
+    def _radius_grid(self, radius: float) -> _Grid:
+        """The grid for queries at ``radius``: its side, kept finite, makes
+        an infinite radius one cell."""
+        return self._grid(min(radius / _CELLS_PER_RADIUS, np.finfo(np.float64).max))
+
     def _checked(self, centers, ndim: int, radius: float | None = None) -> np.ndarray:
         """Query point(s) as floats, after checking their shape and any radius."""
         centers = np.asarray(centers, dtype=np.float64)
@@ -161,8 +166,8 @@ class SpatialIndex:
             raise DimensionMismatch(
                 f"query point has shape {centers.shape}, dataset is {self.dataset.d}-D"
             )
-        if radius is not None and not 0 < radius < np.inf:
-            raise InvalidRadius(f"radius must be finite and > 0, got {radius}")
+        if radius is not None and not radius > 0:
+            raise InvalidRadius(f"radius must be > 0, got {radius}")
         return centers
 
     def range_query(self, center, radius: float) -> np.ndarray:
@@ -190,7 +195,7 @@ class SpatialIndex:
         ``_row_norms`` distances.
         """
         centers = self._checked(centers, ndim=2, radius=radius)
-        grid = self._grid(radius / _CELLS_PER_RADIUS)
+        grid = self._radius_grid(radius)
         ids, dists, owners = [], [], []
         reach = _reach(radius)
         for pos, owner in grid.candidates(*grid.slices(centers, reach), (centers, reach)):
@@ -222,7 +227,7 @@ class SpatialIndex:
         cell order, so that a pass reads a few neighbouring cells.
         """
         points = self._checked(self.dataset.points, ndim=2, radius=radius)
-        grid = self._grid(radius / _CELLS_PER_RADIUS)
+        grid = self._radius_grid(radius)
         if self._ids is None:
             order, queries = grid.ids, grid.points
             owner, start, stop = grid.slices(queries, _reach(radius))

@@ -121,3 +121,11 @@ def test_points_at_exactly_the_radius_are_outside(d):
     # Ties at distance 1 come in id order, before the ones at distance 2.
     assert ids[0].tolist() == [0, *range(1, 1 + 2 * d), *range(1 + 4 * d, 1 + 6 * d)]
     assert dists[0].tolist() == [0.0] + [1.0] * (4 * d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_an_infinite_radius_finds_every_point(d):
+    points = np.random.default_rng(d).normal(size=(30, d)) * 1e3
+    index = SpatialIndex(Dataset(points), np.arange(0, 30, 2))
+    assert index.range_query(np.full(d, -1e6), np.inf).tolist() == list(range(0, 30, 2))
+    assert index.density(np.inf).tolist() == [15] * 30
