@@ -155,9 +155,11 @@ class SpatialIndex:
         return grid
 
     def _radius_grid(self, radius: float) -> _Grid:
-        """The grid for queries at ``radius``: its side, kept finite, makes
-        an infinite radius one cell."""
-        return self._grid(min(radius / _CELLS_PER_RADIUS, np.finfo(np.float64).max))
+        """The grid for queries at ``radius``. Its side is kept between
+        ``_TINY`` and the largest float, so that no label is NaN: an
+        infinite radius makes one cell."""
+        side = min(max(radius / _CELLS_PER_RADIUS, _TINY), np.finfo(np.float64).max)
+        return self._grid(side)
 
     def _checked(self, centers, ndim: int, radius: float | None = None) -> np.ndarray:
         """Query point(s) as floats, after checking their shape and any radius."""
@@ -325,6 +327,8 @@ class SpatialIndex:
             else:
                 power = 1.0 / extent.size
                 trial = float((np.prod(extent) / self.size) ** power)
+                if not 0 < trial < np.inf:  # the product under- or overflowed
+                    trial = float(extent.max())
                 keys = _Grid(self._points, self._ids, self._axes, trial).keys
                 ends = np.flatnonzero(np.diff(keys, append=keys[-1] + 1)) + 1
                 counts = np.diff(ends, prepend=0)

@@ -129,3 +129,21 @@ def test_an_infinite_radius_finds_every_point(d):
     index = SpatialIndex(Dataset(points), np.arange(0, 30, 2))
     assert index.range_query(np.full(d, -1e6), np.inf).tolist() == list(range(0, 30, 2))
     assert index.density(np.inf).tolist() == [15] * 30
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e200])
+def test_k_nearest_at_extreme_scales(scale):
+    # Squared differences underflow to 0 or overflow to inf here, and the
+    # product of the extents does too; the (distance, id) order still holds.
+    points = np.array([[0, 0], [1, 2], [3, 1], [2, 2], [5, 5], [1, 2]], dtype=float) * scale
+    index = SpatialIndex(Dataset(points))
+    dists, ids = index.k_nearest(points, 4)
+    for c, q in enumerate(points):
+        d = _row_norms(points - q)
+        order = np.lexsort((np.arange(len(points)), d))[:4]
+        assert ids[c].tolist() == order.tolist()
+        assert np.array_equal(dists[c], d[order])
+    for r in (np.nextafter(0.0, 1.0), scale, 2.5 * scale, np.inf):
+        assert index.density(r).tolist() == [
+            int((_row_norms(points - q) < r).sum()) for q in points
+        ]
