@@ -132,6 +132,7 @@ def test_an_infinite_radius_finds_every_point(d):
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e200])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_k_nearest_at_extreme_scales(scale):
     # Squared differences underflow to 0 or overflow to inf here, and the
     # product of the extents does too; the (distance, id) order still holds.
