@@ -21,8 +21,8 @@ delta, which equals the default cutoff, and the local strategy capped at
 100 per set) of the 4-component Gaussian mixture at n = 10,000 that the
 ``blobs-dpc-capped`` benchmark clusters, generated in-process. The next line digests the DPC
 quantities of a clumped dataset: 120 mixture points, each repeated 17 to
-24 times, so every object has more exact duplicates than the first
-k-nearest list of the nearest-higher search holds. The next line digests
+24 times, so every object has many exact duplicates and ties decide
+most nearest higher-ranked objects. The next line digests
 the labels and the trace of ``run_optimized`` (kmeans, k = 2, default
 delta, local strategy) on 4 blobs 100 apart at n = 8,000: two blobs are
 reached only by whole-dataset fallback steps, whose nearest-member scan

@@ -140,49 +140,14 @@ class DpcQuantities:
     d_c: float
 
 
-# Length of the first k-nearest list per object in the nearest-higher
-# search, and the factor by which a list that cannot certify its row is
-# widened. Each query is cut into row chunks of at most _FIRST_K * N
-# list entries, which bounds the search's memory.
-_FIRST_K = 8
-_WIDEN = 4
-
-
-def _nearest_higher_from_lists(
-    index: SpatialIndex, rank: np.ndarray, rows: np.ndarray, k: int
-):
-    """Resolve the nearest higher-ranked object of each row from its k-NN list.
-
-    The list is exact and ordered by (distance, id). A row is certified
-    when it holds a higher-ranked object, at distance t, and either lists
-    every object or ends strictly beyond t: then every object at distance
-    t is listed, and the one of lowest rank among them wins.
-
-    Returns (certified mask, nearest ids, distances), the last two for
-    the certified rows only.
-    """
-    dists, ids = index.k_nearest(index.dataset.points[rows], k)
-    higher = rank[ids] < rank[rows][:, None]
-    closest = dists[np.arange(rows.size), np.argmax(higher, axis=1)]
-    certified = higher.any(axis=1) & ((dists[:, -1] > closest) | (k == index.size))
-
-    ids, dists, higher, closest = ids[certified], dists[certified], higher[certified], closest[certified]
-    tied_rank = np.where(higher & (dists == closest[:, None]), rank[ids], rank.size)
-    best = ids[np.arange(ids.shape[0]), np.argmin(tied_rank, axis=1)]
-    return certified, best, closest
-
-
 def compute_dpc_quantities(dataset: Dataset, d_c: float | None = None) -> DpcQuantities:
     """Density, separation and nearest higher-ranked object of every object.
 
     Computed once per dataset and requested cutoff, and kept in
     ``dataset.derived``; ``d_c=None`` asks for ``default_delta(dataset)``.
     ``rho_dpc`` is the shared count ``dataset.index.density(d_c)``, less
-    self. The nearest-higher search queries each object's 8 nearest on
-    the same index and keeps the rows whose list provably holds the
-    answer; the others are queried again with a list 4 times as long, up
-    to N. Queries go in row chunks of at most 8 * N list entries, so
-    memory stays O(8 * N).
+    self, and the nearest higher-ranked objects come from
+    ``dataset.index.nearest_higher`` on the same grid.
     """
     key = ("dpc", d_c)
     if key in dataset.derived:
@@ -199,26 +164,9 @@ def compute_dpc_quantities(dataset: Dataset, d_c: float | None = None) -> DpcQua
     order = np.lexsort((np.arange(n), -rho))  # densest first, lower id on ties
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-    delta = np.empty(n, dtype=np.float64)
-    higher = np.empty(n, dtype=np.int64)
+    delta, higher = index.nearest_higher(rank, d_c)
     top = order[0]
     delta[top] = _row_norms(points - points[top]).max()
-    higher[top] = -1
-
-    pending = order[1:]
-    k = _FIRST_K
-    while pending.size:
-        k = min(k, n)
-        chunk = _FIRST_K * n // k
-        uncertified = []
-        for start in range(0, pending.size, chunk):
-            rows = pending[start:start + chunk]
-            certified, best, closest = _nearest_higher_from_lists(index, rank, rows, k)
-            higher[rows[certified]] = best
-            delta[rows[certified]] = closest
-            uncertified.append(rows[~certified])
-        pending = np.concatenate(uncertified)
-        k *= _WIDEN
     for array in (rho, delta, higher, rank):
         array.flags.writeable = False
     dataset.derived[key] = DpcQuantities(rho, delta, higher, rank, float(d_c))

@@ -40,15 +40,17 @@ _TINY = 1e-150
 # Cells per radius along a grid axis, for radius queries and counts.
 _CELLS_PER_RADIUS = 3
 
-# Points per cell of the k-nearest grid, as the average point sees it.
-_KNN_OCCUPANCY = 2.0
+# Grids an index keeps, the most recently used: a density count and the
+# extension's queries at another radius share them without a rebuild.
+_GRIDS_KEPT = 2
 
 # The two ends of a query box: below and above its center.
 _SIDES = np.array([-1.0, 1.0])[:, None, None]
 
-# Most candidates that one pass of an index query judges at once, and
-# about the most entries of one block of ``pairwise_distances``: passes
-# and blocks that stay in cache go faster.
+# Most candidates that one pass of an index query judges at once (more
+# only where one center has more), and about the most entries of one
+# block of ``pairwise_distances``: passes and blocks that stay in cache
+# go faster.
 _PASS = 1 << 16
 _BLOCK = 1 << 15
 
@@ -115,7 +117,8 @@ class GroundTruth:
 
 class SpatialIndex:
     """A uniform cell grid over a dataset, or over a subset of its ids,
-    answering open-ball radius queries and k-nearest queries.
+    answering open-ball radius queries, k-nearest queries and searches
+    for the nearest object of higher rank.
 
     Every query returns dataset ids; with ``ids`` given, only those ids
     are indexed and found. Radius-query results depend only on point
@@ -125,10 +128,10 @@ class SpatialIndex:
     The points are sorted by cell (``_Grid``) over at most two coordinate
     axes, those of largest extent. A query's candidates are the points of
     the cells that its box meets, and each is judged by its ``_row_norms``
-    distance, so answers are exact in any dimension. A grid is built per
-    cell side on first use and kept: side r / ``_CELLS_PER_RADIUS`` for
-    queries at radius r, and one side, set by the points' spacing, for
-    k-nearest queries.
+    distance, so answers are exact in any dimension. Grids are built per
+    cell side on first use, and the ``_GRIDS_KEPT`` most recently used
+    are kept: side r / ``_CELLS_PER_RADIUS`` for queries at radius r, and
+    one side, set by the points' spacing, for k-nearest queries.
     """
 
     def __init__(self, dataset: Dataset, ids=None):
@@ -139,7 +142,6 @@ class SpatialIndex:
         # The (at most two) axes of largest extent, in axis order.
         self._axes = np.sort(np.argsort(-extent, kind="stable")[:2])
         self._grids: dict[float, _Grid] = {}
-        self._knn_side: float | None = None
         self._densities: dict[float, np.ndarray] = {}
 
     @property
@@ -148,10 +150,14 @@ class SpatialIndex:
         return self._points.shape[0]
 
     def _grid(self, side: float) -> _Grid:
-        """The grid of cell side ``side``, built on first use and kept."""
-        grid = self._grids.get(side)
+        """The grid of cell side ``side``, built unless it is one of the
+        ``_GRIDS_KEPT`` most recently used."""
+        grid = self._grids.pop(side, None)
         if grid is None:
-            grid = self._grids[side] = _Grid(self._points, self._ids, self._axes, side)
+            grid = _Grid(self._points, self._ids, self._axes, side)
+            if len(self._grids) == _GRIDS_KEPT:
+                del self._grids[next(iter(self._grids))]
+        self._grids[side] = grid
         return grid
 
     def _radius_grid(self, radius: float) -> _Grid:
@@ -273,68 +279,98 @@ class SpatialIndex:
         ids = np.empty((centers.shape[0], k), dtype=np.int64)
         if k == 0 or centers.shape[0] == 0:
             return dists, ids
-        grid = self._grid(self._k_nearest_side())
-        # A box of this reach holds about 4k points where the grid is dense.
-        reach = grid.side * (k / _KNN_OCCUPANCY) ** (1.0 / grid.axes.size)
-        # Centers go in cell order, so that a pass holds neighbours with
-        # like numbers of candidates.
+        grid = self._grid(self._spacing())
+        # A box of this reach holds about k points where the points are even.
+        reach = grid.side * (k / 4.0) ** (1.0 / grid.axes.size)
+        # Centers go in cell order, so that a pass reads neighbouring cells.
         pending = grid.cell_order(centers)
         while pending.size:
             reach = max(reach, _TINY)
             rows = centers.take(pending, axis=0)
-            unresolved = []
-            owners, start, stop = grid.slices(rows, reach)
-            lengths = stop - start
-            per_center = np.bincount(owners, weights=lengths, minlength=rows.shape[0])
-            # A pass holds whole centers, and its centers times its most
-            # candidates per center stay within _PASS (``_k_smallest``'s table).
-            for lo, hi in _passes(per_center.astype(np.int64), padded=True):
-                a, b = owners.searchsorted([lo, hi])
-                pos = _ragged_arange(start[a:b], lengths[a:b])
-                owner = np.repeat(owners[a:b] - lo, lengths[a:b])
-                d = _row_norms(grid.points.take(pos, axis=0) - rows[lo:hi].take(owner, axis=0))
-                # A row is resolved once k candidates lie inside reach, or
-                # once every point is its candidate; only those count.
-                everything = np.bincount(owner, minlength=hi - lo) == self.size
+            done = np.zeros(rows.shape[0], dtype=bool)
+            for pos, owner in grid.candidates(*grid.slices(rows, reach)):
+                d = _row_norms(grid.points.take(pos, axis=0) - rows.take(owner, axis=0))
+                everything = np.bincount(owner, minlength=rows.shape[0]) == self.size
                 inside = np.flatnonzero((d < reach * (1.0 - _ROUNDING)) | everything[owner])
-                owner = owner.take(inside)
-                done = np.bincount(owner, minlength=hi - lo) >= k
-                keep = np.flatnonzero(done[owner])
-                served = pending[lo:hi]
-                if keep.size:
-                    renumbered = (np.cumsum(done) - 1).take(owner.take(keep))
-                    near, found = _k_smallest(
-                        renumbered, d.take(inside.take(keep)),
-                        grid.ids.take(pos.take(inside.take(keep))), k,
-                    )
-                    dists[served[done]] = near
-                    ids[served[done]] = found
-                unresolved.append(served[~done])
-            pending = np.concatenate(unresolved)
+                found = grid.ids.take(pos.take(inside))
+                owner, d = owner.take(inside), d.take(inside)
+                order = np.lexsort((found, d, owner))
+                owner, d, found = owner.take(order), d.take(order), found.take(order)
+                count = np.bincount(owner, minlength=rows.shape[0])
+                resolved = np.flatnonzero(count >= k)
+                nearest_k = ((np.cumsum(count) - count)[resolved, None] + np.arange(k)).ravel()
+                dists[pending[resolved]] = d.take(nearest_k).reshape(-1, k)
+                ids[pending[resolved]] = found.take(nearest_k).reshape(-1, k)
+                done[resolved] = True
+            pending = pending[~done]
             reach *= 2.0
         return dists, ids
 
-    def _k_nearest_side(self) -> float:
-        """Cell side of the k-nearest grid: about ``_KNN_OCCUPANCY`` points
-        per cell as the average point sees it (the mean over points of
-        their cell's count), found from a trial grid of one point per cell
-        over the points' bounding box."""
-        if self._knn_side is None:
-            extent = np.ptp(self._points[:, self._axes], axis=0) if self.size else np.zeros(1)
-            extent = extent[extent > 0]
-            if extent.size == 0:  # every point on one spot of the grid axes
-                self._knn_side = 1.0
-            else:
-                power = 1.0 / extent.size
-                trial = float((np.prod(extent) / self.size) ** power)
-                if not 0 < trial < np.inf:  # the product under- or overflowed
-                    trial = float(extent.max())
-                keys = _Grid(self._points, self._ids, self._axes, trial).keys
-                ends = np.flatnonzero(np.diff(keys, append=keys[-1] + 1)) + 1
-                counts = np.diff(ends, prepend=0)
-                occupancy = float(counts @ counts) / self.size
-                self._knn_side = trial * (_KNN_OCCUPANCY / occupancy) ** power
-        return self._knn_side
+    def _spacing(self) -> float:
+        """Cell side of the k-nearest grid: one point per cell, on average,
+        over the points' bounding box on the grid axes."""
+        extent = np.ptp(self._points[:, self._axes], axis=0)
+        extent = extent[extent > 0]
+        if extent.size == 0:  # every point on one spot of the grid axes
+            return 1.0
+        side = float((np.prod(extent) / self.size) ** (1.0 / extent.size))
+        # The product of the extents may under- or overflow.
+        return side if 0 < side < np.inf else float(extent.max())
+
+    def nearest_higher(self, rank: np.ndarray, radius: float):
+        """Per dataset object, the nearest object of lower ``rank`` (an
+        integer array that orders the ids 0..N-1) and its ``_row_norms``
+        distance; among equally near ones the lowest rank wins. The object
+        of rank 0 gets -1 and inf. The index must hold the whole dataset.
+
+        The search runs on the grid for ``radius``. An object's candidates
+        are the points of the cells that its box [c - reach, c + reach]
+        meets, with reach starting at one cell. Every other point lies
+        beyond reach on a grid axis, so the nearest lower-ranked candidate
+        is the answer once it is nearer than reach, or once reach is
+        infinite; until then, reach doubles.
+        """
+        n = self.size
+        if self._ids is not None:
+            raise InvalidSpec("nearest_higher needs an index over the whole dataset")
+        rank = np.asarray(rank)
+        if rank.shape != (n,) or not np.array_equal(np.sort(rank), np.arange(n)):
+            raise InvalidSpec("rank must order the ids 0..N-1")
+        grid = self._radius_grid(radius)
+        by_rank = np.empty(n, dtype=np.int64)
+        by_rank[rank] = np.arange(n)
+        grid_rank = rank.take(grid.ids)
+        dist = np.full(n, np.inf)
+        found = np.full(n, -1, dtype=np.int64)
+        pending = grid.ids[grid_rank > 0]  # in cell order
+        reach = grid.side
+        while pending.size:
+            reach = max(reach, _TINY)
+            everything = reach == np.inf  # every point a candidate, even at overflow
+            rows = self._points.take(pending, axis=0)
+            row_rank = rank.take(pending)
+            best = np.full(rows.shape[0], np.inf)
+            best_rank = np.full(rows.shape[0], n)
+            near = None if everything else (rows, reach)
+            for pos, owner in grid.candidates(*grid.slices(rows, reach), near):
+                higher = grid_rank.take(pos)
+                keep = np.flatnonzero(higher < row_rank.take(owner))
+                if not keep.size:
+                    continue
+                pos, owner, higher = pos.take(keep), owner.take(keep), higher.take(keep)
+                d = _row_norms(grid.points.take(pos, axis=0) - rows.take(owner, axis=0))
+                # Per owner: its least distance, then the least rank at it.
+                heads = np.flatnonzero(np.diff(owner, prepend=-1))
+                least = np.minimum.reduceat(d, heads)
+                tied = np.where(d == np.repeat(least, np.diff(heads, append=d.size)), higher, n)
+                best[owner.take(heads)] = least
+                best_rank[owner.take(heads)] = np.minimum.reduceat(tied, heads)
+            done = (best_rank < n) & (everything | (best < reach * (1.0 - _ROUNDING)))
+            dist[pending[done]] = best[done]
+            found[pending[done]] = by_rank.take(best_rank[done])
+            pending = pending[~done]
+            reach *= 2.0
+        return dist, found
 
 
 class _Grid:
@@ -346,9 +382,8 @@ class _Grid:
     cell's key comes from the ranks of its labels among the points'
     distinct labels, so keys stay below size**2. A label never falls as
     its coordinate grows, so the cells that a box meets hold every point
-    inside it, and those of one row are one slice of the sorted points.
-    Where the keys are few, the first position of every key is kept in a
-    table; otherwise it is found by binary search.
+    inside it, and those of one row are one slice of the sorted points,
+    found by binary search over the sorted keys.
     """
 
     def __init__(self, points: np.ndarray, ids, axes: np.ndarray, side: float):
@@ -370,17 +405,9 @@ class _Grid:
         self.columns = None
         if axes.size < points.shape[1]:
             self.columns = [np.ascontiguousarray(self.points[:, a]) for a in axes]
-        cells = self.labels[0].size * (self.width if axes.size == 2 else 1)
-        self.starts = None
-        if cells <= 4 * key.size + 64:
-            self.starts = self.keys.searchsorted(np.arange(cells + 1))
 
     def _label(self, coords: np.ndarray) -> np.ndarray:
         return np.floor((coords - self.origin) / self.side)
-
-    def _first(self, keys: np.ndarray) -> np.ndarray:
-        """The first sorted position whose key is at least each of ``keys``."""
-        return self.keys.searchsorted(keys) if self.starts is None else self.starts.take(keys)
 
     def cell_order(self, points: np.ndarray) -> np.ndarray:
         """The order of ``points`` by their cells' labels."""
@@ -397,27 +424,30 @@ class _Grid:
         first = [u.searchsorted(low[:, a], "left") for a, u in enumerate(self.labels)]
         last = [u.searchsorted(high[:, a], "right") for a, u in enumerate(self.labels)]
         if self.axes.size == 1:
-            return np.arange(q.shape[0]), self._first(first[0]), self._first(last[0])
+            owner = np.arange(q.shape[0])
+            return owner, self.keys.searchsorted(first[0]), self.keys.searchsorted(last[0])
         rows = last[0] - first[0]
         owner = np.repeat(np.arange(q.shape[0]), rows)
         base = _ragged_arange(first[0], rows) * self.width
-        return owner, self._first(base + first[1][owner]), self._first(base + last[1][owner])
+        start, stop = (self.keys.searchsorted(base + ends[owner]) for ends in (first[1], last[1]))
+        return owner, start, stop
 
-    def candidates(self, owner, start, stop, near):
-        """Yield ``(positions, owner)`` over the given slices, in passes of
-        at most ``_PASS`` candidates (a longer cell row is a pass alone).
+    def candidates(self, owner, start, stop, near=None):
+        """Yield ``(positions, owner)`` over the given slices, ``owner``
+        ascending, in passes of at most ``_PASS`` candidates that hold
+        each owner's candidates whole (an owner with more is a pass alone).
 
-        ``near`` is ``(centers, reach)``. Where the grid leaves some axes
-        out, a candidate whose distance over the grid axes alone is at
-        least reach is dropped: its full distance cannot be below the
-        radius that reach covers, so only the rest of its coordinates are
-        read.
+        ``near``, if given, is ``(centers, reach)``. Where the grid leaves
+        some axes out, a candidate whose distance over the grid axes alone
+        is at least reach is then dropped: its full distance cannot be
+        below the radius that reach covers, so only the rest of its
+        coordinates are read.
         """
         lengths = stop - start
-        for a, b in _passes(lengths):
+        for a, b in _passes(lengths, owner):
             pos = _ragged_arange(start[a:b], lengths[a:b])
             owner_of = np.repeat(owner[a:b], lengths[a:b])
-            if self.columns is not None:
+            if near is not None and self.columns is not None:
                 queries, reach = near
                 partial = sum(
                     (column.take(pos) - queries[:, axis].take(owner_of)) ** 2
@@ -450,11 +480,11 @@ def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(total) + np.repeat(starts - ends + lengths, lengths)
 
 
-def _passes(sizes: np.ndarray, padded: bool = False):
+def _passes(sizes: np.ndarray, owner: np.ndarray):
     """Consecutive ranges ``lo, hi`` of items whose sizes add up to at
-    most ``_PASS``, or, ``padded``, whose count times their largest size
-    is at most ``_PASS``; an item too large for that is a range alone.
-    There is at least one range."""
+    most ``_PASS``, cut only where ``owner`` (ascending) changes; an
+    owner whose items alone are larger is a range alone. There is at
+    least one range."""
     n = sizes.size
     ends = np.cumsum(sizes)
     if not n or ends[-1] <= _PASS:
@@ -462,42 +492,12 @@ def _passes(sizes: np.ndarray, padded: bool = False):
         return
     lo = 0
     while lo < n:
-        if padded:
-            cost = np.maximum.accumulate(sizes[lo:]) * np.arange(1, n - lo + 1)
-            hi = lo + int(cost.searchsorted(_PASS, "right"))
-        else:
-            hi = int(ends.searchsorted((ends[lo - 1] if lo else 0) + _PASS, "right"))
-        hi = min(n, max(hi, lo + 1))
+        hi = max(lo + 1, int(ends.searchsorted((ends[lo - 1] if lo else 0) + _PASS, "right")))
+        if hi < n and owner[hi] == owner[hi - 1]:  # inside one owner's items
+            back = int(owner.searchsorted(owner[hi], "left"))
+            hi = back if back > lo else int(owner.searchsorted(owner[hi], "right"))
         yield lo, hi
         lo = hi
-
-
-def _k_smallest(owner, dists, ids, k: int):
-    """Per row (``owner`` value, ascending from 0, each with at least k
-    candidates), the k smallest (distance, id) pairs of its candidates,
-    as two (rows x k) arrays.
-
-    The candidates go into a table of one row per owner, padded with
-    inf, whose rows are sorted by distance. A row where two of the first
-    k + 1 distances are equal is sorted again by (distance, id).
-    """
-    count = np.bincount(owner)
-    rows, width = count.size, int(count.max())
-    cell = owner * width + np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
-    table = np.full(rows * width, np.inf)
-    table[cell] = dists
-    table = table.reshape(rows, width)
-    key = np.full(rows * width, np.iinfo(np.int64).max)
-    key[cell] = ids
-    key = key.reshape(rows, width)
-    order = np.argsort(table, axis=1)[:, :k + 1]
-    near = np.take_along_axis(table, order, axis=1)
-    real = np.arange(1, order.shape[1]) < count[:, None]
-    tied = np.flatnonzero(((near[:, 1:] == near[:, :-1]) & real).any(axis=1))
-    if tied.size:
-        order[tied] = np.lexsort((key[tied], table[tied]), axis=1)[:, :k + 1]
-    order = order[:, :k]
-    return np.take_along_axis(table, order, axis=1), np.take_along_axis(key, order, axis=1)
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:

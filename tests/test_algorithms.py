@@ -19,7 +19,7 @@ from ecac.algorithms import (
     kmeans_center_process,
     nearest_center_assignment,
 )
-from ecac.data import Dataset, SpatialIndex, generate_gaussian_mixture
+from ecac.data import Dataset, SpatialIndex, _Grid, generate_gaussian_mixture
 from ecac.density import default_delta
 from ecac.errors import ConfigError, EmptyCenters, InvalidK, InvalidRadius
 from ecac.metrics import nmi
@@ -191,19 +191,20 @@ class TestDpcQuantities:
 
     def test_separated_peaks_need_widening(self, monkeypatch):
         # Three far-apart clusters of 100: the two lower peaks' nearest
-        # higher object lies beyond the first 64 neighbors.
-        ks = []
-        k_nearest = SpatialIndex.k_nearest
+        # higher object lies about 50 away, far beyond the first search
+        # box (one cell, d_c / 3), so the box must widen past 40.
+        reaches = []
+        slices = _Grid.slices
 
-        def recording(self, centers, k):
-            ks.append(k)
-            return k_nearest(self, centers, k)
+        def recording(self, centers, reach):
+            reaches.append(reach)
+            return slices(self, centers, reach)
 
-        monkeypatch.setattr(SpatialIndex, "k_nearest", recording)
+        monkeypatch.setattr(_Grid, "slices", recording)
         rng = np.random.default_rng(31)
         pts = np.vstack([rng.normal(c, 1.0, size=(100, 2)) for c in ([0, 0], [50, 0], [0, 50])])
         assert_matches_loop_oracle(pts, 1.0)
-        assert max(ks) >= 256
+        assert max(reaches) >= 40
 
 
 def assert_matches_loop_oracle(pts, d_c):
@@ -456,13 +457,13 @@ class TestRegistry:
 
     def test_dpc_alternating_datasets_compute_quantities_once(self, monkeypatch):
         calls = []
-        k_nearest = SpatialIndex.k_nearest
+        nearest_higher = SpatialIndex.nearest_higher
 
-        def counted(index, centers, k):
+        def counted(index, rank, radius):
             calls.append(index.dataset)
-            return k_nearest(index, centers, k)
+            return nearest_higher(index, rank, radius)
 
-        monkeypatch.setattr(SpatialIndex, "k_nearest", counted)
+        monkeypatch.setattr(SpatialIndex, "nearest_higher", counted)
         a, _ = generate_gaussian_mixture(2, 30, [[0, 0], [10, 0]], 1.0, seed=1)
         b, _ = generate_gaussian_mixture(2, 30, [[0, 0], [10, 0]], 1.0, seed=2)
         alg = build_algorithm("dpc")

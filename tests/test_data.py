@@ -249,6 +249,19 @@ class TestKNearest:
             index.k_nearest(np.zeros((1, 1)), k)
 
 
+class TestNearestHigher:
+    def test_needs_a_whole_dataset_index_and_a_rank_of_every_id(self):
+        ds = Dataset(np.array([[0.0], [1.0], [3.0]]))
+        with pytest.raises(InvalidSpec, match="whole dataset"):
+            SpatialIndex(ds, [0, 2]).nearest_higher(np.array([0, 1, 2]), 1.0)
+        for rank in ([0, 1], [0, 1, 1], [1, 2, 3], [[0, 1, 2]]):
+            with pytest.raises(InvalidSpec, match="rank"):
+                SpatialIndex(ds).nearest_higher(np.array(rank), 1.0)
+        dist, found = SpatialIndex(ds).nearest_higher(np.array([2, 0, 1]), 1.0)
+        assert found.tolist() == [1, -1, 1]
+        assert dist.tolist() == [1.0, np.inf, 2.0]
+
+
 class TestSubsetIndex:
     def test_queries_return_dataset_ids(self):
         # A 0.25 grid with duplicates; some query points are outside the

@@ -1,4 +1,4 @@
-"""The cell-grid index against SciPy's KD-tree.
+"""The cell-grid index against SciPy's KD-tree and brute-force loops.
 
 SciPy is a test-only dependency: here its ``cKDTree`` lists candidates
 at a slightly inflated radius, and the package's own distance
@@ -32,6 +32,20 @@ def exact_k_nearest(points, ids, center, k):
     tree_dists = np.atleast_1d(cKDTree(points[ids]).query(center, k=k)[0])
     np.testing.assert_allclose(dists[order], tree_dists, rtol=1e-12, atol=1e-300)
     return dists[order], ids[order]
+
+
+def exact_nearest_higher(points, rank):
+    """Per object, the nearest object of lower rank by (distance, rank),
+    and that distance; -1 and inf for the object of rank 0."""
+    dist = np.full(len(points), np.inf)
+    found = np.full(len(points), -1)
+    for i, p in enumerate(points):
+        higher = np.flatnonzero(rank < rank[i])
+        if higher.size:
+            d = _row_norms(points[higher] - p)
+            best = np.lexsort((rank[higher], d))[0]
+            dist[i], found[i] = d[best], higher[best]
+    return dist, found
 
 
 @st.composite
@@ -78,6 +92,16 @@ def check_index(points, subset, queries, radius, k):
     assert index.density(radius).tolist() == [
         tree_range(points, ids, p, radius).size for p in points
     ]
+    if subset is None:
+        # DPC's rank (densest first, lower id on ties) and a shuffled one.
+        n = len(points)
+        dpc_rank = np.empty(n, dtype=np.int64)
+        dpc_rank[np.lexsort((np.arange(n), -index.density(radius)))] = np.arange(n)
+        for rank in (dpc_rank, np.random.default_rng(n).permutation(n)):
+            got_dist, got_found = index.nearest_higher(rank, radius)
+            want_dist, want_found = exact_nearest_higher(points, rank)
+            assert got_found.tolist() == want_found.tolist()
+            assert np.array_equal(got_dist, want_dist)
     if ids.size:
         got_dists, got_ids = index.k_nearest(queries, k)
         for c, q in enumerate(queries):
@@ -148,3 +172,8 @@ def test_k_nearest_at_extreme_scales(scale):
         assert index.density(r).tolist() == [
             int((_row_norms(points - q) < r).sum()) for q in points
         ]
+        rank = np.array([3, 0, 5, 1, 2, 4])
+        got_dist, got_found = index.nearest_higher(rank, r)
+        want_dist, want_found = exact_nearest_higher(points, rank)
+        assert got_found.tolist() == want_found.tolist()
+        assert np.array_equal(got_dist, want_dist)

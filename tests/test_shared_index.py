@@ -18,7 +18,7 @@ import pytest
 
 import ecac
 from ecac.cli import main
-from ecac.data import SpatialIndex, generate_gaussian_mixture
+from ecac.data import _GRIDS_KEPT, Dataset, SpatialIndex, _Grid, generate_gaussian_mixture
 
 BLOB_MEANS = [[0, 0], [12, 0], [0, 12], [12, 12]]
 
@@ -72,6 +72,51 @@ def test_ablate_counts_delta_once(tmp_path, neighbour_work):
     ])
     assert code == 0
     assert neighbour_work == {"indexes": 1, "count_calls": 1}
+
+
+@pytest.fixture
+def grid_builds(monkeypatch):
+    """The cell side of every grid built for a whole-dataset index."""
+    sides = []
+    init = _Grid.__init__
+
+    def counting(self, points, ids, axes, side):
+        if ids is None:
+            sides.append(side)
+        init(self, points, ids, axes, side)
+
+    monkeypatch.setattr(_Grid, "__init__", counting)
+    return sides
+
+
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_default_sweep_builds_each_grid_once(tmp_path, grid_builds, command):
+    # Five δ, each counted on one grid and queried on another (2δ for the
+    # local pool, δ for the global one), with at most two grids kept.
+    csv = write_blobs_csv(tmp_path / "blobs.csv", 40)
+    code = main([
+        command, "--data", str(csv), "--label-col", "-1", "--algo", "kmeans", "--k", "4",
+        "--out", str(tmp_path / "o"),
+    ])
+    assert code == 0
+    assert grid_builds and len(grid_builds) == len(set(grid_builds))
+
+
+def test_many_radii_keep_a_bounded_number_of_grids(grid_builds):
+    rng = np.random.default_rng(5)
+    points = rng.normal(size=(300, 2))
+    index = SpatialIndex(Dataset(points))
+    radii = np.linspace(0.05, 2.0, 40)
+    for radius in radii:
+        index.range_query_batch(points[:3], radius)
+        index.density(radius)
+        assert len(index._grids) <= _GRIDS_KEPT
+    assert len(grid_builds) == radii.size
+    # Two radii in turn share the two kept grids.
+    for _ in range(5):
+        for radius in (0.3, 0.7):
+            index.range_query_batch(points[:3], radius)
+    assert len(grid_builds) == radii.size + 2
 
 
 def test_index_and_density_are_kept():
