@@ -24,9 +24,11 @@ Each ``--src`` directory is imported as its own copy of the package, so
 two checkouts are compared in one process: every repeat times each
 input once per checkout, and the order of the checkouts alternates from
 repeat to repeat. The script prints, per input and checkout, the median
-time, the tree calls, the neighbour lists fetched against those used
-(one per member) and the peak count of fetched-but-unused list entries.
-A checkout whose extension keeps no such counters prints ``-``.
+time and two counters of ``ExtendedSets.stats`` summed over the input's
+calls: ``run_entries``, the ids held by the candidate runs the radius
+queries read, and ``candidates``, the non-members whose distances were
+computed. A checkout whose extension keeps no such counters prints
+``-``.
 """
 
 from __future__ import annotations
@@ -102,9 +104,12 @@ def prepare(name: str, csv_path: Path, ecac):
     ]
 
 
+COUNTERS = ("run_entries", "candidates")
+
+
 def time_calls(ecac, calls):
-    """Seconds for the calls, and their summed counters (None when the
-    extension keeps none)."""
+    """Seconds for the calls, and their summed counters (None where the
+    extension does not keep one)."""
     gc.collect()
     start = time.perf_counter()
     results = [
@@ -112,14 +117,10 @@ def time_calls(ecac, calls):
         for dataset, centers, delta, strategy, densities in calls
     ]
     seconds = time.perf_counter() - start
-    stats = [getattr(ext, "stats", None) or None for ext in results]
-    if None in stats:
-        return seconds, None
+    stats = [getattr(ext, "stats", None) or {} for ext in results]
     counters = {
-        "tree_calls": sum(s["tree_calls"] for s in stats),
-        "lists_fetched": sum(s["lists_fetched"] for s in stats),
-        "lists_used": sum(ext.s for ext in results),
-        "peak_pending_entries": max(s["peak_pending_entries"] for s in stats),
+        key: sum(s[key] for s in stats) if all(key in s for s in stats) else None
+        for key in COUNTERS
     }
     return seconds, counters
 
@@ -140,8 +141,7 @@ def main(argv=None) -> int:
         parser.error(f"unknown input(s): {', '.join(unknown)}")
 
     packages = [load_package(src.resolve(), f"ecac_timed_{i}") for i, src in enumerate(srcs)]
-    print(f"{'input':22s}{'src':>5s}{'median s':>10s}{'tree calls':>12s}"
-          f"{'fetched/used':>16s}{'peak pending':>14s}")
+    print(f"{'input':22s}{'src':>5s}{'median s':>10s}{'run entries':>13s}{'candidates':>12s}")
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
             csv_path = Path(tmp) / f"{name}.csv"
@@ -155,12 +155,12 @@ def main(argv=None) -> int:
                     seconds, counters[i] = time_calls(packages[i], calls[i])
                     times[i].append(seconds)
             for i, src_times in enumerate(times):
-                c = counters[i]
-                fetched = f"{c['lists_fetched']}/{c['lists_used']}" if c else "-"
+                entries, candidates = (
+                    "-" if counters[i][key] is None else counters[i][key] for key in COUNTERS
+                )
                 print(
                     f"{name:22s}{i:>5d}{statistics.median(src_times):>10.3f}"
-                    f"{c['tree_calls'] if c else '-':>12}{fetched:>16s}"
-                    f"{c['peak_pending_entries'] if c else '-':>14}",
+                    f"{entries:>13}{candidates:>12}",
                     flush=True,
                 )
     for i, src in enumerate(srcs):

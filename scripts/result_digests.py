@@ -30,7 +30,14 @@ spans several row chunks. Two more lines digest the sets and the trace
 of ``identify_extended_centers`` with the local and the nodensity
 strategy on a 5,001-point spiral (``make_benchmarks.spiral`` with
 ``n_per_arm=1667, seed=7``), kmeans k = 3 centers and the default delta:
-runs long enough to rebuild the extension's non-member tree many times.
+runs of thousands of members. Two more lines digest the sets and the
+trace of ``identify_extended_centers`` with the local, global, capped
+local (100 per set) and random (seed 0) strategies on 4-component
+Gaussian mixtures in 3 and 8 dimensions (500 points per component,
+means on the corners of a 12 x 12 square in the first two axes,
+standard deviation 2, seed 0), kmeans k = 4 centers and the default
+delta: the grid covers at most two axes, so these runs read candidates
+that are near on the grid axes but far on the others.
 The last line digests the labels of ``run_optimized`` (default delta,
 local strategy) with one ``build_algorithm("dpc")`` object used on
 ``spiral.csv`` (k = 3), then ``jain.csv`` (k = 2), then the same
@@ -151,6 +158,29 @@ def _spiral_extension_digests() -> dict[str, str]:
     return digests
 
 
+def _high_dimension_digests() -> dict[int, str]:
+    strategies = [
+        SelectionStrategy("local"),
+        SelectionStrategy("global"),
+        SelectionStrategy("local", cap=100),
+        SelectionStrategy("random", seed=0),
+    ]
+    digests = {}
+    for d in (3, 8):
+        means = np.zeros((4, d))
+        means[[1, 3], 0] = 12.0
+        means[[2, 3], 1] = 12.0
+        dataset, _ = generate_gaussian_mixture(4, 500, means, 2.0, 0)
+        centers, _ = build_algorithm("kmeans").center_process(dataset, 4)
+        delta = default_delta(dataset)
+        runs = [
+            identify_extended_centers(dataset, centers, delta, strategy)
+            for strategy in strategies
+        ]
+        digests[d] = _digest(json.dumps([[ext.sets, ext.trace] for ext in runs], sort_keys=True).encode())
+    return digests
+
+
 def _dpc_alternating_digest(data_dir: Path) -> str:
     spiral_ds, _ = load_csv(data_dir / "spiral.csv", -1)
     jain_ds, _ = load_csv(data_dir / "jain.csv", -1)
@@ -197,6 +227,8 @@ def main():
     print(f"farblobs-8k local-fallback={_far_blobs_digest()}")
     for kind, digest in _spiral_extension_digests().items():
         print(f"spiral-5k {kind}-extension={digest}")
+    for d, digest in _high_dimension_digests().items():
+        print(f"blobs-2k-{d}d extension={digest}")
     print(f"dpc-alternating={_dpc_alternating_digest(data_dir)}")
 
 

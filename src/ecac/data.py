@@ -5,7 +5,11 @@ matrix. All distances in this package are Euclidean, and neighborhoods
 are open balls: ``range_query(p, r)`` returns exactly the ids at strict
 distance ``< r``. Radius and k-nearest queries go to a cell grid
 (``SpatialIndex``), and all-pairs distances to chunked NumPy blocks
-(``nearest``, ``pairwise_distances``), so memory stays bounded.
+(``nearest``, ``pairwise_distances``), so memory stays bounded. For
+many radius queries centered on the dataset's own points, the grid also
+keeps a candidate run per cell (``SpatialIndex.candidate_runs``): the
+ids of every cell that the cell's points' query boxes meet, so such a
+query is one slice of its point's run, judged by exact distance.
 """
 
 from __future__ import annotations
@@ -116,14 +120,14 @@ class GroundTruth:
 
 
 class SpatialIndex:
-    """A uniform cell grid over a dataset, or over a subset of its ids,
-    answering open-ball radius queries, k-nearest queries and searches
-    for the nearest object of higher rank.
+    """A uniform cell grid over a dataset, answering open-ball radius
+    queries, k-nearest queries and searches for the nearest object of
+    higher rank, and holding per-cell candidate runs for radius queries
+    centered on its points.
 
-    Every query returns dataset ids; with ``ids`` given, only those ids
-    are indexed and found. Radius-query results depend only on point
-    coordinates, never on build order, and a query centered on an indexed
-    point ``i`` always contains ``i``.
+    Every query returns dataset ids. Radius-query results depend only on
+    point coordinates, never on build order, and a query centered on a
+    point ``i`` of the dataset always contains ``i``.
 
     The points are sorted by cell (``_Grid``) over at most two coordinate
     axes, those of largest extent. A query's candidates are the points of
@@ -134,11 +138,10 @@ class SpatialIndex:
     one side, set by the points' spacing, for k-nearest queries.
     """
 
-    def __init__(self, dataset: Dataset, ids=None):
+    def __init__(self, dataset: Dataset):
         self.dataset = dataset
-        self._ids = None if ids is None else np.asarray(ids, dtype=np.int64)
-        self._points = dataset.points if ids is None else dataset.points[self._ids]
-        extent = np.ptp(self._points, axis=0) if self.size else np.zeros(dataset.d)
+        self._points = dataset.points
+        extent = np.ptp(self._points, axis=0)
         # The (at most two) axes of largest extent, in axis order.
         self._axes = np.sort(np.argsort(-extent, kind="stable")[:2])
         self._grids: dict[float, _Grid] = {}
@@ -154,28 +157,28 @@ class SpatialIndex:
         ``_GRIDS_KEPT`` most recently used."""
         grid = self._grids.pop(side, None)
         if grid is None:
-            grid = _Grid(self._points, self._ids, self._axes, side)
+            grid = _Grid(self._points, self._axes, side)
             if len(self._grids) == _GRIDS_KEPT:
                 del self._grids[next(iter(self._grids))]
         self._grids[side] = grid
         return grid
 
     def _radius_grid(self, radius: float) -> _Grid:
-        """The grid for queries at ``radius``. Its side is kept between
-        ``_TINY`` and the largest float, so that no label is NaN: an
-        infinite radius makes one cell."""
+        """The grid for queries at ``radius`` (> 0). Its side is kept
+        between ``_TINY`` and the largest float, so that no label is NaN:
+        an infinite radius makes one cell."""
+        if not radius > 0:
+            raise InvalidRadius(f"radius must be > 0, got {radius}")
         side = min(max(radius / _CELLS_PER_RADIUS, _TINY), np.finfo(np.float64).max)
         return self._grid(side)
 
-    def _checked(self, centers, ndim: int, radius: float | None = None) -> np.ndarray:
-        """Query point(s) as floats, after checking their shape and any radius."""
+    def _checked(self, centers, ndim: int) -> np.ndarray:
+        """Query point(s) as floats, after checking their shape."""
         centers = np.asarray(centers, dtype=np.float64)
         if centers.ndim != ndim or centers.shape[-1] != self.dataset.d:
             raise DimensionMismatch(
                 f"query point has shape {centers.shape}, dataset is {self.dataset.d}-D"
             )
-        if radius is not None and not radius > 0:
-            raise InvalidRadius(f"radius must be > 0, got {radius}")
         return centers
 
     def range_query(self, center, radius: float) -> np.ndarray:
@@ -185,7 +188,7 @@ class SpatialIndex:
     def range_query_with_distances(self, center, radius: float):
         """The ids at strict distance < radius from center, in no
         particular order, and their distances."""
-        center = self._checked(center, ndim=1, radius=radius)
+        center = self._checked(center, ndim=1)
         ids, dists, _ = self.range_query_batch(center[None, :], radius)
         return ids, dists
 
@@ -202,7 +205,7 @@ class SpatialIndex:
         ``ids[bounds[c]:bounds[c + 1]]``, and ``dists`` holds their
         ``_row_norms`` distances.
         """
-        centers = self._checked(centers, ndim=2, radius=radius)
+        centers = self._checked(centers, ndim=2)
         grid = self._radius_grid(radius)
         ids, dists, owners = [], [], []
         reach = _reach(radius)
@@ -216,8 +219,8 @@ class SpatialIndex:
         return np.concatenate(ids), np.concatenate(dists), bounds
 
     def density(self, radius: float) -> np.ndarray:
-        """Per dataset object, the number of indexed ids at strict distance
-        < radius: a read-only array, counted once per radius and kept."""
+        """Per object, the number of ids at strict distance < radius: a
+        read-only array, counted once per radius and kept."""
         radius = float(radius)
         if radius not in self._densities:
             counts = self._count(radius)
@@ -226,37 +229,32 @@ class SpatialIndex:
         return self._densities[radius]
 
     def _count(self, radius: float) -> np.ndarray:
-        """One exact counting pass: per dataset object, the indexed ids at
-        strict distance < radius.
-
-        Over the whole dataset, each object's candidates are cut to those
-        after it in the grid's order, so each pair is judged once and
-        counts for both of its objects. Over a subset, the objects go in
-        cell order, so that a pass reads a few neighbouring cells.
-        """
-        points = self._checked(self.dataset.points, ndim=2, radius=radius)
+        """One exact counting pass: per object, the ids at strict distance
+        < radius. Each object's candidates are cut to those after it in
+        the grid's order, so each pair is judged once and counts for both
+        of its objects."""
         grid = self._radius_grid(radius)
-        if self._ids is None:
-            order, queries = grid.ids, grid.points
-            owner, start, stop = grid.slices(queries, _reach(radius))
-            start = np.maximum(start, owner + 1)
-            slices = owner, start, np.maximum(stop, start)
-            counts = np.ones(order.size, dtype=np.int64)  # each object itself
-        else:
-            order = grid.cell_order(points)
-            queries = points.take(order, axis=0)
-            slices = grid.slices(queries, _reach(radius))
-            counts = np.zeros(order.size, dtype=np.int64)
-        for pos, owner in grid.candidates(*slices, (queries, _reach(radius))):
-            inside = _row_norms(grid.points.take(pos, axis=0) - queries.take(owner, axis=0)) < radius
-            ends = (owner[inside], pos[inside]) if self._ids is None else (owner[inside],)
-            for end in ends:
+        reach = _reach(radius)
+        owner, start, stop = grid.slices(grid.points, reach)
+        start = np.maximum(start, owner + 1)
+        counts = np.ones(self.size, dtype=np.int64)  # each object itself
+        for pos, owner in grid.candidates(owner, start, np.maximum(stop, start), (grid.points, reach)):
+            inside = _row_norms(grid.points.take(pos, axis=0) - grid.points.take(owner, axis=0)) < radius
+            for end in (owner[inside], pos[inside]):
                 if end.size:
                     lo = end.min()
                     counts[lo:end.max() + 1] += np.bincount(end - lo)
         result = np.empty_like(counts)
-        result[order] = counts
+        result[grid.ids] = counts
         return result
+
+    def candidate_runs(self, radius: float):
+        """``(cell, bounds, ids)``, the candidate runs of the grid for
+        ``radius``, built on first use and kept with it: object i lies in
+        cell ``cell[i]``, and the run of cell c, ``ids[bounds[c]:bounds[c
+        + 1]]``, holds every id at strict distance < radius from any
+        point of that cell, besides others (see ``_Grid.runs``)."""
+        return self._radius_grid(radius).runs(_reach(radius))
 
     def k_nearest(self, centers: np.ndarray, k: int):
         """Per center, the min(k, size) nearest indexed ids and their
@@ -321,7 +319,7 @@ class SpatialIndex:
         """Per dataset object, the nearest object of lower ``rank`` (an
         integer array that orders the ids 0..N-1) and its ``_row_norms``
         distance; among equally near ones the lowest rank wins. The object
-        of rank 0 gets -1 and inf. The index must hold the whole dataset.
+        of rank 0 gets -1 and inf.
 
         The search runs on the grid for ``radius``. An object's candidates
         are the points of the cells that its box [c - reach, c + reach]
@@ -331,8 +329,6 @@ class SpatialIndex:
         infinite; until then, reach doubles.
         """
         n = self.size
-        if self._ids is not None:
-            raise InvalidSpec("nearest_higher needs an index over the whole dataset")
         rank = np.asarray(rank)
         if rank.shape != (n,) or not np.array_equal(np.sort(rank), np.arange(n)):
             raise InvalidSpec("rank must order the ids 0..N-1")
@@ -386,25 +382,25 @@ class _Grid:
     found by binary search over the sorted keys.
     """
 
-    def __init__(self, points: np.ndarray, ids, axes: np.ndarray, side: float):
+    def __init__(self, points: np.ndarray, axes: np.ndarray, side: float):
         self.axes = axes
         self.side = side
         coords = points[:, axes]
-        self.origin = coords.min(axis=0) if coords.size else np.zeros(axes.size)
+        self.origin = coords.min(axis=0)
         labels = self._label(coords)
         self.labels = [_distinct(column) for column in labels.T]
         ranks = [np.searchsorted(u, column) for u, column in zip(self.labels, labels.T)]
         self.width = self.labels[-1].size
         key = ranks[0] if axes.size == 1 else ranks[0] * self.width + ranks[1]
-        order = np.argsort(key, kind="stable")
-        self.keys = key[order]
-        self.points = points.take(order, axis=0)
-        self.ids = order if ids is None else ids[order]
+        self.ids = np.argsort(key, kind="stable")
+        self.keys = key[self.ids]
+        self.points = points.take(self.ids, axis=0)
         # The grid axes' coordinates, one contiguous column each, where the
         # grid leaves other axes out.
         self.columns = None
         if axes.size < points.shape[1]:
             self.columns = [np.ascontiguousarray(self.points[:, a]) for a in axes]
+        self._runs: dict[float, tuple] = {}
 
     def _label(self, coords: np.ndarray) -> np.ndarray:
         return np.floor((coords - self.origin) / self.side)
@@ -419,18 +415,62 @@ class _Grid:
         hold the cells each center's box [c - reach, c + reach] meets,
         ``owner`` ascending."""
         q = centers if self.axes.size == centers.shape[1] else centers[:, self.axes]
+        return self.box_slices(q - reach, q + reach)
+
+    def box_slices(self, low: np.ndarray, high: np.ndarray):
+        """``(owner, start, stop)``: the slices of sorted positions that
+        hold the cells each box [low[i], high[i]] (coordinates on the grid
+        axes) meets, ``owner`` ascending."""
         # nextafter: the box's float ends lie outside its true ends.
-        low, high = self._label(np.nextafter(q + _SIDES * reach, _SIDES * np.inf))
+        low, high = self._label(np.nextafter(np.stack((low, high)), _SIDES * np.inf))
         first = [u.searchsorted(low[:, a], "left") for a, u in enumerate(self.labels)]
         last = [u.searchsorted(high[:, a], "right") for a, u in enumerate(self.labels)]
         if self.axes.size == 1:
-            owner = np.arange(q.shape[0])
+            owner = np.arange(low.shape[0])
             return owner, self.keys.searchsorted(first[0]), self.keys.searchsorted(last[0])
         rows = last[0] - first[0]
-        owner = np.repeat(np.arange(q.shape[0]), rows)
+        owner = np.repeat(np.arange(low.shape[0]), rows)
         base = _ragged_arange(first[0], rows) * self.width
         start, stop = (self.keys.searchsorted(base + ends[owner]) for ends in (first[1], last[1]))
         return owner, start, stop
+
+    def runs(self, reach: float):
+        """``(cell, bounds, ids)``: point i lies in cell ``cell[i]`` (cells
+        numbered in key order), and the run of cell c,
+        ``ids[bounds[c]:bounds[c + 1]]``, holds the ids of every cell that
+        the box "the bounding box of cell c's points ± reach" meets. Built
+        on first use per reach and kept.
+
+        That box holds the query box [p - reach, p + reach] of each point
+        p of the cell, and its ends are rounded and labelled as in
+        ``slices``, so the run holds every candidate of a radius query
+        centered on p. The runs are built in bounded passes (lengths, then
+        ids), so they are the only lasting memory.
+        """
+        if reach not in self._runs:
+            first = np.diff(self.keys, prepend=-1) != 0
+            heads = np.flatnonzero(first)
+            coords = self.points[:, self.axes]
+            low = np.minimum.reduceat(coords, heads) - reach
+            high = np.maximum.reduceat(coords, heads) + reach
+            # A box meets at most 8 labels on the first grid axis, so a
+            # block of _PASS // 8 cells has at most _PASS slices.
+            blocks = [slice(lo, lo + _PASS // 8) for lo in range(0, heads.size, _PASS // 8)]
+            bounds = np.zeros(heads.size + 1, dtype=np.int64)
+            for block in blocks:
+                owner, start, stop = self.box_slices(low[block], high[block])
+                bounds[block.start + 1:block.stop + 1] = np.bincount(owner, stop - start)
+            np.cumsum(bounds, out=bounds)
+            ids = np.empty(bounds[-1], dtype=np.int64)
+            for block in blocks:
+                at = bounds[block.start]
+                for pos, _ in self.candidates(*self.box_slices(low[block], high[block])):
+                    ids[at:at + pos.size] = self.ids.take(pos)
+                    at += pos.size
+            cell = np.empty(self.ids.size, dtype=np.int64)
+            cell[self.ids] = np.cumsum(first) - 1
+            self._runs[reach] = cell, bounds, ids
+        return self._runs[reach]
 
     def candidates(self, owner, start, stop, near=None):
         """Yield ``(positions, owner)`` over the given slices, ``owner``

@@ -30,14 +30,13 @@ The scored strategies keep one score per object (inf for members and
 objects outside the pool), so a step is one ``argmin``. A new member's
 fold visits only its radius query's answer and the pooled rows whose
 cached distance is at least the query radius (``far``); a member's
-cached distance is -inf, so no fold changes it and answers need no
-member filtering. Radius queries go to a spatial index of the
-non-members, rebuilt once a quarter of it has joined. Uncapped scored
-runs fetch in batches: one index call answers a new member together
-with the lowest-scored pooled non-members that have no answer yet,
-whose answers wait until they join; the random strategy and capped
-runs query one member at a time. ``_run_scored`` and ``_GreedyState``
-say why all of this is exact.
+cached distance is -inf, so no fold changes it. A new member's radius
+query is one slice of its cell's candidate run
+(``SpatialIndex.candidate_runs``, built once per radius for every cell
+of the grid), less the members, judged by exact distance; no index
+call is made per member. Coverage grows by the answer's newly covered
+objects.
+``_run_scored`` and ``_GreedyState`` say why all of this is exact.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from typing import Sequence
 import numpy as np
 from numpy.random import Generator, default_rng
 
-from .data import _NEAREST_CHUNK, Dataset, SpatialIndex, _row_norms, nearest
+from .data import Dataset, SpatialIndex, _row_norms, nearest
 from .density import DensityVector, compute_densities
 from .errors import EmptyCenters, InvalidRadius, InvalidSpec, LabelOutOfRange
 
@@ -58,15 +57,6 @@ GLOBAL = "global"
 RANDOM = "random"
 NODENSITY = "nodensity"
 STRATEGY_KINDS = (LOCAL, GLOBAL, RANDOM, NODENSITY)
-
-# Members added since the extension's non-member index was built, as a
-# share of its size, beyond which the index is rebuilt.
-_REBUILD_FRACTION = 0.25
-
-# Most objects whose radius queries one index call answers: a new member
-# and the lowest-scored pooled non-members that have no answer yet.
-_BATCH = 32
-
 
 @dataclass(frozen=True)
 class SelectionStrategy:
@@ -99,10 +89,11 @@ class ExtendedSets:
     index of ``all[p]``. ``steps`` holds four columns with one entry per
     greedy selection: object id, set index, selection distance, and
     covered count after the step; ``trace`` reads them as one dict per
-    step (see ``trace_records``). ``stats`` counts the radius-query work:
-    index calls (``tree_calls``), answers fetched (one per member is
-    used), the peak count of entries in fetched answers not yet used, and
-    non-member index rebuilds.
+    step (see ``trace_records``). ``stats`` counts the radius-query work,
+    the same on every run of the same input: ``run_entries``, the ids
+    held by the candidate runs that the queries read (at most 64 per
+    object), and ``candidates``, the non-members whose distance to a new
+    member was computed, summed over the members.
     """
 
     sets: list[list[int]]
@@ -132,42 +123,24 @@ class _GreedyState:
     """Bookkeeping shared by every strategy.
 
     Each member's radius query lists the non-members within the query
-    radius: 2*delta for the local pool, else delta. The queries go to an
-    index over the objects that were non-members when it was built,
-    starting from the full ``index``; it is rebuilt over the remaining
-    non-members once the members added since exceed
-    ``_REBUILD_FRACTION`` of its size, so an answer lists few members.
+    radius: 2*delta for the local pool, else delta. It is answered from
+    the index's candidate runs at that radius (``candidate_runs``), built
+    once for every cell: one slice of the run of the new member's cell,
+    less the members, judged by exact distance (``distances``) and kept
+    below the radius.
 
-    With ``fetch_ahead``, answers are fetched in batches. When a new
-    member has none, one ``range_query_batch`` call fetches its answer
-    with those of the lowest-scored pooled non-members that have none
-    (``score``, which the scored strategies write), up to ``_BATCH``
-    objects, and the extra answers wait in ``pending`` until their
-    object joins. While the pending answers hold more than
-    ``_NEAREST_CHUNK`` entries, a fetch asks for the new member's alone,
-    so they never hold more than that plus one batch. The random
-    strategy has no scores to look ahead by, and a capped run usually
-    stops long before its pool is used up, so answers fetched ahead
-    would mostly go unused (929 fetched for 404 members on 4 blobs of
-    2,500 with a cap of 100): both fetch every answer alone, with one
-    ball query and no batch bookkeeping.
-
-    Why this is exact: an answer lists every object within the radius
-    that was a non-member when it was fetched, with its ``_row_norms``
-    distance. Objects only ever leave the non-members, so an answer,
-    used when its object joins, holds every non-member a query at that
-    moment would list, plus some members. Those members are already
-    covered, and the scored strategies never change a member's cache
-    (see ``_run_scored``), so they are left in. A member needs no query,
-    because it is always covered (it covers itself when it joins) and
-    never re-scored.
+    Why this is exact: a run holds every point at strict distance below
+    the radius from any point of its cell, so the slice holds every
+    object that a grid query centered on the new member would list, and
+    ``distances`` gives, bit for bit, the ``_row_norms`` distances such a
+    query computes. Dropping the members leaves exactly the non-members
+    within the radius. A member needs no query, because
+    it is always covered (it covers itself when it joins) and never
+    re-scored (see ``_run_scored``).
     """
 
-    def __init__(self, dataset, index, densities, centers, cap, query_radius, fetch_ahead):
-        self.dataset = dataset
+    def __init__(self, dataset, index, densities, centers, cap, query_radius):
         self.points = dataset.points
-        self.index = index
-        self.stale = 0
         self.densities = densities
         self.centers = centers
         self.delta = densities.delta
@@ -175,20 +148,19 @@ class _GreedyState:
         self.query_radius = query_radius
         self.k = len(centers)
         self.n = dataset.n
-        self.ahead = min(_BATCH - 1, self.n - 1) if fetch_ahead else 0
+        self.cell, self.bounds, self.runs = index.candidate_runs(query_radius)
+        # The points' transpose, contiguous, for ``distances`` below d = 8.
+        self.columns = self.points.T.copy() if dataset.d < 8 else None
         self.sets: list[list[int]] = [[] for _ in range(self.k)]
         self.all: list[int] = []
         self.all_sets: list[int] = []
-        self.member_of = np.full(self.n, -1, dtype=np.int64)
+        self.free = np.ones(self.n, dtype=bool)  # not a member
         self.score = np.full(self.n, np.inf)
         self.closed = np.zeros(self.k, dtype=bool)
         self.n_closed = 0
-        self.covered = np.zeros(self.n, dtype=bool)
+        self.uncovered = np.ones(self.n, dtype=bool)
         self.n_covered = 0
-        self.pending: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.fetched = np.zeros(self.n, dtype=bool)  # an answer was fetched for it
-        self.pending_entries = 0
-        self.stats = {"tree_calls": 0, "lists_fetched": 0, "peak_pending_entries": 0, "rebuilds": 0}
+        self.stats = {"run_entries": int(self.runs.size), "candidates": 0}
         # The trace as columns (object, set, dis, covered), one entry per
         # step. Ints and floats are not tracked by the garbage collector,
         # so a step allocates no container: with one tuple per step as
@@ -200,14 +172,14 @@ class _GreedyState:
 
     def add(self, o: int, j: int):
         """Register a new member; returns its answer ``(ids, dists)``:
-        every non-member within the query radius, and possibly members,
-        ids in no particular order.
+        every non-member within the query radius, ids in no particular
+        order.
 
         The answer feeds the candidate pool and its cache, and its subset
-        at strict distance < delta is newly covered. Set j is closed once
-        it holds ``cap`` extended-centers.
+        at strict distance < delta is newly covered unless covered before.
+        Set j is closed once it holds ``cap`` extended-centers.
         """
-        self.member_of[o] = j
+        self.free[o] = False
         self.score[o] = np.inf
         self.sets[j].append(o)
         self.all.append(o)
@@ -215,45 +187,33 @@ class _GreedyState:
         if len(self.sets[j]) - 1 == self.cap:
             self.closed[j] = True
             self.n_closed += 1
-        self.stale += 1
-        if self.stale > _REBUILD_FRACTION * self.index.size:
-            self.index = SpatialIndex(self.dataset, np.flatnonzero(self.member_of < 0))
-            self.stale = 0
-            self.stats["rebuilds"] += 1
-        answer = self.pending.pop(o, None)
-        if answer is None:
-            ids, dists = self._fetch(o)
-        else:
-            ids, dists = answer
-            self.pending_entries -= ids.size
-        self.covered[o] = True
-        self.covered[ids[dists < self.delta]] = True
-        self.n_covered = int(np.count_nonzero(self.covered))
+        c = self.cell[o]
+        run = self.runs[self.bounds[c]:self.bounds[c + 1]]
+        cand = run[self.free.take(run)]
+        dists = self.distances(cand, o)
+        keep = (dists < self.query_radius).nonzero()[0]
+        ids, dists = cand.take(keep), dists.take(keep)
+        self.stats["candidates"] += cand.size
+        uncovered = self.uncovered
+        new = ids[(dists < self.delta) & uncovered.take(ids)]
+        uncovered[new] = False
+        self.n_covered += new.size
+        if uncovered[o]:
+            uncovered[o] = False
+            self.n_covered += 1
         return ids, dists
 
-    def _fetch(self, o: int):
-        """o's answer, fetched in one index call with the answers of up to
-        ``_BATCH - 1`` of the lowest-scored pooled non-members that have
-        none, which wait in ``pending``; alone without ``fetch_ahead``."""
-        stats = self.stats
-        stats["tree_calls"] += 1
-        if not self.ahead:
-            stats["lists_fetched"] += 1
-            return self.index.range_query_with_distances(self.points[o], self.query_radius)
-        batch = np.array([o])
-        if self.pending_entries <= _NEAREST_CHUNK:
-            free = np.where(self.fetched, np.inf, self.score)
-            lowest = np.argpartition(free, self.ahead - 1)[:self.ahead]
-            batch = np.concatenate((batch, lowest[free[lowest] < np.inf]))
-        ids, dists, bounds = self.index.range_query_batch(self.points[batch], self.query_radius)
-        # Copies, so that an answer left unused keeps no other answer alive.
-        for p, lo, hi in zip(batch[1:].tolist(), bounds[1:-1].tolist(), bounds[2:].tolist()):
-            self.pending[p] = ids[lo:hi].copy(), dists[lo:hi].copy()
-        self.fetched[batch[1:]] = True
-        self.pending_entries += int(bounds[-1] - bounds[1])
-        stats["lists_fetched"] += batch.size
-        stats["peak_pending_entries"] = max(stats["peak_pending_entries"], self.pending_entries)
-        return ids[:bounds[1]], dists[:bounds[1]]
+    def distances(self, ids: np.ndarray, o: int) -> np.ndarray:
+        """``_row_norms(points[ids] - points[o])``, bit for bit. Below
+        d = 8, where that sum goes in axis order, the differences are taken
+        along the transpose's long rows and summed row by row: about twice
+        as fast on long answers as differences of rows so short."""
+        if self.columns is None:
+            return _row_norms(self.points.take(ids, axis=0) - self.points[o])
+        diff = self.columns.take(ids, axis=1)
+        diff -= self.columns[:, o, None]
+        diff *= diff
+        return np.sqrt(diff.sum(axis=0))
 
     def record(self, o: int, j: int, dis: float):
         objects, sets, dis_values, covered = self.steps
@@ -270,7 +230,7 @@ class _GreedyState:
             sets=self.sets,
             all=self.all,
             all_sets=self.all_sets,
-            coverage=self.covered,
+            coverage=~self.uncovered,
             delta=self.delta,
             fallback_count=self.fallback_count,
             steps=self.steps,
@@ -297,10 +257,9 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
     2*delta frontier, grown incrementally.
 
     A new member's cached distance becomes -inf, which no distance beats,
-    so no later fold changes a member's cache or score, and the answers
-    a fold visits may list members. A fold visits the new member's query
-    answer and ``far``, the pooled non-members whose cached distance is
-    at least the query radius, and nothing else. A pooled row with a
+    so no later fold changes a member's cache or score. A fold visits the
+    new member's query answer and ``far``, the pooled non-members whose
+    cached distance is at least the query radius, and nothing else. A pooled row with a
     smaller cached distance can only be improved by a member nearer
     still, inside that member's query. An entrant to the local pool was
     at least 2*delta from every earlier member, so the new member is its
@@ -359,23 +318,22 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
         best_set[rows] = j
         score[rows] = d / weight[rows]
 
-    def fold(o: int, j: int, ids: np.ndarray, dists: np.ndarray):
-        """Fold the newest member o of set j into the pool's cache.
-
-        ``ids``/``dists`` are o's answer from ``state.add`` and distances.
-        """
+    def fold(o: int, j: int):
+        """Add o to set j and fold it into the pool's cache: its answer
+        from ``state.add``, then the far rows."""
         nonlocal far
+        ids, dists = state.add(o, j)
         best_dis[o] = -np.inf
         improve(j, ids, dists)
         if far.size:
-            improve(j, far, _row_norms(points.take(far, axis=0) - points[o]))
+            improve(j, far, state.distances(far, o))
             far = far[best_dis[far] >= radius]
 
     def close_set(f: int):
         """Set f just reached its cap: re-point pool rows that relied on it."""
         nonlocal far
         # Rows outside the pool keep best_set == k, so only pooled rows match.
-        rows = np.flatnonzero((best_set == f) & (state.member_of < 0))
+        rows = np.flatnonzero((best_set == f) & state.free)
         best_dis[rows], best_set[rows] = scan(rows)
         score[rows] = best_dis[rows] / weight[rows]
         # The sorted union, as np.union1d, which would load numpy.ma.
@@ -385,7 +343,7 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
         far = np.flatnonzero(joined)
 
     for j, center in enumerate(state.centers):
-        fold(center, j, *state.add(center, j))
+        fold(center, j)
 
     while not state.done():
         o = int(score.argmin())  # ties: lowest object id
@@ -393,13 +351,13 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
             j, dis = int(best_set[o]), float(score[o])
         else:
             # Disconnected region: one whole-dataset step, then resume.
-            cands = np.flatnonzero(state.member_of < 0)
+            cands = np.flatnonzero(state.free)
             state.fallback_count += 1
             dis_vec, set_vec = scan(cands)
             scores = dis_vec / weight[cands]
             pick = int(np.argmin(scores))
             o, j, dis = int(cands[pick]), int(set_vec[pick]), float(scores[pick])
-        fold(o, j, *state.add(o, j))
+        fold(o, j)
         state.record(o, j, dis)
         if state.closed[j]:
             close_set(j)
@@ -414,7 +372,7 @@ def _run_random(state: _GreedyState, rng: Generator):
     for j, center in enumerate(state.centers):
         state.add(center, j)
     while not state.done():
-        cands = np.flatnonzero(state.member_of < 0)
+        cands = np.flatnonzero(state.free)
         o = int(rng.choice(cands))
         dists = _row_norms(center_pts - points[o])
         dists[state.closed] = np.inf
@@ -475,7 +433,6 @@ def identify_extended_centers(
     state = _GreedyState(
         dataset, index, densities, centers, strategy.cap,
         query_radius=2.0 * delta if local else delta,
-        fetch_ahead=strategy.kind != RANDOM and strategy.cap is None,
     )
     if strategy.kind == RANDOM:
         return _run_random(state, default_rng(strategy.seed))

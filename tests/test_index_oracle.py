@@ -17,21 +17,21 @@ from scipy.spatial import cKDTree
 from ecac.data import Dataset, SpatialIndex, _row_norms
 
 
-def tree_range(points, ids, center, radius):
-    """Sorted ids of ``points[ids]`` at strict distance < radius from center."""
-    found = cKDTree(points[ids]).query_ball_point(center, radius * (1 + 1e-6))
-    found = ids[np.asarray(found, dtype=np.int64)]
+def tree_range(points, center, radius):
+    """Sorted ids of ``points`` at strict distance < radius from center."""
+    found = cKDTree(points).query_ball_point(center, radius * (1 + 1e-6))
+    found = np.asarray(found, dtype=np.int64)
     return np.sort(found[_row_norms(points[found] - center) < radius])
 
 
-def exact_k_nearest(points, ids, center, k):
-    """The k nearest of ``points[ids]`` ordered by (distance, id), checked
+def exact_k_nearest(points, center, k):
+    """The k nearest of ``points`` ordered by (distance, id), checked
     against the KD-tree's own k-nearest distances."""
-    dists = _row_norms(points[ids] - center)
-    order = np.lexsort((ids, dists))[:k]
-    tree_dists = np.atleast_1d(cKDTree(points[ids]).query(center, k=k)[0])
+    dists = _row_norms(points - center)
+    order = np.lexsort((np.arange(len(points)), dists))[:k]
+    tree_dists = np.atleast_1d(cKDTree(points).query(center, k=k)[0])
     np.testing.assert_allclose(dists[order], tree_dists, rtol=1e-12, atol=1e-300)
-    return dists[order], ids[order]
+    return dists[order], order
 
 
 def exact_nearest_higher(points, rank):
@@ -50,7 +50,7 @@ def exact_nearest_higher(points, rank):
 
 @st.composite
 def instances(draw, scale=None):
-    """(points, subset ids or None, queries, radius, k)."""
+    """(points, queries, radius, k)."""
     d = draw(st.sampled_from([1, 2, 3, 8]))
     n = draw(st.integers(1, 40))
     lattice = st.lists(st.integers(-6, 6), min_size=d, max_size=d)
@@ -59,9 +59,6 @@ def instances(draw, scale=None):
     if scale is None:
         scale = draw(st.sampled_from([1.0, 0.1, 1e-3, 7.5, 1e6]))
     points = np.array(base + [base[i] for i in copies], dtype=float) * scale
-    subset = None
-    if draw(st.booleans()):
-        subset = np.array(sorted(draw(st.sets(st.integers(0, len(points) - 1)))), dtype=np.int64)
     outside = st.lists(st.integers(-12, 12), min_size=d, max_size=d)
     queries = [points[i] for i in draw(st.lists(st.integers(0, len(points) - 1), max_size=4))]
     queries += [np.array(q, dtype=float) * scale for q in draw(st.lists(outside, min_size=1, max_size=4))]
@@ -70,13 +67,12 @@ def instances(draw, scale=None):
         st.floats(0.05, 9.0),
     ))
     k = draw(st.integers(1, len(points) + 2))
-    return points, subset, np.array(queries), radius, k
+    return points, np.array(queries), radius, k
 
 
-def check_index(points, subset, queries, radius, k):
-    index = SpatialIndex(Dataset(points), subset)
-    ids = np.arange(len(points)) if subset is None else subset
-    want = [tree_range(points, ids, q, radius) for q in queries]
+def check_index(points, queries, radius, k):
+    index = SpatialIndex(Dataset(points))
+    want = [tree_range(points, q, radius) for q in queries]
     for q, expected in zip(queries, want):
         assert index.range_query(q, radius).tolist() == expected.tolist()
         found, dists = index.range_query_with_distances(q, radius)
@@ -89,25 +85,35 @@ def check_index(points, subset, queries, radius, k):
         lo, hi = bounds[c], bounds[c + 1]
         assert np.sort(found[lo:hi]).tolist() == expected.tolist()
         assert np.array_equal(dists[lo:hi], _row_norms(points[found[lo:hi]] - queries[c]))
-    assert index.density(radius).tolist() == [
-        tree_range(points, ids, p, radius).size for p in points
-    ]
-    if subset is None:
-        # DPC's rank (densest first, lower id on ties) and a shuffled one.
-        n = len(points)
-        dpc_rank = np.empty(n, dtype=np.int64)
-        dpc_rank[np.lexsort((np.arange(n), -index.density(radius)))] = np.arange(n)
-        for rank in (dpc_rank, np.random.default_rng(n).permutation(n)):
-            got_dist, got_found = index.nearest_higher(rank, radius)
-            want_dist, want_found = exact_nearest_higher(points, rank)
-            assert got_found.tolist() == want_found.tolist()
-            assert np.array_equal(got_dist, want_dist)
-    if ids.size:
-        got_dists, got_ids = index.k_nearest(queries, k)
-        for c, q in enumerate(queries):
-            want_dists, want_ids = exact_k_nearest(points, ids, q, min(k, ids.size))
-            assert got_ids[c].tolist() == want_ids.tolist()
-            assert np.array_equal(got_dists[c], want_dists)
+    assert index.density(radius).tolist() == [tree_range(points, p, radius).size for p in points]
+    # DPC's rank (densest first, lower id on ties) and a shuffled one.
+    n = len(points)
+    dpc_rank = np.empty(n, dtype=np.int64)
+    dpc_rank[np.lexsort((np.arange(n), -index.density(radius)))] = np.arange(n)
+    for rank in (dpc_rank, np.random.default_rng(n).permutation(n)):
+        got_dist, got_found = index.nearest_higher(rank, radius)
+        want_dist, want_found = exact_nearest_higher(points, rank)
+        assert got_found.tolist() == want_found.tolist()
+        assert np.array_equal(got_dist, want_dist)
+    got_dists, got_ids = index.k_nearest(queries, k)
+    for c, q in enumerate(queries):
+        want_dists, want_ids = exact_k_nearest(points, q, min(k, n))
+        assert got_ids[c].tolist() == want_ids.tolist()
+        assert np.array_equal(got_dists[c], want_dists)
+
+
+def check_runs(points, radius):
+    """Every point at strict distance < radius from a point lies in the
+    run of that point's cell, and a run lists an id at most once."""
+    cell, bounds, ids = SpatialIndex(Dataset(points)).candidate_runs(radius)
+    assert bounds[0] == 0 and bounds[-1] == ids.size and (np.diff(bounds) > 0).all()
+    # A box meets at most 8 cells per grid axis (at most two axes).
+    assert ids.size <= 8 ** min(points.shape[1], 2) * len(points)
+    for i, p in enumerate(points):
+        run = ids[bounds[cell[i]]:bounds[cell[i] + 1]]
+        assert np.unique(run).size == run.size
+        near = np.flatnonzero(np.sqrt(((points - p) ** 2).sum(axis=1)) < radius)
+        assert np.isin(near, run).all()
 
 
 @settings(max_examples=300, deadline=None)
@@ -116,18 +122,35 @@ def test_index_matches_tree_oracle(instance):
     check_index(*instance)
 
 
+@settings(max_examples=300, deadline=None)
+@given(instances(), st.sampled_from([None, 1e10, -1e12]), st.booleans())
+def test_candidate_runs_hold_every_neighbour(instance, far, infinite):
+    # Lattice points with duplicates, negative coordinates and radii of
+    # whole lattice steps (points at exactly r); a far point at a small
+    # scale puts the extent-to-radius ratio above 2**32, and an infinite
+    # radius makes one cell that holds every point.
+    points, _, radius, _ = instance
+    if far is not None:
+        points = np.vstack([points * 1e-9, np.full((1, points.shape[1]), far)])
+        radius *= 1e-9
+        assert np.ptp(points) / radius > 2.0**32
+    if infinite:
+        radius = np.inf
+    check_runs(points, radius)
+
+
 @settings(max_examples=60, deadline=None)
 @given(instances(scale=1e-3), st.floats(1e10, 1e12), st.sampled_from([1, -1]))
 def test_extent_far_beyond_two_to_the_32_radii(instance, far, sign):
     # One point far away makes the extent-to-radius ratio exceed 2**32
     # (radii here are at most 9e-3), so cell labels run past int32 and
     # their products would overflow int64.
-    points, subset, queries, radius, k = instance
+    points, queries, radius, k = instance
     lone = np.full((1, points.shape[1]), sign * far)
     points = np.vstack([points, lone])
     queries = np.vstack([queries, lone, lone + radius / 2])
     assert np.ptp(points) / radius > 2.0**32
-    check_index(points, subset, queries, radius, k)
+    check_index(points, queries, radius, k)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
@@ -141,6 +164,8 @@ def test_points_at_exactly_the_radius_are_outside(d):
         range(1 + 2 * d)
     ) + list(range(1 + 4 * d, 1 + 6 * d))
     assert index.density(1.0)[0] == 1
+    check_runs(points, 1.0)
+    check_runs(points, np.nextafter(1.0, 2.0))
     dists, ids = index.k_nearest(np.zeros((1, d)), 1 + 4 * d)
     # Ties at distance 1 come in id order, before the ones at distance 2.
     assert ids[0].tolist() == [0, *range(1, 1 + 2 * d), *range(1 + 4 * d, 1 + 6 * d)]
@@ -150,9 +175,12 @@ def test_points_at_exactly_the_radius_are_outside(d):
 @pytest.mark.parametrize("d", [1, 2, 8])
 def test_an_infinite_radius_finds_every_point(d):
     points = np.random.default_rng(d).normal(size=(30, d)) * 1e3
-    index = SpatialIndex(Dataset(points), np.arange(0, 30, 2))
-    assert index.range_query(np.full(d, -1e6), np.inf).tolist() == list(range(0, 30, 2))
-    assert index.density(np.inf).tolist() == [15] * 30
+    index = SpatialIndex(Dataset(points))
+    assert index.range_query(np.full(d, -1e6), np.inf).tolist() == list(range(30))
+    assert index.density(np.inf).tolist() == [30] * 30
+    cell, bounds, ids = index.candidate_runs(np.inf)
+    assert cell.tolist() == [0] * 30 and bounds.tolist() == [0, 30]
+    assert sorted(ids.tolist()) == list(range(30))
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e200])

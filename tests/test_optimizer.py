@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import ecac
 from ecac import optimizer
-from ecac.data import Dataset, SpatialIndex, generate_gaussian_mixture, nearest
+from ecac.data import Dataset, SpatialIndex, _row_norms, generate_gaussian_mixture, nearest
 from ecac.density import compute_densities
 from ecac.errors import EmptyCenters, InvalidRadius, InvalidSpec, LabelOutOfRange
 from ecac.optimizer import (
@@ -172,9 +172,9 @@ def test_matches_naive_reference_on_grid_ties(instance):
 def _grid_with_far_clump():
     """172 points on the grid: 130 drawn, 30 duplicate copies and a far
     clump of 12 that local search reaches only by fallback steps. The 24
-    leftmost points are the centers, so even the capped runs add enough
-    members for the non-member tree to be rebuilt twice. Returns (points,
-    centers, delta)."""
+    leftmost points are the centers, so even the capped runs add many
+    members, and the candidate runs read by later members list many of
+    them. Returns (points, centers, delta)."""
     rng = np.random.default_rng(0)
     base = np.column_stack([rng.integers(0, 24, 130), rng.integers(0, 6, 130)])
     pts = np.vstack([base, base[rng.integers(0, 130, 30)], base[:12] + [60, 0]]) * GRID
@@ -183,21 +183,17 @@ def _grid_with_far_clump():
 
 @pytest.mark.parametrize("kind", ["local", "global", "nodensity"])
 @pytest.mark.parametrize("cap", [None, 3])
-def test_matches_naive_reference_across_tree_rebuilds(monkeypatch, kind, cap):
+def test_matches_naive_reference_across_tree_rebuilds(kind, cap):
+    # The second run reads the candidate runs that the first one built
+    # and left with the dataset's index.
     pts, centers, delta = _grid_with_far_clump()
-    rebuilds = []
-
-    def counting_index(dataset, ids=None):
-        if ids is not None:
-            rebuilds.append(len(ids))
-        return SpatialIndex(dataset, ids)
-
-    monkeypatch.setattr(optimizer, "SpatialIndex", counting_index)
-    ext = identify(pts, centers, delta, strategy=SelectionStrategy(kind, cap=cap))
+    ds = Dataset(pts)
+    first = identify_extended_centers(ds, centers, delta, SelectionStrategy(kind, cap=cap))
+    ext = identify_extended_centers(ds, centers, delta, SelectionStrategy(kind, cap=cap))
     _, order, order_sets, _, fallbacks, trace = naive_identify(
         pts, centers, delta, kind=kind, cap=cap
     )
-    assert len(rebuilds) >= 2
+    assert (first.sets, first.trace) == (ext.sets, ext.trace)
     assert ext.all == order
     assert ext.all_sets == order_sets
     assert ext.fallback_count == fallbacks
@@ -207,21 +203,23 @@ def test_matches_naive_reference_across_tree_rebuilds(monkeypatch, kind, cap):
         assert got["dis"] == pytest.approx(want[2], rel=1e-9)
 
 
-
 @pytest.mark.parametrize("kind", ["local", "global", "nodensity"])
 @pytest.mark.parametrize("cap", [None, 3])
 def test_matches_naive_reference_with_members_in_answers(monkeypatch, kind, cap):
-    # With the non-member tree never rebuilt, every answer is a query of
-    # the full tree and lists the members near its object; folds must
-    # leave them alone.
+    # The run slice that a new member reads lists the members near it;
+    # they are dropped before any distance is computed, and no answer
+    # lists one.
     pts, centers, delta = _grid_with_far_clump()
-    monkeypatch.setattr(optimizer, "_REBUILD_FRACTION", np.inf)
     listed_members = []
+    answered_members = []
     add = optimizer._GreedyState.add
 
     def counting_add(state, o, j):
         ids, dists = add(state, o, j)
-        listed_members.append(int(np.count_nonzero(state.member_of[ids] >= 0)) - 1)
+        c = state.cell[o]
+        run = state.runs[state.bounds[c]:state.bounds[c + 1]]
+        listed_members.append(int(np.count_nonzero(~state.free[run])) - 1)
+        answered_members.append(int(np.count_nonzero(~state.free[ids])))
         return ids, dists
 
     monkeypatch.setattr(optimizer._GreedyState, "add", counting_add)
@@ -229,8 +227,8 @@ def test_matches_naive_reference_with_members_in_answers(monkeypatch, kind, cap)
     _, order, order_sets, covered, fallbacks, trace = naive_identify(
         pts, centers, delta, kind=kind, cap=cap
     )
-    assert ext.stats["rebuilds"] == 0
     assert sum(listed_members) > 5 * len(listed_members)
+    assert sum(answered_members) == 0
     assert ext.all == order
     assert ext.all_sets == order_sets
     assert set(np.flatnonzero(ext.coverage).tolist()) == covered
@@ -299,44 +297,43 @@ def _spiral_1500():
     return ds, centers.tolist(), delta
 
 
-def _counting_batches(monkeypatch):
-    """Record (centers, entries) of every ``range_query_batch`` call."""
+def test_extension_reads_candidate_runs_not_the_index(monkeypatch):
+    # Every member's answer is a slice of its cell's run: no radius query
+    # goes to the index, and the runs hold at most 64 ids per object (a
+    # box meets at most 8 cells per grid axis).
+    ds, centers, delta = _spiral_1500()
     calls = []
     batch = SpatialIndex.range_query_batch
 
     def counting(self, centers, radius):
-        ids, dists, bounds = batch(self, centers, radius)
-        calls.append((len(centers), ids.size))
-        return ids, dists, bounds
+        calls.append(len(centers))
+        return batch(self, centers, radius)
 
     monkeypatch.setattr(SpatialIndex, "range_query_batch", counting)
-    return calls
-
-
-def test_batched_fetches_cut_tree_calls(monkeypatch):
-    ds, centers, delta = _spiral_1500()
-    calls = _counting_batches(monkeypatch)
+    for strategy in (SelectionStrategy(), SelectionStrategy(cap=100),
+                     SelectionStrategy("global"), SelectionStrategy("random", seed=0)):
+        ext = identify_extended_centers(ds, centers, delta, strategy)
+        assert calls == []
+        assert 0 < ext.stats["run_entries"] <= 64 * ds.n
+        assert ext.stats["candidates"] > 0
     ext = identify_extended_centers(ds, centers, delta)
     assert ext.s > 1000
-    assert len(calls) == ext.stats["tree_calls"] <= ext.s / 4
-    assert ext.stats["lists_fetched"] == sum(m for m, _ in calls) >= ext.s
-    assert ext.stats["peak_pending_entries"] <= optimizer._NEAREST_CHUNK
+    assert ext.stats == identify_extended_centers(ds, centers, delta).stats
 
 
-def test_pending_bound_stops_prefetching(monkeypatch):
-    # With a bound of 2,000 pending entries the fetches fall back to the
-    # new member alone once it is passed; the pending entries never exceed
-    # the bound plus one batch, and the run is unchanged.
-    ds, centers, delta = _spiral_1500()
-    want = identify_extended_centers(ds, centers, delta)
-    calls = _counting_batches(monkeypatch)
-    monkeypatch.setattr(optimizer, "_NEAREST_CHUNK", 2000)
-    got = identify_extended_centers(ds, centers, delta)
-    assert (got.sets, got.all_sets, got.trace) == (want.sets, want.all_sets, want.trace)
-    assert got.coverage.tolist() == want.coverage.tolist()
-    assert sum(1 for m, _ in calls if m == 1) > 10
-    assert 2000 < got.stats["peak_pending_entries"] <= 2000 + max(e for _, e in calls)
-    assert got.stats["tree_calls"] > want.stats["tree_calls"]
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 8, 9])
+def test_state_distances_equal_row_norms_bit_for_bit(d):
+    # Below d = 8 the distances are summed column by column; the answers
+    # must hold the grid query's own ``_row_norms`` values all the same.
+    rng = np.random.default_rng(d)
+    points = rng.normal(size=(400, d)) * 10.0 ** rng.uniform(-3, 3, size=(400, d))
+    ds = Dataset(points)
+    state = optimizer._GreedyState(
+        ds, ds.index, compute_densities(ds, ds.index, 1.0), [0], None, 2.0
+    )
+    ids = rng.permutation(400)[:300]
+    for o in (0, 7, 399):
+        assert np.array_equal(state.distances(ids, o), _row_norms(points[ids] - points[o]))
 
 
 class TestIdentifyProperties:

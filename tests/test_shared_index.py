@@ -40,9 +40,9 @@ def neighbour_work(monkeypatch):
     init = SpatialIndex.__init__
     count = SpatialIndex._count
 
-    def counting_init(self, dataset, ids=None):
-        work["indexes"] += ids is None
-        init(self, dataset, ids)
+    def counting_init(self, dataset):
+        work["indexes"] += 1
+        init(self, dataset)
 
     def counting_count(self, radius):
         work["count_calls"] += 1
@@ -76,14 +76,13 @@ def test_ablate_counts_delta_once(tmp_path, neighbour_work):
 
 @pytest.fixture
 def grid_builds(monkeypatch):
-    """The cell side of every grid built for a whole-dataset index."""
+    """The cell side of every grid built."""
     sides = []
     init = _Grid.__init__
 
-    def counting(self, points, ids, axes, side):
-        if ids is None:
-            sides.append(side)
-        init(self, points, ids, axes, side)
+    def counting(self, points, axes, side):
+        sides.append(side)
+        init(self, points, axes, side)
 
     monkeypatch.setattr(_Grid, "__init__", counting)
     return sides
@@ -100,6 +99,32 @@ def test_default_sweep_builds_each_grid_once(tmp_path, grid_builds, command):
     ])
     assert code == 0
     assert grid_builds and len(grid_builds) == len(set(grid_builds))
+
+
+@pytest.mark.parametrize("command,runs", [
+    (["run"], len(ecac.config.DEFAULT_SWEEP)),
+    (["ablate", "--variants", "local,global"], 2),
+])
+def test_candidate_runs_are_built_once_per_radius(tmp_path, monkeypatch, command, runs):
+    # The sweep's five local extensions read runs at five radii (2δ each);
+    # the ablation's local and global extensions at 2δ and δ. Every run
+    # of a grid is built once, and kept for each member's query.
+    built = []
+    kept_runs = _Grid.runs
+
+    def counting(self, reach):
+        if reach not in self._runs:
+            built.append((self.side, reach))
+        return kept_runs(self, reach)
+
+    monkeypatch.setattr(_Grid, "runs", counting)
+    csv = write_blobs_csv(tmp_path / "blobs.csv", 40)
+    code = main([
+        *command, "--data", str(csv), "--label-col", "-1", "--algo", "kmeans", "--k", "4",
+        "--out", str(tmp_path / "o"),
+    ])
+    assert code == 0
+    assert len(built) == len(set(built)) == runs
 
 
 def test_many_radii_keep_a_bounded_number_of_grids(grid_builds):
