@@ -7,7 +7,7 @@ distance ``< r``. Radius and k-nearest queries go to a cell grid
 (``SpatialIndex``), and all-pairs distances to chunked NumPy blocks
 (``nearest``, ``pairwise_distances``), so memory stays bounded. For
 many radius queries centered on the dataset's own points, the grid also
-keeps a candidate run per cell (``SpatialIndex.candidate_runs``): the
+builds a candidate run per cell (``SpatialIndex.candidate_runs``): the
 ids of every cell that the cell's points' query boxes meet, so such a
 query is one slice of its point's run, judged by exact distance.
 """
@@ -122,7 +122,7 @@ class GroundTruth:
 class SpatialIndex:
     """A uniform cell grid over a dataset, answering open-ball radius
     queries, k-nearest queries and searches for the nearest object of
-    higher rank, and holding per-cell candidate runs for radius queries
+    higher rank, and building per-cell candidate runs for radius queries
     centered on its points.
 
     Every query returns dataset ids. Radius-query results depend only on
@@ -250,10 +250,10 @@ class SpatialIndex:
 
     def candidate_runs(self, radius: float):
         """``(cell, bounds, ids)``, the candidate runs of the grid for
-        ``radius``, built on first use and kept with it: object i lies in
-        cell ``cell[i]``, and the run of cell c, ``ids[bounds[c]:bounds[c
-        + 1]]``, holds every id at strict distance < radius from any
-        point of that cell, besides others (see ``_Grid.runs``)."""
+        ``radius``, built on each call: object i lies in cell ``cell[i]``,
+        and the run of cell c, ``ids[bounds[c]:bounds[c + 1]]``, holds
+        every id at strict distance < radius from any point of that cell,
+        besides others, at most 81 ids per object (see ``_Grid.runs``)."""
         return self._radius_grid(radius).runs(_reach(radius))
 
     def k_nearest(self, centers: np.ndarray, k: int):
@@ -400,7 +400,6 @@ class _Grid:
         self.columns = None
         if axes.size < points.shape[1]:
             self.columns = [np.ascontiguousarray(self.points[:, a]) for a in axes]
-        self._runs: dict[float, tuple] = {}
 
     def _label(self, coords: np.ndarray) -> np.ndarray:
         return np.floor((coords - self.origin) / self.side)
@@ -439,38 +438,42 @@ class _Grid:
         numbered in key order), and the run of cell c,
         ``ids[bounds[c]:bounds[c + 1]]``, holds the ids of every cell that
         the box "the bounding box of cell c's points ± reach" meets. Built
-        on first use per reach and kept.
+        anew on each call; the caller keeps them as long as it reads them.
 
         That box holds the query box [p - reach, p + reach] of each point
         p of the cell, and its ends are rounded and labelled as in
         ``slices``, so the run holds every candidate of a radius query
         centered on p. The runs are built in bounded passes (lengths, then
         ids), so they are the only lasting memory.
+
+        With reach = r(1 + ``_ROUNDING``) and side r / 3, a cell's points
+        span less than one side, so its box spans less than 7.01 sides and
+        meets at most 9 labels per grid axis (labels L - 4 to L + 4 for a
+        cell of label L). A cell's points are thus in the runs of at most
+        9 cells in 1-D and 81 in 2-D, which bounds the ids per point.
         """
-        if reach not in self._runs:
-            first = np.diff(self.keys, prepend=-1) != 0
-            heads = np.flatnonzero(first)
-            coords = self.points[:, self.axes]
-            low = np.minimum.reduceat(coords, heads) - reach
-            high = np.maximum.reduceat(coords, heads) + reach
-            # A box meets at most 8 labels on the first grid axis, so a
-            # block of _PASS // 8 cells has at most _PASS slices.
-            blocks = [slice(lo, lo + _PASS // 8) for lo in range(0, heads.size, _PASS // 8)]
-            bounds = np.zeros(heads.size + 1, dtype=np.int64)
-            for block in blocks:
-                owner, start, stop = self.box_slices(low[block], high[block])
-                bounds[block.start + 1:block.stop + 1] = np.bincount(owner, stop - start)
-            np.cumsum(bounds, out=bounds)
-            ids = np.empty(bounds[-1], dtype=np.int64)
-            for block in blocks:
-                at = bounds[block.start]
-                for pos, _ in self.candidates(*self.box_slices(low[block], high[block])):
-                    ids[at:at + pos.size] = self.ids.take(pos)
-                    at += pos.size
-            cell = np.empty(self.ids.size, dtype=np.int64)
-            cell[self.ids] = np.cumsum(first) - 1
-            self._runs[reach] = cell, bounds, ids
-        return self._runs[reach]
+        first = np.diff(self.keys, prepend=-1) != 0
+        heads = np.flatnonzero(first)
+        coords = self.points[:, self.axes]
+        low = np.minimum.reduceat(coords, heads) - reach
+        high = np.maximum.reduceat(coords, heads) + reach
+        # A box meets at most 9 labels on the first grid axis, so a block
+        # of _PASS // 9 cells has at most _PASS slices.
+        blocks = [slice(lo, lo + _PASS // 9) for lo in range(0, heads.size, _PASS // 9)]
+        bounds = np.zeros(heads.size + 1, dtype=np.int64)
+        for block in blocks:
+            owner, start, stop = self.box_slices(low[block], high[block])
+            bounds[block.start + 1:block.stop + 1] = np.bincount(owner, stop - start)
+        np.cumsum(bounds, out=bounds)
+        ids = np.empty(bounds[-1], dtype=np.int64)
+        for block in blocks:
+            at = bounds[block.start]
+            for pos, _ in self.candidates(*self.box_slices(low[block], high[block])):
+                ids[at:at + pos.size] = self.ids.take(pos)
+                at += pos.size
+        cell = np.empty(self.ids.size, dtype=np.int64)
+        cell[self.ids] = np.cumsum(first) - 1
+        return cell, bounds, ids
 
     def candidates(self, owner, start, stop, near=None):
         """Yield ``(positions, owner)`` over the given slices, ``owner``

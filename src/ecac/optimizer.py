@@ -32,8 +32,8 @@ fold visits only its radius query's answer and the pooled rows whose
 cached distance is at least the query radius (``far``); a member's
 cached distance is -inf, so no fold changes it. A new member's radius
 query is one slice of its cell's candidate run
-(``SpatialIndex.candidate_runs``, built once per radius for every cell
-of the grid), less the members, judged by exact distance; no index
+(``SpatialIndex.candidate_runs``, built once per extension for every
+cell of the grid), less the members, judged by exact distance; no index
 call is made per member. Coverage grows by the answer's newly covered
 objects.
 ``_run_scored`` and ``_GreedyState`` say why all of this is exact.
@@ -91,7 +91,7 @@ class ExtendedSets:
     covered count after the step; ``trace`` reads them as one dict per
     step (see ``trace_records``). ``stats`` counts the radius-query work,
     the same on every run of the same input: ``run_entries``, the ids
-    held by the candidate runs that the queries read (at most 64 per
+    held by the candidate runs that the queries read (at most 81 per
     object), and ``candidates``, the non-members whose distance to a new
     member was computed, summed over the members.
     """
@@ -125,18 +125,18 @@ class _GreedyState:
     Each member's radius query lists the non-members within the query
     radius: 2*delta for the local pool, else delta. It is answered from
     the index's candidate runs at that radius (``candidate_runs``), built
-    once for every cell: one slice of the run of the new member's cell,
-    less the members, judged by exact distance (``distances``) and kept
-    below the radius.
+    once for every cell when the state is made and dropped with it: one
+    slice of the run of the new member's cell, less the members, judged
+    by their ``_row_norms`` distances and kept below the radius.
 
     Why this is exact: a run holds every point at strict distance below
     the radius from any point of its cell, so the slice holds every
     object that a grid query centered on the new member would list, and
-    ``distances`` gives, bit for bit, the ``_row_norms`` distances such a
-    query computes. Dropping the members leaves exactly the non-members
-    within the radius. A member needs no query, because
-    it is always covered (it covers itself when it joins) and never
-    re-scored (see ``_run_scored``).
+    its distances are the ``_row_norms`` values such a query computes.
+    Dropping the members leaves exactly the non-members within the
+    radius. A member needs no query, because it is always covered (it
+    covers itself when it joins) and never re-scored (see
+    ``_run_scored``).
     """
 
     def __init__(self, dataset, index, densities, centers, cap, query_radius):
@@ -149,8 +149,6 @@ class _GreedyState:
         self.k = len(centers)
         self.n = dataset.n
         self.cell, self.bounds, self.runs = index.candidate_runs(query_radius)
-        # The points' transpose, contiguous, for ``distances`` below d = 8.
-        self.columns = self.points.T.copy() if dataset.d < 8 else None
         self.sets: list[list[int]] = [[] for _ in range(self.k)]
         self.all: list[int] = []
         self.all_sets: list[int] = []
@@ -190,7 +188,7 @@ class _GreedyState:
         c = self.cell[o]
         run = self.runs[self.bounds[c]:self.bounds[c + 1]]
         cand = run[self.free.take(run)]
-        dists = self.distances(cand, o)
+        dists = _row_norms(self.points.take(cand, axis=0) - self.points[o])
         keep = (dists < self.query_radius).nonzero()[0]
         ids, dists = cand.take(keep), dists.take(keep)
         self.stats["candidates"] += cand.size
@@ -202,18 +200,6 @@ class _GreedyState:
             uncovered[o] = False
             self.n_covered += 1
         return ids, dists
-
-    def distances(self, ids: np.ndarray, o: int) -> np.ndarray:
-        """``_row_norms(points[ids] - points[o])``, bit for bit. Below
-        d = 8, where that sum goes in axis order, the differences are taken
-        along the transpose's long rows and summed row by row: about twice
-        as fast on long answers as differences of rows so short."""
-        if self.columns is None:
-            return _row_norms(self.points.take(ids, axis=0) - self.points[o])
-        diff = self.columns.take(ids, axis=1)
-        diff -= self.columns[:, o, None]
-        diff *= diff
-        return np.sqrt(diff.sum(axis=0))
 
     def record(self, o: int, j: int, dis: float):
         objects, sets, dis_values, covered = self.steps
@@ -326,7 +312,7 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
         best_dis[o] = -np.inf
         improve(j, ids, dists)
         if far.size:
-            improve(j, far, state.distances(far, o))
+            improve(j, far, _row_norms(points.take(far, axis=0) - points[o]))
             far = far[best_dis[far] >= radius]
 
     def close_set(f: int):

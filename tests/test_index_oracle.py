@@ -107,8 +107,8 @@ def check_runs(points, radius):
     run of that point's cell, and a run lists an id at most once."""
     cell, bounds, ids = SpatialIndex(Dataset(points)).candidate_runs(radius)
     assert bounds[0] == 0 and bounds[-1] == ids.size and (np.diff(bounds) > 0).all()
-    # A box meets at most 8 cells per grid axis (at most two axes).
-    assert ids.size <= 8 ** min(points.shape[1], 2) * len(points)
+    # A box meets at most 9 cells per grid axis (at most two axes).
+    assert ids.size <= 9 ** min(points.shape[1], 2) * len(points)
     for i, p in enumerate(points):
         run = ids[bounds[cell[i]]:bounds[cell[i] + 1]]
         assert np.unique(run).size == run.size
@@ -170,6 +170,21 @@ def test_points_at_exactly_the_radius_are_outside(d):
     # Ties at distance 1 come in id order, before the ones at distance 2.
     assert ids[0].tolist() == [0, *range(1, 1 + 2 * d), *range(1 + 4 * d, 1 + 6 * d)]
     assert dists[0].tolist() == [0.0] + [1.0] * (4 * d)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_run_meets_nine_cells_per_axis(d):
+    # At r = 3 the cells have side 1. A cell holding points on both of its
+    # edges (k and k + 1 - 1e-12) has a box from k - 3(1 + 1e-9) to
+    # k + 4 - 1e-12 + 3e-9, which meets labels k - 4 to k + 4: 9 cells
+    # per axis, 9 ids per point in 1-D and 81 in 2-D. Over 30 cells per
+    # axis the runs then hold more than 8**d ids per point.
+    axis = np.concatenate([np.arange(30.0), np.arange(30.0) + 1 - 1e-12])
+    points = np.stack(np.meshgrid(*[axis] * d), axis=-1).reshape(-1, d)
+    check_runs(points, 3.0)
+    cell, bounds, ids = SpatialIndex(Dataset(points)).candidate_runs(3.0)
+    assert np.diff(bounds).max() == 2**d * 9**d
+    assert ids.size > 8**d * len(points)
 
 
 @pytest.mark.parametrize("d", [1, 2, 8])

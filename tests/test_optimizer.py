@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import ecac
 from ecac import optimizer
-from ecac.data import Dataset, SpatialIndex, _row_norms, generate_gaussian_mixture, nearest
+from ecac.data import Dataset, SpatialIndex, generate_gaussian_mixture, nearest
 from ecac.density import compute_densities
 from ecac.errors import EmptyCenters, InvalidRadius, InvalidSpec, LabelOutOfRange
 from ecac.optimizer import (
@@ -184,8 +184,8 @@ def _grid_with_far_clump():
 @pytest.mark.parametrize("kind", ["local", "global", "nodensity"])
 @pytest.mark.parametrize("cap", [None, 3])
 def test_matches_naive_reference_across_tree_rebuilds(kind, cap):
-    # The second run reads the candidate runs that the first one built
-    # and left with the dataset's index.
+    # Both runs share the dataset's index and grids; each builds its own
+    # candidate runs.
     pts, centers, delta = _grid_with_far_clump()
     ds = Dataset(pts)
     first = identify_extended_centers(ds, centers, delta, SelectionStrategy(kind, cap=cap))
@@ -299,8 +299,8 @@ def _spiral_1500():
 
 def test_extension_reads_candidate_runs_not_the_index(monkeypatch):
     # Every member's answer is a slice of its cell's run: no radius query
-    # goes to the index, and the runs hold at most 64 ids per object (a
-    # box meets at most 8 cells per grid axis).
+    # goes to the index, and the runs hold at most 81 ids per object (a
+    # box meets at most 9 cells per grid axis).
     ds, centers, delta = _spiral_1500()
     calls = []
     batch = SpatialIndex.range_query_batch
@@ -314,26 +314,11 @@ def test_extension_reads_candidate_runs_not_the_index(monkeypatch):
                      SelectionStrategy("global"), SelectionStrategy("random", seed=0)):
         ext = identify_extended_centers(ds, centers, delta, strategy)
         assert calls == []
-        assert 0 < ext.stats["run_entries"] <= 64 * ds.n
+        assert 0 < ext.stats["run_entries"] <= 81 * ds.n
         assert ext.stats["candidates"] > 0
     ext = identify_extended_centers(ds, centers, delta)
     assert ext.s > 1000
     assert ext.stats == identify_extended_centers(ds, centers, delta).stats
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 8, 9])
-def test_state_distances_equal_row_norms_bit_for_bit(d):
-    # Below d = 8 the distances are summed column by column; the answers
-    # must hold the grid query's own ``_row_norms`` values all the same.
-    rng = np.random.default_rng(d)
-    points = rng.normal(size=(400, d)) * 10.0 ** rng.uniform(-3, 3, size=(400, d))
-    ds = Dataset(points)
-    state = optimizer._GreedyState(
-        ds, ds.index, compute_densities(ds, ds.index, 1.0), [0], None, 2.0
-    )
-    ids = rng.permutation(400)[:300]
-    for o in (0, 7, 399):
-        assert np.array_equal(state.distances(ids, o), _row_norms(points[ids] - points[o]))
 
 
 class TestIdentifyProperties:

@@ -101,21 +101,23 @@ def test_default_sweep_builds_each_grid_once(tmp_path, grid_builds, command):
     assert grid_builds and len(grid_builds) == len(set(grid_builds))
 
 
-@pytest.mark.parametrize("command,runs", [
-    (["run"], len(ecac.config.DEFAULT_SWEEP)),
-    (["ablate", "--variants", "local,global"], 2),
+@pytest.mark.parametrize("command,radii,runs", [
+    (["run"], len(ecac.config.DEFAULT_SWEEP), len(ecac.config.DEFAULT_SWEEP)),
+    (["ablate", "--variants", "local,global"], 2, 2),
+    (["ablate", "--variants", "local,nodensity"], 1, 3),
 ])
-def test_candidate_runs_are_built_once_per_radius(tmp_path, monkeypatch, command, runs):
+def test_candidate_runs_are_built_once_per_extension(tmp_path, monkeypatch, command, radii, runs):
     # The sweep's five local extensions read runs at five radii (2δ each);
-    # the ablation's local and global extensions at 2δ and δ. Every run
-    # of a grid is built once, and kept for each member's query.
+    # the ablation's local and global extensions at 2δ and δ; and a
+    # count-matched ablation's probe, local and nodensity extensions all
+    # at 2δ. Each extension builds its runs once, for each member's query,
+    # and drops them when it ends.
     built = []
-    kept_runs = _Grid.runs
+    build_runs = _Grid.runs
 
     def counting(self, reach):
-        if reach not in self._runs:
-            built.append((self.side, reach))
-        return kept_runs(self, reach)
+        built.append((self.side, reach))
+        return build_runs(self, reach)
 
     monkeypatch.setattr(_Grid, "runs", counting)
     csv = write_blobs_csv(tmp_path / "blobs.csv", 40)
@@ -124,7 +126,7 @@ def test_candidate_runs_are_built_once_per_radius(tmp_path, monkeypatch, command
         "--out", str(tmp_path / "o"),
     ])
     assert code == 0
-    assert len(built) == len(set(built)) == runs
+    assert len(set(built)) == radii and len(built) == runs
 
 
 def test_many_radii_keep_a_bounded_number_of_grids(grid_builds):
