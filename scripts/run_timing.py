@@ -15,8 +15,9 @@ Runs of two or more checkouts are interleaved: every pair runs the
 workload once per checkout, and the order of the checkouts alternates
 from pair to pair, so a host whose speed drifts over minutes weighs on
 both sides alike. The script prints, per workload and checkout, the
-median and quartiles of ``run_s``, the median ``setup_s`` and peak, the
-pairs in which the checkout beat the first one, and the content digest
+median and quartiles of ``run_s``, the median ``setup_s``, the median
+peak and its range over the checkout's runs (min-max), the pairs in
+which the checkout beat the first one, and the content digest
 of the output (the result without its ``timings``). It exits 1 when an
 output fails a check or a workload's digests differ between runs or
 checkouts.
@@ -87,7 +88,7 @@ def main(argv=None) -> int:
         parser.error(f"unknown workload(s): {', '.join(unknown)}")
 
     print(f"{'workload':22s}{'src':>4s}{'run_s':>8s}{'q1-q3':>15s}{'setup_s':>9s}"
-          f"{'peak MB':>9s}{'faster':>8s}  digest")
+          f"{'peak MB':>9s}{'min-max':>13s}{'faster':>8s}  digest")
     identical = True
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -106,11 +107,13 @@ def main(argv=None) -> int:
                 run_s = [run["run_s"] for run in src_runs]
                 q1, _, q3 = statistics.quantiles(run_s, n=4) if len(run_s) > 1 else run_s * 3
                 faster = sum(a < b for a, b in zip(run_s, first))
+                peaks = [run["peak_mb"] for run in src_runs]
                 print(
                     f"{name:22s}{i:>4d}{statistics.median(run_s):>8.3f}"
                     f"{f'{q1:.3f}-{q3:.3f}':>15s}"
                     f"{statistics.median(run['setup_s'] for run in src_runs):>9.3f}"
-                    f"{statistics.median(run['peak_mb'] for run in src_runs):>9.1f}"
+                    f"{statistics.median(peaks):>9.1f}"
+                    f"{f'{min(peaks):.1f}-{max(peaks):.1f}':>13s}"
                     f"{f'{faster}/{len(run_s)}' if i else '-':>8s}"
                     f"  {','.join(sorted({run['digest'] for run in src_runs}))}",
                     flush=True,

@@ -5,7 +5,9 @@ matrix. All distances in this package are Euclidean, and neighborhoods
 are open balls: ``range_query(p, r)`` returns exactly the ids at strict
 distance ``< r``. Radius and k-nearest queries go to a cell grid
 (``SpatialIndex``), and all-pairs distances to chunked NumPy blocks
-(``nearest``, ``pairwise_distances``), so memory stays bounded. For
+(``nearest``, ``smallest_pairwise_distances``). Every chunked pass holds
+about ``_CHUNK`` entries per array, so its scratch memory does not grow
+with the input. For
 many radius queries centered on the dataset's own points, the grid also
 builds a candidate run per cell (``SpatialIndex.candidate_runs``): the
 ids of every cell that the cell's points' query boxes meet, so such a
@@ -30,9 +32,12 @@ from .errors import (
     ParseError,
 )
 
-# Most distances that ``nearest`` holds at once, so its memory stays
-# bounded however many queries and targets there are.
-_NEAREST_CHUNK = 1 << 20
+# About the most entries that one array of a chunked pass holds: the
+# distances of a ``nearest`` chunk or of a pairwise block, the candidates
+# of an index pass, the slices of a block of query boxes. An array of
+# 256 KB of floats stays in cache, and such passes go no slower than
+# larger ones.
+_CHUNK = 1 << 15
 
 # A query box reaches this share beyond its radius, which covers the
 # rounding between a coordinate difference and a computed distance in
@@ -51,12 +56,10 @@ _GRIDS_KEPT = 2
 # The two ends of a query box: below and above its center.
 _SIDES = np.array([-1.0, 1.0])[:, None, None]
 
-# Most candidates that one pass of an index query judges at once (more
-# only where one center has more), and about the most entries of one
-# block of ``pairwise_distances``: passes and blocks that stay in cache
-# go faster.
-_PASS = 1 << 16
-_BLOCK = 1 << 15
+# A query box at the reach of its grid's radius meets at most 9 labels on
+# the first grid axis (see ``_Grid.runs``), so a block of this many boxes
+# has at most ``_CHUNK`` slices.
+_BOXES = _CHUNK // 9
 
 
 @dataclass(frozen=True)
@@ -232,18 +235,23 @@ class SpatialIndex:
         """One exact counting pass: per object, the ids at strict distance
         < radius. Each object's candidates are cut to those after it in
         the grid's order, so each pair is judged once and counts for both
-        of its objects."""
+        of its objects. Objects go in blocks of ``_BOXES``, so no slice
+        table covers them all."""
         grid = self._radius_grid(radius)
         reach = _reach(radius)
-        owner, start, stop = grid.slices(grid.points, reach)
-        start = np.maximum(start, owner + 1)
         counts = np.ones(self.size, dtype=np.int64)  # each object itself
-        for pos, owner in grid.candidates(owner, start, np.maximum(stop, start), (grid.points, reach)):
-            inside = _row_norms(grid.points.take(pos, axis=0) - grid.points.take(owner, axis=0)) < radius
-            for end in (owner[inside], pos[inside]):
-                if end.size:
-                    lo = end.min()
-                    counts[lo:end.max() + 1] += np.bincount(end - lo)
+        for lo in range(0, self.size, _BOXES):
+            owner, start, stop = grid.slices(grid.points[lo:lo + _BOXES], reach)
+            owner += lo
+            start = np.maximum(start, owner + 1)
+            for pos, owner in grid.candidates(owner, start, np.maximum(stop, start), (grid.points, reach)):
+                d = _row_norms(grid.points.take(pos, axis=0) - grid.points.take(owner, axis=0))
+                inside = np.flatnonzero(d < radius)
+                if inside.size:
+                    # owner ascends and every pos lies after its owner.
+                    ends = np.concatenate((owner.take(inside), pos.take(inside)))
+                    first = owner[inside[0]]
+                    counts[first:ends.max() + 1] += np.bincount(ends - first)
         result = np.empty_like(counts)
         result[grid.ids] = counts
         return result
@@ -326,7 +334,8 @@ class SpatialIndex:
         meets, with reach starting at one cell. Every other point lies
         beyond reach on a grid axis, so the nearest lower-ranked candidate
         is the answer once it is nearer than reach, or once reach is
-        infinite; until then, reach doubles.
+        infinite; until then, reach doubles. The pending objects go in
+        blocks of ``_BOXES``, so no slice table covers them all.
         """
         n = self.size
         rank = np.asarray(rank)
@@ -343,27 +352,31 @@ class SpatialIndex:
         while pending.size:
             reach = max(reach, _TINY)
             everything = reach == np.inf  # every point a candidate, even at overflow
-            rows = self._points.take(pending, axis=0)
-            row_rank = rank.take(pending)
-            best = np.full(rows.shape[0], np.inf)
-            best_rank = np.full(rows.shape[0], n)
-            near = None if everything else (rows, reach)
-            for pos, owner in grid.candidates(*grid.slices(rows, reach), near):
-                higher = grid_rank.take(pos)
-                keep = np.flatnonzero(higher < row_rank.take(owner))
-                if not keep.size:
-                    continue
-                pos, owner, higher = pos.take(keep), owner.take(keep), higher.take(keep)
-                d = _row_norms(grid.points.take(pos, axis=0) - rows.take(owner, axis=0))
-                # Per owner: its least distance, then the least rank at it.
-                heads = np.flatnonzero(np.diff(owner, prepend=-1))
-                least = np.minimum.reduceat(d, heads)
-                tied = np.where(d == np.repeat(least, np.diff(heads, append=d.size)), higher, n)
-                best[owner.take(heads)] = least
-                best_rank[owner.take(heads)] = np.minimum.reduceat(tied, heads)
-            done = (best_rank < n) & (everything | (best < reach * (1.0 - _ROUNDING)))
-            dist[pending[done]] = best[done]
-            found[pending[done]] = by_rank.take(best_rank[done])
+            done = np.zeros(pending.size, dtype=bool)
+            for lo in range(0, pending.size, _BOXES):
+                block = pending[lo:lo + _BOXES]
+                rows = self._points.take(block, axis=0)
+                row_rank = rank.take(block)
+                best = np.full(block.size, np.inf)
+                best_rank = np.full(block.size, n)
+                near = None if everything else (rows, reach)
+                for pos, owner in grid.candidates(*grid.slices(rows, reach), near):
+                    higher = grid_rank.take(pos)
+                    keep = np.flatnonzero(higher < row_rank.take(owner))
+                    if not keep.size:
+                        continue
+                    pos, owner, higher = pos.take(keep), owner.take(keep), higher.take(keep)
+                    d = _row_norms(grid.points.take(pos, axis=0) - rows.take(owner, axis=0))
+                    # Per owner: its least distance, then the least rank at it.
+                    heads = np.flatnonzero(np.diff(owner, prepend=-1))
+                    least = np.minimum.reduceat(d, heads)
+                    tied = np.where(d == np.repeat(least, np.diff(heads, append=d.size)), higher, n)
+                    best[owner.take(heads)] = least
+                    best_rank[owner.take(heads)] = np.minimum.reduceat(tied, heads)
+                resolved = (best_rank < n) & (everything | (best < reach * (1.0 - _ROUNDING)))
+                dist[block[resolved]] = best[resolved]
+                found[block[resolved]] = by_rank.take(best_rank[resolved])
+                done[lo:lo + block.size] = resolved
             pending = pending[~done]
             reach *= 2.0
         return dist, found
@@ -457,9 +470,7 @@ class _Grid:
         coords = self.points[:, self.axes]
         low = np.minimum.reduceat(coords, heads) - reach
         high = np.maximum.reduceat(coords, heads) + reach
-        # A box meets at most 9 labels on the first grid axis, so a block
-        # of _PASS // 9 cells has at most _PASS slices.
-        blocks = [slice(lo, lo + _PASS // 9) for lo in range(0, heads.size, _PASS // 9)]
+        blocks = [slice(lo, lo + _BOXES) for lo in range(0, heads.size, _BOXES)]
         bounds = np.zeros(heads.size + 1, dtype=np.int64)
         for block in blocks:
             owner, start, stop = self.box_slices(low[block], high[block])
@@ -477,7 +488,7 @@ class _Grid:
 
     def candidates(self, owner, start, stop, near=None):
         """Yield ``(positions, owner)`` over the given slices, ``owner``
-        ascending, in passes of at most ``_PASS`` candidates that hold
+        ascending, in passes of at most ``_CHUNK`` candidates that hold
         each owner's candidates whole (an owner with more is a pass alone).
 
         ``near``, if given, is ``(centers, reach)``. Where the grid leaves
@@ -525,17 +536,17 @@ def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def _passes(sizes: np.ndarray, owner: np.ndarray):
     """Consecutive ranges ``lo, hi`` of items whose sizes add up to at
-    most ``_PASS``, cut only where ``owner`` (ascending) changes; an
+    most ``_CHUNK``, cut only where ``owner`` (ascending) changes; an
     owner whose items alone are larger is a range alone. There is at
     least one range."""
     n = sizes.size
     ends = np.cumsum(sizes)
-    if not n or ends[-1] <= _PASS:
+    if not n or ends[-1] <= _CHUNK:
         yield 0, n
         return
     lo = 0
     while lo < n:
-        hi = max(lo + 1, int(ends.searchsorted((ends[lo - 1] if lo else 0) + _PASS, "right")))
+        hi = max(lo + 1, int(ends.searchsorted((ends[lo - 1] if lo else 0) + _CHUNK, "right")))
         if hi < n and owner[hi] == owner[hi - 1]:  # inside one owner's items
             back = int(owner.searchsorted(owner[hi], "left"))
             hi = back if back > lo else int(owner.searchsorted(owner[hi], "right"))
@@ -580,12 +591,12 @@ def nearest(queries: np.ndarray, targets: np.ndarray):
     target's position; an exact tie goes to the first position.
 
     Both are 2-D float arrays, ``targets`` with at least one row.
-    Distances are ``_distance_matrix``'s, computed in row chunks of at
-    most ``_NEAREST_CHUNK`` entries.
+    Distances are ``_distance_matrix``'s, computed in row chunks of about
+    ``_CHUNK`` entries.
     """
     distance = np.empty(queries.shape[0])
     position = np.empty(queries.shape[0], dtype=np.int64)
-    rows = max(1, _NEAREST_CHUNK // targets.shape[0])
+    rows = max(1, _CHUNK // targets.shape[0])
     for start in range(0, queries.shape[0], rows):
         block = _distance_matrix(queries[start:start + rows], targets)
         found = block.argmin(axis=1)
@@ -594,20 +605,39 @@ def nearest(queries: np.ndarray, targets: np.ndarray):
     return distance, position
 
 
-def pairwise_distances(points: np.ndarray) -> np.ndarray:
-    """The distances between rows i < j of ``points``, in SciPy's
-    ``pdist`` order (by i, then j) and with its values
-    (``_distance_matrix``), computed in blocks of about ``_BLOCK``
-    entries."""
+def smallest_pairwise_distances(points: np.ndarray, count: int):
+    """``(smallest, positives)``: the ``count`` (>= 1) smallest positive
+    distances between rows i < j of ``points``, sorted (all of them if
+    fewer are positive), and the number of positive distances.
+
+    The distances are SciPy's ``pdist`` values (``_distance_matrix``),
+    computed in blocks of about ``_CHUNK`` entries and never held all at
+    once: a buffer keeps the smallest seen so far, and whenever it holds
+    twice ``count`` it is cut back to the ``count`` smallest, below which
+    later distances must fall to be kept. The memory grows with ``count``,
+    not with the number of pairs.
+    """
     n = points.shape[0]
-    rows = max(1, _BLOCK // n)
-    parts = []
+    rows = max(1, _CHUNK // n)
+    parts, held, positives = [np.empty(0)], 0, 0
+    bound = np.inf  # the largest of the buffer once it was cut back
     for start in range(0, n - 1, rows):
         stop = min(start + rows, n - 1)
         block = _distance_matrix(points[start:stop], points[start + 1:])
         # Row i of the block is point start + i; column j is point start + 1 + j.
-        parts.append(block[np.arange(stop - start)[:, None] <= np.arange(n - start - 1)])
-    return np.concatenate(parts) if parts else np.empty(0)
+        block = block[(block > 0) & (np.arange(stop - start)[:, None] <= np.arange(n - start - 1))]
+        positives += block.size
+        parts.append(block[block < bound])
+        held += parts[-1].size
+        if held >= 2 * count:
+            buffer = np.partition(np.concatenate(parts), count - 1)[:count]
+            bound = buffer[-1]
+            parts, held = [buffer], count
+    smallest = np.concatenate(parts)
+    if smallest.size > count:
+        smallest = np.partition(smallest, count - 1)[:count]
+    smallest.sort()
+    return smallest, positives
 
 
 def _parse_cell(text: str) -> float:

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 from numpy.random import default_rng
 
-from .data import Dataset, SpatialIndex, pairwise_distances
+from .data import Dataset, SpatialIndex, smallest_pairwise_distances
 from .errors import DegenerateDataset, InvalidRadius
 
 DEFAULT_PERCENTILE = 0.02  # sets the default radius and DPC's default cutoff
@@ -48,11 +48,12 @@ def pairwise_distance_percentiles(dataset: Dataset, percentiles: Sequence[float]
     Distances are measured between min(N, SAMPLE_CAP) points sampled
     without replacement (seed SAMPLE_SEED); zero distances (duplicate
     points) are excluded. Each percentile p is taken as the
-    ``int(p * count)``-th smallest distance, clamped to the last one.
-    Each resolved percentile is kept, one float per fraction, in
-    ``dataset.derived``, so the distances are sampled only when a
-    requested fraction has not been resolved before; the sample itself
-    is not kept.
+    ``int(p * count)``-th smallest distance, clamped to the last one. The
+    distances are streamed in bounded blocks, and only the smallest are
+    held (``smallest_pairwise_distances``). Each resolved percentile is
+    kept, one float per fraction, in ``dataset.derived``, so the
+    distances are sampled only when a requested fraction has not been
+    resolved before; the sample itself is not kept.
     """
     for percentile in percentiles:
         if not 0 < percentile < 1:
@@ -66,16 +67,14 @@ def pairwise_distance_percentiles(dataset: Dataset, percentiles: Sequence[float]
         if dataset.n > SAMPLE_CAP:
             rng = default_rng(SAMPLE_SEED)
             points = points[np.sort(rng.choice(dataset.n, size=SAMPLE_CAP, replace=False))]
-        dists = pairwise_distances(points)
-        dists = dists[dists > 0]
-        if dists.size == 0:
+        # No percentile's position lies beyond the largest fraction's share
+        # of all pairs, so only that many smallest distances are kept.
+        pairs = points.shape[0] * (points.shape[0] - 1) // 2
+        smallest, positives = smallest_pairwise_distances(points, int(missing[-1] * pairs) + 1)
+        if positives == 0:
             raise DegenerateDataset("all sampled points coincide")
-        positions = [min(int(p * dists.size), dists.size - 1) for p in missing]
-        # Only the smallest distances up to the last position are sorted.
-        head = np.partition(dists, positions[-1])[:positions[-1] + 1]
-        head.sort()
-        for p, position in zip(missing, positions):
-            kept[("percentile", p)] = float(head[position])
+        for p in missing:
+            kept[("percentile", p)] = float(smallest[min(int(p * positives), positives - 1)])
     return [kept[("percentile", p)] for p in percentiles]
 
 

@@ -32,6 +32,21 @@ def brute_densities(points: np.ndarray, delta: float) -> list[int]:
     return [len(brute_range_query(points, points[i], delta)) for i in range(len(points))]
 
 
+def pairwise_distances(points: np.ndarray) -> np.ndarray:
+    """The distances between rows i < j, in SciPy's ``pdist`` order (by i,
+    then j) and with its values: per pair, the squared coordinate
+    differences added in coordinate order, then the square root."""
+    points = np.asarray(points, dtype=float)
+    rows = []
+    for i in range(len(points) - 1):
+        diff = points[i + 1:] - points[i]
+        total = np.zeros(len(diff))
+        for k in range(points.shape[1]):
+            total = total + diff[:, k] * diff[:, k]
+        rows.append(np.sqrt(total))
+    return np.concatenate(rows) if rows else np.empty(0)
+
+
 def nmi_direct(u, v) -> float:
     """Direct summation over the contingency table built with a Counter."""
     n = len(u)

@@ -12,7 +12,7 @@ import ecac
 from ecac import density, optimizer, pipeline
 from ecac.cli import _config_from_args, build_parser, cmd_ablate, cmd_plot, cmd_run, main
 from ecac.config import DEFAULT_SWEEP, RunConfig, min_max_normalize, parse_config_file
-from ecac.data import Dataset, generate_gaussian_mixture, pairwise_distances
+from ecac.data import Dataset, generate_gaussian_mixture, smallest_pairwise_distances
 from ecac.density import pairwise_distance_percentile
 from ecac.errors import ConfigError, MissingResult, NotPlottable
 from ecac.optimizer import trace_records
@@ -335,11 +335,11 @@ class TestCmdRun:
         # fraction, which the dataset keeps once it is resolved.
         calls = []
 
-        def counted(points):
+        def counted(points, count):
             calls.append(points.shape[0])
-            return pairwise_distances(points)
+            return smallest_pairwise_distances(points, count)
 
-        monkeypatch.setattr(density, "pairwise_distances", counted)
+        monkeypatch.setattr(density, "smallest_pairwise_distances", counted)
         argv = ["run", "--data", "data/spiral.csv", "--label-col", "-1", "--algo", "dpc",
                 "--k", "3", "--delta-percentile", "0.02", "--out", str(tmp_path / "o")]
         assert main(argv) == 0

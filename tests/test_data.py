@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from ecac.data import (
-    _NEAREST_CHUNK,
+    _CHUNK,
     _row_norms,
     Dataset,
     SpatialIndex,
@@ -13,6 +15,7 @@ from ecac.data import (
     load_csv,
     nearest,
 )
+from ecac.density import default_delta, pairwise_distance_percentiles
 from ecac.errors import (
     DimensionMismatch,
     EcacError,
@@ -348,7 +351,7 @@ class TestNearest:
         rng = np.random.default_rng(5)
         queries = rng.integers(0, 12, size=(3000, 2)) * 0.25
         targets = rng.integers(0, 12, size=(1000, 2)) * 0.25
-        assert queries.shape[0] > 2 * (_NEAREST_CHUNK // targets.shape[0])  # >= 3 chunks
+        assert queries.shape[0] > 2 * (_CHUNK // targets.shape[0])  # >= 3 chunks
         full = cdist(queries, targets)
         distance, position = nearest(queries, targets)
         assert distance.tolist() == full.min(axis=1).tolist()
@@ -400,3 +403,39 @@ def test_query_monotone_in_radius(points, r1, r2, i):
     small = set(index.range_query(center, r1).tolist())
     big = set(index.range_query(center, r2).tolist())
     assert small <= big
+
+
+def traced_peak_mb(call) -> float:
+    """The most memory, in MB, that NumPy and Python held during call()
+    beyond what they held before it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestScratchMemory:
+    """Chunked passes hold about _CHUNK entries per array, whatever the
+    input's size, so their scratch stays a few MB."""
+
+    def test_distance_sample(self):
+        # The 1,000-point sample's 499,500 distances are never held at once.
+        ds = Dataset(np.random.default_rng(0).normal(size=(1500, 2)))
+        assert traced_peak_mb(lambda: pairwise_distance_percentiles(ds, [0.02])) < 2.0
+
+    def test_nearest(self):
+        rng = np.random.default_rng(1)
+        queries, targets = rng.normal(size=(5000, 2)), rng.normal(size=(2000, 2))
+        assert traced_peak_mb(lambda: nearest(queries, targets)) < 2.0
+
+    def test_density_count(self):
+        # The benchmark's 10k blobs at the default delta. The grid's build
+        # counts too (about 0.9 MB); a pass of _CHUNK 2-D candidates holds
+        # about 2.5 MB, and the slice table of a block of boxes about 1 MB.
+        ds, _ = generate_gaussian_mixture(
+            4, 2500, [[0.0, 0.0], [12.0, 0.0], [0.0, 12.0], [12.0, 12.0]], 2.0, 0
+        )
+        delta, index = default_delta(ds), SpatialIndex(ds)
+        assert traced_peak_mb(lambda: index.density(delta)) < 5.0

@@ -14,7 +14,7 @@ from ecac.density import (
 )
 from ecac.errors import DegenerateDataset, InvalidRadius
 
-from oracles import brute_densities
+from oracles import brute_densities, pairwise_distances
 
 
 def densities_of(points, delta):
@@ -153,3 +153,46 @@ def test_neighborhoods_symmetric(points, delta):
     for i in range(ds.n):
         for j in members[i]:
             assert i in members[j]
+
+
+@st.composite
+def distance_samples(draw):
+    """Up to a little more than SAMPLE_CAP points in d in {1, 2, 3, 8, 9}:
+    exact duplicates, lattice ties, and, for some points scaled toward the
+    origin, differences below 1e-154 whose squares are subnormal or 0."""
+    cap = density.SAMPLE_CAP
+    n = draw(st.one_of(st.integers(2, cap), st.integers(cap + 1, cap + 30)))
+    d = draw(st.sampled_from([1, 2, 3, 8, 9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = draw(st.integers(1, n))
+    if draw(st.booleans()):
+        base = rng.integers(-2, 3, size=(distinct, d)).astype(float)
+    else:
+        base = rng.normal(size=(distinct, d))
+    points = base[rng.integers(0, distinct, size=n)]
+    tiny = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    points[tiny] *= draw(st.sampled_from([1e-170, 1e-160, 1e-155]))
+    return points
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    points=distance_samples(),
+    fractions=st.lists(st.one_of(st.just(0.999), st.floats(1e-4, 0.5)), min_size=1, max_size=4),
+)
+def test_streamed_percentiles_equal_a_full_sort(points, fractions):
+    sample = points
+    if len(points) > density.SAMPLE_CAP:
+        chosen = np.random.default_rng(density.SAMPLE_SEED).choice(
+            len(points), size=density.SAMPLE_CAP, replace=False
+        )
+        sample = points[np.sort(chosen)]
+    dists = np.sort(pairwise_distances(sample))
+    dists = dists[dists > 0]
+    ds = Dataset(points)
+    if dists.size == 0:
+        with pytest.raises(DegenerateDataset):
+            pairwise_distance_percentiles(ds, fractions)
+        return
+    want = [float(dists[min(int(p * dists.size), dists.size - 1)]) for p in fractions]
+    assert pairwise_distance_percentiles(ds, fractions) == want

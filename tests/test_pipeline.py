@@ -5,7 +5,7 @@ import pytest
 
 from ecac import density
 from ecac.algorithms import build_algorithm
-from ecac.data import generate_gaussian_mixture, load_csv, pairwise_distances
+from ecac.data import generate_gaussian_mixture, load_csv, smallest_pairwise_distances
 from ecac.errors import InvalidK
 from ecac.optimizer import SelectionStrategy
 from ecac.pipeline import ClusteringResult, compute_centers, run_baseline, run_optimized
@@ -85,11 +85,11 @@ def test_default_delta_runs_sample_once(monkeypatch):
     ds, _ = load_csv(Path(__file__).resolve().parent.parent / "data" / "spiral.csv", -1)
     calls = []
 
-    def counted(points):
+    def counted(points, count):
         calls.append(points.shape[0])
-        return pairwise_distances(points)
+        return smallest_pairwise_distances(points, count)
 
-    monkeypatch.setattr(density, "pairwise_distances", counted)
+    monkeypatch.setattr(density, "smallest_pairwise_distances", counted)
     runs = [run_optimized(ds, build_algorithm("kmeans"), 3) for _ in range(3)]
     assert len(calls) == 1
     assert len({r.delta for r in runs}) == 1
