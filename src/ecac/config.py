@@ -86,20 +86,21 @@ class RunConfig:
 
     def validate(self):
         """Reject bad or conflicting values; parse ``delta_sweep`` to floats."""
-        has_file = self.data is not None
-        has_gen = self.gen_k is not None
-        if has_file == has_gen:
-            raise ConfigError(
-                "exactly one dataset source required: 'data' or a gen_* block"
-            )
         for keys, kinds, what in (
-            (("k", "cap", "seed", "max_iter"), int, "an integer"),
+            (("k", "cap", "seed", "max_iter", "gen_k", "gen_seed"), int, "an integer"),
             (("delta", "delta_percentile", "d_c"), (int, float), "a number"),
+            (("label_col",), (int, str), "a column number or name"),
         ):
             for key in keys:
                 value = getattr(self, key)
                 if value is not None and (isinstance(value, bool) or not isinstance(value, kinds)):
                     raise ConfigError(f"{key} must be {what}, got {value!r}")
+        if not isinstance(self.normalize, bool):
+            raise ConfigError(f"normalize must be true or false, got {self.normalize!r}")
+        if (self.data is None) == (self.gen_k is None):
+            raise ConfigError(
+                "exactly one dataset source required: 'data' or a gen_* block"
+            )
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.data is not None and (not isinstance(self.data, str) or not self.data):

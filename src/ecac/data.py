@@ -2,8 +2,9 @@
 
 Objects are identified by their row index in an immutable N x d point
 matrix. All distances in this package are Euclidean, and neighborhoods
-are open balls: ``range_query(p, r)`` returns exactly the ids at strict
-distance ``< r``. Radius and k-nearest queries go to a cell grid
+are open balls: ``range_query_many(P, r)`` returns, per row p of P,
+exactly the ids at strict distance ``< r``. Neighbour counts, radius
+queries and nearest higher-ranked searches go to a cell grid
 (``SpatialIndex``), and all-pairs distances to chunked NumPy blocks
 (``nearest``, ``smallest_pairwise_distances``). Every chunked pass holds
 about ``_CHUNK`` entries per array, so its scratch memory does not grow
@@ -26,7 +27,6 @@ from numpy.random import default_rng
 from .errors import (
     DimensionMismatch,
     EmptyDataset,
-    InvalidK,
     InvalidRadius,
     InvalidSpec,
     ParseError,
@@ -123,10 +123,10 @@ class GroundTruth:
 
 
 class SpatialIndex:
-    """A uniform cell grid over a dataset, answering open-ball radius
-    queries, k-nearest queries and searches for the nearest object of
-    higher rank, and building per-cell candidate runs for radius queries
-    centered on its points.
+    """A uniform cell grid over a dataset, counting each object's
+    neighbours within a radius, answering open-ball radius queries and
+    searches for the nearest object of higher rank, and building per-cell
+    candidate runs for radius queries centered on its points.
 
     Every query returns dataset ids. Radius-query results depend only on
     point coordinates, never on build order, and a query centered on a
@@ -136,9 +136,8 @@ class SpatialIndex:
     axes, those of largest extent. A query's candidates are the points of
     the cells that its box meets, and each is judged by its ``_row_norms``
     distance, so answers are exact in any dimension. Grids are built per
-    cell side on first use, and the ``_GRIDS_KEPT`` most recently used
-    are kept: side r / ``_CELLS_PER_RADIUS`` for queries at radius r, and
-    one side, set by the points' spacing, for k-nearest queries.
+    radius r, of side r / ``_CELLS_PER_RADIUS``, on first use, and the
+    ``_GRIDS_KEPT`` most recently used are kept.
     """
 
     def __init__(self, dataset: Dataset):
@@ -155,9 +154,15 @@ class SpatialIndex:
         """Number of indexed objects."""
         return self._points.shape[0]
 
-    def _grid(self, side: float) -> _Grid:
-        """The grid of cell side ``side``, built unless it is one of the
-        ``_GRIDS_KEPT`` most recently used."""
+    def _radius_grid(self, radius: float) -> _Grid:
+        """The grid for queries at ``radius`` (> 0), of side radius /
+        ``_CELLS_PER_RADIUS``, built unless it is one of the ``_GRIDS_KEPT``
+        most recently used. Its side is kept between ``_TINY`` and the
+        largest float, so that no label is NaN: an infinite radius makes
+        one cell."""
+        if not radius > 0:
+            raise InvalidRadius(f"radius must be > 0, got {radius}")
+        side = min(max(radius / _CELLS_PER_RADIUS, _TINY), np.finfo(np.float64).max)
         grid = self._grids.pop(side, None)
         if grid is None:
             grid = _Grid(self._points, self._axes, side)
@@ -166,60 +171,25 @@ class SpatialIndex:
         self._grids[side] = grid
         return grid
 
-    def _radius_grid(self, radius: float) -> _Grid:
-        """The grid for queries at ``radius`` (> 0). Its side is kept
-        between ``_TINY`` and the largest float, so that no label is NaN:
-        an infinite radius makes one cell."""
-        if not radius > 0:
-            raise InvalidRadius(f"radius must be > 0, got {radius}")
-        side = min(max(radius / _CELLS_PER_RADIUS, _TINY), np.finfo(np.float64).max)
-        return self._grid(side)
-
-    def _checked(self, centers, ndim: int) -> np.ndarray:
-        """Query point(s) as floats, after checking their shape."""
+    def range_query_many(self, centers, radius: float) -> list[np.ndarray]:
+        """Per row of ``centers`` (a queries x d array), the sorted ids at
+        strict distance < radius from it."""
         centers = np.asarray(centers, dtype=np.float64)
-        if centers.ndim != ndim or centers.shape[-1] != self.dataset.d:
+        if centers.ndim != 2 or centers.shape[1] != self.dataset.d:
             raise DimensionMismatch(
                 f"query point has shape {centers.shape}, dataset is {self.dataset.d}-D"
             )
-        return centers
-
-    def range_query(self, center, radius: float) -> np.ndarray:
-        """Return the sorted ids at strict distance < radius from center."""
-        return np.sort(self.range_query_with_distances(center, radius)[0])
-
-    def range_query_with_distances(self, center, radius: float):
-        """The ids at strict distance < radius from center, in no
-        particular order, and their distances."""
-        center = self._checked(center, ndim=1)
-        ids, dists, _ = self.range_query_batch(center[None, :], radius)
-        return ids, dists
-
-    def range_query_many(self, centers: np.ndarray, radius: float) -> list[np.ndarray]:
-        """Vectorized ``range_query`` for several centers at once."""
-        ids, _, bounds = self.range_query_batch(centers, radius)
-        return [np.sort(ids[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-    def range_query_batch(self, centers, radius: float):
-        """Radius queries for several centers at once.
-
-        Returns ``(ids, dists, bounds)``: the ids at strict distance
-        < radius from center c, in no particular order, are
-        ``ids[bounds[c]:bounds[c + 1]]``, and ``dists`` holds their
-        ``_row_norms`` distances.
-        """
-        centers = self._checked(centers, ndim=2)
         grid = self._radius_grid(radius)
-        ids, dists, owners = [], [], []
+        ids, owners = [], []
         reach = _reach(radius)
         for pos, owner in grid.candidates(*grid.slices(centers, reach), (centers, reach)):
             d = _row_norms(grid.points.take(pos, axis=0) - centers.take(owner, axis=0))
             keep = np.flatnonzero(d < radius)
             ids.append(grid.ids.take(pos.take(keep)))
-            dists.append(d.take(keep))
             owners.append(owner.take(keep))
+        ids = np.concatenate(ids)
         bounds = np.searchsorted(np.concatenate(owners), np.arange(centers.shape[0] + 1))
-        return np.concatenate(ids), np.concatenate(dists), bounds
+        return [np.sort(ids[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def density(self, radius: float) -> np.ndarray:
         """Per object, the number of ids at strict distance < radius: a
@@ -263,65 +233,6 @@ class SpatialIndex:
         every id at strict distance < radius from any point of that cell,
         besides others, at most 81 ids per object (see ``_Grid.runs``)."""
         return self._radius_grid(radius).runs(_reach(radius))
-
-    def k_nearest(self, centers: np.ndarray, k: int):
-        """Per center, the min(k, size) nearest indexed ids and their
-        ``_row_norms`` distances, as two (centers x min(k, size)) arrays
-        ordered by (distance, id).
-
-        A center's candidates are the points of the cells that its box
-        [c - reach, c + reach] meets. Every other point lies beyond reach
-        on a grid axis, so the k nearest candidates are the k nearest of
-        all once the k-th is nearer than reach, or once every point is a
-        candidate; until then, reach doubles.
-        """
-        centers = self._checked(centers, ndim=2)
-        if k < 1:
-            raise InvalidK(f"k must be >= 1 neighbor, got {k}")
-        if not np.isfinite(centers).all():
-            raise InvalidSpec("query points must be finite")
-        k = min(k, self.size)
-        dists = np.empty((centers.shape[0], k))
-        ids = np.empty((centers.shape[0], k), dtype=np.int64)
-        if k == 0 or centers.shape[0] == 0:
-            return dists, ids
-        grid = self._grid(self._spacing())
-        # A box of this reach holds about k points where the points are even.
-        reach = grid.side * (k / 4.0) ** (1.0 / grid.axes.size)
-        # Centers go in cell order, so that a pass reads neighbouring cells.
-        pending = grid.cell_order(centers)
-        while pending.size:
-            reach = max(reach, _TINY)
-            rows = centers.take(pending, axis=0)
-            done = np.zeros(rows.shape[0], dtype=bool)
-            for pos, owner in grid.candidates(*grid.slices(rows, reach)):
-                d = _row_norms(grid.points.take(pos, axis=0) - rows.take(owner, axis=0))
-                everything = np.bincount(owner, minlength=rows.shape[0]) == self.size
-                inside = np.flatnonzero((d < reach * (1.0 - _ROUNDING)) | everything[owner])
-                found = grid.ids.take(pos.take(inside))
-                owner, d = owner.take(inside), d.take(inside)
-                order = np.lexsort((found, d, owner))
-                owner, d, found = owner.take(order), d.take(order), found.take(order)
-                count = np.bincount(owner, minlength=rows.shape[0])
-                resolved = np.flatnonzero(count >= k)
-                nearest_k = ((np.cumsum(count) - count)[resolved, None] + np.arange(k)).ravel()
-                dists[pending[resolved]] = d.take(nearest_k).reshape(-1, k)
-                ids[pending[resolved]] = found.take(nearest_k).reshape(-1, k)
-                done[resolved] = True
-            pending = pending[~done]
-            reach *= 2.0
-        return dists, ids
-
-    def _spacing(self) -> float:
-        """Cell side of the k-nearest grid: one point per cell, on average,
-        over the points' bounding box on the grid axes."""
-        extent = np.ptp(self._points[:, self._axes], axis=0)
-        extent = extent[extent > 0]
-        if extent.size == 0:  # every point on one spot of the grid axes
-            return 1.0
-        side = float((np.prod(extent) / self.size) ** (1.0 / extent.size))
-        # The product of the extents may under- or overflow.
-        return side if 0 < side < np.inf else float(extent.max())
 
     def nearest_higher(self, rank: np.ndarray, radius: float):
         """Per dataset object, the nearest object of lower ``rank`` (an
@@ -416,11 +327,6 @@ class _Grid:
 
     def _label(self, coords: np.ndarray) -> np.ndarray:
         return np.floor((coords - self.origin) / self.side)
-
-    def cell_order(self, points: np.ndarray) -> np.ndarray:
-        """The order of ``points`` by their cells' labels."""
-        labels = self._label(points[:, self.axes])
-        return np.lexsort(labels.T[::-1])
 
     def slices(self, centers: np.ndarray, reach: float):
         """``(owner, start, stop)``: the slices of sorted positions that

@@ -30,7 +30,7 @@ class DegenerateDataset(EcacError):
 
 
 class InvalidK(EcacError):
-    """A requested count (clusters, or neighbors per query) is out of range."""
+    """A requested number of clusters is out of range."""
 
 
 class EmptyCenters(EcacError):

@@ -395,8 +395,9 @@ def identify_extended_centers(
     """Grow one extended-set per clustering center until coverage.
 
     ``index`` and ``densities`` may be passed in to reuse previously
-    built structures; densities must have been computed at ``delta``.
-    Without ``index`` the dataset's own ``dataset.index`` is used.
+    built structures; the index must be built over ``dataset`` itself and
+    the densities computed on it at ``delta``. Without ``index`` the
+    dataset's own ``dataset.index`` is used.
     """
     strategy = strategy or SelectionStrategy()
     if delta <= 0:
@@ -408,8 +409,12 @@ def identify_extended_centers(
         raise InvalidSpec("centers must be distinct object ids")
     if index is None:
         index = dataset.index
+    elif index.dataset is not dataset:
+        raise InvalidSpec("index was built over another dataset")
     if densities is None:
         densities = compute_densities(dataset, index, delta)
+    elif densities.rho.shape != (dataset.n,):
+        raise InvalidSpec(f"densities hold {densities.rho.size} objects, dataset has {dataset.n}")
     elif densities.delta != delta:
         raise InvalidRadius(
             f"densities were computed at delta={densities.delta}, not {delta}"

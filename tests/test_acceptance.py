@@ -79,7 +79,7 @@ def test_criterion_2_density_and_index_oracle():
                 expected = set(
                     np.flatnonzero(np.linalg.norm(pts - center, axis=1) < radius).tolist()
                 )
-                assert set(index.range_query(center, radius).tolist()) == expected
+                assert set(index.range_query_many([center], radius)[0].tolist()) == expected
 
 
 def separated_mixture(seed):

@@ -106,10 +106,17 @@ class TestConfig:
         ("seed = 1.5", "seed"),
         ("max_iter = true", "max_iter"),
         ('d_c = "x"', "d_c"),
+        ('gen_k = "2"', "gen_k"),
+        ('gen_seed = "x"', "gen_seed"),
+        ("label_col = 1.5", "label_col"),
+        ('normalize = "yes"', "normalize"),
     ])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, line, key):
         cfg_file = tmp_path / "run.toml"
-        base = 'data = "data/spiral.csv"\nlabel_col = -1\n' + ("" if key == "k" else "k = 3\n")
+        base = "".join(
+            f"{entry}\n" for entry in ('data = "data/spiral.csv"', "label_col = -1", "k = 3")
+            if not entry.startswith(f"{key} =")
+        )
         cfg_file.write_text(f"{base}{line}\n")
         argv = ["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")]
         assert main(argv) == 2

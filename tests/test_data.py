@@ -18,7 +18,6 @@ from ecac.data import (
 from ecac.density import default_delta, pairwise_distance_percentiles
 from ecac.errors import (
     DimensionMismatch,
-    EcacError,
     EmptyDataset,
     InvalidRadius,
     InvalidSpec,
@@ -143,19 +142,19 @@ class TestGaussianMixture:
 class TestRangeQuery:
     def test_line_points(self):
         ds = Dataset(np.array([[0.0], [3.0], [10.0]]))
-        got = SpatialIndex(ds).range_query([0.0], 5.0)
+        got = SpatialIndex(ds).range_query_many([[0.0]], 5.0)[0]
         assert set(got.tolist()) == {0, 1}
 
     def test_boundary_excluded(self):
         ds = Dataset(np.array([[0.0], [3.0], [10.0]]))
-        got = SpatialIndex(ds).range_query([0.0], 3.0)
+        got = SpatialIndex(ds).range_query_many([[0.0]], 3.0)[0]
         assert set(got.tolist()) == {0}
 
     def test_self_only_when_radius_below_gap(self):
         ds = Dataset(np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]]))
         index = SpatialIndex(ds)
         for i in range(3):
-            assert index.range_query(ds.points[i], 1.0).tolist() == [i]
+            assert index.range_query_many(ds.points[[i]], 1.0)[0].tolist() == [i]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
@@ -165,13 +164,13 @@ class TestRangeQuery:
         for _ in range(50):
             center = rng.uniform(-5, 5, size=2)
             radius = rng.uniform(0.1, 6.0)
-            got = set(index.range_query(center, radius).tolist())
+            got = set(index.range_query_many([center], radius)[0].tolist())
             assert got == brute_range_query(pts, center, radius)
 
     def test_dimension_mismatch(self):
         ds = Dataset(np.array([[0.0, 0.0]]))
         with pytest.raises(DimensionMismatch):
-            SpatialIndex(ds).range_query([0.0], 1.0)
+            SpatialIndex(ds).range_query_many([[0.0]], 1.0)
         with pytest.raises(DimensionMismatch):
             SpatialIndex(ds).range_query_many(np.zeros((3, 3)), 1.0)
         with pytest.raises(DimensionMismatch):
@@ -180,7 +179,7 @@ class TestRangeQuery:
     def test_nonpositive_radius(self):
         ds = Dataset(np.array([[0.0]]))
         with pytest.raises(InvalidRadius):
-            SpatialIndex(ds).range_query([0.0], 0.0)
+            SpatialIndex(ds).range_query_many([[0.0]], 0.0)
 
 
 class TestCountWithin:
@@ -196,7 +195,7 @@ class TestCountWithin:
         pts = self.grid()
         index = SpatialIndex(Dataset(pts))
         got = index.density(radius)
-        assert got.tolist() == [len(index.range_query(p, radius)) for p in pts]
+        assert got.tolist() == [len(ids) for ids in index.range_query_many(pts, radius)]
         assert got.tolist() == brute_densities(pts, radius)
 
     def test_boundary_excluded(self):
@@ -215,43 +214,6 @@ class TestCountWithin:
             index.density(radius)
 
 
-class TestKNearest:
-    def test_matches_brute_force_sort(self):
-        # Continuous random points: all distances from a query are distinct,
-        # so the nearest-first order is unique.
-        rng = np.random.default_rng(11)
-        pts = rng.normal(size=(60, 3))
-        queries = rng.normal(size=(7, 3))
-        for k in (1, 5, 60):
-            dists, ids = SpatialIndex(Dataset(pts)).k_nearest(queries, k)
-            brute = np.linalg.norm(pts[None, :, :] - queries[:, None, :], axis=2)
-            expected = np.argsort(brute, axis=1)[:, :k]
-            assert ids.shape == dists.shape == (7, k)
-            assert ids.tolist() == expected.tolist()
-            np.testing.assert_allclose(
-                dists, np.take_along_axis(brute, expected, axis=1), rtol=1e-12
-            )
-
-    def test_k_above_n_lists_every_object(self):
-        pts = np.array([[0.0], [3.0], [1.0]])
-        dists, ids = SpatialIndex(Dataset(pts)).k_nearest(np.array([[0.0]]), 10)
-        assert ids.tolist() == [[0, 2, 1]]
-        assert dists.tolist() == [[0.0, 1.0, 3.0]]
-
-    def test_dimension_mismatch(self):
-        index = SpatialIndex(Dataset(np.array([[0.0, 0.0]])))
-        with pytest.raises(DimensionMismatch):
-            index.k_nearest(np.zeros((3, 3)), 1)
-        with pytest.raises(DimensionMismatch):
-            index.k_nearest(np.zeros(2), 1)
-
-    @pytest.mark.parametrize("k", [0, -3])
-    def test_k_below_one(self, k):
-        index = SpatialIndex(Dataset(np.array([[0.0]])))
-        with pytest.raises(EcacError, match="k must be >= 1"):
-            index.k_nearest(np.zeros((1, 1)), k)
-
-
 class TestNearestHigher:
     def test_needs_a_whole_dataset_index_and_a_rank_of_every_id(self):
         # An index always holds the whole dataset; the rank must order it.
@@ -265,20 +227,15 @@ class TestNearestHigher:
 
 
 class TestRangeQueryBatch:
+    """``range_query_many`` over batches of centers."""
+
     @staticmethod
-    def check(index, pts, centers, radius, indexed):
-        ids, dists, bounds = index.range_query_batch(centers, radius)
-        assert bounds.tolist()[0] == 0 and bounds.tolist()[-1] == ids.size
-        assert (np.diff(bounds) >= 0).all()
-        for c, center in enumerate(centers):
-            got_ids, got_d = ids[bounds[c]:bounds[c + 1]], dists[bounds[c]:bounds[c + 1]]
-            want = sorted(set(indexed) & brute_range_query(pts, center, radius))
-            assert sorted(got_ids.tolist()) == want
-            assert got_d.tolist() == np.linalg.norm(pts[got_ids] - center, axis=1).tolist()
-            one_ids, one_d = index.range_query_with_distances(center, radius)
-            assert dict(zip(got_ids.tolist(), got_d.tolist())) == dict(
-                zip(one_ids.tolist(), one_d.tolist())
-            )
+    def check(index, pts, centers, radius):
+        found = index.range_query_many(centers, radius)
+        assert len(found) == len(centers)
+        for ids, center in zip(found, centers):
+            assert ids.tolist() == sorted(brute_range_query(pts, center, radius))
+            assert index.range_query_many([center], radius)[0].tolist() == ids.tolist()
 
     def test_full_index_with_duplicates(self):
         # A 0.25 grid with duplicate points and duplicate centers: the
@@ -289,10 +246,10 @@ class TestRangeQueryBatch:
         index = SpatialIndex(Dataset(pts))
         centers = pts[[0, 0, 3, 120, 7, 160]]
         for radius in (0.25, 0.5, 0.9):
-            self.check(index, pts, centers, radius, range(len(pts)))
-        ids, dists, bounds = index.range_query_batch(pts[[0]], 1e-3)
-        assert sorted(ids.tolist()) == sorted(brute_range_query(pts, pts[0], 1e-3))
-        assert {0, 120, 160} <= set(ids.tolist()) and dists.tolist() == [0.0] * ids.size
+            self.check(index, pts, centers, radius)
+        ids = index.range_query_many(pts[[0]], 1e-3)[0]
+        assert ids.tolist() == sorted(brute_range_query(pts, pts[0], 1e-3))
+        assert {0, 120, 160} <= set(ids.tolist())
 
     def test_three_dimensional_points(self):
         # The grid covers two of the three axes; the third is judged by
@@ -302,7 +259,7 @@ class TestRangeQueryBatch:
         index = SpatialIndex(Dataset(pts))
         centers = pts[rng.choice(200, 40, replace=False)]
         for radius in (0.3, 0.75):
-            self.check(index, pts, centers, radius, range(200))
+            self.check(index, pts, centers, radius)
 
     def test_boundary_and_slack_band(self):
         # Exactly at r is out; just inside r, within the tree's slack band,
@@ -310,27 +267,24 @@ class TestRangeQueryBatch:
         r = 1.0
         pts = np.array([[0.0], [r], [r - 2.0**-40], [-r * (1 + 2e-9)], [0.5]])
         index = SpatialIndex(Dataset(pts))
-        ids, dists, bounds = index.range_query_batch(pts[[0, 4]], r)
-        assert bounds.tolist() == [0, 3, 7]
-        assert sorted(ids[:3].tolist()) == [0, 2, 4]
-        assert sorted(ids[3:].tolist()) == [0, 1, 2, 4]
-        self.check(index, pts, pts, r, range(5))
+        found = index.range_query_many(pts[[0, 4]], r)
+        assert [ids.tolist() for ids in found] == [[0, 2, 4], [0, 1, 2, 4]]
+        self.check(index, pts, pts, r)
 
     def test_many_centers_and_none(self):
         # More than 256 centers groups through a wider sort key.
         rng = np.random.default_rng(8)
         pts = rng.normal(size=(400, 2))
         index = SpatialIndex(Dataset(pts))
-        self.check(index, pts, pts[::-1][:300], 0.2, range(400))
-        ids, dists, bounds = index.range_query_batch(np.empty((0, 2)), 0.2)
-        assert ids.size == dists.size == 0 and bounds.tolist() == [0]
+        self.check(index, pts, pts[::-1][:300], 0.2)
+        assert index.range_query_many(np.empty((0, 2)), 0.2) == []
 
     def test_validation(self):
         index = SpatialIndex(Dataset(np.zeros((3, 2))))
         with pytest.raises(DimensionMismatch):
-            index.range_query_batch(np.zeros(2), 1.0)
+            index.range_query_many(np.zeros(2), 1.0)
         with pytest.raises(InvalidRadius):
-            index.range_query_batch(np.zeros((1, 2)), 0.0)
+            index.range_query_many(np.zeros((1, 2)), 0.0)
 
 
 class TestRowNorms:
@@ -384,7 +338,7 @@ def small_datasets(draw):
 def test_query_contains_self(points, radius, i):
     ds = Dataset(points)
     i = i % ds.n
-    assert i in SpatialIndex(ds).range_query(ds.points[i], radius)
+    assert i in SpatialIndex(ds).range_query_many(ds.points[[i]], radius)[0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -400,8 +354,8 @@ def test_query_monotone_in_radius(points, r1, r2, i):
     ds = Dataset(points)
     index = SpatialIndex(ds)
     center = ds.points[i % ds.n]
-    small = set(index.range_query(center, r1).tolist())
-    big = set(index.range_query(center, r2).tolist())
+    small = set(index.range_query_many([center], r1)[0].tolist())
+    big = set(index.range_query_many([center], r2)[0].tolist())
     assert small <= big
 
 

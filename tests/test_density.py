@@ -149,7 +149,7 @@ def test_density_scale_equivariance(points, delta):
 def test_neighborhoods_symmetric(points, delta):
     ds = Dataset(points)
     index = SpatialIndex(ds)
-    members = [set(index.range_query(ds.points[i], delta).tolist()) for i in range(ds.n)]
+    members = [set(ids.tolist()) for ids in index.range_query_many(ds.points, delta)]
     for i in range(ds.n):
         for j in members[i]:
             assert i in members[j]

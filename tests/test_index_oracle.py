@@ -24,16 +24,6 @@ def tree_range(points, center, radius):
     return np.sort(found[_row_norms(points[found] - center) < radius])
 
 
-def exact_k_nearest(points, center, k):
-    """The k nearest of ``points`` ordered by (distance, id), checked
-    against the KD-tree's own k-nearest distances."""
-    dists = _row_norms(points - center)
-    order = np.lexsort((np.arange(len(points)), dists))[:k]
-    tree_dists = np.atleast_1d(cKDTree(points).query(center, k=k)[0])
-    np.testing.assert_allclose(dists[order], tree_dists, rtol=1e-12, atol=1e-300)
-    return dists[order], order
-
-
 def exact_nearest_higher(points, rank):
     """Per object, the nearest object of lower rank by (distance, rank),
     and that distance; -1 and inf for the object of rank 0."""
@@ -50,7 +40,7 @@ def exact_nearest_higher(points, rank):
 
 @st.composite
 def instances(draw, scale=None):
-    """(points, queries, radius, k)."""
+    """(points, queries, radius)."""
     d = draw(st.sampled_from([1, 2, 3, 8]))
     n = draw(st.integers(1, 40))
     lattice = st.lists(st.integers(-6, 6), min_size=d, max_size=d)
@@ -66,25 +56,17 @@ def instances(draw, scale=None):
         st.integers(1, 8).map(float),  # whole lattice steps: exact-distance boundaries
         st.floats(0.05, 9.0),
     ))
-    k = draw(st.integers(1, len(points) + 2))
-    return points, np.array(queries), radius, k
+    return points, np.array(queries), radius
 
 
-def check_index(points, queries, radius, k):
+def check_index(points, queries, radius):
     index = SpatialIndex(Dataset(points))
     want = [tree_range(points, q, radius) for q in queries]
     for q, expected in zip(queries, want):
-        assert index.range_query(q, radius).tolist() == expected.tolist()
-        found, dists = index.range_query_with_distances(q, radius)
-        assert np.array_equal(dists, _row_norms(points[found] - q))
+        assert index.range_query_many([q], radius)[0].tolist() == expected.tolist()
     assert [a.tolist() for a in index.range_query_many(queries, radius)] == [
         w.tolist() for w in want
     ]
-    found, dists, bounds = index.range_query_batch(queries, radius)
-    for c, expected in enumerate(want):
-        lo, hi = bounds[c], bounds[c + 1]
-        assert np.sort(found[lo:hi]).tolist() == expected.tolist()
-        assert np.array_equal(dists[lo:hi], _row_norms(points[found[lo:hi]] - queries[c]))
     assert index.density(radius).tolist() == [tree_range(points, p, radius).size for p in points]
     # DPC's rank (densest first, lower id on ties) and a shuffled one.
     n = len(points)
@@ -95,11 +77,6 @@ def check_index(points, queries, radius, k):
         want_dist, want_found = exact_nearest_higher(points, rank)
         assert got_found.tolist() == want_found.tolist()
         assert np.array_equal(got_dist, want_dist)
-    got_dists, got_ids = index.k_nearest(queries, k)
-    for c, q in enumerate(queries):
-        want_dists, want_ids = exact_k_nearest(points, q, min(k, n))
-        assert got_ids[c].tolist() == want_ids.tolist()
-        assert np.array_equal(got_dists[c], want_dists)
 
 
 def check_runs(points, radius):
@@ -129,7 +106,7 @@ def test_candidate_runs_hold_every_neighbour(instance, far, infinite):
     # whole lattice steps (points at exactly r); a far point at a small
     # scale puts the extent-to-radius ratio above 2**32, and an infinite
     # radius makes one cell that holds every point.
-    points, _, radius, _ = instance
+    points, _, radius = instance
     if far is not None:
         points = np.vstack([points * 1e-9, np.full((1, points.shape[1]), far)])
         radius *= 1e-9
@@ -145,12 +122,12 @@ def test_extent_far_beyond_two_to_the_32_radii(instance, far, sign):
     # One point far away makes the extent-to-radius ratio exceed 2**32
     # (radii here are at most 9e-3), so cell labels run past int32 and
     # their products would overflow int64.
-    points, queries, radius, k = instance
+    points, queries, radius = instance
     lone = np.full((1, points.shape[1]), sign * far)
     points = np.vstack([points, lone])
     queries = np.vstack([queries, lone, lone + radius / 2])
     assert np.ptp(points) / radius > 2.0**32
-    check_index(points, queries, radius, k)
+    check_index(points, queries, radius)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8])
@@ -159,17 +136,13 @@ def test_points_at_exactly_the_radius_are_outside(d):
     steps = np.vstack([np.eye(d), -np.eye(d)])
     points = np.vstack([np.zeros((1, d)), steps, 2 * steps, steps])  # steps twice: duplicates
     index = SpatialIndex(Dataset(points))
-    assert index.range_query(np.zeros(d), 1.0).tolist() == [0]
-    assert index.range_query(np.zeros(d), np.nextafter(1.0, 2.0)).tolist() == list(
+    assert index.range_query_many(np.zeros((1, d)), 1.0)[0].tolist() == [0]
+    assert index.range_query_many(np.zeros((1, d)), np.nextafter(1.0, 2.0))[0].tolist() == list(
         range(1 + 2 * d)
     ) + list(range(1 + 4 * d, 1 + 6 * d))
     assert index.density(1.0)[0] == 1
     check_runs(points, 1.0)
     check_runs(points, np.nextafter(1.0, 2.0))
-    dists, ids = index.k_nearest(np.zeros((1, d)), 1 + 4 * d)
-    # Ties at distance 1 come in id order, before the ones at distance 2.
-    assert ids[0].tolist() == [0, *range(1, 1 + 2 * d), *range(1 + 4 * d, 1 + 6 * d)]
-    assert dists[0].tolist() == [0.0] + [1.0] * (4 * d)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -191,7 +164,7 @@ def test_a_run_meets_nine_cells_per_axis(d):
 def test_an_infinite_radius_finds_every_point(d):
     points = np.random.default_rng(d).normal(size=(30, d)) * 1e3
     index = SpatialIndex(Dataset(points))
-    assert index.range_query(np.full(d, -1e6), np.inf).tolist() == list(range(30))
+    assert index.range_query_many(np.full((1, d), -1e6), np.inf)[0].tolist() == list(range(30))
     assert index.density(np.inf).tolist() == [30] * 30
     cell, bounds, ids = index.candidate_runs(np.inf)
     assert cell.tolist() == [0] * 30 and bounds.tolist() == [0, 30]
@@ -200,17 +173,11 @@ def test_an_infinite_radius_finds_every_point(d):
 
 @pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e200])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_k_nearest_at_extreme_scales(scale):
-    # Squared differences underflow to 0 or overflow to inf here, and the
-    # product of the extents does too; the (distance, id) order still holds.
+def test_grid_at_extreme_scales(scale):
+    # Squared differences underflow to 0 or overflow to inf here; counts
+    # and nearest higher-ranked objects still match the brute force.
     points = np.array([[0, 0], [1, 2], [3, 1], [2, 2], [5, 5], [1, 2]], dtype=float) * scale
     index = SpatialIndex(Dataset(points))
-    dists, ids = index.k_nearest(points, 4)
-    for c, q in enumerate(points):
-        d = _row_norms(points - q)
-        order = np.lexsort((np.arange(len(points)), d))[:4]
-        assert ids[c].tolist() == order.tolist()
-        assert np.array_equal(dists[c], d[order])
     for r in (np.nextafter(0.0, 1.0), scale, 2.5 * scale, np.inf):
         assert index.density(r).tolist() == [
             int((_row_norms(points - q) < r).sum()) for q in points

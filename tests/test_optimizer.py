@@ -87,6 +87,22 @@ class TestIdentify:
         with pytest.raises(InvalidRadius):
             identify_extended_centers(ds, [0], 1.0, densities=dens)
 
+    @pytest.mark.parametrize("other_n", [300, 120])
+    def test_index_of_another_dataset_rejected(self, other_n):
+        # Another dataset's index would answer with its own ids: of the
+        # same size, wrong sets; smaller, an IndexError.
+        ds, _ = generate_gaussian_mixture(2, 150, [[0, 0], [6, 0]], 1.0, seed=0)
+        other, _ = generate_gaussian_mixture(2, other_n // 2, [[0, 0], [6, 0]], 1.0, seed=1)
+        with pytest.raises(InvalidSpec, match="another dataset"):
+            identify_extended_centers(ds, [0, 150], 1.0, index=SpatialIndex(other))
+
+    def test_densities_of_another_size_rejected(self):
+        ds, _ = generate_gaussian_mixture(2, 150, [[0, 0], [6, 0]], 1.0, seed=0)
+        other, _ = generate_gaussian_mixture(2, 60, [[0, 0], [6, 0]], 1.0, seed=1)
+        dens = compute_densities(other, other.index, 1.0)
+        with pytest.raises(InvalidSpec, match="densities hold 120 objects"):
+            identify_extended_centers(ds, [0, 150], 1.0, densities=dens)
+
 
 def random_instance(seed, n=40, d=2, clumps=False):
     rng = np.random.default_rng(seed)
@@ -303,13 +319,13 @@ def test_extension_reads_candidate_runs_not_the_index(monkeypatch):
     # box meets at most 9 cells per grid axis).
     ds, centers, delta = _spiral_1500()
     calls = []
-    batch = SpatialIndex.range_query_batch
+    query = SpatialIndex.range_query_many
 
     def counting(self, centers, radius):
         calls.append(len(centers))
-        return batch(self, centers, radius)
+        return query(self, centers, radius)
 
-    monkeypatch.setattr(SpatialIndex, "range_query_batch", counting)
+    monkeypatch.setattr(SpatialIndex, "range_query_many", counting)
     for strategy in (SelectionStrategy(), SelectionStrategy(cap=100),
                      SelectionStrategy("global"), SelectionStrategy("random", seed=0)):
         ext = identify_extended_centers(ds, centers, delta, strategy)

@@ -135,14 +135,14 @@ def test_many_radii_keep_a_bounded_number_of_grids(grid_builds):
     index = SpatialIndex(Dataset(points))
     radii = np.linspace(0.05, 2.0, 40)
     for radius in radii:
-        index.range_query_batch(points[:3], radius)
+        index.range_query_many(points[:3], radius)
         index.density(radius)
         assert len(index._grids) <= _GRIDS_KEPT
     assert len(grid_builds) == radii.size
     # Two radii in turn share the two kept grids.
     for _ in range(5):
         for radius in (0.3, 0.7):
-            index.range_query_batch(points[:3], radius)
+            index.range_query_many(points[:3], radius)
     assert len(grid_builds) == radii.size + 2
 
 
