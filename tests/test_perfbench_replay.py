@@ -25,14 +25,13 @@ def perfbench(monkeypatch):
 @pytest.mark.parametrize(
     "name", ["sweep-spiral-kmeans", "blobs-dpc-capped", "ablate-spiral-global"]
 )
-def test_traced_replay_matches_the_command(tmp_path, capsys, perfbench, name):
+def test_traced_replay_matches_the_command(tmp_path, perfbench, name):
     checks, tracing, workloads = perfbench
     workload = workloads.WORKLOADS[name]
     csv_path = tmp_path / "input.csv"
     workload.write_input(ROOT, 0, csv_path)
     out = tmp_path / "out"
     assert main(workload.argv(csv_path, out)) == 0
-    capsys.readouterr()
     output = out / ("result.json" if workload.command == "run" else "ablate.json")
     payload = json.loads(output.read_text())
 
