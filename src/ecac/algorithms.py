@@ -143,17 +143,17 @@ class DpcQuantities:
 def compute_dpc_quantities(dataset: Dataset, d_c: float | None = None) -> DpcQuantities:
     """Density, separation and nearest higher-ranked object of every object.
 
-    Computed once per dataset and requested cutoff, and kept in
-    ``dataset.derived``; ``d_c=None`` asks for ``default_delta(dataset)``.
+    Computed once per dataset and cutoff, and kept in ``dataset.derived``;
+    ``d_c=None`` is ``default_delta(dataset)`` and shares its entry.
     ``rho_dpc`` is the shared count ``dataset.index.density(d_c)``, less
     self, and the nearest higher-ranked objects come from
     ``dataset.index.nearest_higher`` on the same grid.
     """
+    if d_c is None:
+        d_c = default_delta(dataset)
     key = ("dpc", d_c)
     if key in dataset.derived:
         return dataset.derived[key]
-    if d_c is None:
-        d_c = default_delta(dataset)
     if d_c <= 0:
         raise InvalidRadius(f"d_c must be > 0, got {d_c}")
     points = dataset.points

@@ -101,8 +101,9 @@ class RunConfig:
             raise ConfigError(
                 "exactly one dataset source required: 'data' or a gen_* block"
             )
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
+        for key, least in (("k", 1), ("seed", 0), ("gen_seed", 0), ("max_iter", 1)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
         if self.data is not None and (not isinstance(self.data, str) or not self.data):
             raise ConfigError(f"data must be a nonempty file path, got {self.data!r}")
         if self.delta_sweep is not None:

@@ -12,7 +12,9 @@ with the input. For
 many radius queries centered on the dataset's own points, the grid also
 builds a candidate run per cell (``SpatialIndex.candidate_runs``): the
 ids of every cell that the cell's points' query boxes meet, so such a
-query is one slice of its point's run, judged by exact distance.
+query is one slice of its point's run, judged by exact distance. An
+index keeps no results of its own: every index over a dataset shares
+the dataset's counts and its one kept grid, in ``Dataset.derived``.
 """
 
 from __future__ import annotations
@@ -48,10 +50,6 @@ _TINY = 1e-150
 
 # Cells per radius along a grid axis, for radius queries and counts.
 _CELLS_PER_RADIUS = 3
-
-# Grids an index keeps, the most recently used: a density count and the
-# extension's queries at another radius share them without a rebuild.
-_GRIDS_KEPT = 2
 
 # The two ends of a query box: below and above its center.
 _SIDES = np.array([-1.0, 1.0])[:, None, None]
@@ -94,9 +92,11 @@ class Dataset:
 
     @cached_property
     def derived(self) -> dict:
-        """Results computed from the points and kept with them, such as
-        DPC's quantities per cutoff and the pairwise-distance percentiles
-        per fraction: built on first use, gone with the dataset."""
+        """Results computed from the points and kept with them: DPC's
+        quantities per cutoff, the pairwise-distance percentiles per
+        fraction, the neighbour counts per radius and the most recently
+        built grid (``SpatialIndex``). Built on first use, gone with the
+        dataset."""
         return {}
 
 
@@ -135,9 +135,9 @@ class SpatialIndex:
     The points are sorted by cell (``_Grid``) over at most two coordinate
     axes, those of largest extent. A query's candidates are the points of
     the cells that its box meets, and each is judged by its ``_row_norms``
-    distance, so answers are exact in any dimension. Grids are built per
-    radius r, of side r / ``_CELLS_PER_RADIUS``, on first use, and the
-    ``_GRIDS_KEPT`` most recently used are kept.
+    distance, so answers are exact in any dimension. A grid is built per
+    radius r, of side r / ``_CELLS_PER_RADIUS``, when the dataset's kept
+    grid has another side, and kept in its place.
     """
 
     def __init__(self, dataset: Dataset):
@@ -146,8 +146,6 @@ class SpatialIndex:
         extent = np.ptp(self._points, axis=0)
         # The (at most two) axes of largest extent, in axis order.
         self._axes = np.sort(np.argsort(-extent, kind="stable")[:2])
-        self._grids: dict[float, _Grid] = {}
-        self._densities: dict[float, np.ndarray] = {}
 
     @property
     def size(self) -> int:
@@ -156,20 +154,17 @@ class SpatialIndex:
 
     def _radius_grid(self, radius: float) -> _Grid:
         """The grid for queries at ``radius`` (> 0), of side radius /
-        ``_CELLS_PER_RADIUS``, built unless it is one of the ``_GRIDS_KEPT``
-        most recently used. Its side is kept between ``_TINY`` and the
-        largest float, so that no label is NaN: an infinite radius makes
-        one cell."""
+        ``_CELLS_PER_RADIUS``, built unless it is the dataset's kept grid,
+        ``dataset.derived["grid"]``, which then becomes this one. Its side
+        is kept between ``_TINY`` and the largest float, so that no label
+        is NaN: an infinite radius makes one cell."""
         if not radius > 0:
             raise InvalidRadius(f"radius must be > 0, got {radius}")
         side = min(max(radius / _CELLS_PER_RADIUS, _TINY), np.finfo(np.float64).max)
-        grid = self._grids.pop(side, None)
-        if grid is None:
-            grid = _Grid(self._points, self._axes, side)
-            if len(self._grids) == _GRIDS_KEPT:
-                del self._grids[next(iter(self._grids))]
-        self._grids[side] = grid
-        return grid
+        kept = self.dataset.derived
+        if "grid" not in kept or kept["grid"].side != side:
+            kept["grid"] = _Grid(self._points, self._axes, side)
+        return kept["grid"]
 
     def range_query_many(self, centers, radius: float) -> list[np.ndarray]:
         """Per row of ``centers`` (a queries x d array), the sorted ids at
@@ -193,13 +188,15 @@ class SpatialIndex:
 
     def density(self, radius: float) -> np.ndarray:
         """Per object, the number of ids at strict distance < radius: a
-        read-only array, counted once per radius and kept."""
+        read-only array, counted once per dataset and radius and kept in
+        ``dataset.derived``."""
         radius = float(radius)
-        if radius not in self._densities:
+        kept = self.dataset.derived
+        if ("density", radius) not in kept:
             counts = self._count(radius)
             counts.flags.writeable = False
-            self._densities[radius] = counts
-        return self._densities[radius]
+            kept["density", radius] = counts
+        return kept["density", radius]
 
     def _count(self, radius: float) -> np.ndarray:
         """One exact counting pass: per object, the ids at strict distance

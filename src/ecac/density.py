@@ -14,7 +14,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .data import Dataset, SpatialIndex, smallest_pairwise_distances
-from .errors import DegenerateDataset, InvalidRadius
+from .errors import DegenerateDataset, InvalidRadius, InvalidSpec
 
 DEFAULT_PERCENTILE = 0.02  # sets the default radius and DPC's default cutoff
 
@@ -38,7 +38,10 @@ class DensityVector:
 
 
 def compute_densities(dataset: Dataset, index: SpatialIndex, delta: float) -> DensityVector:
-    """Count, for every object, the objects within open radius ``delta``."""
+    """Count, for every object, the objects within open radius ``delta``,
+    on ``index``, which must be built over ``dataset`` itself."""
+    if index.dataset is not dataset:
+        raise InvalidSpec("index was built over another dataset")
     return DensityVector(index.density(delta), float(delta))
 
 

@@ -28,10 +28,10 @@ lower set index; every run is deterministic.
 
 The scored strategies keep one score per object (inf for members and
 objects outside the pool), so a step is one ``argmin``. A new member's
-fold visits only its radius query's answer and the pooled rows whose
-cached distance is at least the query radius (``far``); a member's
-cached distance is -inf, so no fold changes it. A new member's radius
-query is one slice of its cell's candidate run
+fold visits only its radius query's answer (at 2*delta, for every
+strategy) and the pooled rows whose cached distance is at least 2*delta
+(``far``); a member's cached distance is -inf, so no fold changes it. A
+new member's radius query is one slice of its cell's candidate run
 (``SpatialIndex.candidate_runs``, built once per extension for every
 cell of the grid), less the members, judged by exact distance; no index
 call is made per member. Coverage grows by the answer's newly covered
@@ -123,9 +123,9 @@ class _GreedyState:
     """Bookkeeping shared by every strategy.
 
     Each member's radius query lists the non-members within the query
-    radius: 2*delta for the local pool, else delta. It is answered from
-    the index's candidate runs at that radius (``candidate_runs``), built
-    once for every cell when the state is made and dropped with it: one
+    radius, 2*delta for every strategy. It is answered from the index's
+    candidate runs at that radius (``candidate_runs``), built once for
+    every cell when the state is made and dropped with it: one
     slice of the run of the new member's cell, less the members, judged
     by their ``_row_norms`` distances and kept below the radius.
 
@@ -139,16 +139,16 @@ class _GreedyState:
     ``_run_scored``).
     """
 
-    def __init__(self, dataset, index, densities, centers, cap, query_radius):
+    def __init__(self, dataset, index, densities, centers, cap):
         self.points = dataset.points
         self.densities = densities
         self.centers = centers
         self.delta = densities.delta
         self.cap = cap
-        self.query_radius = query_radius
+        self.query_radius = 2.0 * self.delta
         self.k = len(centers)
         self.n = dataset.n
-        self.cell, self.bounds, self.runs = index.candidate_runs(query_radius)
+        self.cell, self.bounds, self.runs = index.candidate_runs(self.query_radius)
         self.sets: list[list[int]] = [[] for _ in range(self.k)]
         self.all: list[int] = []
         self.all_sets: list[int] = []
@@ -413,21 +413,17 @@ def identify_extended_centers(
         raise InvalidSpec("index was built over another dataset")
     if densities is None:
         densities = compute_densities(dataset, index, delta)
-    elif densities.rho.shape != (dataset.n,):
-        raise InvalidSpec(f"densities hold {densities.rho.size} objects, dataset has {dataset.n}")
     elif densities.delta != delta:
         raise InvalidRadius(
             f"densities were computed at delta={densities.delta}, not {delta}"
         )
+    elif not np.array_equal(densities.rho, index.density(delta)):
+        raise InvalidSpec(f"densities hold {densities.rho.size} objects, not this dataset's counts")
 
-    local = strategy.kind in (LOCAL, NODENSITY)
-    state = _GreedyState(
-        dataset, index, densities, centers, strategy.cap,
-        query_radius=2.0 * delta if local else delta,
-    )
+    state = _GreedyState(dataset, index, densities, centers, strategy.cap)
     if strategy.kind == RANDOM:
         return _run_random(state, default_rng(strategy.seed))
-    return _run_scored(state, use_density=strategy.kind != NODENSITY, local=local)
+    return _run_scored(state, use_density=strategy.kind != NODENSITY, local=strategy.kind != GLOBAL)
 
 
 def merge_clusters(initial_labels, ext: ExtendedSets) -> np.ndarray:

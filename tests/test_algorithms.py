@@ -175,6 +175,7 @@ class TestDpcQuantities:
         assert compute_dpc_quantities(Dataset(ds.points), 0.5) is not q
         default = compute_dpc_quantities(ds)
         assert compute_dpc_quantities(ds, None) is default
+        assert compute_dpc_quantities(ds, default_delta(ds)) is default
         assert default.d_c == default_delta(ds)
         for array in (q.rho_dpc, q.delta_dpc, q.nearest_higher, q.rank):
             assert not array.flags.writeable

@@ -108,6 +108,10 @@ class TestConfig:
         ('d_c = "x"', "d_c"),
         ('gen_k = "2"', "gen_k"),
         ('gen_seed = "x"', "gen_seed"),
+        ("seed = -1", "seed"),
+        ("gen_seed = -1", "gen_seed"),
+        ("max_iter = 0", "max_iter"),
+        ("max_iter = -3", "max_iter"),
         ("label_col = 1.5", "label_col"),
         ('normalize = "yes"', "normalize"),
     ])

@@ -12,7 +12,7 @@ from ecac.density import (
     pairwise_distance_percentile,
     pairwise_distance_percentiles,
 )
-from ecac.errors import DegenerateDataset, InvalidRadius
+from ecac.errors import DegenerateDataset, InvalidRadius, InvalidSpec
 
 from oracles import brute_densities, pairwise_distances
 
@@ -42,6 +42,12 @@ class TestComputeDensities:
         ds = Dataset(np.array([[0.0]]))
         with pytest.raises(InvalidRadius):
             compute_densities(ds, SpatialIndex(ds), 0.0)
+
+    def test_index_of_another_dataset_rejected(self):
+        ds = Dataset(np.array([[0.0], [0.5]]))
+        other = Dataset(np.array([[0.0], [5.0]]))
+        with pytest.raises(InvalidSpec, match="another dataset"):
+            compute_densities(ds, SpatialIndex(other), 1.0)
 
 
 class TestDefaultDelta:

@@ -103,6 +103,13 @@ class TestIdentify:
         with pytest.raises(InvalidSpec, match="densities hold 120 objects"):
             identify_extended_centers(ds, [0, 150], 1.0, densities=dens)
 
+    def test_densities_of_another_dataset_of_the_same_size_rejected(self):
+        ds, _ = generate_gaussian_mixture(2, 150, [[0, 0], [6, 0]], 1.0, seed=0)
+        other, _ = generate_gaussian_mixture(2, 150, [[0, 0], [6, 0]], 1.0, seed=1)
+        dens = compute_densities(other, other.index, 1.0)
+        with pytest.raises(InvalidSpec, match="not this dataset's counts"):
+            identify_extended_centers(ds, [0, 150], 1.0, densities=dens)
+
 
 def random_instance(seed, n=40, d=2, clumps=False):
     rng = np.random.default_rng(seed)

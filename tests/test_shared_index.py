@@ -1,12 +1,17 @@
-"""One spatial index and one neighbour count per dataset and radius.
+"""One spatial index, one neighbour count per radius and one kept grid
+per dataset.
 
-The whole-dataset index is ``Dataset.index`` and every count of a radius
-goes through its ``density``, so a run builds that index once and counts
-each radius once, however many layers (DPC's ρ, the extension's
-densities, several ablation variants) ask for it.
+The whole-dataset index is ``Dataset.index``. An index keeps no results:
+the counts per radius and the most recently built grid live in
+``Dataset.derived``, so every index over a dataset, the benchmark
+replay's own included, shares them. A run counts each radius once and
+builds each grid side once, however many layers (DPC's ρ, the
+extension's densities, several ablation variants) ask for them, and
+every strategy's extension reads candidate runs at 2δ.
 """
 
 import gc
+import importlib
 import os
 import subprocess
 import sys
@@ -18,7 +23,10 @@ import pytest
 
 import ecac
 from ecac.cli import main
-from ecac.data import _GRIDS_KEPT, Dataset, SpatialIndex, _Grid, generate_gaussian_mixture
+from ecac.data import _CELLS_PER_RADIUS, Dataset, SpatialIndex, _Grid, generate_gaussian_mixture
+from ecac.optimizer import STRATEGY_KINDS, SelectionStrategy, identify_extended_centers
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BLOB_MEANS = [[0, 0], [12, 0], [0, 12], [12, 12]]
 
@@ -88,10 +96,32 @@ def grid_builds(monkeypatch):
     return sides
 
 
+@pytest.fixture
+def counted_radii(monkeypatch):
+    """The radius of every exact counting pass."""
+    radii = []
+    count = SpatialIndex._count
+
+    def counting(self, radius):
+        radii.append(radius)
+        return count(self, radius)
+
+    monkeypatch.setattr(SpatialIndex, "_count", counting)
+    return radii
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """perfbench's ``tracing`` and ``workloads`` modules, by the names
+    ``perfbench/run.py`` imports them under."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    return [importlib.import_module(name) for name in ("tracing", "workloads")]
+
+
 @pytest.mark.parametrize("command", ["run", "ablate"])
 def test_default_sweep_builds_each_grid_once(tmp_path, grid_builds, command):
-    # Five δ, each counted on one grid and queried on another (2δ for the
-    # local pool, δ for the global one), with at most two grids kept.
+    # Five δ, each counted on one grid and queried on the 2δ one, with
+    # one grid kept.
     csv = write_blobs_csv(tmp_path / "blobs.csv", 40)
     code = main([
         command, "--data", str(csv), "--label-col", "-1", "--algo", "kmeans", "--k", "4",
@@ -103,12 +133,12 @@ def test_default_sweep_builds_each_grid_once(tmp_path, grid_builds, command):
 
 @pytest.mark.parametrize("command,radii,runs", [
     (["run"], len(ecac.config.DEFAULT_SWEEP), len(ecac.config.DEFAULT_SWEEP)),
-    (["ablate", "--variants", "local,global"], 2, 2),
+    (["ablate", "--variants", "local,global"], 1, 2),
     (["ablate", "--variants", "local,nodensity"], 1, 3),
 ])
 def test_candidate_runs_are_built_once_per_extension(tmp_path, monkeypatch, command, radii, runs):
     # The sweep's five local extensions read runs at five radii (2δ each);
-    # the ablation's local and global extensions at 2δ and δ; and a
+    # the ablation's local and global extensions both at 2δ; and a
     # count-matched ablation's probe, local and nodensity extensions all
     # at 2δ. Each extension builds its runs once, for each member's query,
     # and drops them when it ends.
@@ -129,21 +159,66 @@ def test_candidate_runs_are_built_once_per_extension(tmp_path, monkeypatch, comm
     assert len(set(built)) == radii and len(built) == runs
 
 
-def test_many_radii_keep_a_bounded_number_of_grids(grid_builds):
+def test_every_strategy_reads_candidate_runs_at_twice_delta(monkeypatch):
+    radii = []
+    candidate_runs = SpatialIndex.candidate_runs
+
+    def recording(self, radius):
+        radii.append(radius)
+        return candidate_runs(self, radius)
+
+    monkeypatch.setattr(SpatialIndex, "candidate_runs", recording)
+    dataset, _ = generate_gaussian_mixture(2, 40, [[0, 0], [6, 0]], 1.0, 0)
+    for kind in STRATEGY_KINDS:
+        identify_extended_centers(dataset, [0, 40], 0.8, SelectionStrategy(kind, seed=0))
+    assert radii == [1.6] * len(STRATEGY_KINDS)
+
+
+@pytest.mark.parametrize("name", ["sweep-spiral-kmeans", "blobs-dpc-capped", "ablate-spiral-global"])
+def test_workload_command_builds_each_grid_and_counts_each_radius_once(
+    tmp_path, perfbench, grid_builds, counted_radii, name
+):
+    _, workloads = perfbench
+    workload = workloads.WORKLOADS[name]
+    csv_path = tmp_path / "input.csv"
+    workload.write_input(ROOT, 0, csv_path)
+    assert main(workload.argv(csv_path, tmp_path / "out")) == 0
+    assert grid_builds and len(grid_builds) == len(set(grid_builds))
+    assert counted_radii and len(counted_radii) == len(set(counted_radii))
+
+
+def test_dpc_replay_counts_its_radius_once(tmp_path, perfbench, counted_radii):
+    # The replay builds an index of its own; DPC's ρ and the extension's
+    # densities still read one count of the one radius.
+    tracing, workloads = perfbench
+    workload = workloads.WORKLOADS["blobs-dpc-capped"]
+    csv_path = tmp_path / "input.csv"
+    workload.write_input(ROOT, 0, csv_path)
+    workloads.traced_run(workload, csv_path, tracing.Tracer(workload.name))
+    assert len(counted_radii) == 1
+
+
+def test_one_grid_is_kept_and_shared_by_every_index(grid_builds):
     rng = np.random.default_rng(5)
     points = rng.normal(size=(300, 2))
-    index = SpatialIndex(Dataset(points))
+    dataset = Dataset(points)
+    index = SpatialIndex(dataset)
     radii = np.linspace(0.05, 2.0, 40)
     for radius in radii:
         index.range_query_many(points[:3], radius)
         index.density(radius)
-        assert len(index._grids) <= _GRIDS_KEPT
+        assert dataset.derived["grid"].side == radius / _CELLS_PER_RADIUS
     assert len(grid_builds) == radii.size
-    # Two radii in turn share the two kept grids.
-    for _ in range(5):
+    # A second index over the dataset reads the kept grid and counts.
+    other = SpatialIndex(dataset)
+    other.range_query_many(points[:3], radii[-1])
+    assert other.density(radii[0]) is index.density(radii[0])
+    assert len(grid_builds) == radii.size
+    # Two radii in turn rebuild each time: one grid is kept.
+    for _ in range(2):
         for radius in (0.3, 0.7):
             index.range_query_many(points[:3], radius)
-    assert len(grid_builds) == radii.size + 2
+    assert len(grid_builds) == radii.size + 4
 
 
 def test_index_and_density_are_kept():
@@ -158,6 +233,8 @@ def test_index_and_density_are_kept():
         rho[0] = 0
     # Another radius is another count, not the kept one.
     assert index.density(2.0) is not rho
+    # Another index over the dataset reads the same count.
+    assert SpatialIndex(dataset).density(1.0) is rho
 
 
 def test_dataset_with_index_is_collectable():
