@@ -198,7 +198,8 @@ def test_dpc_replay_counts_its_radius_once(tmp_path, perfbench, counted_radii):
     assert len(counted_radii) == 1
 
 
-def test_one_grid_is_kept_and_shared_by_every_index(grid_builds):
+def test_many_radii_keep_a_bounded_number_of_grids(grid_builds):
+    # Many radii keep one grid, shared by every index over the dataset.
     rng = np.random.default_rng(5)
     points = rng.normal(size=(300, 2))
     dataset = Dataset(points)
