@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import pickle
 import sys
 from pathlib import Path
 
@@ -69,11 +71,101 @@ def _strategy(config: RunConfig, kind: str, cap: int | None) -> SelectionStrateg
     return SelectionStrategy(kind=kind, seed=seed, cap=cap)
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on; 1 where it cannot fork."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _run_share(job, items: list, share: range):
+    """``job`` over the share's items, stopping at the first failure.
+
+    Returns the ``(index, result)`` pairs computed and the failure as
+    ``(index, exception)``, or None.
+    """
+    done = []
+    for i in share:
+        try:
+            done.append((i, job(items[i])))
+        except Exception as exc:
+            return done, (i, exc)
+    return done, None
+
+
+def _send_share(job, items: list, share: range, write_fd: int):
+    """A forked worker: run the share, pickle the outcome into the pipe
+    and exit. It never returns, which would resume the caller's stack
+    (under pytest, the test run) in the child."""
+    status = 1
+    try:
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(_run_share(job, items, share), pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fan_out(job, items: list) -> list:
+    """``[job(item) for item in items]`` on up to one process per usable core.
+
+    The items are dealt round-robin: this process runs the first share
+    and a forked child each other one, sending its results back through
+    a pipe. Results come back in input order, and the failure with the
+    lowest index is raised, as the plain loop would raise it. With one
+    core or one item nothing is forked.
+    """
+    workers = min(len(items), _usable_cores())
+    shares = [range(first, len(items), workers) for first in range(workers)]
+    children = []  # (pid, read end of its pipe, share)
+    payloads = []
+    statuses = []
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _send_share(job, items, share, write_fd)
+            # Closed here, so a worker that dies gives EOF.
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb"), share))
+        outcomes = [_run_share(job, items, shares[0])]
+        # Every pipe is read before any wait: a worker blocks on a full pipe.
+        payloads = [pipe.read() for _, pipe, _ in children]
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+
+    for (pid, _, share), payload, status in zip(children, payloads, statuses):
+        if payload:
+            outcomes.append(pickle.loads(payload))
+        else:
+            ended = f"exit status {status}" if status >= 0 else f"signal {-status}"
+            error = EcacError(f"sweep worker {pid} ended without a result ({ended})")
+            outcomes.append(([], (share[0], error)))
+    results = [None] * len(items)
+    failures = []
+    for done, failure in outcomes:
+        for i, result in done:
+            results[i] = result
+        if failure is not None:
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
+
+
 def cmd_run(config: RunConfig, dump_trace: bool = False, quiet: bool = False) -> dict:
     """Baseline and optimized pipelines on shared centers; persists JSON.
 
-    The delta sweep tries its values one after another on the shared
-    centers and ``dataset.index``, and keeps the first with the highest NMI.
+    The delta sweep runs on up to one process per usable core
+    (``os.sched_getaffinity``) and never on more processes than delta
+    values: this process runs its share of the values and forked workers,
+    which inherit the dataset, its index and the centers, run the rest.
+    The results are identical to trying the values one after another,
+    which is what a run on one core (``taskset -c 0``) or at one delta
+    does. The sweep keeps the first value with the highest NMI.
     """
     dataset, truth = config.load_dataset()
     algorithm = build_algorithm(config.algo, seed=config.seed, max_iter=config.max_iter, d_c=config.d_c)
@@ -84,12 +176,13 @@ def cmd_run(config: RunConfig, dump_trace: bool = False, quiet: bool = False) ->
     baseline.attach_metrics(truth)
 
     strategy = _strategy(config, config.strategy, config.cap)
-    sweep = [
-        run_optimized(
+
+    def optimize(delta):
+        return run_optimized(
             dataset, algorithm, config.k, delta=delta, strategy=strategy, centers=centers
         ).attach_metrics(truth)
-        for delta in _resolve_deltas(config, dataset, truth)
-    ]
+
+    sweep = _fan_out(optimize, _resolve_deltas(config, dataset, truth))
 
     if truth is not None:
         best = max(sweep, key=lambda r: r.nmi_score)
@@ -110,15 +203,20 @@ def cmd_run(config: RunConfig, dump_trace: bool = False, quiet: bool = False) ->
 
     if quiet:
         return payload
+    rows = [
+        ("", ["NMI", "RI"]),
+        ("baseline", [_fmt(baseline.nmi_score), _fmt(baseline.ri_score)]),
+        ("optimized", [
+            _fmt(best.nmi_score) + _fmt_gain(baseline.nmi_score, best.nmi_score),
+            _fmt(best.ri_score) + _fmt_gain(baseline.ri_score, best.ri_score),
+        ]),
+    ]
+    # Columns 22 wide, wider if a cell needs it, at least one space apart.
+    width = max(22, 1 + max(len(cell) for _, cells in rows for cell in cells))
     print(f"dataset: n={dataset.n} d={dataset.d}  algo={config.algo} k={config.k}")
     print(f"sweep: {len(sweep)} delta value(s); best delta={best.delta:.6g} (s={best.s})")
-    print(f"{'':11s}{'NMI':>22s}{'RI':>22s}")
-    print(f"{'baseline':11s}{_fmt(baseline.nmi_score):>22s}{_fmt(baseline.ri_score):>22s}")
-    print(
-        f"{'optimized':11s}"
-        f"{_fmt(best.nmi_score) + _fmt_gain(baseline.nmi_score, best.nmi_score):>22s}"
-        f"{_fmt(best.ri_score) + _fmt_gain(baseline.ri_score, best.ri_score):>22s}"
-    )
+    for name, cells in rows:
+        print(f"{name:11s}" + "".join(f"{cell:>{width}s}" for cell in cells))
     return payload
 
 

@@ -9,15 +9,19 @@ import numpy as np
 import pytest
 
 import ecac
-from ecac import density, optimizer, pipeline
+from ecac import cli, density, optimizer, pipeline
 from ecac.cli import _config_from_args, build_parser, cmd_ablate, cmd_plot, cmd_run, main
 from ecac.config import DEFAULT_SWEEP, RunConfig, min_max_normalize, parse_config_file
 from ecac.data import Dataset, generate_gaussian_mixture, smallest_pairwise_distances
-from ecac.density import pairwise_distance_percentile
+from ecac.density import pairwise_distance_percentile, pairwise_distance_percentiles
 from ecac.errors import ConfigError, MissingResult, NotPlottable
 from ecac.optimizer import trace_records
 from ecac.pipeline import ClusteringResult
 from ecac.svg import PALETTE, render_scatter
+
+ROOT = Path(__file__).resolve().parents[1]
+SPIRAL = ["--data", str(ROOT / "data" / "spiral.csv"), "--label-col", "-1", "--k", "3"]
+JAIN = ["--data", str(ROOT / "data" / "jain.csv"), "--label-col", "-1", "--k", "2"]
 
 GEN_FLAGS = {
     "gen_k": 2,
@@ -231,6 +235,25 @@ class TestConfig:
         )
         assert child.stdout.strip().splitlines()[-1] == "[]"
 
+    def test_cli_loads_no_process_pool_modules(self, tmp_path):
+        # The sweep forks its workers itself: neither the import nor a
+        # default-sweep run pays for importing a process pool.
+        script = (
+            "import sys, ecac.cli\n"
+            "def pools():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures'))\n"
+            "print(pools())\n"
+            f"assert ecac.cli.main(['run', *{SPIRAL!r}, '--out', {str(tmp_path / 'r')!r}]) == 0\n"
+            "print(pools())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(ecac.__file__).resolve().parents[1]))
+        child = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True,
+        )
+        lines = child.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("[]", "[]")
+
     @pytest.mark.parametrize("command", ["run", "ablate"])
     @pytest.mark.parametrize("delta_flag, delta_field", [
         (["--delta", "0.4"], {"delta": 0.4}),
@@ -355,6 +378,126 @@ class TestCmdRun:
                 "--k", "3", "--delta-percentile", "0.02", "--out", str(tmp_path / "o")]
         assert main(argv) == 0
         assert len(calls) == 1
+
+
+def use_cores(monkeypatch, count: int):
+    """Make ``count`` cores look usable to the sweep."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def wrap_sweep_job(monkeypatch, wrapper):
+    """Call ``wrapper(run_optimized, *args, **kwargs)`` for each sweep job."""
+    run = cli.run_optimized
+    monkeypatch.setattr(cli, "run_optimized", lambda *args, **kwargs: wrapper(run, *args, **kwargs))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSweepWorkers:
+    @pytest.mark.parametrize("argv", [
+        [*SPIRAL, "--algo", "kmeans"],
+        [*SPIRAL, "--algo", "dpc"],
+        [*JAIN, "--algo", "kmeans"],
+        [*JAIN, "--algo", "dpc"],
+        [*SPIRAL, "--algo", "kmeans", "--cap", "5"],
+    ], ids=["spiral-kmeans", "spiral-dpc", "jain-kmeans", "jain-dpc", "spiral-cap5"])
+    def test_outputs_are_identical_on_any_number_of_cores(self, tmp_path, monkeypatch, argv):
+        def recording(run, *args, **kwargs):
+            with open(tmp_path / "pids", "a", encoding="ascii") as fh:  # O_APPEND
+                fh.write(f"{os.getpid()}\n")
+            return run(*args, **kwargs)
+
+        wrap_sweep_job(monkeypatch, recording)
+        outputs = []
+        for cores in (1, 2, 4):
+            use_cores(monkeypatch, cores)
+            (tmp_path / "pids").write_text("")
+            out = tmp_path / "out"
+            assert main(["run", *argv, "--trace", "--out", str(out)]) == 0
+            result = strip_timings(json.loads((out / "result.json").read_text(encoding="utf-8")))
+            outputs.append(
+                (json.dumps(result, sort_keys=True), (out / "trace.jsonl").read_bytes())
+            )
+            # One process per core, never more than the sweep's δ values.
+            pids = (tmp_path / "pids").read_text().split()
+            assert len(pids) == len(DEFAULT_SWEEP)
+            assert len(set(pids)) == min(cores, len(DEFAULT_SWEEP))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("refused", [(1, 2, 3, 4), (0, 3)])
+    def test_a_failing_delta_ends_the_run_as_the_serial_loop_does(
+        self, tmp_path, monkeypatch, capsys, refused
+    ):
+        # On 2 cores the first refused δ falls to a worker (1) or to this
+        # process (0), with a later one refused on the other side.
+        dataset, _ = RunConfig.from_sources(None, {
+            "data": SPIRAL[1], "label_col": -1, "k": 3,
+        }).load_dataset()
+        deltas = pairwise_distance_percentiles(dataset, DEFAULT_SWEEP)
+
+        def refusing(run, *args, delta, **kwargs):
+            if deltas.index(delta) in refused:
+                raise ConfigError(f"refused delta {delta!r}")
+            return run(*args, delta=delta, **kwargs)
+
+        wrap_sweep_job(monkeypatch, refusing)
+        out = tmp_path / "out"
+        for cores in (1, 2, 4):
+            use_cores(monkeypatch, cores)
+            assert main(["run", *SPIRAL, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: refused delta {deltas[refused[0]]!r}\n"
+            assert not out.exists()
+            assert_no_child_left()
+
+    def test_a_worker_that_dies_is_an_error_and_is_reaped(self, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+
+        def dying(run, *args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return run(*args, **kwargs)
+
+        wrap_sweep_job(monkeypatch, dying)
+        use_cores(monkeypatch, 2)
+        assert main(["run", *SPIRAL, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep worker ") and "(exit status 3)" in err
+        assert_no_child_left()
+
+    def test_the_table_is_printed_once(self, tmp_path):
+        # In a fresh interpreter, so a worker that went back up the
+        # caller's stack would print a second table and flush it at exit.
+        script = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: set(range(4))\n"
+            "from ecac.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(ecac.__file__).resolve().parents[1]))
+        child = subprocess.run(
+            [sys.executable, "-c", script, "run", *SPIRAL, "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert "Traceback" not in child.stderr
+        firsts = [line.split()[0] for line in child.stdout.splitlines()]
+        assert firsts == ["dataset:", "sweep:", "NMI", "baseline", "optimized"]
+
+    @pytest.mark.filterwarnings("ignore::ecac.errors.DegenerateEntropyWarning")
+    def test_table_columns_stay_apart(self, tmp_path, capsys):
+        # One class and k = 2: both scores are 0, and a gain cell reads
+        # "0.0000 (n/a: zero baseline)", wider than the default column.
+        csv = tmp_path / "two.csv"
+        csv.write_text("0,0,0\n1,1,0\n")
+        assert main(["run", "--data", str(csv), "--label-col", "-1", "--k", "2",
+                     "--out", str(tmp_path / "o")]) == 0
+        table = capsys.readouterr().out.splitlines()[2:]
+        assert len({len(row) for row in table}) == 1
+        assert table[2].endswith(" 0.0000 (n/a: zero baseline) 0.0000 (n/a: zero baseline)")
 
 
 class TestCmdAblate:

@@ -12,10 +12,12 @@ every strategy's extension reads candidate runs at 2δ.
 
 import gc
 import importlib
+import json
 import os
 import subprocess
 import sys
 import weakref
+from collections.abc import Mapping, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -38,22 +40,75 @@ def write_blobs_csv(path: Path, per_blob: int) -> Path:
     return path
 
 
+class CallLog(Sequence):
+    """Values recorded one JSON line each, appended (``O_APPEND``) to a
+    file, so the calls of forked sweep workers are recorded too. Every
+    read reads the file, so read it after the command returns."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        path.touch()
+
+    def append(self, value):
+        with self.path.open("a", encoding="utf-8") as fh:  # O_APPEND: one write per line
+            fh.write(json.dumps(value, default=lambda scalar: scalar.item()) + "\n")
+
+    def _values(self) -> list:
+        values = map(json.loads, self.path.read_text().splitlines())
+        return [tuple(v) if isinstance(v, list) else v for v in values]
+
+    def __getitem__(self, i):
+        return self._values()[i]
+
+    def __iter__(self):
+        return iter(self._values())
+
+    def __len__(self):
+        return len(self._values())
+
+    def __repr__(self):
+        return repr(self._values())
+
+
+class Tally(Mapping):
+    """How many times a ``CallLog`` holds each of the given keys."""
+
+    def __init__(self, log: CallLog, keys):
+        self.log = log
+        self.names = tuple(keys)
+
+    def __getitem__(self, key):
+        if key not in self.names:
+            raise KeyError(key)
+        return self.log.count(key)
+
+    def __iter__(self):
+        return iter(self.names)
+
+    def __len__(self):
+        return len(self.names)
+
+    def __repr__(self):
+        return repr(dict(self))
+
+
 @pytest.fixture
-def neighbour_work(monkeypatch):
+def neighbour_work(tmp_path, monkeypatch):
     """Counts whole-dataset index builds and exact counting passes.
 
     A count of one radius is one ``SpatialIndex._count`` pass.
     """
-    work = {"indexes": 0, "count_calls": 0}
+    log = CallLog(tmp_path / "neighbour_work.log")
+    work = Tally(log, ["indexes", "count_calls"])
     init = SpatialIndex.__init__
     count = SpatialIndex._count
 
     def counting_init(self, dataset):
-        work["indexes"] += 1
+        log.append("indexes")
         init(self, dataset)
 
     def counting_count(self, radius):
-        work["count_calls"] += 1
+        log.append("count_calls")
         return count(self, radius)
 
     monkeypatch.setattr(SpatialIndex, "__init__", counting_init)
@@ -83,9 +138,9 @@ def test_ablate_counts_delta_once(tmp_path, neighbour_work):
 
 
 @pytest.fixture
-def grid_builds(monkeypatch):
+def grid_builds(tmp_path, monkeypatch):
     """The cell side of every grid built."""
-    sides = []
+    sides = CallLog(tmp_path / "grid_builds.log")
     init = _Grid.__init__
 
     def counting(self, points, axes, side):
@@ -97,9 +152,9 @@ def grid_builds(monkeypatch):
 
 
 @pytest.fixture
-def counted_radii(monkeypatch):
+def counted_radii(tmp_path, monkeypatch):
     """The radius of every exact counting pass."""
-    radii = []
+    radii = CallLog(tmp_path / "counted_radii.log")
     count = SpatialIndex._count
 
     def counting(self, radius):
@@ -142,7 +197,7 @@ def test_candidate_runs_are_built_once_per_extension(tmp_path, monkeypatch, comm
     # count-matched ablation's probe, local and nodensity extensions all
     # at 2δ. Each extension builds its runs once, for each member's query,
     # and drops them when it ends.
-    built = []
+    built = CallLog(tmp_path / "runs.log")
     build_runs = _Grid.runs
 
     def counting(self, reach):
