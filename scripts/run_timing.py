@@ -21,6 +21,14 @@ which the checkout beat the first one, and the content digest
 of the output (the result without its ``timings``). It exits 1 when an
 output fails a check or a workload's digests differ between runs or
 checkouts.
+
+For each checkout after the first it also prints the verdict on a
+claimed gain in ``run_s`` over the first: the claim holds when the
+checkout was faster in at least nine of every ten pairs and its median
+gain (the first checkout's median less its own) exceeds the spread
+(Q3 - Q1) of the first checkout's runs. A timing of the serial paths
+needs no option: run the script under ``taskset -c 0``, which the
+children inherit.
 """
 
 from __future__ import annotations
@@ -71,6 +79,29 @@ def run_child(src: Path, workload, csv_path: Path, work: Path) -> dict:
     }
 
 
+def quartiles(values: list[float]) -> tuple[float, float]:
+    """Q1 and Q3 of the values; for one value, that value twice."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
+def claim_verdict(first: list[float], other: list[float]) -> str:
+    """Whether ``other``'s runs beat ``first``'s, pair by pair, as a
+    claimed gain must: faster in at least 9 of 10 pairs, and a median
+    gain beyond the spread (Q3 - Q1) of ``first``."""
+    wins = sum(b < a for a, b in zip(first, other))
+    gain = statistics.median(first) - statistics.median(other)
+    q1, q3 = quartiles(first)
+    holds = 10 * wins >= 9 * len(first) and gain > q3 - q1
+    return (
+        f"faster in {wins}/{len(first)} pairs, median gain {gain:+.4f} s "
+        f"({100.0 * gain / statistics.median(first):+.1f}%), spread of src 0 "
+        f"{q3 - q1:.4f} s: claim {'holds' if holds else 'fails'}"
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append", type=Path,
@@ -105,7 +136,7 @@ def main(argv=None) -> int:
             first = [run["run_s"] for run in runs[0]]
             for i, src_runs in enumerate(runs):
                 run_s = [run["run_s"] for run in src_runs]
-                q1, _, q3 = statistics.quantiles(run_s, n=4) if len(run_s) > 1 else run_s * 3
+                q1, q3 = quartiles(run_s)
                 faster = sum(a < b for a, b in zip(run_s, first))
                 peaks = [run["peak_mb"] for run in src_runs]
                 print(
@@ -118,6 +149,9 @@ def main(argv=None) -> int:
                     f"  {','.join(sorted({run['digest'] for run in src_runs}))}",
                     flush=True,
                 )
+            for i, src_runs in enumerate(runs[1:], 1):
+                verdict = claim_verdict(first, [run["run_s"] for run in src_runs])
+                print(f"{name:22s}{i:>4d}  run_s vs src 0: {verdict}", flush=True)
     for i, src in enumerate(srcs):
         print(f"src {i}: {src}")
     if not identical:

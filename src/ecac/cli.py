@@ -14,7 +14,7 @@ from .config import DEFAULT_SWEEP, RunConfig, parse_config_file
 from .density import DEFAULT_PERCENTILE, pairwise_distance_percentiles
 from .errors import ConfigError, EcacError, MissingResult, ZeroBaseline
 from .metrics import improvement_rate
-from .optimizer import LOCAL, NODENSITY, RANDOM, STRATEGY_KINDS, SelectionStrategy
+from .optimizer import LOCAL, NODENSITY, RANDOM, STRATEGY_KINDS, SelectionStrategy, prepare_extension
 from .pipeline import SCHEMA_VERSION, ClusteringResult, compute_centers, run_baseline, run_optimized
 from .svg import render_scatter
 
@@ -106,14 +106,17 @@ def _send_share(job, items: list, share: range, write_fd: int):
         os._exit(status)
 
 
-def _fan_out(job, items: list) -> list:
+def _fan_out(job, items: list, what: str) -> list:
     """``[job(item) for item in items]`` on up to one process per usable core.
 
     The items are dealt round-robin: this process runs the first share
     and a forked child each other one, sending its results back through
-    a pipe. Results come back in input order, and the failure with the
-    lowest index is raised, as the plain loop would raise it. With one
-    core or one item nothing is forked.
+    a pipe. A child inherits this process's memory copy-on-write, so what
+    the jobs share is best built before the call. Results come back in
+    input order, and the failure with the lowest index is raised, as the
+    plain loop would raise it; a child that dies gives an error naming
+    ``what`` it ran (``sweep``, ``ablate``). With one core or one item
+    nothing is forked.
     """
     workers = min(len(items), _usable_cores())
     shares = [range(first, len(items), workers) for first in range(workers)]
@@ -142,7 +145,7 @@ def _fan_out(job, items: list) -> list:
             outcomes.append(pickle.loads(payload))
         else:
             ended = f"exit status {status}" if status >= 0 else f"signal {-status}"
-            error = EcacError(f"sweep worker {pid} ended without a result ({ended})")
+            error = EcacError(f"{what} worker {pid} ended without a result ({ended})")
             outcomes.append(([], (share[0], error)))
     results = [None] * len(items)
     failures = []
@@ -182,7 +185,7 @@ def cmd_run(config: RunConfig, dump_trace: bool = False, quiet: bool = False) ->
             dataset, algorithm, config.k, delta=delta, strategy=strategy, centers=centers
         ).attach_metrics(truth)
 
-    sweep = _fan_out(optimize, _resolve_deltas(config, dataset, truth))
+    sweep = _fan_out(optimize, _resolve_deltas(config, dataset, truth), "sweep")
 
     if truth is not None:
         best = max(sweep, key=lambda r: r.nmi_score)
@@ -221,7 +224,17 @@ def cmd_run(config: RunConfig, dump_trace: bool = False, quiet: bool = False) ->
 
 
 def cmd_ablate(config: RunConfig, variants: list[str], dump_trace: bool = False, quiet: bool = False) -> dict:
-    """Run several strategies on identical centers and delta; compare."""
+    """Run several strategies on identical centers and delta; compare.
+
+    The variants run on up to one process per usable core, as ``run``'s
+    sweep does (``_fan_out``). Before the fork this process builds what
+    every variant reads at their one delta, the neighbour count and the
+    candidate runs (``prepare_extension``), and, for a count-matched
+    comparison, runs the probe that sets the cap; the workers share
+    these copy-on-write, and no variant builds them again. The results
+    are identical to running the variants one after another, which is
+    what a run on one core does.
+    """
     if len(variants) < 2:
         raise ConfigError("ablate needs at least two variants")
     for v in variants:
@@ -238,6 +251,7 @@ def cmd_ablate(config: RunConfig, variants: list[str], dump_trace: bool = False,
     algorithm = build_algorithm(config.algo, seed=config.seed, max_iter=config.max_iter, d_c=config.d_c)
     centers, _ = compute_centers(dataset, algorithm, config.k)
     (delta,) = _resolve_deltas(config, dataset, truth=None)
+    prepare_extension(dataset, delta)
 
     cap = config.cap
     if cap is None and NODENSITY in variants:
@@ -250,13 +264,13 @@ def cmd_ablate(config: RunConfig, variants: list[str], dump_trace: bool = False,
         )
         cap = max(1, -(-(probe.s - config.k) // config.k))
 
-    records = []
-    for kind in variants:
-        result = run_optimized(
+    def optimize(kind):
+        return run_optimized(
             dataset, algorithm, config.k, delta=delta, strategy=_strategy(config, kind, cap),
             centers=centers,
         ).attach_metrics(truth)
-        records.append(result)
+
+    records = _fan_out(optimize, variants, "ablate")
 
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -14,7 +14,8 @@ builds a candidate run per cell (``SpatialIndex.candidate_runs``): the
 ids of every cell that the cell's points' query boxes meet, so such a
 query is one slice of its point's run, judged by exact distance. An
 index keeps no results of its own: every index over a dataset shares
-the dataset's counts and its one kept grid, in ``Dataset.derived``.
+the dataset's counts, its one kept grid and its one kept set of
+candidate runs, in ``Dataset.derived``.
 """
 
 from __future__ import annotations
@@ -94,9 +95,9 @@ class Dataset:
     def derived(self) -> dict:
         """Results computed from the points and kept with them: DPC's
         quantities per cutoff, the pairwise-distance percentiles per
-        fraction, the neighbour counts per radius and the most recently
-        built grid (``SpatialIndex``). Built on first use, gone with the
-        dataset."""
+        fraction, the neighbour counts per radius, and the most recently
+        built grid and candidate runs (``SpatialIndex``). Built on first
+        use, gone with the dataset."""
         return {}
 
 
@@ -225,11 +226,23 @@ class SpatialIndex:
 
     def candidate_runs(self, radius: float):
         """``(cell, bounds, ids)``, the candidate runs of the grid for
-        ``radius``, built on each call: object i lies in cell ``cell[i]``,
-        and the run of cell c, ``ids[bounds[c]:bounds[c + 1]]``, holds
-        every id at strict distance < radius from any point of that cell,
-        besides others, at most 81 ids per object (see ``_Grid.runs``)."""
-        return self._radius_grid(radius).runs(_reach(radius))
+        ``radius``: object i lies in cell ``cell[i]``, and the run of cell
+        c, ``ids[bounds[c]:bounds[c + 1]]``, holds every id at strict
+        distance < radius from any point of that cell, besides others, at
+        most 81 ids per object (see ``_Grid.runs``).
+
+        The runs of one radius are kept, read-only, in
+        ``dataset.derived``, as one grid is: asking for another radius
+        frees them before its own are built."""
+        radius = float(radius)
+        kept = self.dataset.derived
+        if "runs" not in kept or kept["runs"][0] != radius:
+            kept.pop("runs", None)
+            runs = self._radius_grid(radius).runs(_reach(radius))
+            for array in runs:
+                array.flags.writeable = False
+            kept["runs"] = radius, runs
+        return kept["runs"][1]
 
     def nearest_higher(self, rank: np.ndarray, radius: float):
         """Per dataset object, the nearest object of lower ``rank`` (an
@@ -354,7 +367,7 @@ class _Grid:
         numbered in key order), and the run of cell c,
         ``ids[bounds[c]:bounds[c + 1]]``, holds the ids of every cell that
         the box "the bounding box of cell c's points ± reach" meets. Built
-        anew on each call; the caller keeps them as long as it reads them.
+        anew on each call; ``SpatialIndex.candidate_runs`` keeps them.
 
         That box holds the query box [p - reach, p + reach] of each point
         p of the cell, and its ends are rounded and labelled as in

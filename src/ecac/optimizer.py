@@ -32,11 +32,14 @@ fold visits only its radius query's answer (at 2*delta, for every
 strategy) and the pooled rows whose cached distance is at least 2*delta
 (``far``); a member's cached distance is -inf, so no fold changes it. A
 new member's radius query is one slice of its cell's candidate run
-(``SpatialIndex.candidate_runs``, built once per extension for every
-cell of the grid), less the members, judged by exact distance; no index
-call is made per member. Coverage grows by the answer's newly covered
-objects.
+(``SpatialIndex.candidate_runs``, built for every cell of the grid once
+per dataset and radius, and kept with the dataset), less the members,
+judged by exact distance; no index call is made per member. Coverage
+grows by the answer's newly covered objects.
 ``_run_scored`` and ``_GreedyState`` say why all of this is exact.
+``prepare_extension`` builds the count and the runs that every
+extension at one delta reads, so that processes forked afterwards share
+them.
 """
 
 from __future__ import annotations
@@ -119,15 +122,30 @@ class ExtendedSets:
         return bool(self.coverage.all())
 
 
+def _query_radius(delta: float) -> float:
+    """The radius of a new member's query: 2*delta, for every strategy."""
+    return 2.0 * delta
+
+
+def prepare_extension(dataset: Dataset, delta: float):
+    """Build what every extension of ``dataset`` at ``delta`` reads, the
+    neighbour count at delta and the candidate runs at the query radius,
+    and keep both in ``dataset.derived``: the extensions that follow,
+    in this process or in processes forked from it, build neither."""
+    dataset.index.density(delta)
+    dataset.index.candidate_runs(_query_radius(delta))
+
+
 class _GreedyState:
     """Bookkeeping shared by every strategy.
 
     Each member's radius query lists the non-members within the query
-    radius, 2*delta for every strategy. It is answered from the index's
-    candidate runs at that radius (``candidate_runs``), built once for
-    every cell when the state is made and dropped with it: one
-    slice of the run of the new member's cell, less the members, judged
-    by their ``_row_norms`` distances and kept below the radius.
+    radius, 2*delta for every strategy (``_query_radius``). It is
+    answered from the candidate runs at that radius
+    (``index.candidate_runs``), which the dataset keeps, so extensions at
+    one delta build them once: one slice of the run of the new member's
+    cell, less the members, judged by their ``_row_norms`` distances and
+    kept below the radius.
 
     Why this is exact: a run holds every point at strict distance below
     the radius from any point of its cell, so the slice holds every
@@ -145,7 +163,7 @@ class _GreedyState:
         self.centers = centers
         self.delta = densities.delta
         self.cap = cap
-        self.query_radius = 2.0 * self.delta
+        self.query_radius = _query_radius(self.delta)
         self.k = len(centers)
         self.n = dataset.n
         self.cell, self.bounds, self.runs = index.candidate_runs(self.query_radius)

@@ -381,12 +381,13 @@ class TestCmdRun:
 
 
 def use_cores(monkeypatch, count: int):
-    """Make ``count`` cores look usable to the sweep."""
+    """Make ``count`` cores look usable to the sweep and to ablate."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
-def wrap_sweep_job(monkeypatch, wrapper):
-    """Call ``wrapper(run_optimized, *args, **kwargs)`` for each sweep job."""
+def wrap_job(monkeypatch, wrapper):
+    """Call ``wrapper(run_optimized, *args, **kwargs)`` for each sweep or
+    ablate job (and for ablate's probe)."""
     run = cli.run_optimized
     monkeypatch.setattr(cli, "run_optimized", lambda *args, **kwargs: wrapper(run, *args, **kwargs))
 
@@ -410,7 +411,7 @@ class TestSweepWorkers:
                 fh.write(f"{os.getpid()}\n")
             return run(*args, **kwargs)
 
-        wrap_sweep_job(monkeypatch, recording)
+        wrap_job(monkeypatch, recording)
         outputs = []
         for cores in (1, 2, 4):
             use_cores(monkeypatch, cores)
@@ -444,7 +445,7 @@ class TestSweepWorkers:
                 raise ConfigError(f"refused delta {delta!r}")
             return run(*args, delta=delta, **kwargs)
 
-        wrap_sweep_job(monkeypatch, refusing)
+        wrap_job(monkeypatch, refusing)
         out = tmp_path / "out"
         for cores in (1, 2, 4):
             use_cores(monkeypatch, cores)
@@ -461,7 +462,7 @@ class TestSweepWorkers:
                 os._exit(3)
             return run(*args, **kwargs)
 
-        wrap_sweep_job(monkeypatch, dying)
+        wrap_job(monkeypatch, dying)
         use_cores(monkeypatch, 2)
         assert main(["run", *SPIRAL, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
@@ -498,6 +499,85 @@ class TestSweepWorkers:
         table = capsys.readouterr().out.splitlines()[2:]
         assert len({len(row) for row in table}) == 1
         assert table[2].endswith(" 0.0000 (n/a: zero baseline) 0.0000 (n/a: zero baseline)")
+
+
+ABLATE_ARGV = [*SPIRAL, "--algo", "kmeans"]
+
+
+class TestAblateWorkers:
+    @pytest.mark.parametrize("extra", [
+        ["--variants", "local,global"],
+        ["--variants", "local,global,nodensity,random"],
+        ["--variants", "local,global", "--cap", "5"],
+    ], ids=["local-global", "probe", "cap5"])
+    def test_outputs_are_identical_on_any_number_of_cores(self, tmp_path, monkeypatch, extra):
+        parent = os.getpid()
+
+        def recording(run, *args, strategy, **kwargs):
+            with open(tmp_path / "calls", "a", encoding="ascii") as fh:  # O_APPEND
+                fh.write(f"{os.getpid()} {strategy.kind} {strategy.cap}\n")
+            return run(*args, strategy=strategy, **kwargs)
+
+        wrap_job(monkeypatch, recording)
+        variants = extra[1].split(",")
+        probe = "nodensity" in variants and "--cap" not in extra
+        outputs = []
+        for cores in (1, 2, 4):
+            use_cores(monkeypatch, cores)
+            (tmp_path / "calls").write_text("")
+            out = tmp_path / "out"
+            assert main(["ablate", *ABLATE_ARGV, *extra, "--trace", "--out", str(out)]) == 0
+            result = strip_timings(json.loads((out / "ablate.json").read_text(encoding="utf-8")))
+            traces = [(out / f"trace-{v}.jsonl").read_bytes() for v in variants]
+            outputs.append((json.dumps(result, sort_keys=True), traces))
+            calls = [line.split() for line in (tmp_path / "calls").read_text().splitlines()]
+            # The probe runs once, uncapped, in this process, before the variants.
+            probes = [pid for pid, _, cap in calls if cap == "None"] if probe else []
+            assert probes == ([str(parent)] if probe else [])
+            jobs = calls[len(probes):]
+            # One process per variant, up to the number of cores.
+            assert sorted(kind for _, kind, _ in jobs) == sorted(variants)
+            assert len({pid for pid, _, _ in jobs}) == min(cores, len(variants))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("refused", [("global", "random"), ("local", "global")])
+    def test_a_refused_variant_ends_the_run_as_the_serial_loop_does(
+        self, tmp_path, monkeypatch, capsys, refused
+    ):
+        # On 2 cores the first refused variant falls to a worker (global)
+        # or to this process (local), with a later one refused on the
+        # other side.
+        def refusing(run, *args, strategy, **kwargs):
+            if strategy.kind in refused:
+                raise ConfigError(f"refused variant {strategy.kind}")
+            return run(*args, strategy=strategy, **kwargs)
+
+        wrap_job(monkeypatch, refusing)
+        out = tmp_path / "out"
+        for cores in (1, 2, 4):
+            use_cores(monkeypatch, cores)
+            argv = ["ablate", *ABLATE_ARGV, "--variants", "local,global,random", "--out", str(out)]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: refused variant {refused[0]}\n"
+            assert not out.exists()
+            assert_no_child_left()
+
+    def test_a_worker_that_dies_is_an_error_and_is_reaped(self, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+
+        def dying(run, *args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return run(*args, **kwargs)
+
+        wrap_job(monkeypatch, dying)
+        use_cores(monkeypatch, 2)
+        assert main(["ablate", *ABLATE_ARGV, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ablate worker ") and "(exit status 3)" in err
+        assert not (tmp_path / "out").exists()
+        assert_no_child_left()
 
 
 class TestCmdAblate:

@@ -1,13 +1,15 @@
-"""One spatial index, one neighbour count per radius and one kept grid
-per dataset.
+"""One spatial index, one neighbour count per radius, one kept grid and
+one kept set of candidate runs per dataset.
 
 The whole-dataset index is ``Dataset.index``. An index keeps no results:
-the counts per radius and the most recently built grid live in
-``Dataset.derived``, so every index over a dataset, the benchmark
-replay's own included, shares them. A run counts each radius once and
-builds each grid side once, however many layers (DPC's ρ, the
-extension's densities, several ablation variants) ask for them, and
-every strategy's extension reads candidate runs at 2δ.
+the counts per radius and the most recently built grid and candidate
+runs live in ``Dataset.derived``, so every index over a dataset, the
+benchmark replay's own included, shares them. A run counts each radius
+once and builds each grid side and each radius's runs once, however many
+layers (DPC's ρ, the extension's densities, several ablation variants)
+ask for them, and every strategy's extension reads candidate runs at 2δ.
+Forked workers (the δ sweep's, the ablation's variants) inherit what the
+calling process built before the fork.
 """
 
 import gc
@@ -26,7 +28,8 @@ import pytest
 import ecac
 from ecac.cli import main
 from ecac.data import _CELLS_PER_RADIUS, Dataset, SpatialIndex, _Grid, generate_gaussian_mixture
-from ecac.optimizer import STRATEGY_KINDS, SelectionStrategy, identify_extended_centers
+from ecac.optimizer import STRATEGY_KINDS, SelectionStrategy, _GreedyState, identify_extended_centers
+from test_cli import use_cores
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -48,6 +51,9 @@ class CallLog(Sequence):
     def __init__(self, path: Path):
         self.path = path
         path.touch()
+
+    def clear(self):
+        self.path.write_text("")
 
     def append(self, value):
         with self.path.open("a", encoding="utf-8") as fh:  # O_APPEND: one write per line
@@ -116,6 +122,20 @@ def neighbour_work(tmp_path, monkeypatch):
     return work
 
 
+@pytest.fixture
+def runs_builds(tmp_path, monkeypatch):
+    """The (cell side, reach) of every set of candidate runs built."""
+    built = CallLog(tmp_path / "runs.log")
+    build_runs = _Grid.runs
+
+    def counting(self, reach):
+        built.append((self.side, reach))
+        return build_runs(self, reach)
+
+    monkeypatch.setattr(_Grid, "runs", counting)
+    return built
+
+
 def test_dpc_run_builds_one_index_and_counts_its_radius_once(tmp_path, neighbour_work):
     # d_c and δ both default to the 2% percentile: one radius.
     csv = write_blobs_csv(tmp_path / "blobs.csv", 40)
@@ -127,14 +147,19 @@ def test_dpc_run_builds_one_index_and_counts_its_radius_once(tmp_path, neighbour
     assert neighbour_work == {"indexes": 1, "count_calls": 1}
 
 
-def test_ablate_counts_delta_once(tmp_path, neighbour_work):
+def test_ablate_counts_delta_once(tmp_path, monkeypatch, neighbour_work):
+    # On one core the variants run in turn; on two in two processes, which
+    # read the count made before the fork.
     csv = write_blobs_csv(tmp_path / "blobs.csv", 40)
-    code = main([
-        "ablate", "--data", str(csv), "--label-col", "-1", "--algo", "kmeans", "--k", "4",
-        "--variants", "local,global", "--out", str(tmp_path / "o"),
-    ])
-    assert code == 0
-    assert neighbour_work == {"indexes": 1, "count_calls": 1}
+    for cores in (1, 2):
+        use_cores(monkeypatch, cores)
+        neighbour_work.log.clear()
+        code = main([
+            "ablate", "--data", str(csv), "--label-col", "-1", "--algo", "kmeans", "--k", "4",
+            "--variants", "local,global", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 0
+        assert neighbour_work == {"indexes": 1, "count_calls": 1}
 
 
 @pytest.fixture
@@ -174,44 +199,54 @@ def perfbench(monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["run", "ablate"])
-def test_default_sweep_builds_each_grid_once(tmp_path, grid_builds, command):
+def test_default_sweep_builds_each_grid_once(tmp_path, monkeypatch, grid_builds, command):
     # Five δ, each counted on one grid and queried on the 2δ one, with
-    # one grid kept.
+    # one grid kept; ablate's one δ likewise, on one core or forked on two.
     csv = write_blobs_csv(tmp_path / "blobs.csv", 40)
-    code = main([
-        command, "--data", str(csv), "--label-col", "-1", "--algo", "kmeans", "--k", "4",
-        "--out", str(tmp_path / "o"),
-    ])
-    assert code == 0
-    assert grid_builds and len(grid_builds) == len(set(grid_builds))
+    for cores in (1, 2):
+        use_cores(monkeypatch, cores)
+        grid_builds.clear()
+        code = main([
+            command, "--data", str(csv), "--label-col", "-1", "--algo", "kmeans", "--k", "4",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 0
+        assert grid_builds and len(grid_builds) == len(set(grid_builds))
 
 
-@pytest.mark.parametrize("command,radii,runs", [
+@pytest.mark.parametrize("command,radii,extensions", [
     (["run"], len(ecac.config.DEFAULT_SWEEP), len(ecac.config.DEFAULT_SWEEP)),
     (["ablate", "--variants", "local,global"], 1, 2),
     (["ablate", "--variants", "local,nodensity"], 1, 3),
 ])
-def test_candidate_runs_are_built_once_per_extension(tmp_path, monkeypatch, command, radii, runs):
-    # The sweep's five local extensions read runs at five radii (2δ each);
-    # the ablation's local and global extensions both at 2δ; and a
-    # count-matched ablation's probe, local and nodensity extensions all
-    # at 2δ. Each extension builds its runs once, for each member's query,
-    # and drops them when it ends.
-    built = CallLog(tmp_path / "runs.log")
-    build_runs = _Grid.runs
+def test_candidate_runs_are_built_once_per_extension(
+    tmp_path, monkeypatch, runs_builds, command, radii, extensions
+):
+    # The sweep's five local extensions read runs at five radii (2δ each)
+    # and build each radius's runs once. The ablation's local and global
+    # extensions, and a count-matched ablation's probe, local and
+    # nodensity extensions, all read the one set of runs at 2δ that the
+    # command builds before its variants run, on one core or forked on two.
+    made = CallLog(tmp_path / "states.log")
+    make_state = _GreedyState.__init__
 
-    def counting(self, reach):
-        built.append((self.side, reach))
-        return build_runs(self, reach)
+    def counting(self, *args):
+        made.append("extension")
+        make_state(self, *args)
 
-    monkeypatch.setattr(_Grid, "runs", counting)
+    monkeypatch.setattr(_GreedyState, "__init__", counting)
     csv = write_blobs_csv(tmp_path / "blobs.csv", 40)
-    code = main([
-        *command, "--data", str(csv), "--label-col", "-1", "--algo", "kmeans", "--k", "4",
-        "--out", str(tmp_path / "o"),
-    ])
-    assert code == 0
-    assert len(set(built)) == radii and len(built) == runs
+    for cores in (1, 2):
+        use_cores(monkeypatch, cores)
+        runs_builds.clear()
+        made.clear()
+        code = main([
+            *command, "--data", str(csv), "--label-col", "-1", "--algo", "kmeans", "--k", "4",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 0
+        assert len(set(runs_builds)) == radii and len(runs_builds) == radii
+        assert len(made) == extensions
 
 
 def test_every_strategy_reads_candidate_runs_at_twice_delta(monkeypatch):
@@ -240,6 +275,22 @@ def test_workload_command_builds_each_grid_and_counts_each_radius_once(
     assert main(workload.argv(csv_path, tmp_path / "out")) == 0
     assert grid_builds and len(grid_builds) == len(set(grid_builds))
     assert counted_radii and len(counted_radii) == len(set(counted_radii))
+
+
+def test_ablate_workload_on_two_cores_builds_everything_once(
+    tmp_path, monkeypatch, perfbench, neighbour_work, grid_builds, runs_builds
+):
+    # The variants run in two processes; the index, the δ count, the δ and
+    # 2δ grids and the 2δ runs are built once, before the fork.
+    _, workloads = perfbench
+    workload = workloads.WORKLOADS["ablate-spiral-global"]
+    csv_path = tmp_path / "input.csv"
+    workload.write_input(ROOT, 0, csv_path)
+    use_cores(monkeypatch, 2)
+    assert main(workload.argv(csv_path, tmp_path / "out")) == 0
+    assert neighbour_work == {"indexes": 1, "count_calls": 1}
+    assert grid_builds and len(grid_builds) == len(set(grid_builds))
+    assert len(runs_builds) == 1
 
 
 def test_dpc_replay_counts_its_radius_once(tmp_path, perfbench, counted_radii):
@@ -275,6 +326,30 @@ def test_many_radii_keep_a_bounded_number_of_grids(grid_builds):
         for radius in (0.3, 0.7):
             index.range_query_many(points[:3], radius)
     assert len(grid_builds) == radii.size + 4
+
+
+def test_a_second_radius_replaces_the_kept_runs(monkeypatch, runs_builds):
+    # One set of runs is kept per dataset, read-only and shared by every
+    # index over it; another radius frees it before its own are built.
+    dataset, _ = generate_gaussian_mixture(2, 30, [[0, 0], [5, 0]], 1.0, 0)
+    runs = dataset.index.candidate_runs(1.0)
+    assert SpatialIndex(dataset).candidate_runs(1.0) is runs
+    assert not any(array.flags.writeable for array in runs)
+    assert len(runs_builds) == 1
+    freed = [weakref.ref(array) for array in runs]
+    del runs
+    build_runs = _Grid.runs
+
+    def checking(self, reach):
+        assert [ref() for ref in freed] == [None] * 3
+        return build_runs(self, reach)
+
+    monkeypatch.setattr(_Grid, "runs", checking)
+    other = dataset.index.candidate_runs(2.0)
+    assert len(runs_builds) == 2
+    assert dataset.derived["runs"][1] is other
+    assert dataset.index.candidate_runs(2.0) is other
+    assert len(runs_builds) == 2
 
 
 def test_index_and_density_are_kept():
