@@ -24,11 +24,12 @@ Each ``--src`` directory is imported as its own copy of the package, so
 two checkouts are compared in one process: every repeat times each
 input once per checkout, and the order of the checkouts alternates from
 repeat to repeat. The script prints, per input and checkout, the median
-time and two counters of ``ExtendedSets.stats`` summed over the input's
-calls: ``run_entries``, the ids held by the candidate runs the radius
-queries read, and ``candidates``, the non-members whose distances were
-computed. A checkout whose extension keeps no such counters prints
-``-``.
+time and three counters of ``ExtendedSets.stats`` summed over the
+input's calls: ``run_entries``, the ids held by the candidate runs the
+radius queries read, ``candidates``, the non-members whose distances to
+a new member were computed in its answer, and ``far_rows``, the rows
+whose distances were computed in far-row folds. A checkout whose
+extension does not keep a counter prints ``-`` for it.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def prepare(name: str, csv_path: Path, ecac):
     ]
 
 
-COUNTERS = ("run_entries", "candidates")
+COUNTERS = ("run_entries", "candidates", "far_rows")
 
 
 def time_calls(ecac, calls):
@@ -141,7 +142,8 @@ def main(argv=None) -> int:
         parser.error(f"unknown input(s): {', '.join(unknown)}")
 
     packages = [load_package(src.resolve(), f"ecac_timed_{i}") for i, src in enumerate(srcs)]
-    print(f"{'input':22s}{'src':>5s}{'median s':>10s}{'run entries':>13s}{'candidates':>12s}")
+    print(f"{'input':22s}{'src':>5s}{'median s':>10s}{'run entries':>13s}{'candidates':>12s}"
+          f"{'far rows':>10s}")
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
             csv_path = Path(tmp) / f"{name}.csv"
@@ -155,12 +157,12 @@ def main(argv=None) -> int:
                     seconds, counters[i] = time_calls(packages[i], calls[i])
                     times[i].append(seconds)
             for i, src_times in enumerate(times):
-                entries, candidates = (
+                entries, candidates, far_rows = (
                     "-" if counters[i][key] is None else counters[i][key] for key in COUNTERS
                 )
                 print(
                     f"{name:22s}{i:>5d}{statistics.median(src_times):>10.3f}"
-                    f"{entries:>13}{candidates:>12}",
+                    f"{entries:>13}{candidates:>12}{far_rows:>10}",
                     flush=True,
                 )
     for i, src in enumerate(srcs):

@@ -26,9 +26,16 @@ For each checkout after the first it also prints the verdict on a
 claimed gain in ``run_s`` over the first: the claim holds when the
 checkout was faster in at least nine of every ten pairs and its median
 gain (the first checkout's median less its own) exceeds the spread
-(Q3 - Q1) of the first checkout's runs. A timing of the serial paths
-needs no option: run the script under ``taskset -c 0``, which the
-children inherit.
+(Q3 - Q1) of the first checkout's runs. Next to it come the verdicts
+on a regression, one per metric (``run_s``, ``setup_s`` and the peak),
+against the metric's ``end_to_end`` bound in ``BENCHMARK.json``, a
+fraction of the first checkout's median: ``regression`` when the
+checkout's median is worse than the first's by more than the bound,
+``unresolved`` when the first checkout's spread (Q3 - Q1) is wider than
+the bound, so the runs cannot tell (unless every run of the checkout
+was better than every run of the first), and ``ok`` otherwise. A timing of
+the serial paths needs no option: run the script under
+``taskset -c 0``, which the children inherit.
 """
 
 from __future__ import annotations
@@ -48,6 +55,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from checks import check_payload, content_digest  # noqa: E402
 from tracing import now  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
+
+# This script's name of each end-to-end metric, and the benchmark's.
+BENCHMARK_NAMES = {"run_s": "run_s", "setup_s": "setup_s", "peak_mb": "peak_rss_mb"}
 
 
 def run_child(src: Path, workload, csv_path: Path, work: Path) -> dict:
@@ -102,6 +112,35 @@ def claim_verdict(first: list[float], other: list[float]) -> str:
     )
 
 
+def end_to_end_bounds() -> dict:
+    """The ``end_to_end`` entries of ``BENCHMARK.json`` (name, unit,
+    better, bound), keyed by this script's metric names."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    entries = {entry["name"]: entry for entry in spec["end_to_end"]}
+    return {key: entries[name] for key, name in BENCHMARK_NAMES.items()}
+
+
+def regression_verdict(first: list[float], other: list[float], entry: dict) -> str:
+    """Whether ``other``'s median is worse than ``first``'s by more than
+    the entry's bound, a fraction of ``first``'s median; unresolved when
+    the spread (Q3 - Q1) of ``first`` is wider than the bound, unless
+    every run of ``other`` is better than every run of ``first``."""
+    sign = 1.0 if entry["better"] == "lower" else -1.0  # worse is positive
+    base = statistics.median(first)
+    change = (statistics.median(other) - base) / base
+    q1, q3 = quartiles(first)
+    spread = (q3 - q1) / base
+    if spread <= entry["bound"]:
+        verdict = "regression" if sign * change > entry["bound"] else "ok"
+    else:
+        always_better = max(sign * v for v in other) < min(sign * v for v in first)
+        verdict = "ok" if always_better else "unresolved"
+    return (
+        f"median {100.0 * change:+.1f}%, bound {100.0 * entry['bound']:.0f}%, "
+        f"spread of src 0 {100.0 * spread:.1f}%: {verdict}"
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append", type=Path,
@@ -114,6 +153,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     srcs = [src.resolve() for src in (args.src or [ROOT / "src"])]
     names = args.workloads.split(",")
+    bounds = end_to_end_bounds()
     unknown = sorted(set(names) - set(WORKLOADS))
     if unknown:
         parser.error(f"unknown workload(s): {', '.join(unknown)}")
@@ -152,6 +192,12 @@ def main(argv=None) -> int:
             for i, src_runs in enumerate(runs[1:], 1):
                 verdict = claim_verdict(first, [run["run_s"] for run in src_runs])
                 print(f"{name:22s}{i:>4d}  run_s vs src 0: {verdict}", flush=True)
+                for key, entry in bounds.items():
+                    verdict = regression_verdict(
+                        [run[key] for run in runs[0]], [run[key] for run in src_runs], entry
+                    )
+                    print(f"{name:22s}{i:>4d}  {entry['name']} regression vs src 0: {verdict}",
+                          flush=True)
     for i, src in enumerate(srcs):
         print(f"src {i}: {src}")
     if not identical:

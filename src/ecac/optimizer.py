@@ -28,14 +28,12 @@ lower set index; every run is deterministic.
 
 The scored strategies keep one score per object (inf for members and
 objects outside the pool), so a step is one ``argmin``. A new member's
-fold visits only its radius query's answer (at 2*delta, for every
-strategy) and the pooled rows whose cached distance is at least 2*delta
-(``far``); a member's cached distance is -inf, so no fold changes it. A
-new member's radius query is one slice of its cell's candidate run
-(``SpatialIndex.candidate_runs``, built for every cell of the grid once
-per dataset and radius, and kept with the dataset), less the members,
-judged by exact distance; no index call is made per member. Coverage
-grows by the answer's newly covered objects.
+answer is one slice of its cell's candidate run at 2*delta
+(``SpatialIndex.candidate_runs``, kept with the dataset), less the
+members, with exact distances; no index call is made per member.
+Folding the answer into the cache is what admits rows to the local
+pool; a fold also visits ``far``, the pooled rows whose cached distance
+is at least 2*delta. Coverage grows by the answer's newly covered objects.
 ``_run_scored`` and ``_GreedyState`` say why all of this is exact.
 ``prepare_extension`` builds the count and the runs that every
 extension at one delta reads, so that processes forked afterwards share
@@ -92,11 +90,13 @@ class ExtendedSets:
     index of ``all[p]``. ``steps`` holds four columns with one entry per
     greedy selection: object id, set index, selection distance, and
     covered count after the step; ``trace`` reads them as one dict per
-    step (see ``trace_records``). ``stats`` counts the radius-query work,
+    step (see ``trace_records``). ``stats`` counts the distance work,
     the same on every run of the same input: ``run_entries``, the ids
     held by the candidate runs that the queries read (at most 81 per
-    object), and ``candidates``, the non-members whose distance to a new
-    member was computed, summed over the members.
+    object), ``candidates``, the non-members whose distance to a new
+    member was computed in its answer, summed over the members, and
+    ``far_rows``, the rows folded from ``far`` (see ``_run_scored``),
+    summed over the folds (0 for the uncapped local pool).
     """
 
     sets: list[list[int]]
@@ -137,24 +137,20 @@ def prepare_extension(dataset: Dataset, delta: float):
 
 
 class _GreedyState:
-    """Bookkeeping shared by every strategy.
+    """Bookkeeping shared by every strategy: membership, coverage, the
+    candidate runs and the trace.
 
-    Each member's radius query lists the non-members within the query
-    radius, 2*delta for every strategy (``_query_radius``). It is
-    answered from the candidate runs at that radius
-    (``index.candidate_runs``), which the dataset keeps, so extensions at
-    one delta build them once: one slice of the run of the new member's
-    cell, less the members, judged by their ``_row_norms`` distances and
-    kept below the radius.
+    A new member's answer lists the non-members of its cell's run at the
+    query radius (``_query_radius``, 2*delta for every strategy), with
+    their ``_row_norms`` distances. The dataset keeps the runs
+    (``index.candidate_runs``), so extensions at one delta build them once.
 
     Why this is exact: a run holds every point at strict distance below
-    the radius from any point of its cell, so the slice holds every
-    object that a grid query centered on the new member would list, and
-    its distances are the ``_row_norms`` values such a query computes.
-    Dropping the members leaves exactly the non-members within the
-    radius. A member needs no query, because it is always covered (it
-    covers itself when it joins) and never re-scored (see
-    ``_run_scored``).
+    the radius from any point of its cell, so an answer holds every
+    non-member within the radius of the new member (and maybe farther
+    ones), with the distances a grid query would compute. A member needs
+    no query, because it is always covered (it covers itself when it
+    joins) and never re-scored (see ``_run_scored``).
     """
 
     def __init__(self, dataset, index, densities, centers, cap):
@@ -171,12 +167,11 @@ class _GreedyState:
         self.all: list[int] = []
         self.all_sets: list[int] = []
         self.free = np.ones(self.n, dtype=bool)  # not a member
-        self.score = np.full(self.n, np.inf)
         self.closed = np.zeros(self.k, dtype=bool)
         self.n_closed = 0
         self.uncovered = np.ones(self.n, dtype=bool)
         self.n_covered = 0
-        self.stats = {"run_entries": int(self.runs.size), "candidates": 0}
+        self.stats = {"run_entries": int(self.runs.size), "candidates": 0, "far_rows": 0}
         # The trace as columns (object, set, dis, covered), one entry per
         # step. Ints and floats are not tracked by the garbage collector,
         # so a step allocates no container: with one tuple per step as
@@ -188,15 +183,14 @@ class _GreedyState:
 
     def add(self, o: int, j: int):
         """Register a new member; returns its answer ``(ids, dists)``:
-        every non-member within the query radius, ids in no particular
-        order.
+        every non-member of its cell's candidate run, with its distance,
+        ids in no particular order.
 
-        The answer feeds the candidate pool and its cache, and its subset
-        at strict distance < delta is newly covered unless covered before.
-        Set j is closed once it holds ``cap`` extended-centers.
+        The answer's subset at strict distance < delta is newly covered
+        unless covered before. Set j is closed once it holds ``cap``
+        extended-centers.
         """
         self.free[o] = False
-        self.score[o] = np.inf
         self.sets[j].append(o)
         self.all.append(o)
         self.all_sets.append(j)
@@ -205,11 +199,9 @@ class _GreedyState:
             self.n_closed += 1
         c = self.cell[o]
         run = self.runs[self.bounds[c]:self.bounds[c + 1]]
-        cand = run[self.free.take(run)]
-        dists = _row_norms(self.points.take(cand, axis=0) - self.points[o])
-        keep = (dists < self.query_radius).nonzero()[0]
-        ids, dists = cand.take(keep), dists.take(keep)
-        self.stats["candidates"] += cand.size
+        ids = run[self.free.take(run)]
+        dists = _row_norms(self.points.take(ids, axis=0) - self.points[o])
+        self.stats["candidates"] += ids.size
         uncovered = self.uncovered
         new = ids[(dists < self.delta) & uncovered.take(ids)]
         uncovered[new] = False
@@ -254,43 +246,45 @@ def trace_records(steps) -> list[dict]:
 def _run_scored(state: _GreedyState, use_density: bool, local: bool):
     """Distance-minimizing selection with either the local or global pool.
 
-    Both pools keep one cached (min distance, best set) pair per pooled
-    object and fold each new member into it; because the density weight
-    does not depend on the set, the cache is all selection needs. The
-    global pool holds every object from the start; the local pool is the
-    2*delta frontier, grown incrementally.
+    The selection cache lives here: per object a (min distance, best
+    set) pair (``best_dis``, ``best_set``) and a score. As the density
+    weight does not depend on the set, the cache is all selection needs.
 
-    A new member's cached distance becomes -inf, which no distance beats,
-    so no later fold changes a member's cache or score. A fold visits the
-    new member's query answer and ``far``, the pooled non-members whose
-    cached distance is at least the query radius, and nothing else. A pooled row with a
-    smaller cached distance can only be improved by a member nearer
-    still, inside that member's query. An entrant to the local pool was
-    at least 2*delta from every earlier member, so the new member is its
-    nearest: its cache starts at (inf, k) and any (distance, set) beats
-    that. So ``far`` starts as every object for the global pool and
-    empty for the local one; it sheds the rows a fold brings within the
-    radius and the new member (at -inf), and gains the rows that
-    ``close_set`` re-points, once a set reaches its cap, to a farther
-    member of an open set.
+    One cache rule: every row starts with the cache of a row outside the
+    pool, (2*delta, -1) for the local pool and (inf, -1) for the global
+    one, and a fold caches (d, j) wherever it beats a row's cache
+    (``improve``). So a row joins the local pool once a member comes
+    strictly within 2*delta (set -1 keeps its row on a tie), and the
+    global pool holds every object once the centers are folded in. A
+    member's cached distance is -inf, so no later fold changes it.
 
-    ``score[i]`` (``state.score``) is ``best_dis[i] / rho[i]``
-    (``best_dis[i]`` without the density weight), and inf for members and
-    for objects outside the pool; it is rewritten wherever the cache
-    changes, from the same operands, so a step is one ``argmin`` and its
-    ties go to the lowest object id, as a scan of the sorted pool would.
-    When the minimum is inf (the local pool has emptied while objects
-    remain uncovered), a fallback step scores every non-member by its
-    nearest open member (``scan``). The from-definition loop is
+    A fold visits the new member's answer, which holds every non-member
+    within 2*delta of it, and ``far``: the free rows with a set whose
+    cached distance is at least 2*delta. No other row can change: its
+    cache is below 2*delta, or 2*delta with set -1, so only a member
+    within 2*delta can beat it.
+    ``far`` is every object before the global pool's first fold and
+    empty for the local one; a fold drops the rows it brings below
+    2*delta, and ``close_set`` (a set reached its cap, so its rows are
+    re-pointed to farther members of open sets) recomputes it.
+
+    ``score[i]`` is ``best_dis[i] / rho[i]`` (``best_dis[i]`` without the
+    density weight), and inf for members and for objects outside the
+    pool; it is rewritten wherever the cache changes, from the same
+    operands, so a step is one ``argmin`` and its ties go to the lowest
+    object id, as a scan of the sorted pool would. When the minimum is
+    inf (the local pool has emptied while objects remain uncovered), a
+    fallback step scores every non-member by its nearest open member
+    (``scan``). The from-definition loop is
     ``tests/oracles.naive_identify``.
     """
     points = state.points
     n = state.n
     radius = state.query_radius
     weight = state.densities.rho.astype(np.float64) if use_density else np.ones(n)
-    best_dis = np.full(n, np.inf)
-    best_set = np.full(n, state.k, dtype=np.int64)
-    score = state.score
+    best_dis = np.full(n, radius if local else np.inf)
+    best_set = np.full(n, -1, dtype=np.int64)
+    score = np.full(n, np.inf)
     far = np.empty(0, dtype=np.int64) if local else np.arange(n)
 
     def scan(ids: np.ndarray):
@@ -328,23 +322,21 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
         nonlocal far
         ids, dists = state.add(o, j)
         best_dis[o] = -np.inf
+        score[o] = np.inf
         improve(j, ids, dists)
         if far.size:
+            state.stats["far_rows"] += far.size
             improve(j, far, _row_norms(points.take(far, axis=0) - points[o]))
             far = far[best_dis[far] >= radius]
 
     def close_set(f: int):
         """Set f just reached its cap: re-point pool rows that relied on it."""
         nonlocal far
-        # Rows outside the pool keep best_set == k, so only pooled rows match.
+        # Rows outside the pool keep set -1, so only pooled rows match.
         rows = np.flatnonzero((best_set == f) & state.free)
         best_dis[rows], best_set[rows] = scan(rows)
         score[rows] = best_dis[rows] / weight[rows]
-        # The sorted union, as np.union1d, which would load numpy.ma.
-        joined = np.zeros(n, dtype=bool)
-        joined[far] = True
-        joined[rows[best_dis[rows] >= radius]] = True
-        far = np.flatnonzero(joined)
+        far = np.flatnonzero(state.free & (best_set >= 0) & (best_dis >= radius))
 
     for j, center in enumerate(state.centers):
         fold(center, j)

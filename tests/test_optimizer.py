@@ -176,6 +176,11 @@ def grid_instances(draw):
 # A set closes while a pooled object's only member within 2*delta is in it.
 @example((np.array([[0, 0], [0, 0], [0, 2], [1, 1], [2, 2], [0, 4], [0, 0]]) * GRID,
           [0, 1], GRID, "local", 2))
+# The other object lies exactly 2*delta from the center: it stays outside
+# the local pool and enters by one fallback step.
+@example((np.array([[0, 0], [2, 0]]) * GRID, [0], GRID, "local", None))
+# Object 2 ties between the two sets, each closed after one extension.
+@example((np.array([[0, 0], [4, 0], [2, 0], [2, 1]]) * GRID, [0, 1], GRID, "global", 1))
 def test_matches_naive_reference_on_grid_ties(instance):
     pts, centers, delta, kind, cap = instance
     strategy = SelectionStrategy(kind, seed=7 if kind == "random" else None, cap=cap)
@@ -293,9 +298,8 @@ def test_matches_naive_reference_with_far_rows_after_close(monkeypatch, kind, se
     _, order, order_sets, covered, fallbacks, trace = naive_identify(
         pts, [0, 54], delta, kind=kind, cap=cap
     )
-    radius = delta if kind == "global" else 2 * delta
     assert ext.fallback_count == fallbacks == 0
-    assert max(repointed) >= radius
+    assert max(repointed) >= 2 * delta
     assert ext.all == order
     assert ext.all_sets == order_sets
     assert set(np.flatnonzero(ext.coverage).tolist()) == covered
