@@ -18,8 +18,11 @@ default delta, local strategy):
   delta, local and global strategy;
 * ``spiral-20k``: the 20,001-point spiral above.
 
-Centers, deltas and densities are computed before the clock starts; the
-time of an input is the sum of its ``identify_extended_centers`` calls.
+Centers, deltas, and each delta's count and candidate runs
+(``prepare_extension``, as ``ecac ablate`` builds them before its fork)
+are computed before the clock starts; the time of an input is the sum of
+its ``identify_extended_centers`` calls. A dataset keeps the runs of one
+radius only, so the sweep's calls still build theirs.
 Each ``--src`` directory is imported as its own copy of the package, so
 two checkouts are compared in one process: every repeat times each
 input once per checkout, and the order of the checkouts alternates from
@@ -80,29 +83,27 @@ def write_input(name: str, seed: int, path: Path):
 
 
 def prepare(name: str, csv_path: Path, ecac):
-    """The input's extension calls as (dataset, centers, delta, strategy,
-    densities) tuples, with everything but the extension computed."""
+    """The input's extension calls as (dataset, centers, delta, strategy)
+    tuples, with everything but the extension computed."""
     config = importlib.import_module(ecac.__name__ + ".config")
+    density = importlib.import_module(ecac.__name__ + ".density")
+    optimizer = importlib.import_module(ecac.__name__ + ".optimizer")
     dataset, _ = ecac.load_csv(csv_path, label_column=-1)
     algo, k = ("dpc", 4) if name == "blobs-dpc-capped" else ("kmeans", 3)
     centers, _ = ecac.build_algorithm(algo).center_process(dataset, k)
     centers = [int(c) for c in centers]
-    if name == "sweep-spiral-kmeans":
-        density = importlib.import_module(ecac.__name__ + ".density")
-        deltas = density.pairwise_distance_percentiles(dataset, list(config.DEFAULT_SWEEP))
-    else:
-        deltas = [ecac.pairwise_distance_percentile(dataset, config.DEFAULT_PERCENTILE)]
+    sweep = name == "sweep-spiral-kmeans"
+    fractions = list(config.DEFAULT_SWEEP) if sweep else [config.DEFAULT_PERCENTILE]
+    deltas = density.pairwise_distance_percentiles(dataset, fractions)
     if name == "blobs-dpc-capped":
         strategies = [ecac.SelectionStrategy(cap=100)]
     elif name == "ablate-spiral-global":
         strategies = [ecac.SelectionStrategy("local"), ecac.SelectionStrategy("global")]
     else:
         strategies = [ecac.SelectionStrategy("local")]
-    return [
-        (dataset, centers, delta, strategy, ecac.compute_densities(dataset, dataset.index, delta))
-        for delta in deltas
-        for strategy in strategies
-    ]
+    for delta in deltas:
+        optimizer.prepare_extension(dataset, delta)
+    return [(dataset, centers, delta, strategy) for delta in deltas for strategy in strategies]
 
 
 COUNTERS = ("run_entries", "candidates", "far_rows")
@@ -113,10 +114,7 @@ def time_calls(ecac, calls):
     extension does not keep one)."""
     gc.collect()
     start = time.perf_counter()
-    results = [
-        ecac.identify_extended_centers(dataset, centers, delta, strategy, densities=densities)
-        for dataset, centers, delta, strategy, densities in calls
-    ]
+    results = [ecac.identify_extended_centers(*call) for call in calls]
     seconds = time.perf_counter() - start
     stats = [getattr(ext, "stats", None) or {} for ext in results]
     counters = {

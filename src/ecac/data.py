@@ -169,23 +169,28 @@ class SpatialIndex:
 
     def range_query_many(self, centers, radius: float) -> list[np.ndarray]:
         """Per row of ``centers`` (a queries x d array), the sorted ids at
-        strict distance < radius from it."""
+        strict distance < radius from it. The queries go in blocks of
+        ``_BOXES``, so no slice table covers them all."""
         centers = np.asarray(centers, dtype=np.float64)
         if centers.ndim != 2 or centers.shape[1] != self.dataset.d:
             raise DimensionMismatch(
                 f"query point has shape {centers.shape}, dataset is {self.dataset.d}-D"
             )
         grid = self._radius_grid(radius)
-        ids, owners = [], []
         reach = _reach(radius)
-        for pos, owner in grid.candidates(*grid.slices(centers, reach), (centers, reach)):
-            d = _row_norms(grid.points.take(pos, axis=0) - centers.take(owner, axis=0))
-            keep = np.flatnonzero(d < radius)
-            ids.append(grid.ids.take(pos.take(keep)))
-            owners.append(owner.take(keep))
-        ids = np.concatenate(ids)
-        bounds = np.searchsorted(np.concatenate(owners), np.arange(centers.shape[0] + 1))
-        return [np.sort(ids[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        answers = []
+        for lo in range(0, centers.shape[0], _BOXES):
+            block = centers[lo:lo + _BOXES]
+            ids, owners = [], []
+            for pos, owner in grid.candidates(*grid.slices(block, reach), (block, reach)):
+                d = _row_norms(grid.points.take(pos, axis=0) - block.take(owner, axis=0))
+                keep = np.flatnonzero(d < radius)
+                ids.append(grid.ids.take(pos.take(keep)))
+                owners.append(owner.take(keep))
+            ids = np.concatenate(ids)
+            bounds = np.searchsorted(np.concatenate(owners), np.arange(block.shape[0] + 1))
+            answers += [np.sort(ids[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+        return answers
 
     def density(self, radius: float) -> np.ndarray:
         """Per object, the number of ids at strict distance < radius: a

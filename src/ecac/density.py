@@ -94,4 +94,4 @@ def default_delta(dataset: Dataset) -> float:
     ``DEFAULT_PERCENTILE`` (2nd) percentile of pairwise distances adapts
     to whatever units the data is in. Deterministic (fixed sampling seed).
     """
-    return pairwise_distance_percentile(dataset, DEFAULT_PERCENTILE)
+    return pairwise_distance_percentiles(dataset, [DEFAULT_PERCENTILE])[0]

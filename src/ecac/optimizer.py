@@ -35,9 +35,10 @@ Folding the answer into the cache is what admits rows to the local
 pool; a fold also visits ``far``, the pooled rows whose cached distance
 is at least 2*delta. Coverage grows by the answer's newly covered objects.
 ``_run_scored`` and ``_GreedyState`` say why all of this is exact.
-``prepare_extension`` builds the count and the runs that every
-extension at one delta reads, so that processes forked afterwards share
-them.
+``prepare_extension`` is the one place that names what an extension at
+one delta reads, the count at delta and the runs at 2*delta: it builds
+them once per dataset, so that extensions that follow, and processes
+forked afterwards, share them.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ import numpy as np
 from numpy.random import Generator, default_rng
 
 from .data import Dataset, SpatialIndex, _row_norms, nearest
-from .density import DensityVector, compute_densities
 from .errors import EmptyCenters, InvalidRadius, InvalidSpec, LabelOutOfRange
 
 LOCAL = "local"
@@ -103,7 +103,6 @@ class ExtendedSets:
     all: list[int]
     all_sets: list[int]
     coverage: np.ndarray
-    delta: float
     fallback_count: int = 0
     steps: tuple = ((), (), (), ())
     stats: dict = field(default_factory=dict)
@@ -128,22 +127,22 @@ def _query_radius(delta: float) -> float:
 
 
 def prepare_extension(dataset: Dataset, delta: float):
-    """Build what every extension of ``dataset`` at ``delta`` reads, the
-    neighbour count at delta and the candidate runs at the query radius,
-    and keep both in ``dataset.derived``: the extensions that follow,
-    in this process or in processes forked from it, build neither."""
-    dataset.index.density(delta)
-    dataset.index.candidate_runs(_query_radius(delta))
+    """``(rho, (cell, bounds, runs))``, what every extension of
+    ``dataset`` at ``delta`` reads: the neighbour count at delta and the
+    candidate runs at the query radius. Both are kept in
+    ``dataset.derived``, so the extensions that follow, in this process
+    or in processes forked from it, build neither."""
+    index = dataset.index
+    return index.density(delta), index.candidate_runs(_query_radius(delta))
 
 
 class _GreedyState:
     """Bookkeeping shared by every strategy: membership, coverage, the
-    candidate runs and the trace.
+    count and candidate runs from ``prepare_extension``, and the trace.
 
     A new member's answer lists the non-members of its cell's run at the
     query radius (``_query_radius``, 2*delta for every strategy), with
-    their ``_row_norms`` distances. The dataset keeps the runs
-    (``index.candidate_runs``), so extensions at one delta build them once.
+    their ``_row_norms`` distances.
 
     Why this is exact: a run holds every point at strict distance below
     the radius from any point of its cell, so an answer holds every
@@ -153,16 +152,15 @@ class _GreedyState:
     joins) and never re-scored (see ``_run_scored``).
     """
 
-    def __init__(self, dataset, index, densities, centers, cap):
+    def __init__(self, dataset, delta, centers, cap):
         self.points = dataset.points
-        self.densities = densities
+        self.rho, (self.cell, self.bounds, self.runs) = prepare_extension(dataset, delta)
         self.centers = centers
-        self.delta = densities.delta
+        self.delta = float(delta)
         self.cap = cap
         self.query_radius = _query_radius(self.delta)
         self.k = len(centers)
         self.n = dataset.n
-        self.cell, self.bounds, self.runs = index.candidate_runs(self.query_radius)
         self.sets: list[list[int]] = [[] for _ in range(self.k)]
         self.all: list[int] = []
         self.all_sets: list[int] = []
@@ -172,13 +170,13 @@ class _GreedyState:
         self.uncovered = np.ones(self.n, dtype=bool)
         self.n_covered = 0
         self.stats = {"run_entries": int(self.runs.size), "candidates": 0, "far_rows": 0}
-        # The trace as columns (object, set, dis, covered), one entry per
-        # step. Ints and floats are not tracked by the garbage collector,
-        # so a step allocates no container: with one tuple per step as
-        # well as the records, an ``ecac ablate`` in a fresh interpreter
-        # ran a full collection over every loaded module's objects (about
-        # 20 ms). The records are built only when the trace is read.
-        self.steps = ([], [], [], [])
+        # The trace's dis and covered columns; its object and set columns
+        # are all[k:] and all_sets[k:]. Ints and floats are not tracked by
+        # the garbage collector, so a step allocates no container (a tuple
+        # per step cost a fresh ``ecac ablate`` a full collection, about
+        # 20 ms); the records are built only when the trace is read.
+        self.dis: list[float] = []
+        self.covered: list[int] = []
         self.fallback_count = 0
 
     def add(self, o: int, j: int):
@@ -211,12 +209,10 @@ class _GreedyState:
             self.n_covered += 1
         return ids, dists
 
-    def record(self, o: int, j: int, dis: float):
-        objects, sets, dis_values, covered = self.steps
-        objects.append(o)
-        sets.append(j)
-        dis_values.append(dis)
-        covered.append(self.n_covered)
+    def record(self, dis: float):
+        """Trace the step whose member ``add`` registered last."""
+        self.dis.append(dis)
+        self.covered.append(self.n_covered)
 
     def done(self) -> bool:
         return self.n_covered == self.n or len(self.all) == self.n or self.n_closed == self.k
@@ -227,9 +223,8 @@ class _GreedyState:
             all=self.all,
             all_sets=self.all_sets,
             coverage=~self.uncovered,
-            delta=self.delta,
             fallback_count=self.fallback_count,
-            steps=self.steps,
+            steps=(self.all[self.k:], self.all_sets[self.k:], self.dis, self.covered),
             stats=self.stats,
         )
 
@@ -281,7 +276,7 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
     points = state.points
     n = state.n
     radius = state.query_radius
-    weight = state.densities.rho.astype(np.float64) if use_density else np.ones(n)
+    weight = state.rho.astype(np.float64) if use_density else np.ones(n)
     best_dis = np.full(n, radius if local else np.inf)
     best_set = np.full(n, -1, dtype=np.int64)
     score = np.full(n, np.inf)
@@ -354,7 +349,7 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
             pick = int(np.argmin(scores))
             o, j, dis = int(cands[pick]), int(set_vec[pick]), float(scores[pick])
         fold(o, j)
-        state.record(o, j, dis)
+        state.record(dis)
         if state.closed[j]:
             close_set(j)
     return state.finish()
@@ -363,7 +358,7 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
 def _run_random(state: _GreedyState, rng: Generator):
     """Uniformly sampled objects, attached to the nearest center's set."""
     points = state.points
-    rho = state.densities.rho.astype(np.float64)
+    rho = state.rho.astype(np.float64)
     center_pts = points[state.centers]
     for j, center in enumerate(state.centers):
         state.add(center, j)
@@ -376,7 +371,7 @@ def _run_random(state: _GreedyState, rng: Generator):
         # Recorded for the trace only; random selection ignores distances.
         dis = _row_norms(points[state.sets[j]] - points[o]).min() / rho[o]
         state.add(o, j)
-        state.record(o, j, dis)
+        state.record(dis)
     return state.finish()
 
 
@@ -400,14 +395,16 @@ def identify_extended_centers(
     delta: float,
     strategy: SelectionStrategy | None = None,
     index: SpatialIndex | None = None,
-    densities: DensityVector | None = None,
+    densities=None,
 ) -> ExtendedSets:
     """Grow one extended-set per clustering center until coverage.
 
-    ``index`` and ``densities`` may be passed in to reuse previously
-    built structures; the index must be built over ``dataset`` itself and
-    the densities computed on it at ``delta``. Without ``index`` the
-    dataset's own ``dataset.index`` is used.
+    The extension reads its count and candidate runs from
+    ``prepare_extension``, on the dataset's own ``dataset.index``.
+    ``index`` and ``densities`` (a ``DensityVector``) are checks only:
+    when passed, the index must be built over ``dataset`` itself and the
+    densities must be this dataset's counts at ``delta``, or the call
+    raises; neither is read otherwise.
     """
     strategy = strategy or SelectionStrategy()
     if delta <= 0:
@@ -417,20 +414,17 @@ def identify_extended_centers(
         raise EmptyCenters("need at least one clustering center")
     if len(set(centers)) != len(centers):
         raise InvalidSpec("centers must be distinct object ids")
-    if index is None:
-        index = dataset.index
-    elif index.dataset is not dataset:
+    if index is not None and index.dataset is not dataset:
         raise InvalidSpec("index was built over another dataset")
-    if densities is None:
-        densities = compute_densities(dataset, index, delta)
-    elif densities.delta != delta:
-        raise InvalidRadius(
-            f"densities were computed at delta={densities.delta}, not {delta}"
-        )
-    elif not np.array_equal(densities.rho, index.density(delta)):
-        raise InvalidSpec(f"densities hold {densities.rho.size} objects, not this dataset's counts")
+    if densities is not None:
+        if densities.delta != delta:
+            raise InvalidRadius(
+                f"densities were computed at delta={densities.delta}, not {delta}"
+            )
+        if not np.array_equal(densities.rho, dataset.index.density(delta)):
+            raise InvalidSpec(f"densities hold {densities.rho.size} objects, not this dataset's counts")
 
-    state = _GreedyState(dataset, index, densities, centers, strategy.cap)
+    state = _GreedyState(dataset, delta, centers, strategy.cap)
     if strategy.kind == RANDOM:
         return _run_random(state, default_rng(strategy.seed))
     return _run_scored(state, use_density=strategy.kind != NODENSITY, local=strategy.kind != GLOBAL)

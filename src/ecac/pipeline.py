@@ -10,7 +10,7 @@ import numpy as np
 
 from .algorithms import CenterBasedAlgorithm
 from .data import Dataset, GroundTruth
-from .density import compute_densities, default_delta
+from .density import default_delta
 from .errors import InvalidK
 from .metrics import nmi, rand_index
 from .optimizer import SelectionStrategy, identify_extended_centers, merge_clusters, trace_records
@@ -152,9 +152,9 @@ def run_optimized(
         delta = default_delta(dataset)
 
     t0 = time.perf_counter()
-    densities = compute_densities(dataset, dataset.index, delta)
+    dataset.index.density(delta)  # kept with the dataset; the extension reads it
     t1 = time.perf_counter()
-    ext = identify_extended_centers(dataset, centers, delta, strategy, densities=densities)
+    ext = identify_extended_centers(dataset, centers, delta, strategy)
     t2 = time.perf_counter()
     initial = algorithm.assignment_process(dataset, ext.all)
     labels = merge_clusters(initial, ext)

@@ -348,6 +348,31 @@ def test_extension_reads_candidate_runs_not_the_index(monkeypatch):
     assert ext.stats == identify_extended_centers(ds, centers, delta).stats
 
 
+@pytest.mark.parametrize("strategy", [
+    SelectionStrategy("local"),
+    SelectionStrategy("global"),
+    SelectionStrategy("nodensity"),
+    SelectionStrategy("random", seed=0),
+    SelectionStrategy("local", cap=2),
+], ids=["local", "global", "nodensity", "random", "local-cap2"])
+def test_index_and_densities_keywords_are_checks_only(strategy):
+    # The extension reads its count and runs from prepare_extension; the
+    # keywords are checked, never read, so a run is the same without them.
+    pts, centers, delta = _grid_with_far_clump()
+    ds = Dataset(pts)
+    plain = identify_extended_centers(ds, centers, delta, strategy)
+    checked = identify_extended_centers(
+        ds, centers, delta, strategy,
+        index=ds.index, densities=compute_densities(ds, ds.index, delta),
+    )
+    for name in ("all", "all_sets", "steps", "stats", "fallback_count"):
+        assert getattr(checked, name) == getattr(plain, name), name
+    assert np.array_equal(checked.coverage, plain.coverage)
+    assert plain.s > len(centers)
+    if strategy == SelectionStrategy("local"):
+        assert plain.fallback_count > 0
+
+
 class TestIdentifyProperties:
     def test_termination_and_increments(self):
         pts = random_instance(7, n=60)
@@ -410,7 +435,7 @@ class TestMergeClusters:
     def test_identity_when_no_extension(self):
         ext = ExtendedSets(
             sets=[[4], [9]], all=[4, 9], all_sets=[0, 1],
-            coverage=np.ones(10, bool), delta=1.0,
+            coverage=np.ones(10, bool),
         )
         initial = np.array([0, 1, 1, 0])
         assert merge_clusters(initial, ext).tolist() == [0, 1, 1, 0]
@@ -419,14 +444,14 @@ class TestMergeClusters:
         # all = [e1, e2, e3] with e1,e3 in set 0 and e2 in set 1.
         ext = ExtendedSets(
             sets=[[5, 7], [6]], all=[5, 6, 7], all_sets=[0, 1, 0],
-            coverage=np.ones(4, bool), delta=1.0,
+            coverage=np.ones(4, bool),
         )
         assert merge_clusters([0, 2, 1, 2], ext).tolist() == [0, 0, 1, 0]
 
     def test_label_out_of_range(self):
         ext = ExtendedSets(
             sets=[[0]], all=[0], all_sets=[0],
-            coverage=np.ones(2, bool), delta=1.0,
+            coverage=np.ones(2, bool),
         )
         with pytest.raises(LabelOutOfRange):
             merge_clusters([0, 1], ext)
