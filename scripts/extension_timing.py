@@ -8,7 +8,7 @@ The inputs are those of the three benchmark workloads, written by the
 benchmark's own ``Workload.write_input`` (``perfbench/workloads.py``)
 and read back, plus a 20,001-point spiral
 (``make_benchmarks.spiral(n_per_arm=6667, seed=7)``, kmeans k = 3,
-default delta, local strategy):
+default delta, local strategy) and two inputs of moderate dimension:
 
 * ``sweep-spiral-kmeans``: n = 1,500 spiral, kmeans k = 3 centers, the
   five swept deltas, local strategy;
@@ -16,7 +16,12 @@ default delta, local strategy):
   default delta, local strategy capped at 100 per set;
 * ``ablate-spiral-global``: n = 1,200 spiral, kmeans k = 3, default
   delta, local and global strategy;
-* ``spiral-20k``: the 20,001-point spiral above.
+* ``spiral-20k``: the 20,001-point spiral above;
+* ``blobs-10k-4d`` and ``blobs-10k-8d``: 4 Gaussian blobs of 2,500
+  points in 4 and 8 dimensions (``generate_gaussian_mixture``, means on
+  the corners of a 12 x 12 square in the first two axes, standard
+  deviation 2, seed 0), kmeans k = 4 centers, default delta, local
+  strategy.
 
 Centers, deltas, and each delta's count and candidate runs
 (``prepare_extension``, as ``ecac ablate`` builds them before its fork)
@@ -50,13 +55,17 @@ import time
 from pathlib import Path
 
 import make_benchmarks
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+from ecac import generate_gaussian_mixture  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-INPUTS = (*WORKLOADS, "spiral-20k")
+# The blob inputs of moderate dimension, by name: their dimension.
+BLOBS = {"blobs-10k-4d": 4, "blobs-10k-8d": 8}
+INPUTS = (*WORKLOADS, "spiral-20k", *BLOBS)
 
 
 def load_package(src: Path, alias: str):
@@ -73,9 +82,17 @@ def load_package(src: Path, alias: str):
 
 def write_input(name: str, seed: int, path: Path):
     """Write the input's CSV, points then label, as the benchmark does;
-    spiral-20k, which no workload runs, through its own generator call."""
+    the inputs that no workload runs through their own generator calls,
+    the blobs with every digit of their coordinates."""
     if name in WORKLOADS:
         WORKLOADS[name].write_input(ROOT, seed, path)
+        return
+    if name in BLOBS:
+        means = np.zeros((4, BLOBS[name]))
+        means[[1, 3], 0] = 12.0
+        means[[2, 3], 1] = 12.0
+        dataset, truth = generate_gaussian_mixture(4, 2500, means, 2.0, 0)
+        np.savetxt(path, np.column_stack((dataset.points, truth.labels)), fmt="%.17g", delimiter=",")
         return
     points, labels = make_benchmarks.spiral(n_per_arm=6667, seed=7)
     with contextlib.redirect_stdout(io.StringIO()):  # write_csv reports each file
@@ -89,7 +106,7 @@ def prepare(name: str, csv_path: Path, ecac):
     density = importlib.import_module(ecac.__name__ + ".density")
     optimizer = importlib.import_module(ecac.__name__ + ".optimizer")
     dataset, _ = ecac.load_csv(csv_path, label_column=-1)
-    algo, k = ("dpc", 4) if name == "blobs-dpc-capped" else ("kmeans", 3)
+    algo, k = ("dpc", 4) if name == "blobs-dpc-capped" else ("kmeans", 4 if name in BLOBS else 3)
     centers, _ = ecac.build_algorithm(algo).center_process(dataset, k)
     centers = [int(c) for c in centers]
     sweep = name == "sweep-spiral-kmeans"

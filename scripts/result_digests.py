@@ -38,10 +38,13 @@ means on the corners of a 12 x 12 square in the first two axes,
 standard deviation 2, seed 0), kmeans k = 4 centers and the default
 delta: the grid covers at most two axes, so these runs read candidates
 that are near on the grid axes but far on the others.
-The last line digests the labels of ``run_optimized`` (default delta,
+The next line digests the labels of ``run_optimized`` (default delta,
 local strategy) with one ``build_algorithm("dpc")`` object used on
 ``spiral.csv`` (k = 3), then ``jain.csv`` (k = 2), then the same
-``spiral.csv`` dataset again.
+``spiral.csv`` dataset again. The last six lines, appended after these
+40, digest the same four extension runs on the mixtures in 4 and 7
+dimensions, built alike, and the DPC quantities (at the default cutoff)
+of the mixtures in 3, 4, 7 and 8 dimensions.
 
 The config echo inside the JSON holds the CSV and output paths, so two
 checkouts are compared by running this script against each one (chosen
@@ -158,7 +161,18 @@ def _spiral_extension_digests() -> dict[str, str]:
     return digests
 
 
-def _high_dimension_digests() -> dict[int, str]:
+def _mixture(d: int):
+    """The 4-component mixture in d dimensions: 500 points per component,
+    means on the corners of a 12 x 12 square in the first two axes,
+    standard deviation 2, seed 0."""
+    means = np.zeros((4, d))
+    means[[1, 3], 0] = 12.0
+    means[[2, 3], 1] = 12.0
+    dataset, _ = generate_gaussian_mixture(4, 500, means, 2.0, 0)
+    return dataset
+
+
+def _high_dimension_digests(dims) -> dict[int, str]:
     strategies = [
         SelectionStrategy("local"),
         SelectionStrategy("global"),
@@ -166,11 +180,8 @@ def _high_dimension_digests() -> dict[int, str]:
         SelectionStrategy("random", seed=0),
     ]
     digests = {}
-    for d in (3, 8):
-        means = np.zeros((4, d))
-        means[[1, 3], 0] = 12.0
-        means[[2, 3], 1] = 12.0
-        dataset, _ = generate_gaussian_mixture(4, 500, means, 2.0, 0)
+    for d in dims:
+        dataset = _mixture(d)
         centers, _ = build_algorithm("kmeans").center_process(dataset, 4)
         delta = default_delta(dataset)
         runs = [
@@ -227,9 +238,13 @@ def main():
     print(f"farblobs-8k local-fallback={_far_blobs_digest()}")
     for kind, digest in _spiral_extension_digests().items():
         print(f"spiral-5k {kind}-extension={digest}")
-    for d, digest in _high_dimension_digests().items():
+    for d, digest in _high_dimension_digests((3, 8)).items():
         print(f"blobs-2k-{d}d extension={digest}")
     print(f"dpc-alternating={_dpc_alternating_digest(data_dir)}")
+    for d, digest in _high_dimension_digests((4, 7)).items():
+        print(f"blobs-2k-{d}d extension={digest}")
+    for d in (3, 4, 7, 8):
+        print(f"blobs-2k-{d}d dpc-quantities={_dpc_digest(_mixture(d))}")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.random import default_rng
 
-from .data import Dataset, SpatialIndex, _distance_matrix, _row_norms, nearest
+from .data import Dataset, SpatialIndex, _row_norms, nearest
 from .density import default_delta
 from .errors import ConfigError, EmptyCenters, InvalidK, InvalidRadius
 
@@ -44,22 +44,22 @@ class CenterBasedAlgorithm:
 def _lloyd(points: np.ndarray, k: int, seed: int, max_iter: int):
     """Lloyd iteration from k uniformly sampled seed objects.
 
-    Returns (centroids, labels, n_iter). Stops when the assignment
-    stabilizes. An emptied cluster keeps its previous centroid.
+    Returns the centroids once the assignment stabilizes, or after
+    ``max_iter`` assignments. An emptied cluster keeps its centroid.
     """
     rng = default_rng(seed)
     centroids = points[rng.choice(points.shape[0], size=k, replace=False)].copy()
     labels = np.full(points.shape[0], -1, dtype=np.int64)
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         new_labels = nearest(points, centroids)[1]
         if np.array_equal(new_labels, labels):
-            return centroids, labels, it
+            break
         labels = new_labels
         for j in range(k):
             members = points[labels == j]
             if members.shape[0]:
                 centroids[j] = members.mean(axis=0)
-    return centroids, labels, max_iter
+    return centroids
 
 
 def _snap_to_objects(points: np.ndarray, centroids: np.ndarray):
@@ -69,7 +69,7 @@ def _snap_to_objects(points: np.ndarray, centroids: np.ndarray):
     snap = np.empty(centroids.shape[0], dtype=np.float64)
     used = np.zeros(points.shape[0], dtype=bool)
     for j in range(centroids.shape[0]):
-        row = _distance_matrix(centroids[j:j + 1], points)[0]
+        row = _row_norms(points - centroids[j])
         row[used] = np.inf
         ids[j] = np.argmin(row)
         snap[j] = row[ids[j]]
@@ -87,7 +87,7 @@ def kmeans_center_process(
     """
     if not 1 <= k <= dataset.n:
         raise InvalidK(f"k must be in 1..{dataset.n}, got {k}")
-    centroids, _, _ = _lloyd(dataset.points, k, seed, max_iter)
+    centroids = _lloyd(dataset.points, k, seed, max_iter)
     ids, snap = _snap_to_objects(dataset.points, centroids)
     return ids, {"max_center_snap_distance": float(snap.max())}
 
@@ -129,8 +129,8 @@ class DpcQuantities:
     farthest object, and its ``nearest_higher`` is -1. ``rank[i]`` is
     object i's position in that density order. The arrays are read-only.
 
-    Distances are ``_row_norms`` of the coordinate difference, as in
-    ``np.linalg.norm``, the distances that ``SpatialIndex`` queries return.
+    Distances follow the package's one rule, ``_row_norms``, as do those
+    of ``SpatialIndex`` queries, of ``nearest`` and of SciPy's ``cdist``.
     """
 
     rho_dpc: np.ndarray

@@ -14,7 +14,9 @@ from .config import DEFAULT_SWEEP, RunConfig, parse_config_file
 from .density import DEFAULT_PERCENTILE, pairwise_distance_percentiles
 from .errors import ConfigError, EcacError, MissingResult, ZeroBaseline
 from .metrics import improvement_rate
-from .optimizer import LOCAL, NODENSITY, RANDOM, STRATEGY_KINDS, SelectionStrategy, prepare_extension
+from .optimizer import (
+    NODENSITY, RANDOM, STRATEGY_KINDS, SelectionStrategy, identify_extended_centers, prepare_extension,
+)
 from .pipeline import SCHEMA_VERSION, ClusteringResult, compute_centers, run_baseline, run_optimized
 from .svg import render_scatter
 
@@ -256,12 +258,9 @@ def cmd_ablate(config: RunConfig, variants: list[str], dump_trace: bool = False,
     cap = config.cap
     if cap is None and NODENSITY in variants:
         # Count-matched comparison: cap every variant at the mean per-set
-        # extension an uncapped plain run uses on this dataset, so the
+        # extension of an uncapped local extension on this dataset, so the
         # compared runs identify the same number of extended-centers.
-        probe = run_optimized(
-            dataset, algorithm, config.k, delta=delta,
-            strategy=SelectionStrategy(kind=LOCAL), centers=centers,
-        )
+        probe = identify_extended_centers(dataset, centers, delta)
         cap = max(1, -(-(probe.s - config.k) // config.k))
 
     def optimize(kind):

@@ -1,21 +1,21 @@
 """Datasets, CSV ingestion, synthetic generators, and radius queries.
 
 Objects are identified by their row index in an immutable N x d point
-matrix. All distances in this package are Euclidean, and neighborhoods
-are open balls: ``range_query_many(P, r)`` returns, per row p of P,
-exactly the ids at strict distance ``< r``. Neighbour counts, radius
-queries and nearest higher-ranked searches go to a cell grid
+matrix. All distances in this package are Euclidean and follow one rule
+(``_row_norms``), so any two passes give a pair the same distance.
+Neighborhoods are open balls: ``range_query_many(P, r)`` returns, per
+row p of P, exactly the ids at strict distance ``< r``. Neighbour counts,
+radius queries and nearest higher-ranked searches go to a cell grid
 (``SpatialIndex``), and all-pairs distances to chunked NumPy blocks
 (``nearest``, ``smallest_pairwise_distances``). Every chunked pass holds
 about ``_CHUNK`` entries per array, so its scratch memory does not grow
-with the input. For
-many radius queries centered on the dataset's own points, the grid also
-builds a candidate run per cell (``SpatialIndex.candidate_runs``): the
-ids of every cell that the cell's points' query boxes meet, so such a
-query is one slice of its point's run, judged by exact distance. An
-index keeps no results of its own: every index over a dataset shares
-the dataset's counts, its one kept grid and its one kept set of
-candidate runs, in ``Dataset.derived``.
+with the input. For many radius queries centered on the dataset's own
+points, the grid also builds a candidate run per cell
+(``SpatialIndex.candidate_runs``): the ids of every cell that the cell's
+points' query boxes meet, so such a query is one slice of its point's
+run, judged by exact distance. An index keeps no results of its own:
+every index over a dataset shares the dataset's counts, its one kept
+grid and its one kept set of candidate runs, in ``Dataset.derived``.
 """
 
 from __future__ import annotations
@@ -136,9 +136,10 @@ class SpatialIndex:
     The points are sorted by cell (``_Grid``) over at most two coordinate
     axes, those of largest extent. A query's candidates are the points of
     the cells that its box meets, and each is judged by its ``_row_norms``
-    distance, so answers are exact in any dimension. A grid is built per
-    radius r, of side r / ``_CELLS_PER_RADIUS``, when the dataset's kept
-    grid has another side, and kept in its place.
+    distance, which ``nearest`` gives the same pair, so answers are exact
+    in any dimension. A grid is built per radius r, of side r /
+    ``_CELLS_PER_RADIUS``, when the dataset's kept grid has another side,
+    and kept in its place.
     """
 
     def __init__(self, dataset: Dataset):
@@ -478,25 +479,25 @@ def _passes(sizes: np.ndarray, owner: np.ndarray):
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a 2-D array.
 
-    The sum of squares that ``np.linalg.norm(x, axis=1)`` reduces, so the
-    results are bit-identical, without its dispatch overhead. With two
-    columns the sum is a single addition, which every summation order
-    computes alike, so it is added directly rather than reduced over a
-    short axis, which is several times slower.
+    The package's one distance rule: the squares are added column by
+    column, in coordinate order, before the square root. So a distance
+    is bit-identical to SciPy's ``cdist`` value for the same pair in every
+    dimension, and to ``np.linalg.norm``'s below d = 8, where NumPy's row
+    sum starts summing pairwise. Adding whole columns is also faster than
+    a row sum over a short axis.
     """
     sq = x * x
-    if sq.shape[1] == 2:
-        return np.sqrt(sq[:, 0] + sq[:, 1])
-    return np.sqrt(sq.sum(axis=1))
+    total = sq[:, 0]
+    for j in range(1, sq.shape[1]):
+        total = total + sq[:, j]
+    return np.sqrt(total)
 
 
 def _distance_matrix(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Euclidean distances between every query row and every target row.
-
-    The squared coordinate differences are added in coordinate order
-    before the square root, as SciPy's ``cdist`` does, so the values are
-    bit-identical to its; they equal ``_row_norms`` below d = 8, where
-    NumPy's row sum starts summing pairwise.
+    """Euclidean distances between every query row and every target row,
+    by the rule of ``_row_norms``: the squared coordinate differences are
+    added in coordinate order before the square root, so every entry
+    equals that pair's ``_row_norms`` distance and SciPy's ``cdist``.
     """
     block = np.subtract.outer(queries[:, 0], targets[:, 0])
     block *= block
@@ -512,8 +513,8 @@ def nearest(queries: np.ndarray, targets: np.ndarray):
     target's position; an exact tie goes to the first position.
 
     Both are 2-D float arrays, ``targets`` with at least one row.
-    Distances are ``_distance_matrix``'s, computed in row chunks of about
-    ``_CHUNK`` entries.
+    Distances are ``_distance_matrix``'s, the pairs' ``_row_norms``
+    distances, in row chunks of about ``_CHUNK`` entries.
     """
     distance = np.empty(queries.shape[0])
     position = np.empty(queries.shape[0], dtype=np.int64)
@@ -531,12 +532,12 @@ def smallest_pairwise_distances(points: np.ndarray, count: int):
     distances between rows i < j of ``points``, sorted (all of them if
     fewer are positive), and the number of positive distances.
 
-    The distances are SciPy's ``pdist`` values (``_distance_matrix``),
-    computed in blocks of about ``_CHUNK`` entries and never held all at
-    once: a buffer keeps the smallest seen so far, and whenever it holds
-    twice ``count`` it is cut back to the ``count`` smallest, below which
-    later distances must fall to be kept. The memory grows with ``count``,
-    not with the number of pairs.
+    The distances are ``_distance_matrix``'s (SciPy's ``pdist`` values),
+    in blocks of about ``_CHUNK`` entries, never held all at once: a
+    buffer keeps the smallest seen so far, and whenever it holds twice
+    ``count`` it is cut back to the ``count`` smallest, below which later
+    distances must fall to be kept. The memory grows with ``count``, not
+    with the number of pairs.
     """
     n = points.shape[0]
     rows = max(1, _CHUNK // n)

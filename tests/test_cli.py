@@ -387,7 +387,7 @@ def use_cores(monkeypatch, count: int):
 
 def wrap_job(monkeypatch, wrapper):
     """Call ``wrapper(run_optimized, *args, **kwargs)`` for each sweep or
-    ablate job (and for ablate's probe)."""
+    ablate job."""
     run = cli.run_optimized
     monkeypatch.setattr(cli, "run_optimized", lambda *args, **kwargs: wrapper(run, *args, **kwargs))
 
@@ -518,7 +518,15 @@ class TestAblateWorkers:
                 fh.write(f"{os.getpid()} {strategy.kind} {strategy.cap}\n")
             return run(*args, strategy=strategy, **kwargs)
 
+        def recording_probe(dataset, centers, delta, strategy=None, **kwargs):
+            strategy = strategy or optimizer.SelectionStrategy()
+            with open(tmp_path / "calls", "a", encoding="ascii") as fh:  # O_APPEND
+                fh.write(f"{os.getpid()} probe-{strategy.kind} {strategy.cap}\n")
+            return identify(dataset, centers, delta, strategy, **kwargs)
+
         wrap_job(monkeypatch, recording)
+        identify = cli.identify_extended_centers
+        monkeypatch.setattr(cli, "identify_extended_centers", recording_probe)
         variants = extra[1].split(",")
         probe = "nodensity" in variants and "--cap" not in extra
         outputs = []
@@ -531,9 +539,11 @@ class TestAblateWorkers:
             traces = [(out / f"trace-{v}.jsonl").read_bytes() for v in variants]
             outputs.append((json.dumps(result, sort_keys=True), traces))
             calls = [line.split() for line in (tmp_path / "calls").read_text().splitlines()]
-            # The probe runs once, uncapped, in this process, before the variants.
-            probes = [pid for pid, _, cap in calls if cap == "None"] if probe else []
+            # The probe, an uncapped extension only, runs once in this
+            # process, before the variants.
+            probes = [pid for pid, kind, _ in calls if kind.startswith("probe")]
             assert probes == ([str(parent)] if probe else [])
+            assert calls[:len(probes)] == [[pid, "probe-local", "None"] for pid in probes]
             jobs = calls[len(probes):]
             # One process per variant, up to the number of cores.
             assert sorted(kind for _, kind, _ in jobs) == sorted(variants)

@@ -8,6 +8,7 @@ from scipy.spatial.distance import cdist
 
 from ecac.data import (
     _CHUNK,
+    _distance_matrix,
     _row_norms,
     Dataset,
     SpatialIndex,
@@ -290,12 +291,26 @@ class TestRangeQueryBatch:
 class TestRowNorms:
     @pytest.mark.parametrize("d", [1, 2, 3, 8, 13])
     def test_bit_identical_to_linalg_norm(self, d):
+        # cdist adds the squares in coordinate order in every dimension;
+        # NumPy's row sum does so only below d = 8, where it turns pairwise.
         rng = np.random.default_rng(d)
         scaled = rng.normal(size=(500, d)) * 10.0 ** rng.integers(-6, 7, size=(500, 1))
         grid = rng.integers(0, 5, size=(400, d)) * 0.25
         grid = np.vstack([grid, grid[:100]]) - grid[7]
         for x in (scaled, grid):
-            assert np.array_equal(_row_norms(x), np.linalg.norm(x, axis=1))
+            assert np.array_equal(_row_norms(x), cdist(x, np.zeros((1, d)))[:, 0])
+            if d < 8:
+                assert np.array_equal(_row_norms(x), np.linalg.norm(x, axis=1))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 16])
+    def test_one_distance_for_every_pair(self, d):
+        # The kernel of the grid passes and folds, the one of nearest and
+        # close_set, and SciPy's: the same last bit for every pair.
+        rng = np.random.default_rng(d)
+        a, b = rng.normal(size=(2, 2000, d))
+        rows = _row_norms(a - b)
+        assert np.array_equal(rows, np.diagonal(_distance_matrix(a, b)))
+        assert np.array_equal(rows, np.diagonal(cdist(a, b)))
 
 
 class TestNearest:

@@ -373,6 +373,42 @@ def test_index_and_densities_keywords_are_checks_only(strategy):
         assert plain.fallback_count > 0
 
 
+@pytest.fixture(scope="module")
+def mixture_8d():
+    """The digest grid's 8-D mixture: 4 components of 500 points, means on
+    the corners of a 12 x 12 square in the first two axes, standard
+    deviation 2, seed 0; kmeans k = 4 centers and the default delta."""
+    means = np.zeros((4, 8))
+    means[[1, 3], 0] = 12.0
+    means[[2, 3], 1] = 12.0
+    ds, _ = generate_gaussian_mixture(4, 500, means, 2.0, 0)
+    centers, _ = ecac.build_algorithm("kmeans").center_process(ds, 4)
+    return ds, centers.tolist(), ecac.default_delta(ds)
+
+
+@pytest.mark.parametrize("strategy", [
+    SelectionStrategy("local"),
+    SelectionStrategy("global"),
+    SelectionStrategy("local", cap=100),
+    SelectionStrategy("nodensity"),
+], ids=["local", "global", "local-cap100", "nodensity"])
+def test_every_traced_dis_is_the_nearest_open_member_in_8d(mixture_8d, strategy):
+    # Folds cache distances from the candidate runs; fallbacks and
+    # close_set recompute them through nearest. Above 7 dimensions too,
+    # both give a pair the same last bit, so every traced dis is the
+    # definition's: the nearest member of an open set, over rho.
+    ds, centers, delta = mixture_8d
+    ext = identify_extended_centers(ds, centers, delta, strategy)
+    rho = np.ones(ds.n) if strategy.kind == "nodensity" else ds.index.density(delta)
+    sets = [[c] for c in centers]
+    for step in ext.trace:
+        o = step["object"]
+        members = [m for s in sets if strategy.cap is None or len(s) - 1 < strategy.cap for m in s]
+        assert step["dis"] == nearest(ds.points[[o]], ds.points[members])[0][0] / rho[o]
+        sets[step["set"]].append(o)
+    assert len(ext.trace) >= 400
+
+
 class TestIdentifyProperties:
     def test_termination_and_increments(self):
         pts = random_instance(7, n=60)
