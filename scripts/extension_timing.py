@@ -8,7 +8,8 @@ The inputs are those of the three benchmark workloads, written by the
 benchmark's own ``Workload.write_input`` (``perfbench/workloads.py``)
 and read back, plus a 20,001-point spiral
 (``make_benchmarks.spiral(n_per_arm=6667, seed=7)``, kmeans k = 3,
-default delta, local strategy) and two inputs of moderate dimension:
+default delta, local strategy), the benchmark's blobs at n = 50,000 and
+two inputs of moderate dimension:
 
 * ``sweep-spiral-kmeans``: n = 1,500 spiral, kmeans k = 3 centers, the
   five swept deltas, local strategy;
@@ -17,11 +18,13 @@ default delta, local strategy) and two inputs of moderate dimension:
 * ``ablate-spiral-global``: n = 1,200 spiral, kmeans k = 3, default
   delta, local and global strategy;
 * ``spiral-20k``: the 20,001-point spiral above;
+* ``blobs-50k-capped``: ``blobs-dpc-capped`` with 12,500 points per
+  blob, written the same way (``make_benchmarks.write_csv``);
 * ``blobs-10k-4d`` and ``blobs-10k-8d``: 4 Gaussian blobs of 2,500
   points in 4 and 8 dimensions (``generate_gaussian_mixture``, means on
   the corners of a 12 x 12 square in the first two axes, standard
   deviation 2, seed 0), kmeans k = 4 centers, default delta, local
-  strategy.
+  strategy, written with every digit by ``np.savetxt``.
 
 Centers, deltas, and each delta's count and candidate runs
 (``prepare_extension``, as ``ecac ablate`` builds them before its fork)
@@ -32,7 +35,9 @@ Each ``--src`` directory is imported as its own copy of the package, so
 two checkouts are compared in one process: every repeat times each
 input once per checkout, and the order of the checkouts alternates from
 repeat to repeat. The script prints, per input and checkout, the median
-time and three counters of ``ExtendedSets.stats`` summed over the
+time, the megabytes of the candidate runs that the input's extensions
+read (the ``(cell, bounds, ids)`` arrays of each delta, summed over the
+deltas), and three counters of ``ExtendedSets.stats`` summed over the
 input's calls: ``run_entries``, the ids held by the candidate runs the
 radius queries read, ``candidates``, the non-members whose distances to
 a new member were computed in its answer, and ``far_rows``, the rows
@@ -44,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import gc
 import importlib
 import importlib.util
@@ -65,7 +71,14 @@ from workloads import WORKLOADS  # noqa: E402
 
 # The blob inputs of moderate dimension, by name: their dimension.
 BLOBS = {"blobs-10k-4d": 4, "blobs-10k-8d": 8}
-INPUTS = (*WORKLOADS, "spiral-20k", *BLOBS)
+# The inputs that a benchmark workload writes: its own, and those of its
+# capped DPC workload at n = 50,000.
+WRITTEN = {
+    **WORKLOADS,
+    "blobs-50k-capped": dataclasses.replace(WORKLOADS["blobs-dpc-capped"], n=50000),
+}
+CAPPED = ("blobs-dpc-capped", "blobs-50k-capped")
+INPUTS = (*WORKLOADS, "spiral-20k", "blobs-50k-capped", *BLOBS)
 
 
 def load_package(src: Path, alias: str):
@@ -83,9 +96,10 @@ def load_package(src: Path, alias: str):
 def write_input(name: str, seed: int, path: Path):
     """Write the input's CSV, points then label, as the benchmark does;
     the inputs that no workload runs through their own generator calls,
-    the blobs with every digit of their coordinates."""
-    if name in WORKLOADS:
-        WORKLOADS[name].write_input(ROOT, seed, path)
+    the blobs of moderate dimension with every digit of their
+    coordinates."""
+    if name in WRITTEN:
+        WRITTEN[name].write_input(ROOT, seed, path)
         return
     if name in BLOBS:
         means = np.zeros((4, BLOBS[name]))
@@ -101,26 +115,30 @@ def write_input(name: str, seed: int, path: Path):
 
 def prepare(name: str, csv_path: Path, ecac):
     """The input's extension calls as (dataset, centers, delta, strategy)
-    tuples, with everything but the extension computed."""
+    tuples, with everything but the extension computed, and the bytes of
+    the candidate runs that they read."""
     config = importlib.import_module(ecac.__name__ + ".config")
     density = importlib.import_module(ecac.__name__ + ".density")
     optimizer = importlib.import_module(ecac.__name__ + ".optimizer")
     dataset, _ = ecac.load_csv(csv_path, label_column=-1)
-    algo, k = ("dpc", 4) if name == "blobs-dpc-capped" else ("kmeans", 4 if name in BLOBS else 3)
+    algo, k = ("dpc", 4) if name in CAPPED else ("kmeans", 4 if name in BLOBS else 3)
     centers, _ = ecac.build_algorithm(algo).center_process(dataset, k)
     centers = [int(c) for c in centers]
     sweep = name == "sweep-spiral-kmeans"
     fractions = list(config.DEFAULT_SWEEP) if sweep else [config.DEFAULT_PERCENTILE]
     deltas = density.pairwise_distance_percentiles(dataset, fractions)
-    if name == "blobs-dpc-capped":
+    if name in CAPPED:
         strategies = [ecac.SelectionStrategy(cap=100)]
     elif name == "ablate-spiral-global":
         strategies = [ecac.SelectionStrategy("local"), ecac.SelectionStrategy("global")]
     else:
         strategies = [ecac.SelectionStrategy("local")]
+    runs_bytes = 0
     for delta in deltas:
-        optimizer.prepare_extension(dataset, delta)
-    return [(dataset, centers, delta, strategy) for delta in deltas for strategy in strategies]
+        _, runs = optimizer.prepare_extension(dataset, delta)
+        runs_bytes += sum(array.nbytes for array in runs)
+    calls = [(dataset, centers, delta, strategy) for delta in deltas for strategy in strategies]
+    return calls, runs_bytes
 
 
 COUNTERS = ("run_entries", "candidates", "far_rows")
@@ -157,13 +175,13 @@ def main(argv=None) -> int:
         parser.error(f"unknown input(s): {', '.join(unknown)}")
 
     packages = [load_package(src.resolve(), f"ecac_timed_{i}") for i, src in enumerate(srcs)]
-    print(f"{'input':22s}{'src':>5s}{'median s':>10s}{'run entries':>13s}{'candidates':>12s}"
-          f"{'far rows':>10s}")
+    print(f"{'input':22s}{'src':>5s}{'median s':>10s}{'runs MB':>9s}{'run entries':>13s}"
+          f"{'candidates':>12s}{'far rows':>10s}")
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
             csv_path = Path(tmp) / f"{name}.csv"
             write_input(name, args.seed, csv_path)
-            calls = [prepare(name, csv_path, ecac) for ecac in packages]
+            calls, runs_bytes = zip(*(prepare(name, csv_path, ecac) for ecac in packages))
             times = [[] for _ in packages]
             counters = [None] * len(packages)
             for repeat in range(args.repeats):
@@ -177,7 +195,7 @@ def main(argv=None) -> int:
                 )
                 print(
                     f"{name:22s}{i:>5d}{statistics.median(src_times):>10.3f}"
-                    f"{entries:>13}{candidates:>12}{far_rows:>10}",
+                    f"{runs_bytes[i] / 1e6:>9.2f}{entries:>13}{candidates:>12}{far_rows:>10}",
                     flush=True,
                 )
     for i, src in enumerate(srcs):

@@ -61,9 +61,10 @@ def pathbased(n_ring=110, n_blob=95, seed=2026):
 
 
 def write_csv(path: Path, points: np.ndarray, labels: np.ndarray):
+    """One row per point: its coordinates to 6 decimals, then its label."""
     with path.open("w", encoding="utf-8") as fh:
-        for (x, y), label in zip(points, labels):
-            fh.write(f"{x:.6f},{y:.6f},{int(label)}\n")
+        for row, label in zip(points, labels):
+            fh.write("".join(f"{x:.6f}," for x in row) + f"{int(label)}\n")
     print(f"wrote {path} ({len(points)} rows)")
 
 

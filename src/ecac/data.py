@@ -2,7 +2,9 @@
 
 Objects are identified by their row index in an immutable N x d point
 matrix. All distances in this package are Euclidean and follow one rule
-(``_row_norms``), so any two passes give a pair the same distance.
+(``_row_norms``, and ``_distances_to``, its form for one object against
+many read from per-axis coordinate columns), so any two passes give a
+pair the same distance.
 Neighborhoods are open balls: ``range_query_many(P, r)`` returns, per
 row p of P, exactly the ids at strict distance ``< r``. Neighbour counts,
 radius queries and nearest higher-ranked searches go to a cell grid
@@ -12,10 +14,10 @@ about ``_CHUNK`` entries per array, so its scratch memory does not grow
 with the input. For many radius queries centered on the dataset's own
 points, the grid also builds a candidate run per cell
 (``SpatialIndex.candidate_runs``): the ids of every cell that the cell's
-points' query boxes meet, so such a query is one slice of its point's
-run, judged by exact distance. An index keeps no results of its own:
-every index over a dataset shares the dataset's counts, its one kept
-grid and its one kept set of candidate runs, in ``Dataset.derived``.
+points' query boxes meet, as int32 ids, so such a query is one slice of
+its point's run, judged by exact distance. An index keeps no results of
+its own: every index over a dataset shares the dataset's counts, its one
+kept grid and its one kept set of candidate runs, in ``Dataset.derived``.
 """
 
 from __future__ import annotations
@@ -233,9 +235,9 @@ class SpatialIndex:
     def candidate_runs(self, radius: float):
         """``(cell, bounds, ids)``, the candidate runs of the grid for
         ``radius``: object i lies in cell ``cell[i]``, and the run of cell
-        c, ``ids[bounds[c]:bounds[c + 1]]``, holds every id at strict
-        distance < radius from any point of that cell, besides others, at
-        most 81 ids per object (see ``_Grid.runs``).
+        c, ``ids[bounds[c]:bounds[c + 1]]`` (int32), holds every id at
+        strict distance < radius from any point of that cell, besides
+        others, at most 81 ids per object (see ``_Grid.runs``).
 
         The runs of one radius are kept, read-only, in
         ``dataset.derived``, as one grid is: asking for another radius
@@ -371,7 +373,8 @@ class _Grid:
     def runs(self, reach: float):
         """``(cell, bounds, ids)``: point i lies in cell ``cell[i]`` (cells
         numbered in key order), and the run of cell c,
-        ``ids[bounds[c]:bounds[c + 1]]``, holds the ids of every cell that
+        ``ids[bounds[c]:bounds[c + 1]]`` (``np.int32``, half the bytes of
+        the index's own ids), holds the ids of every cell that
         the box "the bounding box of cell c's points ± reach" meets. Built
         anew on each call; ``SpatialIndex.candidate_runs`` keeps them.
 
@@ -398,7 +401,7 @@ class _Grid:
             owner, start, stop = self.box_slices(low[block], high[block])
             bounds[block.start + 1:block.stop + 1] = np.bincount(owner, stop - start)
         np.cumsum(bounds, out=bounds)
-        ids = np.empty(bounds[-1], dtype=np.int64)
+        ids = np.empty(bounds[-1], dtype=np.int32)
         for block in blocks:
             at = bounds[block.start]
             for pos, _ in self.candidates(*self.box_slices(low[block], high[block])):
@@ -491,6 +494,26 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     for j in range(1, sq.shape[1]):
         total = total + sq[:, j]
     return np.sqrt(total)
+
+
+def _distances_to(columns: np.ndarray, rows, i: int) -> np.ndarray:
+    """The ``_row_norms`` distances from object ``i`` to each of ``rows``
+    (ids, repeats allowed), read from ``columns``, the points' transpose
+    as a C-contiguous d x N array: one contiguous column per axis.
+
+    The squares are those of ``_row_norms(points[rows] - points[i])``,
+    added in the same coordinate order, so every distance has the same
+    bits. Gathering along the columns keeps every operation's inner loop
+    over the rows; ``points[rows] - points[i]`` broadcasts over the short
+    coordinate axis, which NumPy runs a few elements at a time.
+    """
+    sq = columns.take(rows, axis=1)
+    sq -= columns[:, i, None]
+    sq *= sq
+    total = sq[0]
+    for axis in range(1, sq.shape[0]):
+        total += sq[axis]
+    return np.sqrt(total, out=total)
 
 
 def _distance_matrix(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:

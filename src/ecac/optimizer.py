@@ -50,7 +50,7 @@ from typing import Sequence
 import numpy as np
 from numpy.random import Generator, default_rng
 
-from .data import Dataset, SpatialIndex, _row_norms, nearest
+from .data import Dataset, SpatialIndex, _distances_to, nearest
 from .errors import EmptyCenters, InvalidRadius, InvalidSpec, LabelOutOfRange
 
 LOCAL = "local"
@@ -142,7 +142,10 @@ class _GreedyState:
 
     A new member's answer lists the non-members of its cell's run at the
     query radius (``_query_radius``, 2*delta for every strategy), with
-    their ``_row_norms`` distances.
+    their distances. Every distance from one object to many is
+    ``_distances_to`` on ``columns``, the points' transpose, copied once
+    per extension; the run's int32 ids are widened once per answer, so
+    every later index is an ``np.intp``.
 
     Why this is exact: a run holds every point at strict distance below
     the radius from any point of its cell, so an answer holds every
@@ -154,6 +157,7 @@ class _GreedyState:
 
     def __init__(self, dataset, delta, centers, cap):
         self.points = dataset.points
+        self.columns = np.ascontiguousarray(dataset.points.T)
         self.rho, (self.cell, self.bounds, self.runs) = prepare_extension(dataset, delta)
         self.centers = centers
         self.delta = float(delta)
@@ -196,12 +200,12 @@ class _GreedyState:
             self.closed[j] = True
             self.n_closed += 1
         c = self.cell[o]
-        run = self.runs[self.bounds[c]:self.bounds[c + 1]]
-        ids = run[self.free.take(run)]
-        dists = _row_norms(self.points.take(ids, axis=0) - self.points[o])
+        run = self.runs[self.bounds[c]:self.bounds[c + 1]].astype(np.intp)
+        ids = run[self.free[run]]
+        dists = _distances_to(self.columns, ids, o)
         self.stats["candidates"] += ids.size
         uncovered = self.uncovered
-        new = ids[(dists < self.delta) & uncovered.take(ids)]
+        new = ids[(dists < self.delta) & uncovered[ids]]
         uncovered[new] = False
         self.n_covered += new.size
         if uncovered[o]:
@@ -321,7 +325,7 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
         improve(j, ids, dists)
         if far.size:
             state.stats["far_rows"] += far.size
-            improve(j, far, _row_norms(points.take(far, axis=0) - points[o]))
+            improve(j, far, _distances_to(state.columns, far, o))
             far = far[best_dis[far] >= radius]
 
     def close_set(f: int):
@@ -357,19 +361,17 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
 
 def _run_random(state: _GreedyState, rng: Generator):
     """Uniformly sampled objects, attached to the nearest center's set."""
-    points = state.points
     rho = state.rho.astype(np.float64)
-    center_pts = points[state.centers]
     for j, center in enumerate(state.centers):
         state.add(center, j)
     while not state.done():
         cands = np.flatnonzero(state.free)
         o = int(rng.choice(cands))
-        dists = _row_norms(center_pts - points[o])
+        dists = _distances_to(state.columns, state.centers, o)
         dists[state.closed] = np.inf
         j = int(np.argmin(dists))
         # Recorded for the trace only; random selection ignores distances.
-        dis = _row_norms(points[state.sets[j]] - points[o]).min() / rho[o]
+        dis = _distances_to(state.columns, state.sets[j], o).min() / rho[o]
         state.add(o, j)
         state.record(dis)
     return state.finish()

@@ -9,6 +9,7 @@ from scipy.spatial.distance import cdist
 from ecac.data import (
     _CHUNK,
     _distance_matrix,
+    _distances_to,
     _row_norms,
     Dataset,
     SpatialIndex,
@@ -304,13 +305,22 @@ class TestRowNorms:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 16])
     def test_one_distance_for_every_pair(self, d):
-        # The kernel of the grid passes and folds, the one of nearest and
-        # close_set, and SciPy's: the same last bit for every pair.
+        # The kernel of the grid passes, the one of nearest and close_set,
+        # the column form of the extension's answers and folds, and
+        # SciPy's: the same last bit for every pair.
         rng = np.random.default_rng(d)
         a, b = rng.normal(size=(2, 2000, d))
         rows = _row_norms(a - b)
         assert np.array_equal(rows, np.diagonal(_distance_matrix(a, b)))
         assert np.array_equal(rows, np.diagonal(cdist(a, b)))
+        # One object against 500 ids that repeat and include the object.
+        i = int(rng.integers(2000))
+        ids = rng.integers(0, 100, size=500)
+        ids[::50] = i
+        got = _distances_to(np.ascontiguousarray(a.T), ids, i)
+        assert np.array_equal(got, _row_norms(a[ids] - a[i]))
+        assert np.array_equal(got, cdist(a[ids], a[[i]])[:, 0])
+        assert (got[::50] == 0).all()
 
 
 class TestNearest:

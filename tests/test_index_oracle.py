@@ -81,8 +81,10 @@ def check_index(points, queries, radius):
 
 def check_runs(points, radius):
     """Every point at strict distance < radius from a point lies in the
-    run of that point's cell, and a run lists an id at most once."""
+    run of that point's cell, and a run lists an id at most once, as an
+    int32."""
     cell, bounds, ids = SpatialIndex(Dataset(points)).candidate_runs(radius)
+    assert ids.dtype == np.int32
     assert bounds[0] == 0 and bounds[-1] == ids.size and (np.diff(bounds) > 0).all()
     # A box meets at most 9 cells per grid axis (at most two axes).
     assert ids.size <= 9 ** min(points.shape[1], 2) * len(points)

@@ -1,13 +1,25 @@
-"""Smoke runs of the timing scripts, which import parts of perfbench/."""
+"""Smoke runs of the timing scripts, which import parts of perfbench/, and
+the CSV writer that the benchmark inputs and data/ are written with."""
 
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from ecac import load_csv
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_script(name: str):
+    """scripts/<name>.py by path: scripts/ is not a package."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("argv", [
@@ -24,9 +36,7 @@ def test_timing_script_prints_the_workload_row(argv):
 
 
 def test_a_claimed_gain_needs_nine_of_ten_pairs_and_a_median_gain_beyond_the_spread():
-    spec = importlib.util.spec_from_file_location("run_timing", ROOT / "scripts" / "run_timing.py")
-    run_timing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run_timing)
+    run_timing = load_script("run_timing")
     first = [1.0 + 0.01 * i for i in range(10)]  # Q3 - Q1 = 0.055
     assert run_timing.claim_verdict(first, [x - 0.1 for x in first]).endswith("claim holds")
     # Faster in 8 of 10 pairs.
@@ -34,3 +44,27 @@ def test_a_claimed_gain_needs_nine_of_ten_pairs_and_a_median_gain_beyond_the_spr
     assert run_timing.claim_verdict(first, eight).endswith("claim fails")
     # Faster in every pair, by less than the spread.
     assert run_timing.claim_verdict(first, [x - 0.05 for x in first]).endswith("claim fails")
+
+
+def test_write_csv_keeps_the_2d_bytes(tmp_path):
+    # The benchmark inputs and the committed shapes are 2-D files written
+    # as "x,y,label" with 6 decimals; they must not change by a byte.
+    make_benchmarks = load_script("make_benchmarks")
+    rng = np.random.default_rng(3)
+    points = rng.normal(size=(500, 2)) * 10.0 ** rng.integers(-3, 4, size=(500, 1))
+    labels = rng.integers(0, 4, size=500)
+    make_benchmarks.write_csv(tmp_path / "seeded.csv", points, labels)
+    want = "".join(f"{x:.6f},{y:.6f},{int(label)}\n" for (x, y), label in zip(points, labels))
+    assert (tmp_path / "seeded.csv").read_bytes() == want.encode()
+    for name in ("spiral", "jain", "pathbased"):
+        make_benchmarks.write_csv(tmp_path / f"{name}.csv", *getattr(make_benchmarks, name)())
+        assert (tmp_path / f"{name}.csv").read_bytes() == (ROOT / "data" / f"{name}.csv").read_bytes()
+
+
+def test_write_csv_writes_every_coordinate(tmp_path):
+    make_benchmarks = load_script("make_benchmarks")
+    points = np.array([[1.5, -2.25, 3.0], [0.125, 4.0, -0.5]])
+    make_benchmarks.write_csv(tmp_path / "3d.csv", points, np.array([7, 2]))
+    dataset, truth = load_csv(tmp_path / "3d.csv", label_column=-1)
+    assert np.array_equal(dataset.points, points)
+    assert truth.labels.tolist() == [0, 1]
