@@ -30,7 +30,12 @@ Centers, deltas, and each delta's count and candidate runs
 (``prepare_extension``, as ``ecac ablate`` builds them before its fork)
 are computed before the clock starts; the time of an input is the sum of
 its ``identify_extended_centers`` calls. A dataset keeps the runs of one
-radius only, so the sweep's calls still build theirs.
+radius only, so the sweep's calls still build theirs. Two more times
+are those of the grid passes that the clock leaves out, each on a fresh
+``Dataset`` of the input's points in every repeat: ``prepare s``, the
+``prepare_extension`` calls (the count at delta and the runs at 2*delta)
+of the input's deltas, and, on the blob inputs, ``dpc s``, DPC's
+quantities (``compute_dpc_quantities``) at the input's default delta.
 Each ``--src`` directory is imported as its own copy of the package, so
 two checkouts are compared in one process: every repeat times each
 input once per checkout, and the order of the checkouts alternates from
@@ -42,7 +47,8 @@ input's calls: ``run_entries``, the ids held by the candidate runs the
 radius queries read, ``candidates``, the non-members whose distances to
 a new member were computed in its answer, and ``far_rows``, the rows
 whose distances were computed in far-row folds. A checkout whose
-extension does not keep a counter prints ``-`` for it.
+extension does not keep a counter prints ``-`` for it, as does an input
+without a ``dpc s``.
 """
 
 from __future__ import annotations
@@ -79,6 +85,9 @@ WRITTEN = {
 }
 CAPPED = ("blobs-dpc-capped", "blobs-50k-capped")
 INPUTS = (*WORKLOADS, "spiral-20k", "blobs-50k-capped", *BLOBS)
+# The inputs whose DPC quantities are timed: the DPC workloads' 2-D blobs
+# and the blobs of moderate dimension.
+DPC_TIMED = (*CAPPED, *BLOBS)
 
 
 def load_package(src: Path, alias: str):
@@ -159,6 +168,28 @@ def time_calls(ecac, calls):
     return seconds, counters
 
 
+def time_grid_passes(ecac, calls, dpc: bool):
+    """Seconds of the ``prepare_extension`` calls at the calls' deltas,
+    and of ``compute_dpc_quantities`` at the first delta (None unless
+    ``dpc``), each on a fresh ``Dataset`` of the calls' points."""
+    optimizer = importlib.import_module(ecac.__name__ + ".optimizer")
+    points = calls[0][0].points
+    deltas = list(dict.fromkeys(call[2] for call in calls))
+    gc.collect()
+    dataset = ecac.Dataset(points)
+    start = time.perf_counter()
+    for delta in deltas:
+        optimizer.prepare_extension(dataset, delta)
+    prepare_s = time.perf_counter() - start
+    if not dpc:
+        return prepare_s, None
+    gc.collect()
+    dataset = ecac.Dataset(points)
+    start = time.perf_counter()
+    ecac.compute_dpc_quantities(dataset, deltas[0])
+    return prepare_s, time.perf_counter() - start
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append", type=Path,
@@ -176,26 +207,31 @@ def main(argv=None) -> int:
 
     packages = [load_package(src.resolve(), f"ecac_timed_{i}") for i, src in enumerate(srcs)]
     print(f"{'input':22s}{'src':>5s}{'median s':>10s}{'runs MB':>9s}{'run entries':>13s}"
-          f"{'candidates':>12s}{'far rows':>10s}")
+          f"{'candidates':>12s}{'far rows':>10s}{'prepare s':>11s}{'dpc s':>8s}")
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
             csv_path = Path(tmp) / f"{name}.csv"
             write_input(name, args.seed, csv_path)
             calls, runs_bytes = zip(*(prepare(name, csv_path, ecac) for ecac in packages))
             times = [[] for _ in packages]
+            passes = [[] for _ in packages]
             counters = [None] * len(packages)
             for repeat in range(args.repeats):
                 order = range(len(packages)) if repeat % 2 == 0 else reversed(range(len(packages)))
                 for i in order:
                     seconds, counters[i] = time_calls(packages[i], calls[i])
                     times[i].append(seconds)
+                    passes[i].append(time_grid_passes(packages[i], calls[i], name in DPC_TIMED))
             for i, src_times in enumerate(times):
                 entries, candidates, far_rows = (
                     "-" if counters[i][key] is None else counters[i][key] for key in COUNTERS
                 )
+                prepare_s, dpc_s = zip(*passes[i])
+                dpc = "-" if dpc_s[0] is None else f"{statistics.median(dpc_s):.3f}"
                 print(
                     f"{name:22s}{i:>5d}{statistics.median(src_times):>10.3f}"
-                    f"{runs_bytes[i] / 1e6:>9.2f}{entries:>13}{candidates:>12}{far_rows:>10}",
+                    f"{runs_bytes[i] / 1e6:>9.2f}{entries:>13}{candidates:>12}{far_rows:>10}"
+                    f"{statistics.median(prepare_s):>11.3f}{dpc:>8}",
                     flush=True,
                 )
     for i, src in enumerate(srcs):

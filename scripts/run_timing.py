@@ -10,6 +10,10 @@ a fresh interpreter with ``PYTHONPATH`` set to one ``--src`` checkout,
 and its output goes through ``perfbench/checks.py``. ``run_s`` is the
 time of the command, ``setup_s`` the time from spawn until
 ``import ecac.cli`` was done, and the peak is the child's own ``VmHWM``.
+The children read a copy of each ``--src`` tree without its
+``__pycache__`` and write no bytecode, so every child compiles ``ecac``
+from the source, as in the benchmark's fresh checkouts, whatever
+bytecode the trees hold.
 
 Runs of two or more checkouts are interleaved: every pair runs the
 workload once per checkout, and the order of the checkouts alternates
@@ -43,6 +47,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -60,16 +65,31 @@ from workloads import WORKLOADS  # noqa: E402
 BENCHMARK_NAMES = {"run_s": "run_s", "setup_s": "setup_s", "peak_mb": "peak_rss_mb"}
 
 
+def fresh_copy(src: Path, dest: Path) -> Path:
+    """``dest``, a copy of the ``src`` tree without bytecode, as a fresh
+    checkout has it."""
+    shutil.copytree(src, dest, ignore=shutil.ignore_patterns("__pycache__"))
+    return dest
+
+
+def child_env(src: Path) -> dict:
+    """A child's environment: ``src`` on the path, and no bytecode
+    written or read from a prefix, so that a child of a ``fresh_copy``
+    compiles ``ecac`` from the source."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    return env
+
+
 def run_child(src: Path, workload, csv_path: Path, work: Path) -> dict:
     """One command in a fresh interpreter; its timings, peak and digest."""
     times_path = work / "times.json"
     out = work / "out"  # one path for every run: the result's config echo holds it
     argv = workload.argv(csv_path, out)
-    env = dict(os.environ, PYTHONPATH=str(src))
     spawned = now()
     code = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "child.py"), str(times_path), *argv],
-        env=env, cwd=work, stdout=subprocess.DEVNULL,
+        env=child_env(src), cwd=work, stdout=subprocess.DEVNULL,
     ).returncode
     if code != 0:
         raise SystemExit(f"ecac {' '.join(argv)} exited with {code} ({src})")
@@ -163,6 +183,7 @@ def main(argv=None) -> int:
     identical = True
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
+        copies = [fresh_copy(src, work / f"src{i}") for i, src in enumerate(srcs)]
         for name in names:
             workload = WORKLOADS[name]
             csv_path = work / f"{name}.csv"
@@ -171,7 +192,7 @@ def main(argv=None) -> int:
             for pair in range(args.pairs):
                 order = range(len(srcs)) if pair % 2 == 0 else reversed(range(len(srcs)))
                 for i in order:
-                    runs[i].append(run_child(srcs[i], workload, csv_path, work))
+                    runs[i].append(run_child(copies[i], workload, csv_path, work))
             identical &= len({run["digest"] for src_runs in runs for run in src_runs}) == 1
             first = [run["run_s"] for run in runs[0]]
             for i, src_runs in enumerate(runs):

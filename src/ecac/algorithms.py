@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.random import default_rng
 
-from .data import Dataset, SpatialIndex, _row_norms, nearest
+from .data import Dataset, SpatialIndex, _distances, nearest
 from .density import default_delta
 from .errors import ConfigError, EmptyCenters, InvalidK, InvalidRadius
 
@@ -62,14 +62,14 @@ def _lloyd(points: np.ndarray, k: int, seed: int, max_iter: int):
     return centroids
 
 
-def _snap_to_objects(points: np.ndarray, centroids: np.ndarray):
-    """Map each centroid to the nearest not-yet-used dataset object,
-    holding one centroid's distances at a time."""
+def _snap_to_objects(columns: np.ndarray, centroids: np.ndarray):
+    """Map each centroid to the nearest not-yet-used dataset object (of
+    the d x N ``columns``), holding one centroid's distances at a time."""
     ids = np.empty(centroids.shape[0], dtype=np.int64)
     snap = np.empty(centroids.shape[0], dtype=np.float64)
-    used = np.zeros(points.shape[0], dtype=bool)
+    used = np.zeros(columns.shape[1], dtype=bool)
     for j in range(centroids.shape[0]):
-        row = _row_norms(points - centroids[j])
+        row = _distances(columns.copy(), centroids[j, :, None])
         row[used] = np.inf
         ids[j] = np.argmin(row)
         snap[j] = row[ids[j]]
@@ -88,7 +88,7 @@ def kmeans_center_process(
     if not 1 <= k <= dataset.n:
         raise InvalidK(f"k must be in 1..{dataset.n}, got {k}")
     centroids = _lloyd(dataset.points, k, seed, max_iter)
-    ids, snap = _snap_to_objects(dataset.points, centroids)
+    ids, snap = _snap_to_objects(dataset.columns, centroids)
     return ids, {"max_center_snap_distance": float(snap.max())}
 
 
@@ -129,8 +129,8 @@ class DpcQuantities:
     farthest object, and its ``nearest_higher`` is -1. ``rank[i]`` is
     object i's position in that density order. The arrays are read-only.
 
-    Distances follow the package's one rule, ``_row_norms``, as do those
-    of ``SpatialIndex`` queries, of ``nearest`` and of SciPy's ``cdist``.
+    Distances are the one kernel's, ``_distances`` on ``Dataset.columns``,
+    as in ``SpatialIndex`` queries, ``nearest`` and SciPy's ``cdist``.
     """
 
     rho_dpc: np.ndarray
@@ -156,7 +156,6 @@ def compute_dpc_quantities(dataset: Dataset, d_c: float | None = None) -> DpcQua
         return dataset.derived[key]
     if d_c <= 0:
         raise InvalidRadius(f"d_c must be > 0, got {d_c}")
-    points = dataset.points
     n = dataset.n
     index = dataset.index
     rho = index.density(d_c) - 1  # drop self
@@ -166,7 +165,7 @@ def compute_dpc_quantities(dataset: Dataset, d_c: float | None = None) -> DpcQua
     rank[order] = np.arange(n)
     delta, higher = index.nearest_higher(rank, d_c)
     top = order[0]
-    delta[top] = _row_norms(points - points[top]).max()
+    delta[top] = _distances(dataset.columns.copy(), dataset.columns[:, top, None]).max()
     for array in (rho, delta, higher, rank):
         array.flags.writeable = False
     dataset.derived[key] = DpcQuantities(rho, delta, higher, rank, float(d_c))

@@ -1,10 +1,11 @@
 """Datasets, CSV ingestion, synthetic generators, and radius queries.
 
 Objects are identified by their row index in an immutable N x d point
-matrix. All distances in this package are Euclidean and follow one rule
-(``_row_norms``, and ``_distances_to``, its form for one object against
-many read from per-axis coordinate columns), so any two passes give a
-pair the same distance.
+matrix, also kept as its d x N transpose (``Dataset.columns``). Every
+distance is Euclidean, its squared coordinate differences added in
+coordinate order: ``_distances`` on columns gathered from that layout,
+``_distance_matrix`` for all-pairs blocks, so any two passes give a pair
+the same distance, as SciPy's ``cdist`` does.
 Neighborhoods are open balls: ``range_query_many(P, r)`` returns, per
 row p of P, exactly the ids at strict distance ``< r``. Neighbour counts,
 radius queries and nearest higher-ranked searches go to a cell grid
@@ -89,6 +90,14 @@ class Dataset:
         return self.points.shape[1]
 
     @cached_property
+    def columns(self) -> np.ndarray:
+        """The points' transpose, a read-only C-contiguous d x N array that
+        every distance pass gathers from. Built on first use and kept."""
+        columns = np.ascontiguousarray(self.points.T)
+        columns.flags.writeable = False
+        return columns
+
+    @cached_property
     def index(self) -> SpatialIndex:
         """The spatial index over every object, built on first use and kept."""
         return SpatialIndex(self)
@@ -137,24 +146,22 @@ class SpatialIndex:
 
     The points are sorted by cell (``_Grid``) over at most two coordinate
     axes, those of largest extent. A query's candidates are the points of
-    the cells that its box meets, and each is judged by its ``_row_norms``
-    distance, which ``nearest`` gives the same pair, so answers are exact
-    in any dimension. A grid is built per radius r, of side r /
-    ``_CELLS_PER_RADIUS``, when the dataset's kept grid has another side,
-    and kept in its place.
+    the cells that its box meets, each judged by its ``_distances``
+    distance, as ``nearest`` would judge it, so answers are exact in any
+    dimension. A grid is built per radius r, of side r / ``_CELLS_PER_RADIUS``,
+    when the dataset's kept grid has another side, and kept in its place.
     """
 
     def __init__(self, dataset: Dataset):
         self.dataset = dataset
-        self._points = dataset.points
-        extent = np.ptp(self._points, axis=0)
+        extent = np.ptp(dataset.points, axis=0)
         # The (at most two) axes of largest extent, in axis order.
         self._axes = np.sort(np.argsort(-extent, kind="stable")[:2])
 
     @property
     def size(self) -> int:
         """Number of indexed objects."""
-        return self._points.shape[0]
+        return self.dataset.n
 
     def _radius_grid(self, radius: float) -> _Grid:
         """The grid for queries at ``radius`` (> 0), of side radius /
@@ -167,7 +174,7 @@ class SpatialIndex:
         side = min(max(radius / _CELLS_PER_RADIUS, _TINY), np.finfo(np.float64).max)
         kept = self.dataset.derived
         if "grid" not in kept or kept["grid"].side != side:
-            kept["grid"] = _Grid(self._points, self._axes, side)
+            kept["grid"] = _Grid(self.dataset.columns, self._axes, side)
         return kept["grid"]
 
     def range_query_many(self, centers, radius: float) -> list[np.ndarray]:
@@ -183,15 +190,15 @@ class SpatialIndex:
         reach = _reach(radius)
         answers = []
         for lo in range(0, centers.shape[0], _BOXES):
-            block = centers[lo:lo + _BOXES]
+            block = np.ascontiguousarray(centers[lo:lo + _BOXES].T)
             ids, owners = [], []
             for pos, owner in grid.candidates(*grid.slices(block, reach), (block, reach)):
-                d = _row_norms(grid.points.take(pos, axis=0) - block.take(owner, axis=0))
+                d = _distances(grid.columns.take(pos, axis=1), block.take(owner, axis=1))
                 keep = np.flatnonzero(d < radius)
                 ids.append(grid.ids.take(pos.take(keep)))
                 owners.append(owner.take(keep))
             ids = np.concatenate(ids)
-            bounds = np.searchsorted(np.concatenate(owners), np.arange(block.shape[0] + 1))
+            bounds = np.searchsorted(np.concatenate(owners), np.arange(block.shape[1] + 1))
             answers += [np.sort(ids[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
         return answers
 
@@ -217,11 +224,11 @@ class SpatialIndex:
         reach = _reach(radius)
         counts = np.ones(self.size, dtype=np.int64)  # each object itself
         for lo in range(0, self.size, _BOXES):
-            owner, start, stop = grid.slices(grid.points[lo:lo + _BOXES], reach)
+            owner, start, stop = grid.slices(grid.columns[:, lo:lo + _BOXES], reach)
             owner += lo
             start = np.maximum(start, owner + 1)
-            for pos, owner in grid.candidates(owner, start, np.maximum(stop, start), (grid.points, reach)):
-                d = _row_norms(grid.points.take(pos, axis=0) - grid.points.take(owner, axis=0))
+            for pos, owner in grid.candidates(owner, start, np.maximum(stop, start), (grid.columns, reach)):
+                d = _distances(grid.columns.take(pos, axis=1), grid.columns.take(owner, axis=1))
                 inside = np.flatnonzero(d < radius)
                 if inside.size:
                     # owner ascends and every pos lies after its owner.
@@ -254,7 +261,7 @@ class SpatialIndex:
 
     def nearest_higher(self, rank: np.ndarray, radius: float):
         """Per dataset object, the nearest object of lower ``rank`` (an
-        integer array that orders the ids 0..N-1) and its ``_row_norms``
+        integer array that orders the ids 0..N-1) and its ``_distances``
         distance; among equally near ones the lowest rank wins. The object
         of rank 0 gets -1 and inf.
 
@@ -284,7 +291,7 @@ class SpatialIndex:
             done = np.zeros(pending.size, dtype=bool)
             for lo in range(0, pending.size, _BOXES):
                 block = pending[lo:lo + _BOXES]
-                rows = self._points.take(block, axis=0)
+                rows = self.dataset.columns.take(block, axis=1)
                 row_rank = rank.take(block)
                 best = np.full(block.size, np.inf)
                 best_rank = np.full(block.size, n)
@@ -295,7 +302,7 @@ class SpatialIndex:
                     if not keep.size:
                         continue
                     pos, owner, higher = pos.take(keep), owner.take(keep), higher.take(keep)
-                    d = _row_norms(grid.points.take(pos, axis=0) - rows.take(owner, axis=0))
+                    d = _distances(grid.columns.take(pos, axis=1), rows.take(owner, axis=1))
                     # Per owner: its least distance, then the least rank at it.
                     heads = np.flatnonzero(np.diff(owner, prepend=-1))
                     least = np.minimum.reduceat(d, heads)
@@ -312,8 +319,8 @@ class SpatialIndex:
 
 
 class _Grid:
-    """The points of an index sorted by cell, for cells of one side over
-    the index's grid axes (at most two).
+    """The points of an index as d x N columns sorted by cell (``columns``),
+    for cells of one side over the index's grid axes (at most two).
 
     A coordinate's label on an axis is ``floor((x - origin) / side)``,
     kept as a float so that no extent-to-side ratio can overflow, and a
@@ -324,24 +331,19 @@ class _Grid:
     found by binary search over the sorted keys.
     """
 
-    def __init__(self, points: np.ndarray, axes: np.ndarray, side: float):
+    def __init__(self, columns: np.ndarray, axes: np.ndarray, side: float):
         self.axes = axes
         self.side = side
-        coords = points[:, axes]
-        self.origin = coords.min(axis=0)
+        coords = columns[axes]
+        self.origin = coords.min(axis=1, keepdims=True)
         labels = self._label(coords)
-        self.labels = [_distinct(column) for column in labels.T]
-        ranks = [np.searchsorted(u, column) for u, column in zip(self.labels, labels.T)]
+        self.labels = [_distinct(row) for row in labels]
+        ranks = [np.searchsorted(u, row) for u, row in zip(self.labels, labels)]
         self.width = self.labels[-1].size
         key = ranks[0] if axes.size == 1 else ranks[0] * self.width + ranks[1]
         self.ids = np.argsort(key, kind="stable")
         self.keys = key[self.ids]
-        self.points = points.take(self.ids, axis=0)
-        # The grid axes' coordinates, one contiguous column each, where the
-        # grid leaves other axes out.
-        self.columns = None
-        if axes.size < points.shape[1]:
-            self.columns = [np.ascontiguousarray(self.points[:, a]) for a in axes]
+        self.columns = columns.take(self.ids, axis=1)
 
     def _label(self, coords: np.ndarray) -> np.ndarray:
         return np.floor((coords - self.origin) / self.side)
@@ -349,23 +351,23 @@ class _Grid:
     def slices(self, centers: np.ndarray, reach: float):
         """``(owner, start, stop)``: the slices of sorted positions that
         hold the cells each center's box [c - reach, c + reach] meets,
-        ``owner`` ascending."""
-        q = centers if self.axes.size == centers.shape[1] else centers[:, self.axes]
+        ``owner`` ascending; ``centers`` is a d x m array of columns."""
+        q = centers if self.axes.size == centers.shape[0] else centers[self.axes]
         return self.box_slices(q - reach, q + reach)
 
     def box_slices(self, low: np.ndarray, high: np.ndarray):
         """``(owner, start, stop)``: the slices of sorted positions that
-        hold the cells each box [low[i], high[i]] (coordinates on the grid
-        axes) meets, ``owner`` ascending."""
+        hold the cells each box [low[:, i], high[:, i]] (one row per grid
+        axis) meets, ``owner`` ascending."""
         # nextafter: the box's float ends lie outside its true ends.
         low, high = self._label(np.nextafter(np.stack((low, high)), _SIDES * np.inf))
-        first = [u.searchsorted(low[:, a], "left") for a, u in enumerate(self.labels)]
-        last = [u.searchsorted(high[:, a], "right") for a, u in enumerate(self.labels)]
+        first = [u.searchsorted(row, "left") for u, row in zip(self.labels, low)]
+        last = [u.searchsorted(row, "right") for u, row in zip(self.labels, high)]
         if self.axes.size == 1:
-            owner = np.arange(low.shape[0])
+            owner = np.arange(low.shape[1])
             return owner, self.keys.searchsorted(first[0]), self.keys.searchsorted(last[0])
         rows = last[0] - first[0]
-        owner = np.repeat(np.arange(low.shape[0]), rows)
+        owner = np.repeat(np.arange(low.shape[1]), rows)
         base = _ragged_arange(first[0], rows) * self.width
         start, stop = (self.keys.searchsorted(base + ends[owner]) for ends in (first[1], last[1]))
         return owner, start, stop
@@ -392,19 +394,19 @@ class _Grid:
         """
         first = np.diff(self.keys, prepend=-1) != 0
         heads = np.flatnonzero(first)
-        coords = self.points[:, self.axes]
-        low = np.minimum.reduceat(coords, heads) - reach
-        high = np.maximum.reduceat(coords, heads) + reach
+        coords = self.columns[self.axes]
+        low = np.minimum.reduceat(coords, heads, axis=1) - reach
+        high = np.maximum.reduceat(coords, heads, axis=1) + reach
         blocks = [slice(lo, lo + _BOXES) for lo in range(0, heads.size, _BOXES)]
         bounds = np.zeros(heads.size + 1, dtype=np.int64)
         for block in blocks:
-            owner, start, stop = self.box_slices(low[block], high[block])
+            owner, start, stop = self.box_slices(low[:, block], high[:, block])
             bounds[block.start + 1:block.stop + 1] = np.bincount(owner, stop - start)
         np.cumsum(bounds, out=bounds)
         ids = np.empty(bounds[-1], dtype=np.int32)
         for block in blocks:
             at = bounds[block.start]
-            for pos, _ in self.candidates(*self.box_slices(low[block], high[block])):
+            for pos, _ in self.candidates(*self.box_slices(low[:, block], high[:, block])):
                 ids[at:at + pos.size] = self.ids.take(pos)
                 at += pos.size
         cell = np.empty(self.ids.size, dtype=np.int64)
@@ -416,21 +418,21 @@ class _Grid:
         ascending, in passes of at most ``_CHUNK`` candidates that hold
         each owner's candidates whole (an owner with more is a pass alone).
 
-        ``near``, if given, is ``(centers, reach)``. Where the grid leaves
-        some axes out, a candidate whose distance over the grid axes alone
-        is at least reach is then dropped: its full distance cannot be
-        below the radius that reach covers, so only the rest of its
-        coordinates are read.
+        ``near``, if given, is ``(centers, reach)``, centers as columns.
+        Where the grid leaves some axes out, a candidate whose distance
+        over the grid axes alone is at least reach is then dropped: its
+        full distance cannot be below the radius that reach covers, so
+        only the rest of its coordinates are read.
         """
         lengths = stop - start
         for a, b in _passes(lengths, owner):
             pos = _ragged_arange(start[a:b], lengths[a:b])
             owner_of = np.repeat(owner[a:b], lengths[a:b])
-            if near is not None and self.columns is not None:
+            if near is not None and self.axes.size < self.columns.shape[0]:
                 queries, reach = near
                 partial = sum(
-                    (column.take(pos) - queries[:, axis].take(owner_of)) ** 2
-                    for column, axis in zip(self.columns, self.axes)
+                    (self.columns[axis].take(pos) - queries[axis].take(owner_of)) ** 2
+                    for axis in self.axes
                 )
                 keep = np.flatnonzero(np.sqrt(partial) < reach)
                 pos, owner_of = pos.take(keep), owner_of.take(keep)
@@ -479,48 +481,30 @@ def _passes(sizes: np.ndarray, owner: np.ndarray):
         lo = hi
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a 2-D array.
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The distance of each column of ``a``, a freshly gathered d x m
+    array that this overwrites, to ``b``'s column at the same position or
+    to its one column (``b`` is d x m or d x 1), as a new array that does
+    not keep ``a`` alive.
 
-    The package's one distance rule: the squares are added column by
-    column, in coordinate order, before the square root. So a distance
-    is bit-identical to SciPy's ``cdist`` value for the same pair in every
-    dimension, and to ``np.linalg.norm``'s below d = 8, where NumPy's row
-    sum starts summing pairwise. Adding whole columns is also faster than
-    a row sum over a short axis.
+    The package's one distance rule: the squared differences are added
+    row by row (each a loop over the m pairs), in coordinate order, before
+    the square root: the bits of SciPy's ``cdist`` in every dimension, and
+    of ``np.linalg.norm`` below d = 8, where NumPy's row sum turns pairwise.
     """
-    sq = x * x
-    total = sq[:, 0]
-    for j in range(1, sq.shape[1]):
-        total = total + sq[:, j]
+    a -= b
+    a *= a
+    total = a[0]
+    for row in a[1:]:
+        total += row
     return np.sqrt(total)
-
-
-def _distances_to(columns: np.ndarray, rows, i: int) -> np.ndarray:
-    """The ``_row_norms`` distances from object ``i`` to each of ``rows``
-    (ids, repeats allowed), read from ``columns``, the points' transpose
-    as a C-contiguous d x N array: one contiguous column per axis.
-
-    The squares are those of ``_row_norms(points[rows] - points[i])``,
-    added in the same coordinate order, so every distance has the same
-    bits. Gathering along the columns keeps every operation's inner loop
-    over the rows; ``points[rows] - points[i]`` broadcasts over the short
-    coordinate axis, which NumPy runs a few elements at a time.
-    """
-    sq = columns.take(rows, axis=1)
-    sq -= columns[:, i, None]
-    sq *= sq
-    total = sq[0]
-    for axis in range(1, sq.shape[0]):
-        total += sq[axis]
-    return np.sqrt(total, out=total)
 
 
 def _distance_matrix(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Euclidean distances between every query row and every target row,
-    by the rule of ``_row_norms``: the squared coordinate differences are
+    by the rule of ``_distances``: the squared coordinate differences are
     added in coordinate order before the square root, so every entry
-    equals that pair's ``_row_norms`` distance and SciPy's ``cdist``.
+    equals that pair's ``_distances`` distance and SciPy's ``cdist``.
     """
     block = np.subtract.outer(queries[:, 0], targets[:, 0])
     block *= block
@@ -536,7 +520,7 @@ def nearest(queries: np.ndarray, targets: np.ndarray):
     target's position; an exact tie goes to the first position.
 
     Both are 2-D float arrays, ``targets`` with at least one row.
-    Distances are ``_distance_matrix``'s, the pairs' ``_row_norms``
+    Distances are ``_distance_matrix``'s, the pairs' ``_distances``
     distances, in row chunks of about ``_CHUNK`` entries.
     """
     distance = np.empty(queries.shape[0])

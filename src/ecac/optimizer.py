@@ -50,7 +50,7 @@ from typing import Sequence
 import numpy as np
 from numpy.random import Generator, default_rng
 
-from .data import Dataset, SpatialIndex, _distances_to, nearest
+from .data import Dataset, SpatialIndex, _distances, nearest
 from .errors import EmptyCenters, InvalidRadius, InvalidSpec, LabelOutOfRange
 
 LOCAL = "local"
@@ -143,9 +143,9 @@ class _GreedyState:
     A new member's answer lists the non-members of its cell's run at the
     query radius (``_query_radius``, 2*delta for every strategy), with
     their distances. Every distance from one object to many is
-    ``_distances_to`` on ``columns``, the points' transpose, copied once
-    per extension; the run's int32 ids are widened once per answer, so
-    every later index is an ``np.intp``.
+    ``_distances`` on columns gathered from ``dataset.columns``, against
+    the object's own ``columns[:, o, None]``; the run's int32 ids are
+    widened once per answer, so every later index is an ``np.intp``.
 
     Why this is exact: a run holds every point at strict distance below
     the radius from any point of its cell, so an answer holds every
@@ -157,7 +157,7 @@ class _GreedyState:
 
     def __init__(self, dataset, delta, centers, cap):
         self.points = dataset.points
-        self.columns = np.ascontiguousarray(dataset.points.T)
+        self.columns = dataset.columns
         self.rho, (self.cell, self.bounds, self.runs) = prepare_extension(dataset, delta)
         self.centers = centers
         self.delta = float(delta)
@@ -202,7 +202,7 @@ class _GreedyState:
         c = self.cell[o]
         run = self.runs[self.bounds[c]:self.bounds[c + 1]].astype(np.intp)
         ids = run[self.free[run]]
-        dists = _distances_to(self.columns, ids, o)
+        dists = _distances(self.columns.take(ids, axis=1), self.columns[:, o, None])
         self.stats["candidates"] += ids.size
         uncovered = self.uncovered
         new = ids[(dists < self.delta) & uncovered[ids]]
@@ -325,7 +325,7 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
         improve(j, ids, dists)
         if far.size:
             state.stats["far_rows"] += far.size
-            improve(j, far, _distances_to(state.columns, far, o))
+            improve(j, far, _distances(state.columns.take(far, axis=1), state.columns[:, o, None]))
             far = far[best_dis[far] >= radius]
 
     def close_set(f: int):
@@ -367,11 +367,12 @@ def _run_random(state: _GreedyState, rng: Generator):
     while not state.done():
         cands = np.flatnonzero(state.free)
         o = int(rng.choice(cands))
-        dists = _distances_to(state.columns, state.centers, o)
+        column = state.columns[:, o, None]
+        dists = _distances(state.columns.take(state.centers, axis=1), column)
         dists[state.closed] = np.inf
         j = int(np.argmin(dists))
         # Recorded for the trace only; random selection ignores distances.
-        dis = _distances_to(state.columns, state.sets[j], o).min() / rho[o]
+        dis = _distances(state.columns.take(state.sets[j], axis=1), column).min() / rho[o]
         state.add(o, j)
         state.record(dis)
     return state.finish()

@@ -47,6 +47,17 @@ def pairwise_distances(points: np.ndarray) -> np.ndarray:
     return np.concatenate(rows) if rows else np.empty(0)
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D array, by the package's one
+    distance rule: the squares are added column by column, in coordinate
+    order, before the square root (as SciPy's ``cdist`` adds them)."""
+    sq = x * x
+    total = sq[:, 0]
+    for j in range(1, sq.shape[1]):
+        total = total + sq[:, j]
+    return np.sqrt(total)
+
+
 def nmi_direct(u, v) -> float:
     """Direct summation over the contingency table built with a Counter."""
     n = len(u)

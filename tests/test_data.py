@@ -9,8 +9,7 @@ from scipy.spatial.distance import cdist
 from ecac.data import (
     _CHUNK,
     _distance_matrix,
-    _distances_to,
-    _row_norms,
+    _distances,
     Dataset,
     SpatialIndex,
     generate_gaussian_mixture,
@@ -26,7 +25,7 @@ from ecac.errors import (
     ParseError,
 )
 
-from oracles import brute_densities, brute_range_query
+from oracles import brute_densities, brute_range_query, row_norms
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -108,6 +107,15 @@ class TestDataset:
         ds = Dataset(np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
             ds.points[0, 0] = 5.0
+
+    def test_columns_are_the_kept_read_only_transpose(self):
+        ds = Dataset(np.random.default_rng(0).normal(size=(50, 3)))
+        columns = ds.columns
+        assert columns.flags.c_contiguous and columns.shape == (3, 50)
+        assert np.array_equal(columns, ds.points.T)
+        assert ds.columns is columns
+        with pytest.raises(ValueError):
+            columns[0, 0] = 5.0
 
 
 class TestGaussianMixture:
@@ -290,6 +298,10 @@ class TestRangeQueryBatch:
 
 
 class TestRowNorms:
+    """``_distances``, the one gathered-distance kernel, against the row
+    norms of the differences (``oracles.row_norms``, the distance rule by
+    definition), ``_distance_matrix``, SciPy's ``cdist`` and NumPy."""
+
     @pytest.mark.parametrize("d", [1, 2, 3, 8, 13])
     def test_bit_identical_to_linalg_norm(self, d):
         # cdist adds the squares in coordinate order in every dimension;
@@ -299,28 +311,34 @@ class TestRowNorms:
         grid = rng.integers(0, 5, size=(400, d)) * 0.25
         grid = np.vstack([grid, grid[:100]]) - grid[7]
         for x in (scaled, grid):
-            assert np.array_equal(_row_norms(x), cdist(x, np.zeros((1, d)))[:, 0])
+            got = _distances(x.T.copy(), np.zeros((d, 1)))
+            assert np.array_equal(got, row_norms(x))
+            assert np.array_equal(got, cdist(x, np.zeros((1, d)))[:, 0])
             if d < 8:
-                assert np.array_equal(_row_norms(x), np.linalg.norm(x, axis=1))
+                assert np.array_equal(got, np.linalg.norm(x, axis=1))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 16])
     def test_one_distance_for_every_pair(self, d):
-        # The kernel of the grid passes, the one of nearest and close_set,
-        # the column form of the extension's answers and folds, and
-        # SciPy's: the same last bit for every pair.
+        # The kernel of the grid passes and of the extension's answers and
+        # folds, the one of nearest and close_set, and SciPy's: the same
+        # last bit for every pair.
         rng = np.random.default_rng(d)
         a, b = rng.normal(size=(2, 2000, d))
-        rows = _row_norms(a - b)
+        columns = np.ascontiguousarray(a.T)
+        rows = _distances(columns.copy(), b.T.copy())
+        assert np.array_equal(rows, row_norms(a - b))
         assert np.array_equal(rows, np.diagonal(_distance_matrix(a, b)))
         assert np.array_equal(rows, np.diagonal(cdist(a, b)))
-        # One object against 500 ids that repeat and include the object.
+        # One object, a d x 1 column, against 500 ids that repeat and
+        # include the object.
         i = int(rng.integers(2000))
         ids = rng.integers(0, 100, size=500)
         ids[::50] = i
-        got = _distances_to(np.ascontiguousarray(a.T), ids, i)
-        assert np.array_equal(got, _row_norms(a[ids] - a[i]))
+        got = _distances(columns.take(ids, axis=1), columns[:, i, None])
+        assert np.array_equal(got, row_norms(a[ids] - a[i]))
         assert np.array_equal(got, cdist(a[ids], a[[i]])[:, 0])
         assert (got[::50] == 0).all()
+        assert np.array_equal(columns, a.T)  # only the gathered array is overwritten
 
 
 class TestNearest:

@@ -1,9 +1,9 @@
 """The cell-grid index against SciPy's KD-tree and brute-force loops.
 
 SciPy is a test-only dependency: here its ``cKDTree`` lists candidates
-at a slightly inflated radius, and the package's own distance
-(``_row_norms``) with the strict ``<`` decides, so every expected answer
-is exact. The points sit on a small integer lattice, scaled, so that
+at a slightly inflated radius, and the package's distance rule
+(``oracles.row_norms``, which ``_distances`` follows) with the strict
+``<`` decides, so every expected answer is exact. The points sit on a small integer lattice, scaled, so that
 duplicates and points at exactly distance r occur often; queries also
 come from outside the data's extent, and coordinates may be negative.
 """
@@ -14,14 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from ecac.data import Dataset, SpatialIndex, _row_norms
+from ecac.data import Dataset, SpatialIndex
+
+from oracles import row_norms
 
 
 def tree_range(points, center, radius):
     """Sorted ids of ``points`` at strict distance < radius from center."""
     found = cKDTree(points).query_ball_point(center, radius * (1 + 1e-6))
     found = np.asarray(found, dtype=np.int64)
-    return np.sort(found[_row_norms(points[found] - center) < radius])
+    return np.sort(found[row_norms(points[found] - center) < radius])
 
 
 def exact_nearest_higher(points, rank):
@@ -32,7 +34,7 @@ def exact_nearest_higher(points, rank):
     for i, p in enumerate(points):
         higher = np.flatnonzero(rank < rank[i])
         if higher.size:
-            d = _row_norms(points[higher] - p)
+            d = row_norms(points[higher] - p)
             best = np.lexsort((rank[higher], d))[0]
             dist[i], found[i] = d[best], higher[best]
     return dist, found
@@ -182,7 +184,7 @@ def test_grid_at_extreme_scales(scale):
     index = SpatialIndex(Dataset(points))
     for r in (np.nextafter(0.0, 1.0), scale, 2.5 * scale, np.inf):
         assert index.density(r).tolist() == [
-            int((_row_norms(points - q) < r).sum()) for q in points
+            int((row_norms(points - q) < r).sum()) for q in points
         ]
         rank = np.array([3, 0, 5, 1, 2, 4])
         got_dist, got_found = index.nearest_higher(rank, r)

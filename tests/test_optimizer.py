@@ -2,6 +2,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -346,6 +347,38 @@ def test_extension_reads_candidate_runs_not_the_index(monkeypatch):
     ext = identify_extended_centers(ds, centers, delta)
     assert ext.s > 1000
     assert ext.stats == identify_extended_centers(ds, centers, delta).stats
+
+
+def test_extensions_and_dpc_read_the_one_kept_transpose(monkeypatch):
+    # Dataset.columns is a dataset's one d x N transpose: an extension
+    # reads it, copying no transpose of its own, and DPC's quantities
+    # build it once. Two wide axes and 62 thin ones keep every answer
+    # small, so a copy of the 2 MB transpose would be most of the peak.
+    rng = np.random.default_rng(0)
+    n, d, delta = 4000, 64, 1.0
+    ds = Dataset(np.hstack([rng.uniform(0, 100, (n, 2)), rng.normal(0, 0.01, (n, d - 2))]))
+    transposes = []
+    contiguous = np.ascontiguousarray
+
+    def counting(a, *args, **kwargs):
+        if np.shape(a) == (d, n):
+            transposes.append(a)
+        return contiguous(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "ascontiguousarray", counting)
+    ecac.compute_dpc_quantities(ds, delta)
+    assert len(transposes) == 1
+    optimizer.prepare_extension(ds, delta)
+    for centers in ([0, 1], [2, 3]):
+        assert optimizer._GreedyState(ds, delta, centers, 0).columns is ds.columns
+        tracemalloc.start()
+        try:
+            identify_extended_centers(ds, centers, delta, SelectionStrategy(cap=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.columns.nbytes / 4
+    assert len(transposes) == 1
 
 
 @pytest.mark.parametrize("strategy", [

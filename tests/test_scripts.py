@@ -1,7 +1,9 @@
 """Smoke runs of the timing scripts, which import parts of perfbench/, and
 the CSV writer that the benchmark inputs and data/ are written with."""
 
+import compileall
 import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +35,28 @@ def test_timing_script_prints_the_workload_row(argv):
     assert child.returncode == 0, child.stderr
     rows = [line.split() for line in child.stdout.splitlines()]
     assert ["ablate-spiral-global", "0"] in [row[:2] for row in rows]
+
+
+def test_timing_children_compile_ecac_from_the_source(tmp_path, monkeypatch):
+    # A tree holding bytecode, as one that ran its tests does: a child
+    # reads a copy without it and writes none, so every child compiles
+    # ecac from the source, as a fresh checkout of the benchmark does.
+    run_timing = load_script("run_timing")
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    assert compileall.compile_dir(src, quiet=1)
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "prefix"))
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    copy = run_timing.fresh_copy(src, tmp_path / "fresh")
+    env = run_timing.child_env(copy)
+    assert env["PYTHONPATH"] == str(copy) and "PYTHONPYCACHEPREFIX" not in env
+    child = subprocess.run(
+        [sys.executable, "-c", "import ecac.cli; print(ecac.cli.__file__)"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert Path(child.stdout.strip()).is_relative_to(copy)
+    assert any(src.rglob("*.pyc")) and not any(copy.rglob("*.pyc"))
+    assert not (tmp_path / "prefix").exists()
 
 
 def test_a_claimed_gain_needs_nine_of_ten_pairs_and_a_median_gain_beyond_the_spread():
