@@ -40,6 +40,11 @@ the bound, so the runs cannot tell (unless every run of the checkout
 was better than every run of the first), and ``ok`` otherwise. A timing of
 the serial paths needs no option: run the script under
 ``taskset -c 0``, which the children inherit.
+
+Before the workloads it prints one import-footprint line per checkout: a
+fresh child imports ``ecac.cli`` as ``perfbench/child.py`` does and
+reports its ``VmRSS`` and whether ``numpy.random`` and ``hashlib`` (which
+loads OpenSSL) were loaded, the part of every peak that the imports set.
 """
 
 from __future__ import annotations
@@ -79,6 +84,28 @@ def child_env(src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPYCACHEPREFIX", None)
     return env
+
+
+FOOTPRINT = """\
+import json, sys, time
+import ecac.cli
+with open("/proc/self/status", encoding="ascii") as fh:
+    rss = next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:"))
+print(json.dumps([rss, *(name in sys.modules for name in ("numpy.random", "hashlib"))]))
+"""
+
+
+def import_footprint(src: Path, work: Path) -> str:
+    """The resident set of a fresh child once ``import ecac.cli`` is
+    done, and whether ``numpy.random`` and ``hashlib`` were loaded."""
+    child = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT], env=child_env(src), cwd=work,
+        capture_output=True, text=True, check=True,
+    )
+    rss_kb, *loaded = json.loads(child.stdout)
+    flags = (f"{name} {'loaded' if was else 'not loaded'}"
+             for name, was in zip(("numpy.random", "hashlib"), loaded))
+    return f"VmRSS {rss_kb / 1024.0:.1f} MB, {', '.join(flags)}"
 
 
 def run_child(src: Path, workload, csv_path: Path, work: Path) -> dict:
@@ -178,12 +205,14 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown workload(s): {', '.join(unknown)}")
 
-    print(f"{'workload':22s}{'src':>4s}{'run_s':>8s}{'q1-q3':>15s}{'setup_s':>9s}"
-          f"{'peak MB':>9s}{'min-max':>13s}{'faster':>8s}  digest")
     identical = True
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         copies = [fresh_copy(src, work / f"src{i}") for i, src in enumerate(srcs)]
+        for i, copy in enumerate(copies):
+            print(f"{'import ecac.cli':22s}{i:>4d}  {import_footprint(copy, work)}", flush=True)
+        print(f"{'workload':22s}{'src':>4s}{'run_s':>8s}{'q1-q3':>15s}{'setup_s':>9s}"
+              f"{'peak MB':>9s}{'min-max':>13s}{'faster':>8s}  digest")
         for name in names:
             workload = WORKLOADS[name]
             csv_path = work / f"{name}.csv"

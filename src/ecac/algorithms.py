@@ -18,11 +18,11 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.random import default_rng
 
 from .data import Dataset, SpatialIndex, _distances, nearest
 from .density import default_delta
 from .errors import ConfigError, EmptyCenters, InvalidK, InvalidRadius
+from .sampling import Sampler
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,7 @@ def _lloyd(points: np.ndarray, k: int, seed: int, max_iter: int):
     Returns the centroids once the assignment stabilizes, or after
     ``max_iter`` assignments. An emptied cluster keeps its centroid.
     """
-    rng = default_rng(seed)
-    centroids = points[rng.choice(points.shape[0], size=k, replace=False)].copy()
+    centroids = points[Sampler(seed).choice(points.shape[0], k)]
     labels = np.full(points.shape[0], -1, dtype=np.int64)
     for _ in range(max_iter):
         new_labels = nearest(points, centroids)[1]

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.random import default_rng
 
 from .data import Dataset, SpatialIndex, smallest_pairwise_distances
 from .errors import DegenerateDataset, InvalidRadius, InvalidSpec
+from .sampling import Sampler
 
 DEFAULT_PERCENTILE = 0.02  # sets the default radius and DPC's default cutoff
 
@@ -49,8 +49,8 @@ def pairwise_distance_percentiles(dataset: Dataset, percentiles: Sequence[float]
     """Low percentiles of the (sampled) positive pairwise distances.
 
     Distances are measured between min(N, SAMPLE_CAP) points sampled
-    without replacement (seed SAMPLE_SEED); zero distances (duplicate
-    points) are excluded. Each percentile p is taken as the
+    without replacement (``ecac.sampling``, seed SAMPLE_SEED); zero
+    distances (duplicate points) are excluded. Each percentile p is taken as the
     ``int(p * count)``-th smallest distance, clamped to the last one. The
     distances are streamed in bounded blocks, and only the smallest are
     held (``smallest_pairwise_distances``). Each resolved percentile is
@@ -68,8 +68,8 @@ def pairwise_distance_percentiles(dataset: Dataset, percentiles: Sequence[float]
             raise DegenerateDataset("need at least two points")
         points = dataset.points
         if dataset.n > SAMPLE_CAP:
-            rng = default_rng(SAMPLE_SEED)
-            points = points[np.sort(rng.choice(dataset.n, size=SAMPLE_CAP, replace=False))]
+            # Sorted, so the final shuffle of the picks is skipped.
+            points = points[np.sort(Sampler(SAMPLE_SEED).choice(dataset.n, SAMPLE_CAP, shuffle=False))]
         # No percentile's position lies beyond the largest fraction's share
         # of all pairs, so only that many smallest distances are kept.
         pairs = points.shape[0] * (points.shape[0] - 1) // 2

@@ -48,10 +48,10 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from numpy.random import Generator, default_rng
 
 from .data import Dataset, SpatialIndex, _distances, nearest
 from .errors import EmptyCenters, InvalidRadius, InvalidSpec, LabelOutOfRange
+from .sampling import Sampler
 
 LOCAL = "local"
 GLOBAL = "global"
@@ -359,14 +359,14 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
     return state.finish()
 
 
-def _run_random(state: _GreedyState, rng: Generator):
+def _run_random(state: _GreedyState, sampler: Sampler):
     """Uniformly sampled objects, attached to the nearest center's set."""
     rho = state.rho.astype(np.float64)
     for j, center in enumerate(state.centers):
         state.add(center, j)
     while not state.done():
         cands = np.flatnonzero(state.free)
-        o = int(rng.choice(cands))
+        o = int(cands[sampler.integer(cands.size)])
         column = state.columns[:, o, None]
         dists = _distances(state.columns.take(state.centers, axis=1), column)
         dists[state.closed] = np.inf
@@ -429,7 +429,7 @@ def identify_extended_centers(
 
     state = _GreedyState(dataset, delta, centers, strategy.cap)
     if strategy.kind == RANDOM:
-        return _run_random(state, default_rng(strategy.seed))
+        return _run_random(state, Sampler(strategy.seed))
     return _run_scored(state, use_density=strategy.kind != NODENSITY, local=strategy.kind != GLOBAL)
 
 

@@ -235,6 +235,36 @@ class TestConfig:
         )
         assert child.stdout.strip().splitlines()[-1] == "[]"
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--algo", "kmeans"],
+        ["run", "--algo", "dpc"],
+        ["ablate", "--variants", "local,global,random"],
+    ], ids=["run-kmeans", "run-dpc", "ablate-random"])
+    def test_commands_leave_numpy_random_and_hashlib_unloaded(self, tmp_path, command):
+        # Seeded draws come from ecac.sampling: importing NumPy's random
+        # package would load OpenSSL through hashlib. More than 1,000 rows,
+        # so the percentile sample is drawn too, and one core, so every
+        # draw runs in the process whose modules are read.
+        points = np.random.default_rng(4).normal(size=(1_200, 2))
+        points[600:] += 6.0
+        csv = tmp_path / "blobs.csv"
+        csv.write_text("".join(f"{x:.6f},{y:.6f},{int(i >= 600)}\n" for i, (x, y) in enumerate(points)))
+        argv = [*command, "--data", str(csv), "--label-col", "-1", "--k", "2",
+                "--out", str(tmp_path / "o")]
+        script = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0}\n"
+            "import ecac.cli\n"
+            f"assert ecac.cli.main({argv!r}) == 0\n"
+            "print(sorted(m for m in ('numpy.random', 'hashlib') if m in sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(ecac.__file__).resolve().parents[1]))
+        child = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.splitlines()[-1] == "[]"
+
     def test_cli_loads_no_process_pool_modules(self, tmp_path):
         # The sweep forks its workers itself: neither the import nor a
         # default-sweep run pays for importing a process pool.

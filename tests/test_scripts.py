@@ -3,6 +3,7 @@ the CSV writer that the benchmark inputs and data/ are written with."""
 
 import compileall
 import importlib.util
+import re
 import shutil
 import subprocess
 import sys
@@ -35,6 +36,15 @@ def test_timing_script_prints_the_workload_row(argv):
     assert child.returncode == 0, child.stderr
     rows = [line.split() for line in child.stdout.splitlines()]
     assert ["ablate-spiral-global", "0"] in [row[:2] for row in rows]
+    if argv[0] == "scripts/run_timing.py":
+        # The import footprint of the one checkout: the run path draws its
+        # seeded samples without numpy.random, so neither it nor hashlib
+        # is loaded.
+        (footprint,) = [line for line in child.stdout.splitlines() if line.startswith("import ")]
+        assert re.fullmatch(
+            r"import ecac\.cli +0  VmRSS \d+\.\d MB, "
+            r"numpy\.random not loaded, hashlib not loaded", footprint
+        ), footprint
 
 
 def test_timing_children_compile_ecac_from_the_source(tmp_path, monkeypatch):
