@@ -48,7 +48,11 @@ radius queries read, ``candidates``, the non-members whose distances to
 a new member were computed in its answer, and ``far_rows``, the rows
 whose distances were computed in far-row folds. A checkout whose
 extension does not keep a counter prints ``-`` for it, as does an input
-without a ``dpc s``.
+without a ``dpc s``. The last two columns, ``prepare MB`` and
+``dpc MB``, are the traced peaks (``tracemalloc``, MB over what was held
+before the call) of the same two grid-pass calls, taken in one more
+repeat that is not timed; they include what the calls keep, such as the
+grid, the counts and the candidate runs.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import make_benchmarks
@@ -168,26 +173,40 @@ def time_calls(ecac, calls):
     return seconds, counters
 
 
-def time_grid_passes(ecac, calls, dpc: bool):
-    """Seconds of the ``prepare_extension`` calls at the calls' deltas,
-    and of ``compute_dpc_quantities`` at the first delta (None unless
-    ``dpc``), each on a fresh ``Dataset`` of the calls' points."""
+def seconds(call) -> float:
+    """The wall time of call(), in seconds."""
+    start = time.perf_counter()
+    call()
+    return time.perf_counter() - start
+
+
+def traced_mb(call) -> float:
+    """The most memory, in MB, that NumPy and Python held during call()
+    beyond what they held before it (``tracemalloc``)."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def grid_passes(ecac, calls, dpc: bool, measure=seconds):
+    """``measure`` (seconds, or traced MB) of the ``prepare_extension``
+    calls at the calls' deltas, and of ``compute_dpc_quantities`` at the
+    first delta (None unless ``dpc``), each on a fresh ``Dataset`` of the
+    calls' points."""
     optimizer = importlib.import_module(ecac.__name__ + ".optimizer")
     points = calls[0][0].points
     deltas = list(dict.fromkeys(call[2] for call in calls))
     gc.collect()
     dataset = ecac.Dataset(points)
-    start = time.perf_counter()
-    for delta in deltas:
-        optimizer.prepare_extension(dataset, delta)
-    prepare_s = time.perf_counter() - start
+    prepare = measure(lambda: [optimizer.prepare_extension(dataset, delta) for delta in deltas])
     if not dpc:
-        return prepare_s, None
+        return prepare, None
     gc.collect()
     dataset = ecac.Dataset(points)
-    start = time.perf_counter()
-    ecac.compute_dpc_quantities(dataset, deltas[0])
-    return prepare_s, time.perf_counter() - start
+    return prepare, measure(lambda: ecac.compute_dpc_quantities(dataset, deltas[0]))
 
 
 def main(argv=None) -> int:
@@ -207,7 +226,8 @@ def main(argv=None) -> int:
 
     packages = [load_package(src.resolve(), f"ecac_timed_{i}") for i, src in enumerate(srcs)]
     print(f"{'input':22s}{'src':>5s}{'median s':>10s}{'runs MB':>9s}{'run entries':>13s}"
-          f"{'candidates':>12s}{'far rows':>10s}{'prepare s':>11s}{'dpc s':>8s}")
+          f"{'candidates':>12s}{'far rows':>10s}{'prepare s':>11s}{'dpc s':>8s}"
+          f"{'prepare MB':>12s}{'dpc MB':>8s}")
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
             csv_path = Path(tmp) / f"{name}.csv"
@@ -219,19 +239,25 @@ def main(argv=None) -> int:
             for repeat in range(args.repeats):
                 order = range(len(packages)) if repeat % 2 == 0 else reversed(range(len(packages)))
                 for i in order:
-                    seconds, counters[i] = time_calls(packages[i], calls[i])
-                    times[i].append(seconds)
-                    passes[i].append(time_grid_passes(packages[i], calls[i], name in DPC_TIMED))
+                    elapsed, counters[i] = time_calls(packages[i], calls[i])
+                    times[i].append(elapsed)
+                    passes[i].append(grid_passes(packages[i], calls[i], name in DPC_TIMED))
+            # One more repeat, untimed, for the traced peaks.
+            peaks = [
+                grid_passes(ecac, c, name in DPC_TIMED, traced_mb) for ecac, c in zip(packages, calls)
+            ]
             for i, src_times in enumerate(times):
                 entries, candidates, far_rows = (
                     "-" if counters[i][key] is None else counters[i][key] for key in COUNTERS
                 )
                 prepare_s, dpc_s = zip(*passes[i])
                 dpc = "-" if dpc_s[0] is None else f"{statistics.median(dpc_s):.3f}"
+                prepare_mb, dpc_mb = peaks[i]
+                dpc_mb = "-" if dpc_mb is None else f"{dpc_mb:.2f}"
                 print(
                     f"{name:22s}{i:>5d}{statistics.median(src_times):>10.3f}"
                     f"{runs_bytes[i] / 1e6:>9.2f}{entries:>13}{candidates:>12}{far_rows:>10}"
-                    f"{statistics.median(prepare_s):>11.3f}{dpc:>8}",
+                    f"{statistics.median(prepare_s):>11.3f}{dpc:>8}{prepare_mb:>12.2f}{dpc_mb:>8}",
                     flush=True,
                 )
     for i, src in enumerate(srcs):

@@ -11,9 +11,10 @@ row p of P, exactly the ids at strict distance ``< r``. Neighbour counts,
 radius queries and nearest higher-ranked searches go to a cell grid
 (``SpatialIndex``), and all-pairs distances to chunked NumPy blocks
 (``nearest``, ``smallest_pairwise_distances``). Every chunked pass holds
-about ``_CHUNK`` entries per array, so its scratch memory does not grow
-with the input. For many radius queries centered on the dataset's own
-points, the grid also builds a candidate run per cell
+about ``_CHUNK`` entries per array, so its scratch memory grows neither
+with the input nor with its dimension: a grid pass gathers each pair's
+coordinates one row at a time. For many radius queries centered on the
+dataset's own points, the grid also builds a candidate run per cell
 (``SpatialIndex.candidate_runs``): the ids of every cell that the cell's
 points' query boxes meet, as int32 ids, so such a query is one slice of
 its point's run, judged by exact distance. An index keeps no results of
@@ -39,10 +40,13 @@ from .errors import (
 
 # About the most entries that one array of a chunked pass holds: the
 # distances of a ``nearest`` chunk or of a pairwise block, the candidates
-# of an index pass, the slices of a block of query boxes. An array of
-# 256 KB of floats stays in cache, and such passes go no slower than
-# larger ones.
-_CHUNK = 1 << 15
+# of an index pass (one coordinate row at a time), the slices of a block
+# of query boxes. Measured on 10,000 points in 4 blobs at the default
+# delta, the count and the nearest higher-ranked search held at most
+# 2.1 MB of traced scratch at 2-, 4- and 8-D at 2**14 (128 KB of floats
+# per array), against 2.9-3.6 MB at 2**15, and DPC's quantities took no
+# longer.
+_CHUNK = 1 << 14
 
 # A query box reaches this share beyond its radius, which covers the
 # rounding between a coordinate difference and a computed distance in
@@ -189,10 +193,11 @@ class SpatialIndex:
         reach = _reach(radius)
         answers = []
         for lo in range(0, centers.shape[0], _BOXES):
-            block = np.ascontiguousarray(centers[lo:lo + _BOXES].T)
+            block = centers[lo:lo + _BOXES].T  # a view: its rows are gathered one at a time
+            near = block[grid.axes], reach
             ids, owners = [], []
-            for pos, owner in grid.candidates(*grid.slices(block, reach), (block, reach)):
-                d = _distances(grid.columns.take(pos, axis=1), block.take(owner, axis=1))
+            for pos, owner in grid.candidates(*grid.slices(*near), near):
+                d = _distances(grid.columns, block, (pos, owner))
                 keep = np.flatnonzero(d < radius)
                 ids.append(grid.ids.take(pos.take(keep)))
                 owners.append(owner.take(keep))
@@ -223,17 +228,22 @@ class SpatialIndex:
         reach = _reach(radius)
         counts = np.ones(self.size, dtype=np.int64)  # each object itself
         for lo in range(0, self.size, _BOXES):
-            owner, start, stop = grid.slices(grid.columns[:, lo:lo + _BOXES], reach)
-            owner += lo
-            start = np.maximum(start, owner + 1)
-            for pos, owner in grid.candidates(owner, start, np.maximum(stop, start), (grid.columns, reach)):
-                d = _distances(grid.columns.take(pos, axis=1), grid.columns.take(owner, axis=1))
-                inside = np.flatnonzero(d < radius)
-                if inside.size:
-                    # owner ascends and every pos lies after its owner.
-                    ends = np.concatenate((owner.take(inside), pos.take(inside)))
-                    first = owner[inside[0]]
-                    counts[first:ends.max() + 1] += np.bincount(ends - first)
+            block = grid.columns[:, lo:lo + _BOXES]
+            near = block[grid.axes], reach
+            owner, start, stop = grid.slices(*near)
+            start = np.maximum(start, owner + (lo + 1))
+            for pos, owner in grid.candidates(owner, start, np.maximum(stop, start), near):
+                inside = np.flatnonzero(_distances(grid.columns, block, (pos, owner)) < radius)
+                if not inside.size:
+                    continue
+                # Bins from position lo + first on: owner ascends, and
+                # every pos lies after its owner's position, lo + owner.
+                first = owner[inside[0]]
+                for ends, at in ((owner, first), (pos, lo + first)):
+                    ends = ends.take(inside)
+                    ends -= at
+                    added = np.bincount(ends)
+                    counts[lo + first:lo + first + added.size] += added
         result = np.empty_like(counts)
         result[grid.ids] = counts
         return result
@@ -282,7 +292,7 @@ class SpatialIndex:
         grid_rank = rank.take(grid.ids)
         dist = np.full(n, np.inf)
         found = np.full(n, -1, dtype=np.int64)
-        pending = grid.ids[grid_rank > 0]  # in cell order
+        pending = np.flatnonzero(grid_rank > 0)  # grid positions
         reach = grid.side
         while pending.size:
             reach = max(reach, _TINY)
@@ -290,18 +300,19 @@ class SpatialIndex:
             done = np.zeros(pending.size, dtype=bool)
             for lo in range(0, pending.size, _BOXES):
                 block = pending[lo:lo + _BOXES]
-                rows = self.dataset.columns.take(block, axis=1)
-                row_rank = rank.take(block)
+                centers = grid.columns[grid.axes[:, None], block]
+                row_rank = grid_rank.take(block)
                 best = np.full(block.size, np.inf)
                 best_rank = np.full(block.size, n)
-                near = None if everything else (rows, reach)
-                for pos, owner in grid.candidates(*grid.slices(rows, reach), near):
+                for pos, owner in grid.candidates(
+                    *grid.slices(centers, reach), None if everything else (centers, reach)
+                ):
                     higher = grid_rank.take(pos)
                     keep = np.flatnonzero(higher < row_rank.take(owner))
                     if not keep.size:
                         continue
                     pos, owner, higher = pos.take(keep), owner.take(keep), higher.take(keep)
-                    d = _distances(grid.columns.take(pos, axis=1), rows.take(owner, axis=1))
+                    d = _distances(grid.columns, grid.columns, (pos, block.take(owner)))
                     # Per owner: its least distance, then the least rank at it.
                     heads = np.flatnonzero(np.diff(owner, prepend=-1))
                     least = np.minimum.reduceat(d, heads)
@@ -309,8 +320,9 @@ class SpatialIndex:
                     best[owner.take(heads)] = least
                     best_rank[owner.take(heads)] = np.minimum.reduceat(tied, heads)
                 resolved = (best_rank < n) & (everything | (best < reach * (1.0 - _ROUNDING)))
-                dist[block[resolved]] = best[resolved]
-                found[block[resolved]] = by_rank.take(best_rank[resolved])
+                ids = grid.ids.take(block[resolved])
+                dist[ids] = best[resolved]
+                found[ids] = by_rank.take(best_rank[resolved])
                 done[lo:lo + block.size] = resolved
             pending = pending[~done]
             reach *= 2.0
@@ -350,9 +362,9 @@ class _Grid:
     def slices(self, centers: np.ndarray, reach: float):
         """``(owner, start, stop)``: the slices of sorted positions that
         hold the cells each center's box [c - reach, c + reach] meets,
-        ``owner`` ascending; ``centers`` is a d x m array of columns."""
-        q = centers if self.axes.size == centers.shape[0] else centers[self.axes]
-        return self.box_slices(q - reach, q + reach)
+        ``owner`` ascending; ``centers`` holds the m centers' coordinates
+        on the grid axes, one row per axis."""
+        return self.box_slices(centers - reach, centers + reach)
 
     def box_slices(self, low: np.ndarray, high: np.ndarray):
         """``(owner, start, stop)``: the slices of sorted positions that
@@ -417,23 +429,25 @@ class _Grid:
         ascending, in passes of at most ``_CHUNK`` candidates that hold
         each owner's candidates whole (an owner with more is a pass alone).
 
-        ``near``, if given, is ``(centers, reach)``, centers as columns.
-        Where the grid leaves some axes out, a candidate whose distance
-        over the grid axes alone is at least reach is then dropped: its
-        full distance cannot be below the radius that reach covers, so
-        only the rest of its coordinates are read.
+        Every array of a pass, here and in the callers, holds one entry per
+        candidate, whatever the dimension: a caller gathers each pair's
+        coordinates one row at a time (``_distances`` with pairs), so a
+        pass holds a few ``_CHUNK``-entry arrays, never a d x m block.
+
+        ``near``, if given, is ``(centers, reach)``, centers as in
+        ``slices``. Where the grid leaves some axes out, a candidate whose
+        distance over the grid axes alone is at least reach is then
+        dropped: its full distance cannot be below the radius that reach
+        covers, so only the rest of its coordinates are read.
         """
         lengths = stop - start
         for a, b in _passes(lengths, owner):
             pos = _ragged_arange(start[a:b], lengths[a:b])
             owner_of = np.repeat(owner[a:b], lengths[a:b])
             if near is not None and self.axes.size < self.columns.shape[0]:
-                queries, reach = near
-                partial = sum(
-                    (self.columns[axis].take(pos) - queries[axis].take(owner_of)) ** 2
-                    for axis in self.axes
-                )
-                keep = np.flatnonzero(np.sqrt(partial) < reach)
+                centers, reach = near
+                rows = [self.columns[axis] for axis in self.axes]
+                keep = np.flatnonzero(_distances(rows, centers, (pos, owner_of)) < reach)
                 pos, owner_of = pos.take(keep), owner_of.take(keep)
             yield pos, owner_of
 
@@ -480,22 +494,35 @@ def _passes(sizes: np.ndarray, owner: np.ndarray):
         lo = hi
 
 
-def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _distances(a: np.ndarray, b: np.ndarray, pairs=None) -> np.ndarray:
     """The distance of each column of ``a``, a freshly gathered d x m
     array that this overwrites, to ``b``'s column at the same position or
     to its one column (``b`` is d x m or d x 1), as a new array that does
     not keep ``a`` alive.
+
+    With ``pairs``, ``(i, j)``, the distance of each pair of columns
+    ``a[:, i[t]]`` and ``b[:, j[t]]`` instead, their coordinates gathered
+    one row at a time (the grid passes), so that no d x m block is held
+    and neither array changes; ``a`` may then be a list of rows, such as
+    those of a grid's axes.
 
     The package's one distance rule: the squared differences are added
     row by row (each a loop over the m pairs), in coordinate order, before
     the square root: the bits of SciPy's ``cdist`` in every dimension, and
     of ``np.linalg.norm`` below d = 8, where NumPy's row sum turns pairwise.
     """
-    a -= b
-    a *= a
-    total = a[0]
-    for row in a[1:]:
-        total += row
+    if pairs is None:
+        a -= b
+        a *= a
+    for k, square in enumerate(a):
+        if pairs is not None:
+            square = square.take(pairs[0])
+            square -= b[k].take(pairs[1])
+            square *= square
+        if k:
+            total += square
+        else:
+            total = square
     return np.sqrt(total)
 
 
@@ -555,7 +582,9 @@ def smallest_pairwise_distances(points: np.ndarray, count: int):
         # Row i of the block is point start + i; column j is point start + 1 + j.
         block = block[(block > 0) & (np.arange(stop - start)[:, None] <= np.arange(n - start - 1))]
         positives += block.size
-        parts.append(block[block < bound])
+        # <=: an infinite distance (overflowing squares) is kept while the
+        # bound is still inf, so min(count, positives) distances return.
+        parts.append(block[block <= bound])
         held += parts[-1].size
         if held >= 2 * count:
             buffer = np.partition(np.concatenate(parts), count - 1)[:count]

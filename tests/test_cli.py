@@ -729,6 +729,23 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "missing.json" in err
 
+    @pytest.mark.parametrize("algo", ["kmeans", "dpc"])
+    def test_overflowing_distances_run_without_a_traceback(self, tmp_path, algo):
+        # Every pairwise distance overflows to inf, so the default delta
+        # is inf; the percentile must not index past its kept distances.
+        csv = tmp_path / "overflow.csv"
+        csv.write_text("1e308,0,0\n-1e308,0,1\n0,0,0\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(ecac.__file__).resolve().parents[1]))
+        child = subprocess.run(
+            [sys.executable, "-m", "ecac", "run", "--data", str(csv), "--label-col", "-1",
+             "--algo", algo, "--k", "2", "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert "Traceback" not in child.stderr
+        assert child.returncode == 0, child.stderr
+        result = json.loads((tmp_path / "o" / "result.json").read_text(encoding="utf-8"))
+        assert result["optimized"]["delta"] == np.inf
+
     def test_run_via_argv(self, tmp_path):
         code = main([
             "run", "--data", "data/spiral.csv", "--label-col", "-1",

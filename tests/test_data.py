@@ -413,9 +413,19 @@ def traced_peak_mb(call) -> float:
         tracemalloc.stop()
 
 
+def four_blobs(d: int) -> Dataset:
+    """10,000 points in 4 Gaussian blobs in d dimensions, their means on
+    the corners of a 12 x 12 square in the first two axes."""
+    means = np.zeros((4, d))
+    means[[1, 3], 0] = 12.0
+    means[[2, 3], 1] = 12.0
+    return generate_gaussian_mixture(4, 2500, means, 2.0, 0)[0]
+
+
 class TestScratchMemory:
     """Chunked passes hold about _CHUNK entries per array, whatever the
-    input's size, so their scratch stays a few MB."""
+    input's size and in any dimension (grid passes gather each pair's
+    coordinates one row at a time), so their scratch stays a few MB."""
 
     def test_distance_sample(self):
         # The 1,000-point sample's 499,500 distances are never held at once.
@@ -428,14 +438,31 @@ class TestScratchMemory:
         assert traced_peak_mb(lambda: nearest(queries, targets)) < 2.0
 
     def test_density_count(self):
-        # The benchmark's 10k blobs at the default delta. The grid's build
-        # counts too (about 0.9 MB); a pass of _CHUNK 2-D candidates holds
-        # about 2.5 MB, and the slice table of a block of boxes about 1 MB.
-        ds, _ = generate_gaussian_mixture(
-            4, 2500, [[0.0, 0.0], [12.0, 0.0], [0.0, 12.0], [12.0, 12.0]], 2.0, 0
-        )
+        # The benchmark's 10k blobs at the default delta, the grid's build
+        # and the columns' transpose included: 1.97 MB measured, bounded
+        # at that plus 0.5 MB.
+        ds = four_blobs(2)
         delta, index = default_delta(ds), SpatialIndex(ds)
-        assert traced_peak_mb(lambda: index.density(delta)) < 5.0
+        assert traced_peak_mb(lambda: index.density(delta)) < 2.5
+
+    # The count and the nearest higher-ranked search of the 10k blobs at
+    # the default delta, on the kept grid: at most 2.1 MB measured at 2-,
+    # 4- and 8-D. Gathering two d x m blocks per pass held 6.6 and 6.8 MB
+    # at 8-D.
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_density_in_any_dimension(self, d):
+        ds = four_blobs(d)
+        delta = default_delta(ds)
+        ds.index._radius_grid(delta)  # the grid, built and kept
+        assert traced_peak_mb(lambda: ds.index.density(delta)) < 3.0
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_nearest_higher_in_any_dimension(self, d):
+        ds = four_blobs(d)
+        delta = default_delta(ds)
+        rho = ds.index.density(delta)  # builds and keeps the grid
+        rank = np.lexsort((np.arange(ds.n), -rho)).argsort()
+        assert traced_peak_mb(lambda: ds.index.nearest_higher(rank, delta)) < 3.0
 
     def test_radius_queries(self):
         # The scratch is the peak less the answers still held after the

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from ecac import density
-from ecac.data import Dataset, SpatialIndex
+from ecac.data import Dataset, SpatialIndex, smallest_pairwise_distances
 from ecac.density import (
     compute_densities,
     default_delta,
@@ -74,6 +74,21 @@ class TestDefaultDelta:
     def test_excludes_zero_distances(self):
         ds = Dataset(np.array([[0.0], [0.0], [0.0], [7.0]]))
         assert pairwise_distance_percentile(ds, 0.01) == 7.0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_infinite_distances_are_kept(self):
+        # Squares that overflow give infinite distances: positive, so they
+        # are counted, and kept, so min(count, positives) come back sorted.
+        points = np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        dists = np.sort(pairwise_distances(points))
+        assert dists.tolist() == [1.0] + [np.inf] * 5
+        for count in (1, 2, 3, 6, 9):
+            smallest, positives = smallest_pairwise_distances(points, count)
+            assert positives == 6
+            assert smallest.tolist() == dists[:count].tolist()
+        # Every distance infinite: each percentile is inf, not an error.
+        ds = Dataset(points[:3])
+        assert pairwise_distance_percentiles(ds, [0.02, 0.5]) == [np.inf, np.inf]
 
     def test_sampling_deterministic(self):
         points = np.random.default_rng(1).normal(size=(1500, 3))

@@ -36,6 +36,12 @@ def test_timing_script_prints_the_workload_row(argv):
     assert child.returncode == 0, child.stderr
     rows = [line.split() for line in child.stdout.splitlines()]
     assert ["ablate-spiral-global", "0"] in [row[:2] for row in rows]
+    if argv[0] == "scripts/extension_timing.py":
+        # The traced peaks of the grid passes close each row; the input
+        # has no DPC call, so its dpc columns read "-".
+        assert rows[0][-4:] == ["prepare", "MB", "dpc", "MB"]
+        (row,) = [row for row in rows if row[:2] == ["ablate-spiral-global", "0"]]
+        assert 0 < float(row[-2]) < 50 and row[-1] == row[-3] == "-"
     if argv[0] == "scripts/run_timing.py":
         # The import footprint of the one checkout: the run path draws its
         # seeded samples without numpy.random, so neither it nor hashlib
