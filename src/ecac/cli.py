@@ -34,11 +34,41 @@ def _fmt_gain(baseline, optimized) -> str:
         return " (n/a: zero baseline)"
 
 
+def _json_pieces(payload: dict):
+    """``json.dumps(payload, sort_keys=True) + "\\n"`` in pieces: the
+    top-level object key by key, and a list among its values item by
+    item, each piece encoded on its own."""
+    yield "{"
+    for i, key in enumerate(sorted(payload)):
+        yield (", " if i else "") + json.dumps(key) + ": "
+        value = payload[key]
+        if isinstance(value, list):
+            yield "["
+            for j, item in enumerate(value):
+                yield (", " if j else "") + json.dumps(item, sort_keys=True)
+            yield "]"
+        else:
+            yield json.dumps(value, sort_keys=True)
+    yield "}\n"
+
+
 def _write_json(path: Path, payload: dict):
+    """Write ``payload`` to ``path`` as one compact line with sorted keys,
+    piece by piece (``_json_pieces``): the C encoder holds a string per
+    value of one piece until it joins them, not of the whole payload.
+    ``json.dump`` would stream too, but only through the pure-Python
+    encoder, several times slower, as ``indent`` would. The pieces go to
+    a temporary file beside ``path`` that then replaces it, so a failed
+    write leaves the previous file whole."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    # One compact line: with ``indent`` the json module falls back from its
-    # C encoder to the pure-Python one, which is several times slower.
-    path.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8")
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with temporary.open("w", encoding="utf-8") as fh:
+            fh.writelines(_json_pieces(payload))
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def _write_trace(path: Path, trace: list[dict]):

@@ -25,8 +25,11 @@ kept grid and its one kept set of candidate runs, in ``Dataset.derived``.
 from __future__ import annotations
 
 import csv
+import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, compress, islice
 
 import numpy as np
 
@@ -47,6 +50,13 @@ from .errors import (
 # per array), against 2.9-3.6 MB at 2**15, and DPC's quantities took no
 # longer.
 _CHUNK = 1 << 14
+
+# The cells of one block of CSV rows that ``load_csv`` holds as strings.
+# A cell in its row's list takes about ten times the memory of a float,
+# so a block is a sixteenth of a chunk: loading the benchmark's
+# 10,000-row blobs file raised VmHWM by 0.26 MB at 2**10 cells, 0.70 at
+# 2**12 and 2.49 at 2**14, in the same time.
+_CSV_CELLS = _CHUNK // 16
 
 # A query box reaches this share beyond its radius, which covers the
 # rounding between a coordinate difference and a computed distance in
@@ -566,15 +576,18 @@ def smallest_pairwise_distances(points: np.ndarray, count: int):
     fewer are positive), and the number of positive distances.
 
     The distances are ``_distance_matrix``'s (SciPy's ``pdist`` values),
-    in blocks of about ``_CHUNK`` entries, never held all at once: a
+    in blocks of about ``_CHUNK`` entries, never held all at once: one
     buffer keeps the smallest seen so far, and whenever it holds twice
-    ``count`` it is cut back to the ``count`` smallest, below which later
-    distances must fall to be kept. The memory grows with ``count``, not
-    with the number of pairs.
+    ``count`` they are partitioned in place and cut back to the ``count``
+    smallest, below which later distances must fall to be kept. The
+    buffer has room for twice ``count`` and one block (no more than all
+    pairs), so the memory grows with ``count``, not with the number of
+    pairs.
     """
     n = points.shape[0]
     rows = max(1, _CHUNK // n)
-    parts, held, positives = [np.empty(0)], 0, 0
+    buffer = np.empty(min(2 * count + rows * (n - 1), n * (n - 1) // 2))
+    held, positives = 0, 0
     bound = np.inf  # the largest of the buffer once it was cut back
     for start in range(0, n - 1, rows):
         stop = min(start + rows, n - 1)
@@ -584,17 +597,17 @@ def smallest_pairwise_distances(points: np.ndarray, count: int):
         positives += block.size
         # <=: an infinite distance (overflowing squares) is kept while the
         # bound is still inf, so min(count, positives) distances return.
-        parts.append(block[block <= bound])
-        held += parts[-1].size
+        block = block[block <= bound]
+        buffer[held:held + block.size] = block
+        held += block.size
         if held >= 2 * count:
-            buffer = np.partition(np.concatenate(parts), count - 1)[:count]
-            bound = buffer[-1]
-            parts, held = [buffer], count
-    smallest = np.concatenate(parts)
-    if smallest.size > count:
-        smallest = np.partition(smallest, count - 1)[:count]
-    smallest.sort()
-    return smallest, positives
+            buffer[:held].partition(count - 1)
+            held, bound = count, buffer[count - 1]
+    smallest = buffer[:held]
+    if held > count:
+        smallest.partition(count - 1)
+        smallest = smallest[:count]
+    return np.sort(smallest), positives
 
 
 def _parse_cell(text: str) -> float:
@@ -612,14 +625,46 @@ def _is_numeric(text: str) -> bool:
     return True
 
 
+def _blocks(reader, rows: int):
+    """The reader's rows in lists of at most ``rows``, without its blank
+    rows, those whose cells joined are whitespace only."""
+    while block := list(islice(reader, rows)):
+        yield list(compress(block, map(str.strip, map("".join, block))))
+
+
+def _parse_block(block, features, path, first: int) -> list[float]:
+    """The feature cells of a block of data rows, row by row, the first
+    of them data row ``first``. One comprehension parses them; on any bad
+    cell a per-cell loop finds the first and names it (``ParseError``).
+    ``float`` ignores surrounding whitespace itself, so either route
+    gives the cells' values bit for bit."""
+    try:
+        values = [float(row[j]) for row in block for j in features]
+        # A sum of floats is finite only if every term is, and an
+        # overflowing sum just sends the block through the loop.
+        if math.isfinite(sum(values)):
+            return values
+    except ValueError:
+        pass
+    values = []
+    for i, row in enumerate(block):
+        for j in features:
+            try:
+                values.append(_parse_cell(row[j].strip()))
+            except ValueError as exc:
+                raise ParseError(f"{path}: row {first + i}, column {j}: {exc}") from None
+    return values
+
+
 def load_csv(path, label_column=None) -> tuple[Dataset, GroundTruth | None]:
     """Load a dataset from a comma-separated file.
 
     Parameters
     ----------
     path : str or Path
-        File to read (UTF-8). An optional header row is auto-detected:
-        a first row where any feature cell fails numeric parsing.
+        File to read (UTF-8, with or without a byte-order mark). An
+        optional header row is auto-detected: a first row where any
+        feature cell fails numeric parsing.
     label_column : int, str, or None
         Column holding ground-truth labels, by position (negative indices
         allowed) or by header name. ``None`` treats every column as a
@@ -629,69 +674,77 @@ def load_csv(path, label_column=None) -> tuple[Dataset, GroundTruth | None]:
     Returns
     -------
     (Dataset, GroundTruth or None)
+
+    The rows are read in blocks of about ``_CSV_CELLS`` cells, each parsed
+    into one growing buffer of points and one of labels, so that the
+    strings of at most two blocks are held at once. Every row is read
+    before a fault is raised, and of two faults the earlier in this order
+    wins: a decoding error, a row of another width than the first, a
+    label column that does not exist, a header without rows, no feature
+    column left, a bad cell (the first in row order).
     """
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if "".join(row).strip()]
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            first = next((row for row in reader if "".join(row).strip()), None)
+            if first is None:
+                raise EmptyDataset(f"{path}: no rows")
+            width = len(first)
+            label_idx, fault = None, None
+            if isinstance(label_column, str):
+                names = [c.strip() for c in first]
+                if label_column in names:
+                    label_idx = names.index(label_column)
+                else:
+                    fault = ParseError(f"{path}: no column named {label_column!r}")
+            elif label_column is not None:
+                label_idx = label_column if label_column >= 0 else width + label_column
+                if not 0 <= label_idx < width:
+                    fault = ParseError(f"{path}: label column {label_column} out of range")
+            features = [j for j in range(width) if j != label_idx]
+            header = isinstance(label_column, str) or (
+                fault is None and any(not _is_numeric(first[j]) for j in features)
+            )
+
+            points, labels, seen = array("d"), array("q"), {}
+            rows, width_fault, cell_fault = 0, None, None  # rows: data rows read
+            parse = fault is None and bool(features)
+            blocks = _blocks(reader, max(1, _CSV_CELLS // width))
+            for block in blocks if header else chain([[first]], blocks):
+                if width_fault is None and not set(map(len, block)) <= {width}:
+                    i = next(i for i, row in enumerate(block) if len(row) != width)
+                    width_fault = ParseError(
+                        f"{path}: row {header + rows + i} has {len(block[i])} cells, "
+                        f"expected {width}"
+                    )
+                    parse = False
+                if parse:
+                    try:
+                        points.fromlist(_parse_block(block, features, path, rows))
+                    except ParseError as exc:
+                        cell_fault, parse = exc, False
+                    else:
+                        if label_idx is not None:
+                            labels.fromlist(
+                                [seen.setdefault(row[label_idx].strip(), len(seen)) for row in block]
+                            )
+                rows += len(block)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    if not rows:
-        raise EmptyDataset(f"{path}: no rows")
-
-    width = len(rows[0])
-    for ln, row in enumerate(rows):
-        if len(row) != width:
-            raise ParseError(f"{path}: row {ln} has {len(row)} cells, expected {width}")
-
-    label_idx = None
-    if isinstance(label_column, str):
-        header = [c.strip() for c in rows[0]]
-        try:
-            label_idx = header.index(label_column)
-        except ValueError:
-            raise ParseError(f"{path}: no column named {label_column!r}") from None
-        rows = rows[1:]
-    else:
-        if label_column is not None:
-            label_idx = label_column if label_column >= 0 else width + label_column
-            if not 0 <= label_idx < width:
-                raise ParseError(f"{path}: label column {label_column} out of range")
-        probe_cols = [j for j in range(width) if j != label_idx]
-        if any(not _is_numeric(rows[0][j]) for j in probe_cols):
-            rows = rows[1:]
+    for exc in (width_fault, fault):
+        if exc is not None:
+            raise exc
     if not rows:
         raise EmptyDataset(f"{path}: header only, no data rows")
-
-    feature_cols = [j for j in range(width) if j != label_idx]
-    if not feature_cols:
+    if not features:
         raise ParseError(f"{path}: no feature columns left")
-
-    # ``float`` ignores surrounding whitespace itself, so the one pass
-    # gives the cells' values bit for bit; on any bad cell the per-cell
-    # loop finds the first and names it.
-    try:
-        points = np.array([float(row[j]) for row in rows for j in feature_cols])
-        parsed = bool(np.isfinite(points).all())
-    except ValueError:
-        parsed = False
-    if parsed:
-        points = points.reshape(len(rows), len(feature_cols))
-    else:
-        points = np.empty((len(rows), len(feature_cols)), dtype=np.float64)
-        for i, row in enumerate(rows):
-            for out_j, j in enumerate(feature_cols):
-                try:
-                    points[i, out_j] = _parse_cell(row[j].strip())
-                except ValueError as exc:
-                    raise ParseError(f"{path}: row {i}, column {j}: {exc}") from None
+    if cell_fault is not None:
+        raise cell_fault
 
     truth = None
     if label_idx is not None:
-        seen: dict[str, int] = {}
-        labels = [seen.setdefault(row[label_idx].strip(), len(seen)) for row in rows]
-        truth = GroundTruth(np.array(labels, dtype=np.int64), len(seen))
-
-    return Dataset(points), truth
+        truth = GroundTruth(np.frombuffer(labels, dtype=np.int64), len(seen))
+    return Dataset(np.frombuffer(points).reshape(rows, len(features))), truth
 
 
 def generate_gaussian_mixture(

@@ -8,10 +8,14 @@ route.
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import Counter
 
 import numpy as np
+
+from ecac.data import Dataset, GroundTruth, _is_numeric, _parse_cell
+from ecac.errors import EmptyDataset, ParseError
 
 
 def brute_range_query(points: np.ndarray, center, radius: float) -> set[int]:
@@ -264,3 +268,62 @@ def dpc_assignment_loop(points: np.ndarray, centers, rho, nearest_higher) -> lis
         else:
             labels[i] = labels[nearest_higher[i]]
     return labels
+
+
+def load_csv_rows(path, label_column=None):
+    """``ecac.load_csv`` from its definition: every non-blank row read
+    into one table first, then checked and parsed, fault by fault in
+    this order: a decoding error, a row of another width than the first,
+    a label column that does not exist, a header without rows, no
+    feature column left, a bad cell (the first in row order)."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            rows = [row for row in csv.reader(fh) if "".join(row).strip()]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    if not rows:
+        raise EmptyDataset(f"{path}: no rows")
+
+    width = len(rows[0])
+    for ln, row in enumerate(rows):
+        if len(row) != width:
+            raise ParseError(f"{path}: row {ln} has {len(row)} cells, expected {width}")
+
+    label_idx = None
+    if isinstance(label_column, str):
+        header = [c.strip() for c in rows[0]]
+        try:
+            label_idx = header.index(label_column)
+        except ValueError:
+            raise ParseError(f"{path}: no column named {label_column!r}") from None
+        rows = rows[1:]
+    else:
+        if label_column is not None:
+            label_idx = label_column if label_column >= 0 else width + label_column
+            if not 0 <= label_idx < width:
+                raise ParseError(f"{path}: label column {label_column} out of range")
+        probe_cols = [j for j in range(width) if j != label_idx]
+        if any(not _is_numeric(rows[0][j]) for j in probe_cols):
+            rows = rows[1:]
+    if not rows:
+        raise EmptyDataset(f"{path}: header only, no data rows")
+
+    feature_cols = [j for j in range(width) if j != label_idx]
+    if not feature_cols:
+        raise ParseError(f"{path}: no feature columns left")
+
+    points = np.empty((len(rows), len(feature_cols)), dtype=np.float64)
+    for i, row in enumerate(rows):
+        for out_j, j in enumerate(feature_cols):
+            try:
+                points[i, out_j] = _parse_cell(row[j].strip())
+            except ValueError as exc:
+                raise ParseError(f"{path}: row {i}, column {j}: {exc}") from None
+
+    truth = None
+    if label_idx is not None:
+        seen: dict[str, int] = {}
+        labels = [seen.setdefault(row[label_idx].strip(), len(seen)) for row in rows]
+        truth = GroundTruth(np.array(labels, dtype=np.int64), len(seen))
+
+    return Dataset(points), truth

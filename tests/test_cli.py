@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -18,6 +19,8 @@ from ecac.errors import ConfigError, MissingResult, NotPlottable
 from ecac.optimizer import trace_records
 from ecac.pipeline import ClusteringResult
 from ecac.svg import PALETTE, render_scatter
+
+from test_data import traced_peak_mb
 
 ROOT = Path(__file__).resolve().parents[1]
 SPIRAL = ["--data", str(ROOT / "data" / "spiral.csv"), "--label-col", "-1", "--k", "3"]
@@ -376,6 +379,62 @@ class TestCmdRun:
         assert json.loads(text) == payload
         assert len(payload["sweep"]) == len(DEFAULT_SWEEP)
         assert all(type(x) is int for x in payload["optimized"]["labels"])
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_files_written_in_pieces_are_one_dumps(self, tmp_path, command):
+        # The pieces join to the bytes of one json.dumps of the payload,
+        # non-ASCII config strings escaped alike; no temporary file stays.
+        data = tmp_path / "données-✓.csv"
+        data.write_bytes((ROOT / "data" / "spiral.csv").read_bytes())
+        out = tmp_path / "résultats"
+        config = RunConfig.from_sources(None, {
+            "data": str(data), "label_col": -1, "algo": "kmeans", "k": 3, "out": str(out),
+        })
+        if command == "run":
+            payload, name = cmd_run(config, quiet=True), "result.json"
+        else:
+            payload, name = cmd_ablate(config, ["local", "global"], quiet=True), "ablate.json"
+        assert payload["config"]["data"] == str(data)
+        want = json.dumps(payload, sort_keys=True) + "\n"
+        assert (out / name).read_bytes() == want.encode("utf-8")
+        assert sorted(path.name for path in out.iterdir()) == [name]
+
+    def test_a_write_that_fails_partway_leaves_the_previous_file(self, tmp_path):
+        path = tmp_path / "o" / "result.json"
+        cli._write_json(path, {"schema_version": 1, "sweep": [{"a": 1}]})
+        before = path.read_bytes()
+        # A value that cannot be encoded, after a piece was written.
+        with pytest.raises(TypeError):
+            cli._write_json(path, {"schema_version": 2, "sweep": [{"a": 2}, {"b": object()}]})
+        assert path.read_bytes() == before
+        # A file-size limit below the new file's size stops the write
+        # itself partway, as a full disk would (EFBIG in place of ENOSPC).
+        child = subprocess.run([sys.executable, "-c", """
+import resource, signal, sys
+from pathlib import Path
+from ecac.cli import _write_json
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 16, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+try:
+    _write_json(Path(sys.argv[1]), {"sweep": [{"labels": list(range(20_000))}] * 3})
+except OSError as exc:
+    print(exc.errno)
+""", str(path)], capture_output=True, text=True, timeout=60, check=True)
+        assert child.stdout.split() == [str(errno.EFBIG)]
+        assert path.read_bytes() == before
+        assert [p.name for p in path.parent.iterdir()] == ["result.json"]
+
+    def test_a_write_holds_one_record_encoded(self, tmp_path):
+        # Five sweep records over 20,000 objects: json.dumps of the whole
+        # payload holds a string per value, the pieces one record's.
+        records = [
+            {"labels": [(7 * i + s) % 3 for i in range(20_000)], "s": 20_000, "delta": 0.5 + s}
+            for s in range(5)
+        ]
+        payload = {"schema_version": 1, "config": {"out": "ü"}, "sweep": records}
+        whole = traced_peak_mb(lambda: json.dumps(payload, sort_keys=True))
+        pieces = traced_peak_mb(lambda: cli._write_json(tmp_path / "result.json", payload))
+        assert pieces < whole / 2
 
     def test_trace_records_are_built_only_for_trace_output(self, tmp_path, monkeypatch):
         built = []

@@ -1,5 +1,6 @@
-"""Smoke runs of the timing scripts, which import parts of perfbench/, and
-the CSV writer that the benchmark inputs and data/ are written with."""
+"""Smoke runs of the timing and memory scripts, which import parts of
+perfbench/, and the CSV writer that the benchmark inputs and data/ are
+written with."""
 
 import compileall
 import importlib.util
@@ -51,6 +52,25 @@ def test_timing_script_prints_the_workload_row(argv):
             r"import ecac\.cli +0  VmRSS \d+\.\d MB, "
             r"numpy\.random not loaded, hashlib not loaded", footprint
         ), footprint
+
+
+def test_stage_memory_prints_each_stage_of_the_calling_process():
+    child = subprocess.run(
+        [sys.executable, "scripts/stage_memory.py", "ablate-spiral-global"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    header, *lines = child.stdout.splitlines()
+    assert header.split() == ["stage", "RSS", "before", "after", "HWM", "before", "after"]
+    rows = {line[:28].strip(): [float(cell) for cell in line[28:].split()] for line in lines}
+    # This process runs the first variant; the second runs here too, or
+    # on a forked worker, unseen.
+    assert list(rows)[:4] == ["load", "centers", "delta", "prepare"]
+    assert list(rows)[4:-2] in (["ablate local"], ["ablate local", "ablate global"])
+    assert list(rows)[-2:] == ["write", "exit"]
+    for rss, rss_after, hwm, hwm_after in (rows[name] for name in list(rows)[:-1]):
+        assert 0 < rss <= hwm <= hwm_after and rss_after <= hwm_after
+    assert rows["exit"][1] >= max(row[3] for row in list(rows.values())[:-1])
 
 
 def test_timing_children_compile_ecac_from_the_source(tmp_path, monkeypatch):
