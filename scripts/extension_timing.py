@@ -40,15 +40,18 @@ Each ``--src`` directory is imported as its own copy of the package, so
 two checkouts are compared in one process: every repeat times each
 input once per checkout, and the order of the checkouts alternates from
 repeat to repeat. The script prints, per input and checkout, the median
-time, the megabytes of the candidate runs that the input's extensions
-read (the ``(cell, bounds, ids)`` arrays of each delta, summed over the
-deltas), and three counters of ``ExtendedSets.stats`` summed over the
-input's calls: ``run_entries``, the ids held by the candidate runs the
-radius queries read, ``candidates``, the non-members whose distances to
-a new member were computed in its answer, and ``far_rows``, the rows
-whose distances were computed in far-row folds. A checkout whose
-extension does not keep a counter prints ``-`` for it, as does an input
-without a ``dpc s``. The last two columns, ``prepare MB`` and
+time, the megabytes of candidate-run ids that the input's extensions
+gathered (``gathered MB``) and the blocks of runs that they read out of
+all blocks (``blocks``), both summed over the deltas and taken in one
+more untimed pass on a fresh ``Dataset``, and three counters of
+``ExtendedSets.stats`` summed over the input's calls: ``run_entries``,
+the ids held by the blocks of candidate runs that the radius queries
+read, ``candidates``, the non-members whose distances to a new member
+were computed in its answer, and ``far_rows``, the rows whose distances
+were computed in far-row folds. A checkout that gathers a radius's runs
+whole prints all of its ids as gathered and ``-`` for the blocks; one
+whose extension does not keep a counter prints ``-`` for it, as does an
+input without a ``dpc s``. The last two columns, ``prepare MB`` and
 ``dpc MB``, are the traced peaks (``tracemalloc``, MB over what was held
 before the call) of the same two grid-pass calls, taken in one more
 repeat that is not timed; they include what the calls keep, such as the
@@ -129,8 +132,7 @@ def write_input(name: str, seed: int, path: Path):
 
 def prepare(name: str, csv_path: Path, ecac):
     """The input's extension calls as (dataset, centers, delta, strategy)
-    tuples, with everything but the extension computed, and the bytes of
-    the candidate runs that they read."""
+    tuples, with everything but the extension computed."""
     config = importlib.import_module(ecac.__name__ + ".config")
     density = importlib.import_module(ecac.__name__ + ".density")
     optimizer = importlib.import_module(ecac.__name__ + ".optimizer")
@@ -147,12 +149,9 @@ def prepare(name: str, csv_path: Path, ecac):
         strategies = [ecac.SelectionStrategy("local"), ecac.SelectionStrategy("global")]
     else:
         strategies = [ecac.SelectionStrategy("local")]
-    runs_bytes = 0
     for delta in deltas:
-        _, runs = optimizer.prepare_extension(dataset, delta)
-        runs_bytes += sum(array.nbytes for array in runs)
-    calls = [(dataset, centers, delta, strategy) for delta in deltas for strategy in strategies]
-    return calls, runs_bytes
+        optimizer.prepare_extension(dataset, delta)
+    return [(dataset, centers, delta, strategy) for delta in deltas for strategy in strategies]
 
 
 COUNTERS = ("run_entries", "candidates", "far_rows")
@@ -171,6 +170,26 @@ def time_calls(ecac, calls):
         for key in COUNTERS
     }
     return seconds, counters
+
+
+def gathered(ecac, calls):
+    """The megabytes of candidate-run ids that the calls' extensions
+    gather on a fresh ``Dataset`` of the calls' points, and the blocks of
+    runs gathered and all blocks, each summed over the calls' radii
+    (None for a checkout that gathers a radius's runs whole). The calls
+    of one delta are consecutive, and the dataset keeps the runs of its
+    last radius, so those runs hold what that radius's calls gathered."""
+    dataset = ecac.Dataset(calls[0][0].points)
+    kept = {}
+    for _, *args in calls:
+        ecac.identify_extended_centers(dataset, *args)
+        radius, runs = dataset.derived["runs"]
+        kept[radius] = runs
+    if not all(hasattr(runs, "blocks") for runs in kept.values()):
+        return sum(runs[-1].nbytes for runs in kept.values()) / 1e6, None
+    blocks = [block for runs in kept.values() for block in runs.blocks]
+    read = [block for block in blocks if block is not None]
+    return sum(block.nbytes for block in read) / 1e6, (len(read), len(blocks))
 
 
 def seconds(call) -> float:
@@ -225,14 +244,14 @@ def main(argv=None) -> int:
         parser.error(f"unknown input(s): {', '.join(unknown)}")
 
     packages = [load_package(src.resolve(), f"ecac_timed_{i}") for i, src in enumerate(srcs)]
-    print(f"{'input':22s}{'src':>5s}{'median s':>10s}{'runs MB':>9s}{'run entries':>13s}"
+    print(f"{'input':22s}{'src':>5s}{'median s':>10s}{'gathered MB':>13s}{'blocks':>11s}{'run entries':>13s}"
           f"{'candidates':>12s}{'far rows':>10s}{'prepare s':>11s}{'dpc s':>8s}"
           f"{'prepare MB':>12s}{'dpc MB':>8s}")
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
             csv_path = Path(tmp) / f"{name}.csv"
             write_input(name, args.seed, csv_path)
-            calls, runs_bytes = zip(*(prepare(name, csv_path, ecac) for ecac in packages))
+            calls = [prepare(name, csv_path, ecac) for ecac in packages]
             times = [[] for _ in packages]
             passes = [[] for _ in packages]
             counters = [None] * len(packages)
@@ -242,7 +261,8 @@ def main(argv=None) -> int:
                     elapsed, counters[i] = time_calls(packages[i], calls[i])
                     times[i].append(elapsed)
                     passes[i].append(grid_passes(packages[i], calls[i], name in DPC_TIMED))
-            # One more repeat, untimed, for the traced peaks.
+            # Two more passes, untimed, for the runs gathered and the traced peaks.
+            gathers = [gathered(ecac, c) for ecac, c in zip(packages, calls)]
             peaks = [
                 grid_passes(ecac, c, name in DPC_TIMED, traced_mb) for ecac, c in zip(packages, calls)
             ]
@@ -254,9 +274,11 @@ def main(argv=None) -> int:
                 dpc = "-" if dpc_s[0] is None else f"{statistics.median(dpc_s):.3f}"
                 prepare_mb, dpc_mb = peaks[i]
                 dpc_mb = "-" if dpc_mb is None else f"{dpc_mb:.2f}"
+                gathered_mb, blocks = gathers[i]
+                blocks = "-" if blocks is None else "/".join(map(str, blocks))
                 print(
                     f"{name:22s}{i:>5d}{statistics.median(src_times):>10.3f}"
-                    f"{runs_bytes[i] / 1e6:>9.2f}{entries:>13}{candidates:>12}{far_rows:>10}"
+                    f"{gathered_mb:>13.2f}{blocks:>11s}{entries:>13}{candidates:>12}{far_rows:>10}"
                     f"{statistics.median(prepare_s):>11.3f}{dpc:>8}{prepare_mb:>12.2f}{dpc_mb:>8}",
                     flush=True,
                 )

@@ -7,6 +7,7 @@ import json
 import os
 import pickle
 import sys
+from itertools import groupby
 from pathlib import Path
 
 from .algorithms import ALGORITHM_NAMES, build_algorithm
@@ -34,28 +35,67 @@ def _fmt_gain(baseline, optimized) -> str:
         return " (n/a: zero baseline)"
 
 
+# The most items of a list that one piece of a JSON file encodes. The C
+# encoder holds the text of a piece's values until it joins them: writing
+# a payload with one record of 10,000 labels traced 0.09 MB in slices of
+# this size, against 0.67 MB for the record's ``json.dumps``, and of
+# 200,000 labels 0.09 against 3.72 MB.
+_JSON_SLICE = 1024
+
+# The types whose values ``_json_pieces`` walks into.
+_CONTAINERS = (dict, list, tuple)
+
+# ``json.dumps(value, sort_keys=True)``, without a new encoder per call.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def _json_pieces(payload: dict):
-    """``json.dumps(payload, sort_keys=True) + "\\n"`` in pieces: the
-    top-level object key by key, and a list among its values item by
-    item, each piece encoded on its own."""
-    yield "{"
-    for i, key in enumerate(sorted(payload)):
-        yield (", " if i else "") + json.dumps(key) + ": "
-        value = payload[key]
-        if isinstance(value, list):
-            yield "["
-            for j, item in enumerate(value):
-                yield (", " if j else "") + json.dumps(item, sort_keys=True)
-            yield "]"
-        else:
-            yield json.dumps(value, sort_keys=True)
-    yield "}\n"
+    """``json.dumps(payload, sort_keys=True) + "\\n"`` in pieces: a dict
+    key by key, a run of keys with plain values in one piece; a list
+    whose first item is a container (records, sets) item by item; any
+    other list in slices of ``_JSON_SLICE`` items, one piece each, so no
+    piece holds a record's labels whole. Keys are strings."""
+    yield from _pieces(payload)
+    yield "\n"
+
+
+def _pieces(value):
+    """The pieces of ``json.dumps(value, sort_keys=True)`` (see
+    ``_json_pieces``)."""
+    if isinstance(value, dict):
+        yield "{"
+        sep = ""
+        for walked, keys in groupby(sorted(value), lambda key: isinstance(value[key], _CONTAINERS)):
+            if walked:
+                for key in keys:
+                    yield sep + _encode(key) + ": "
+                    yield from _pieces(value[key])
+                    sep = ", "
+            else:
+                yield sep + _encode({key: value[key] for key in keys})[1:-1]
+                sep = ", "
+        yield "}"
+    elif isinstance(value, (list, tuple)) and value and isinstance(value[0], _CONTAINERS):
+        yield "["
+        for i, item in enumerate(value):
+            if i:
+                yield ", "
+            yield from _pieces(item)
+        yield "]"
+    elif isinstance(value, (list, tuple)):
+        yield "["
+        for lo in range(0, len(value), _JSON_SLICE):
+            yield (", " if lo else "") + _encode(value[lo:lo + _JSON_SLICE])[1:-1]
+        yield "]"
+    else:
+        yield _encode(value)
 
 
 def _write_json(path: Path, payload: dict):
     """Write ``payload`` to ``path`` as one compact line with sorted keys,
-    piece by piece (``_json_pieces``): the C encoder holds a string per
-    value of one piece until it joins them, not of the whole payload.
+    piece by piece (``_json_pieces``): the C encoder holds the text of a
+    piece's values until it joins them, so the write holds a slice of a
+    list encoded, not a record or the whole payload.
     ``json.dump`` would stream too, but only through the pure-Python
     encoder, several times slower, as ``indent`` would. The pieces go to
     a temporary file beside ``path`` that then replaces it, so a failed

@@ -14,16 +14,19 @@ radius queries and nearest higher-ranked searches go to a cell grid
 about ``_CHUNK`` entries per array, so its scratch memory grows neither
 with the input nor with its dimension: a grid pass gathers each pair's
 coordinates one row at a time. For many radius queries centered on the
-dataset's own points, the grid also builds a candidate run per cell
+dataset's own points, the grid also keeps a candidate run per cell
 (``SpatialIndex.candidate_runs``): the ids of every cell that the cell's
-points' query boxes meet, as int32 ids, so such a query is one slice of
-its point's run, judged by exact distance. An index keeps no results of
-its own: every index over a dataset shares the dataset's counts, its one
-kept grid and its one kept set of candidate runs, in ``Dataset.derived``.
+points' query boxes meet, as int32 ids, so such a query is its point's
+run, judged by exact distance. Every run's length is counted at once,
+and its ids are gathered, with those of a block of nearby cells, when it
+is first read (``CandidateRuns``). An index keeps no results of its own:
+every index over a dataset shares the dataset's counts, its one kept
+grid and its one kept set of candidate runs, in ``Dataset.derived``.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 from array import array
@@ -50,6 +53,18 @@ from .errors import (
 # per array), against 2.9-3.6 MB at 2**15, and DPC's quantities took no
 # longer.
 _CHUNK = 1 << 14
+
+# The most ids that one block of candidate runs holds, unless one cell's
+# run is longer (see ``CandidateRuns``). On the capped DPC benchmark's
+# 10,000 points (4 blobs, 100 per set) the extension read 15 of 129
+# blocks at 2**12, 50,077 of the runs' 460,838 ids, against 13 of 60
+# blocks and 100,916 ids at 2**13. Building the runs and gathering every
+# block took 0.5 ms longer than the whole gather (4.2 ms) at 2**12 on the
+# sweep benchmark's five radii, and 2.9 ms longer (4.6 ms) on the one
+# radius of a 20,001-point spiral (206 blocks), against -0.2 and 0.9 ms
+# at 2**13. One gather traced 0.16 MB at 2**12 and 0.33 MB at 2**13 on
+# 4,000 points about one per cell.
+_RUN_BLOCK = 1 << 12
 
 # The cells of one block of CSV rows that ``load_csv`` holds as strings.
 # A cell in its row's list takes about ten times the memory of a float,
@@ -258,24 +273,24 @@ class SpatialIndex:
         result[grid.ids] = counts
         return result
 
-    def candidate_runs(self, radius: float):
-        """``(cell, bounds, ids)``, the candidate runs of the grid for
-        ``radius``: object i lies in cell ``cell[i]``, and the run of cell
-        c, ``ids[bounds[c]:bounds[c + 1]]`` (int32), holds every id at
-        strict distance < radius from any point of that cell, besides
-        others, at most 81 ids per object (see ``_Grid.runs``).
+    def candidate_runs(self, radius: float) -> CandidateRuns:
+        """The candidate runs of the grid for ``radius``: object i lies in
+        cell ``runs.cell[i]``, and the run of cell c, ``runs.run(c)``
+        (int32), holds every id at strict distance < radius from any point
+        of that cell, besides others, at most 81 ids per object (see
+        ``_Grid.runs``). Every cell and run length is found here; a run's
+        ids are gathered, with those of a block of nearby cells, when it
+        is first read (``CandidateRuns``).
 
         The runs of one radius are kept, read-only, in
         ``dataset.derived``, as one grid is: asking for another radius
-        frees them before its own are built."""
+        frees them, with the blocks gathered so far, before its own are
+        built."""
         radius = float(radius)
         kept = self.dataset.derived
         if "runs" not in kept or kept["runs"][0] != radius:
             kept.pop("runs", None)
-            runs = self._radius_grid(radius).runs(_reach(radius))
-            for array in runs:
-                array.flags.writeable = False
-            kept["runs"] = radius, runs
+            kept["runs"] = radius, self._radius_grid(radius).runs(_reach(radius))
         return kept["runs"][1]
 
     def nearest_higher(self, rank: np.ndarray, radius: float):
@@ -380,32 +395,35 @@ class _Grid:
         """``(owner, start, stop)``: the slices of sorted positions that
         hold the cells each box [low[:, i], high[:, i]] (one row per grid
         axis) meets, ``owner`` ascending."""
+        return _rank_slices(self.keys, self.width, *self.box_ranks(low, high))
+
+    def box_ranks(self, low: np.ndarray, high: np.ndarray):
+        """``(first, last)``: per grid axis, the ranks among the points'
+        distinct labels of the first label that each box [low[:, i],
+        high[:, i]] meets and of the one after its last."""
         # nextafter: the box's float ends lie outside its true ends.
         low, high = self._label(np.nextafter(np.stack((low, high)), _SIDES * np.inf))
         first = [u.searchsorted(row, "left") for u, row in zip(self.labels, low)]
         last = [u.searchsorted(row, "right") for u, row in zip(self.labels, high)]
-        if self.axes.size == 1:
-            owner = np.arange(low.shape[1])
-            return owner, self.keys.searchsorted(first[0]), self.keys.searchsorted(last[0])
-        rows = last[0] - first[0]
-        owner = np.repeat(np.arange(low.shape[1]), rows)
-        base = _ragged_arange(first[0], rows) * self.width
-        start, stop = (self.keys.searchsorted(base + ends[owner]) for ends in (first[1], last[1]))
-        return owner, start, stop
+        return first, last
 
-    def runs(self, reach: float):
-        """``(cell, bounds, ids)``: point i lies in cell ``cell[i]`` (cells
-        numbered in key order), and the run of cell c,
-        ``ids[bounds[c]:bounds[c + 1]]`` (``np.int32``, half the bytes of
-        the index's own ids), holds the ids of every cell that
-        the box "the bounding box of cell c's points ± reach" meets. Built
-        anew on each call; ``SpatialIndex.candidate_runs`` keeps them.
+    def runs(self, reach: float) -> CandidateRuns:
+        """The candidate runs of this grid for boxes of half-width
+        ``reach``: point i lies in cell ``cell[i]`` (cells numbered in key
+        order), and the run of cell c, ``bounds[c + 1] - bounds[c]`` ids
+        (``np.int32``, half the bytes of the index's own ids), holds the
+        ids of every cell that the box "the bounding box of cell c's
+        points ± reach" meets. This pass finds every cell's box and the
+        length of its run; ``CandidateRuns`` gathers the ids of a block of
+        cells when one of them is first read. Built anew on each call;
+        ``SpatialIndex.candidate_runs`` keeps them.
 
         That box holds the query box [p - reach, p + reach] of each point
         p of the cell, and its ends are rounded and labelled as in
         ``slices``, so the run holds every candidate of a radius query
-        centered on p. The runs are built in bounded passes (lengths, then
-        ids), so they are the only lasting memory.
+        centered on p. The lengths are counted in bounded passes, so the
+        cells, lengths and boxes are the only lasting memory until a run
+        is read.
 
         With reach = r(1 + ``_ROUNDING``) and side r / 3, a cell's points
         span less than one side, so its box spans less than 7.01 sides and
@@ -413,26 +431,21 @@ class _Grid:
         cell of label L). A cell's points are thus in the runs of at most
         9 cells in 1-D and 81 in 2-D, which bounds the ids per point.
         """
-        first = np.diff(self.keys, prepend=-1) != 0
-        heads = np.flatnonzero(first)
+        head = np.diff(self.keys, prepend=-1) != 0
+        heads = np.flatnonzero(head)
         coords = self.columns[self.axes]
         low = np.minimum.reduceat(coords, heads, axis=1) - reach
         high = np.maximum.reduceat(coords, heads, axis=1) + reach
-        blocks = [slice(lo, lo + _BOXES) for lo in range(0, heads.size, _BOXES)]
+        ranks = self.box_ranks(low, high)
         bounds = np.zeros(heads.size + 1, dtype=np.int64)
-        for block in blocks:
-            owner, start, stop = self.box_slices(low[:, block], high[:, block])
-            bounds[block.start + 1:block.stop + 1] = np.bincount(owner, stop - start)
+        for lo in range(0, heads.size, _BOXES):
+            block = ([r[lo:lo + _BOXES] for r in end] for end in ranks)
+            owner, start, stop = _rank_slices(self.keys, self.width, *block)
+            bounds[lo + 1:lo + 1 + _BOXES] = np.bincount(owner, stop - start)
         np.cumsum(bounds, out=bounds)
-        ids = np.empty(bounds[-1], dtype=np.int32)
-        for block in blocks:
-            at = bounds[block.start]
-            for pos, _ in self.candidates(*self.box_slices(low[:, block], high[:, block])):
-                ids[at:at + pos.size] = self.ids.take(pos)
-                at += pos.size
         cell = np.empty(self.ids.size, dtype=np.int64)
-        cell[self.ids] = np.cumsum(first) - 1
-        return cell, bounds, ids
+        cell[self.ids] = np.cumsum(head) - 1
+        return CandidateRuns(self, ranks, cell, bounds)
 
     def candidates(self, owner, start, stop, near=None):
         """Yield ``(positions, owner)`` over the given slices, ``owner``
@@ -462,6 +475,81 @@ class _Grid:
             yield pos, owner_of
 
 
+class CandidateRuns:
+    """The candidate runs of one grid at one reach (``_Grid.runs``): point
+    i lies in cell ``cell[i]``, and ``run(c)``, the run of cell c, holds
+    its ``bounds[c + 1] - bounds[c]`` ids as a read-only int32 array.
+
+    The ids are gathered a block at a time: a block is consecutive cells
+    in key order whose runs hold at most ``_RUN_BLOCK`` ids together (a
+    cell with more is a block alone). A block is gathered, into an array
+    of its own (``blocks[b]``), when one of its cells is first read, and
+    kept; a block that is never read is never allocated. A process forked
+    after some blocks were gathered shares those and gathers the others
+    it reads for itself. The runs keep each cell's box as label ranks and
+    the grid's keys and ids, not the grid's copy of the points.
+    """
+
+    def __init__(self, grid: _Grid, ranks, cell: np.ndarray, bounds: np.ndarray):
+        self.cell, self.bounds = cell, bounds
+        cell.flags.writeable = bounds.flags.writeable = False
+        self._keys, self._ids, self._width = grid.keys, grid.ids, grid.width
+        self._ranks = ranks  # (first, last): each cell's box (``_Grid.box_ranks``)
+        cells = bounds.size - 1
+        starts = [lo for lo, _ in _passes(np.diff(bounds), np.arange(cells), _RUN_BLOCK)]
+        self._starts = starts + [cells]
+        self._base = bounds[self._starts]  # each block's first entry, and the end
+        block = np.repeat(np.arange(len(starts)), np.diff(self._starts))
+        first = self._base.take(block)
+        # Per cell: its block, and its run's ends in the block's array.
+        self._where = np.stack((block, bounds[:-1] - first, bounds[1:] - first), axis=1)
+        self.blocks: list[np.ndarray | None] = [None] * len(starts)
+
+    def run(self, c) -> np.ndarray:
+        """The ids of cell c's run, a read-only int32 view into its block."""
+        b, lo, hi = self._where[c].tolist()  # Python ints: a member's add reads one run
+        ids = self.blocks[b]
+        if ids is None:
+            ids = self._gather(b)
+        return ids[lo:hi]
+
+    def entries(self, cells) -> int:
+        """The ids held by the blocks that hold the given cells: what
+        reading those cells' runs gathers in a process that gathered
+        nothing before."""
+        read = np.zeros(len(self.blocks), dtype=bool)
+        read[self._where[:, 0].take(cells)] = True
+        return int(np.diff(self._base)[read].sum())
+
+    def _gather(self, b) -> np.ndarray:
+        """Gather and keep block b: the ids of the slices of sorted
+        positions that its cells' boxes meet, cell by cell."""
+        cells = slice(self._starts[b], self._starts[b + 1])
+        block = ([r[cells] for r in end] for end in self._ranks)
+        start, stop = _rank_slices(self._keys, self._width, *block)[1:]
+        ids = self._ids.take(_ragged_arange(start, stop - start)).astype(np.int32)
+        ids.flags.writeable = False
+        self.blocks[b] = ids
+        return ids
+
+
+def _rank_slices(keys: np.ndarray, width: int, first, last):
+    """``(owner, start, stop)``: the slices of the positions sorted by a
+    grid's cell ``keys`` (the first axis's label rank times ``width``,
+    plus the second's) that hold the cells each box meets, ``owner``
+    ascending. Box i meets label ranks ``first[a][i]`` to ``last[a][i] -
+    1`` on grid axis a (``_Grid.box_ranks``); its cells of one rank on the
+    first axis have consecutive keys, so they are one slice."""
+    if len(first) == 1:
+        return np.arange(first[0].size), keys.searchsorted(first[0]), keys.searchsorted(last[0])
+    rows = last[0] - first[0]
+    owner = np.repeat(np.arange(rows.size), rows)
+    base = _ragged_arange(first[0], rows)
+    base *= width
+    start, stop = (keys.searchsorted(base + ends[owner]) for ends in (first[1], last[1]))
+    return owner, start, stop
+
+
 def _reach(radius: float) -> float:
     """Half-width of the box that holds every point a computed distance
     puts within ``radius``: the rounding between a coordinate difference
@@ -480,23 +568,24 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The concatenated ranges ``starts[i] .. starts[i] + lengths[i] - 1``."""
     ends = np.cumsum(lengths)
-    total = int(ends[-1]) if ends.size else 0
-    return np.arange(total) + np.repeat(starts - ends + lengths, lengths)
+    ranges = np.repeat(starts - ends + lengths, lengths)
+    ranges += np.arange(ranges.size)
+    return ranges
 
 
-def _passes(sizes: np.ndarray, owner: np.ndarray):
+def _passes(sizes: np.ndarray, owner: np.ndarray, limit: int = _CHUNK):
     """Consecutive ranges ``lo, hi`` of items whose sizes add up to at
-    most ``_CHUNK``, cut only where ``owner`` (ascending) changes; an
+    most ``limit``, cut only where ``owner`` (ascending) changes; an
     owner whose items alone are larger is a range alone. There is at
     least one range."""
     n = sizes.size
     ends = np.cumsum(sizes)
-    if not n or ends[-1] <= _CHUNK:
+    if not n or ends[-1] <= limit:
         yield 0, n
         return
     lo = 0
     while lo < n:
-        hi = max(lo + 1, int(ends.searchsorted((ends[lo - 1] if lo else 0) + _CHUNK, "right")))
+        hi = max(lo + 1, int(ends.searchsorted((ends[lo - 1] if lo else 0) + limit, "right")))
         if hi < n and owner[hi] == owner[hi - 1]:  # inside one owner's items
             back = int(owner.searchsorted(owner[hi], "left"))
             hi = back if back > lo else int(owner.searchsorted(owner[hi], "right"))
@@ -656,6 +745,26 @@ def _parse_block(block, features, path, first: int) -> list[float]:
     return values
 
 
+def _first_decoding_error(path):
+    """``(reason, offset)`` of the file's first byte that is not UTF-8,
+    its offset counted from the start of the file, or None if every byte
+    is. The file is decoded in blocks of 64 KB; a sequence cut at a
+    block's end is held by the decoder until the next."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    at = 0  # the offset of the next block
+    with open(path, "rb") as fh:
+        while True:
+            block = fh.read(1 << 16)
+            held = len(decoder.getstate()[0])
+            try:
+                decoder.decode(block, final=not block)
+            except UnicodeDecodeError as exc:
+                return exc.reason, at - held + exc.start
+            if not block:
+                return None
+            at += len(block)
+
+
 def load_csv(path, label_column=None) -> tuple[Dataset, GroundTruth | None]:
     """Load a dataset from a comma-separated file.
 
@@ -730,7 +839,9 @@ def load_csv(path, label_column=None) -> tuple[Dataset, GroundTruth | None]:
                             )
                 rows += len(block)
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        # exc.start counts from the start of the text reader's last read.
+        reason, at = _first_decoding_error(path) or (exc.reason, exc.start)
+        raise ParseError(f"{path}: not UTF-8 text ({reason} at byte {at})") from None
     for exc in (width_fault, fault):
         if exc is not None:
             raise exc

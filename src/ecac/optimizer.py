@@ -28,17 +28,21 @@ lower set index; every run is deterministic.
 
 The scored strategies keep one score per object (inf for members and
 objects outside the pool), so a step is one ``argmin``. A new member's
-answer is one slice of its cell's candidate run at 2*delta
+answer is its cell's candidate run at 2*delta
 (``SpatialIndex.candidate_runs``, kept with the dataset), less the
-members, with exact distances; no index call is made per member.
+members, with exact distances; no index call is made per member. A run
+is gathered, with a block of nearby cells' runs, when first read, so a
+capped extension holds the runs of the few cells its members lie in.
 Folding the answer into the cache is what admits rows to the local
 pool; a fold also visits ``far``, the pooled rows whose cached distance
 is at least 2*delta. Coverage grows by the answer's newly covered objects.
 ``_run_scored`` and ``_GreedyState`` say why all of this is exact.
 ``prepare_extension`` is the one place that names what an extension at
 one delta reads, the count at delta and the runs at 2*delta: it builds
-them once per dataset, so that extensions that follow, and processes
-forked afterwards, share them.
+the count and every run's length once per dataset, so that extensions
+that follow, and processes forked afterwards, share them; a forked
+process gathers the blocks of runs it reads that were not gathered
+before the fork.
 """
 
 from __future__ import annotations
@@ -92,8 +96,9 @@ class ExtendedSets:
     covered count after the step; ``trace`` reads them as one dict per
     step (see ``trace_records``). ``stats`` counts the distance work,
     the same on every run of the same input: ``run_entries``, the ids
-    held by the candidate runs that the queries read (at most 81 per
-    object), ``candidates``, the non-members whose distance to a new
+    held by the blocks of candidate runs that the queries read (at most
+    81 per object), whether this run or an earlier one gathered them,
+    ``candidates``, the non-members whose distance to a new
     member was computed in its answer, summed over the members, and
     ``far_rows``, the rows folded from ``far`` (see ``_run_scored``),
     summed over the folds (0 for the uncapped local pool).
@@ -127,11 +132,14 @@ def _query_radius(delta: float) -> float:
 
 
 def prepare_extension(dataset: Dataset, delta: float):
-    """``(rho, (cell, bounds, runs))``, what every extension of
-    ``dataset`` at ``delta`` reads: the neighbour count at delta and the
-    candidate runs at the query radius. Both are kept in
+    """``(rho, runs)``, what every extension of ``dataset`` at ``delta``
+    reads: the neighbour count at delta and the candidate runs at the
+    query radius (a ``CandidateRuns``). Both are kept in
     ``dataset.derived``, so the extensions that follow, in this process
-    or in processes forked from it, build neither."""
+    or in processes forked from it, build neither. The runs' ids are
+    gathered a block at a time as extensions read them: a forked process
+    shares the blocks gathered before the fork and gathers the others
+    that it reads for itself."""
     index = dataset.index
     return index.density(delta), index.candidate_runs(_query_radius(delta))
 
@@ -146,6 +154,8 @@ class _GreedyState:
     ``_distances`` on columns gathered from ``dataset.columns``, against
     the object's own ``columns[:, o, None]``; the run's int32 ids are
     widened once per answer, so every later index is an ``np.intp``.
+    Each member reads its own cell's run once, so the members' cells are
+    the cells whose blocks ``stats["run_entries"]`` counts.
 
     Why this is exact: a run holds every point at strict distance below
     the radius from any point of its cell, so an answer holds every
@@ -158,7 +168,8 @@ class _GreedyState:
     def __init__(self, dataset, delta, centers, cap):
         self.points = dataset.points
         self.columns = dataset.columns
-        self.rho, (self.cell, self.bounds, self.runs) = prepare_extension(dataset, delta)
+        self.rho, self.runs = prepare_extension(dataset, delta)
+        self.cell = self.runs.cell
         self.centers = centers
         self.delta = float(delta)
         self.cap = cap
@@ -173,7 +184,7 @@ class _GreedyState:
         self.n_closed = 0
         self.uncovered = np.ones(self.n, dtype=bool)
         self.n_covered = 0
-        self.stats = {"run_entries": int(self.runs.size), "candidates": 0, "far_rows": 0}
+        self.stats = {"run_entries": 0, "candidates": 0, "far_rows": 0}
         # The trace's dis and covered columns; its object and set columns
         # are all[k:] and all_sets[k:]. Ints and floats are not tracked by
         # the garbage collector, so a step allocates no container (a tuple
@@ -199,8 +210,7 @@ class _GreedyState:
         if len(self.sets[j]) - 1 == self.cap:
             self.closed[j] = True
             self.n_closed += 1
-        c = self.cell[o]
-        run = self.runs[self.bounds[c]:self.bounds[c + 1]].astype(np.intp)
+        run = self.runs.run(self.cell[o]).astype(np.intp)
         ids = run[self.free[run]]
         dists = _distances(self.columns.take(ids, axis=1), self.columns[:, o, None])
         self.stats["candidates"] += ids.size
@@ -222,6 +232,7 @@ class _GreedyState:
         return self.n_covered == self.n or len(self.all) == self.n or self.n_closed == self.k
 
     def finish(self) -> ExtendedSets:
+        self.stats["run_entries"] = self.runs.entries(self.cell.take(self.all))
         return ExtendedSets(
             sets=self.sets,
             all=self.all,

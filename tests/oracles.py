@@ -9,6 +9,7 @@ route.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections import Counter
 
@@ -271,16 +272,19 @@ def dpc_assignment_loop(points: np.ndarray, centers, rho, nearest_higher) -> lis
 
 
 def load_csv_rows(path, label_column=None):
-    """``ecac.load_csv`` from its definition: every non-blank row read
-    into one table first, then checked and parsed, fault by fault in
+    """``ecac.load_csv`` from its definition: the file's bytes decoded
+    whole, so a decoding error counts its offset from the file's start,
+    every non-blank row read into one table, then checked and parsed, fault by fault in
     this order: a decoding error, a row of another width than the first,
     a label column that does not exist, a header without rows, no
     feature column left, a bad cell (the first in row order)."""
+    with open(path, "rb") as fh:
+        content = fh.read()
     try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if "".join(row).strip()]
+        text = content.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if "".join(row).strip()]
     if not rows:
         raise EmptyDataset(f"{path}: no rows")
 

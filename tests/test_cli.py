@@ -6,8 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ecac
 from ecac import cli, density, optimizer, pipeline
@@ -436,6 +440,30 @@ except OSError as exc:
         pieces = traced_peak_mb(lambda: cli._write_json(tmp_path / "result.json", payload))
         assert pieces < whole / 2
 
+    def test_a_write_holds_a_slice_of_a_record(self, tmp_path):
+        # One record of 200,000 labels inside the payload, as in
+        # result.json: json.dumps holds a string per label, the pieces
+        # one slice's.
+        record = {"labels": [(7 * i) % 5 for i in range(200_000)], "s": 200_000, "delta": 0.5}
+        payload = {"schema_version": 1, "optimized": record}
+        whole = traced_peak_mb(lambda: json.dumps(payload, sort_keys=True))
+        pieces = traced_peak_mb(lambda: cli._write_json(tmp_path / "result.json", payload))
+        assert pieces < whole / 10
+        assert (tmp_path / "result.json").read_text() == json.dumps(payload, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("length", [0, 1, cli._JSON_SLICE - 1, cli._JSON_SLICE,
+                                        cli._JSON_SLICE + 1, 3 * cli._JSON_SLICE + 5])
+    def test_lists_around_one_slice_join_to_one_dumps(self, length):
+        # Plain values in lists shorter than, as long as and longer than
+        # one slice, at the top and in records and lists of lists; no
+        # piece holds more than one slice of them.
+        plain = [[i, -0.5 * i, "é✓", None, True, float("nan"), float("-inf")][i % 7] for i in range(length)]
+        records = [{"labels": plain, "i": i, "sets": [plain[:3], plain]} for i in range(3)]
+        payload = {"labels": plain, "sweep": records, "empty": [[], {}, ()], "mixed": [1, {"a": [2]}]}
+        pieces = list(cli._json_pieces(payload))
+        assert "".join(pieces) == json.dumps(payload, sort_keys=True) + "\n"
+        assert max(piece.count(",") for piece in pieces) <= cli._JSON_SLICE
+
     def test_trace_records_are_built_only_for_trace_output(self, tmp_path, monkeypatch):
         built = []
 
@@ -814,3 +842,28 @@ class TestMainEntry:
         ])
         assert code == 0
         assert (tmp_path / "o" / "result.json").exists()
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(), st.text(max_size=6),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=7),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=5),
+       slice_items=st.sampled_from([1, 2, 3, cli._JSON_SLICE]))
+def test_json_pieces_join_to_one_dumps(payload, slice_items):
+    # Nested dicts, lists and tuples, empty ones too, of non-ASCII
+    # strings, big integers and NaN and infinite floats; slices of a few
+    # items cut short lists into many.
+    with mock.patch.object(cli, "_JSON_SLICE", slice_items):
+        assert "".join(cli._json_pieces(payload)) == json.dumps(payload, sort_keys=True) + "\n"

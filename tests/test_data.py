@@ -1,3 +1,4 @@
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -115,6 +116,23 @@ class TestLoadCsv:
         ds, gt = load_csv(path, label_column="x")
         assert ds.points.tolist() == [[2.0, 0.0], [4.0, 1.0]]
         assert gt.labels.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("load", [load_csv, load_csv_rows], ids=["loader", "oracle"])
+    @pytest.mark.parametrize("content,fault", [
+        # Past a text reader's first 8 KB read, whose own offset (12,004 -
+        # 8,192) was named before; a byte-order mark is three bytes more.
+        (b"1.0,2.0\n" * 1500 + b"3.0,\xff\n", "invalid start byte at byte 12004"),
+        (b"\xef\xbb\xbf" + b"1.0,2.0\n" * 1500 + b"3.0,\xff\n", "invalid start byte at byte 12007"),
+        (b"1.0,2.0\n" * 1500 + b"3.0,\xe2\x82", "unexpected end of data at byte 12004"),
+        # A sequence cut by the end of a 64 KB block, whole or not.
+        (b"1.0,2.0\n" * 8191 + b"1.0,2.0\xc3\xa9\n3.0,\xff\n", "invalid start byte at byte 65542"),
+        (b"1.0,2.0\n" * 8191 + b"1.0,2.0\xc3A\n", "invalid continuation byte at byte 65535"),
+    ], ids=["start", "bom", "end", "across-blocks", "cut-by-a-block"])
+    def test_a_decoding_error_names_its_offset_in_the_file(self, tmp_path, load, content, fault):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match=re.escape(f"not UTF-8 text ({fault})")):
+            load(path)
 
     def test_rows_of_many_blocks_load_as_the_oracle_loads_them(self, tmp_path):
         # Three blocks and a part of rows, blank rows between them, then a

@@ -8,12 +8,15 @@ duplicates and points at exactly distance r occur often; queries also
 come from outside the data's extent, and coordinates may be negative.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from ecac import data
 from ecac.data import Dataset, SpatialIndex
 
 from oracles import row_norms
@@ -83,18 +86,29 @@ def check_index(points, queries, radius):
 
 def check_runs(points, radius):
     """Every point at strict distance < radius from a point lies in the
-    run of that point's cell, and a run lists an id at most once, as an
-    int32."""
-    cell, bounds, ids = SpatialIndex(Dataset(points)).candidate_runs(radius)
-    assert ids.dtype == np.int32
-    assert bounds[0] == 0 and bounds[-1] == ids.size and (np.diff(bounds) > 0).all()
+    run of that point's cell, and a run lists an id at most once, as a
+    read-only int32. The runs' blocks are consecutive cells that hold at
+    most ``_RUN_BLOCK`` ids, or one cell, each gathered when first read."""
+    runs = SpatialIndex(Dataset(points)).candidate_runs(radius)
+    cell, bounds = runs.cell, runs.bounds
+    assert bounds[0] == 0 and (np.diff(bounds) > 0).all()
     # A box meets at most 9 cells per grid axis (at most two axes).
-    assert ids.size <= 9 ** min(points.shape[1], 2) * len(points)
+    assert bounds[-1] <= 9 ** min(points.shape[1], 2) * len(points)
+    assert runs.blocks == [None] * len(runs.blocks)
     for i, p in enumerate(points):
-        run = ids[bounds[cell[i]]:bounds[cell[i] + 1]]
+        run = runs.run(cell[i])
+        assert run.dtype == np.int32 and not run.flags.writeable
+        assert run.size == bounds[cell[i] + 1] - bounds[cell[i]]
         assert np.unique(run).size == run.size
         near = np.flatnonzero(np.sqrt(((points - p) ** 2).sum(axis=1)) < radius)
         assert np.isin(near, run).all()
+    # Every cell holds a point, so every block was read.
+    starts = runs._starts
+    assert starts[0] == 0 and starts[-1] == bounds.size - 1 and (np.diff(starts) > 0).all()
+    sizes = [block.size for block in runs.blocks]
+    assert sizes == np.diff(bounds[starts]).tolist() and sum(sizes) == bounds[-1]
+    assert all(size <= data._RUN_BLOCK or b - a == 1 for size, a, b in zip(sizes, starts, starts[1:]))
+    assert runs.entries(cell) == bounds[-1]
 
 
 @settings(max_examples=300, deadline=None)
@@ -104,12 +118,14 @@ def test_index_matches_tree_oracle(instance):
 
 
 @settings(max_examples=300, deadline=None)
-@given(instances(), st.sampled_from([None, 1e10, -1e12]), st.booleans())
-def test_candidate_runs_hold_every_neighbour(instance, far, infinite):
+@given(instances(), st.sampled_from([None, 1e10, -1e12]), st.booleans(),
+       st.sampled_from([1, 16, 200, data._RUN_BLOCK]))
+def test_candidate_runs_hold_every_neighbour(instance, far, infinite, block):
     # Lattice points with duplicates, negative coordinates and radii of
     # whole lattice steps (points at exactly r); a far point at a small
     # scale puts the extent-to-radius ratio above 2**32, and an infinite
-    # radius makes one cell that holds every point.
+    # radius makes one cell that holds every point. Small blocks spread
+    # the runs over many blocks, and cut runs longer than a block.
     points, _, radius = instance
     if far is not None:
         points = np.vstack([points * 1e-9, np.full((1, points.shape[1]), far)])
@@ -117,7 +133,8 @@ def test_candidate_runs_hold_every_neighbour(instance, far, infinite):
         assert np.ptp(points) / radius > 2.0**32
     if infinite:
         radius = np.inf
-    check_runs(points, radius)
+    with mock.patch.object(data, "_RUN_BLOCK", block):
+        check_runs(points, radius)
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,9 +176,9 @@ def test_a_run_meets_nine_cells_per_axis(d):
     axis = np.concatenate([np.arange(30.0), np.arange(30.0) + 1 - 1e-12])
     points = np.stack(np.meshgrid(*[axis] * d), axis=-1).reshape(-1, d)
     check_runs(points, 3.0)
-    cell, bounds, ids = SpatialIndex(Dataset(points)).candidate_runs(3.0)
+    bounds = SpatialIndex(Dataset(points)).candidate_runs(3.0).bounds
     assert np.diff(bounds).max() == 2**d * 9**d
-    assert ids.size > 8**d * len(points)
+    assert bounds[-1] > 8**d * len(points)
 
 
 @pytest.mark.parametrize("d", [1, 2, 8])
@@ -170,9 +187,9 @@ def test_an_infinite_radius_finds_every_point(d):
     index = SpatialIndex(Dataset(points))
     assert index.range_query_many(np.full((1, d), -1e6), np.inf)[0].tolist() == list(range(30))
     assert index.density(np.inf).tolist() == [30] * 30
-    cell, bounds, ids = index.candidate_runs(np.inf)
-    assert cell.tolist() == [0] * 30 and bounds.tolist() == [0, 30]
-    assert sorted(ids.tolist()) == list(range(30))
+    runs = index.candidate_runs(np.inf)
+    assert runs.cell.tolist() == [0] * 30 and runs.bounds.tolist() == [0, 30]
+    assert sorted(runs.run(0).tolist()) == list(range(30))
 
 
 @pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e200])

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import ecac
 from ecac import optimizer
-from ecac.data import Dataset, SpatialIndex, generate_gaussian_mixture, nearest
+from ecac.data import CandidateRuns, Dataset, SpatialIndex, generate_gaussian_mixture, nearest
 from ecac.density import compute_densities
 from ecac.errors import EmptyCenters, InvalidRadius, InvalidSpec, LabelOutOfRange
 from ecac.optimizer import (
@@ -245,8 +245,7 @@ def test_matches_naive_reference_with_members_in_answers(monkeypatch, kind, cap)
 
     def counting_add(state, o, j):
         ids, dists = add(state, o, j)
-        c = state.cell[o]
-        run = state.runs[state.bounds[c]:state.bounds[c + 1]]
+        run = state.runs.run(state.cell[o])
         listed_members.append(int(np.count_nonzero(~state.free[run])) - 1)
         answered_members.append(int(np.count_nonzero(~state.free[ids])))
         return ids, dists
@@ -325,13 +324,29 @@ def _spiral_1500():
     return ds, centers.tolist(), delta
 
 
+def _record_gathers(monkeypatch) -> list:
+    """The blocks of candidate runs gathered, in order."""
+    gathered = []
+    gather = CandidateRuns._gather
+
+    def recording(runs, b):
+        gathered.append(b)
+        return gather(runs, b)
+
+    monkeypatch.setattr(CandidateRuns, "_gather", recording)
+    return gathered
+
+
 def test_extension_reads_candidate_runs_not_the_index(monkeypatch):
     # Every member's answer is a slice of its cell's run: no radius query
     # goes to the index, and the runs hold at most 81 ids per object (a
-    # box meets at most 9 cells per grid axis).
+    # box meets at most 9 cells per grid axis). The extensions share the
+    # kept runs, so each block is gathered once, and ``run_entries``
+    # counts the blocks an extension read, whoever gathered them.
     ds, centers, delta = _spiral_1500()
     calls = []
     query = SpatialIndex.range_query_many
+    gathered = _record_gathers(monkeypatch)
 
     def counting(self, centers, radius):
         calls.append(len(centers))
@@ -347,6 +362,35 @@ def test_extension_reads_candidate_runs_not_the_index(monkeypatch):
     ext = identify_extended_centers(ds, centers, delta)
     assert ext.s > 1000
     assert ext.stats == identify_extended_centers(ds, centers, delta).stats
+    assert gathered and len(set(gathered)) == len(gathered)
+
+
+def test_an_uncapped_extension_reads_every_block_once(monkeypatch):
+    # Almost every object of the spiral is promoted, in every block.
+    ds, centers, delta = _spiral_1500()
+    gathered = _record_gathers(monkeypatch)
+    ext = identify_extended_centers(ds, centers, delta)
+    runs = ds.index.candidate_runs(2 * delta)
+    assert len(runs.blocks) > 1
+    assert sorted(gathered) == list(range(len(runs.blocks)))
+    assert ext.stats["run_entries"] == runs.bounds[-1]
+
+
+def test_a_capped_extension_gathers_only_the_blocks_it_reads():
+    # The mixture of the capped DPC benchmark: 4 blobs of 2,500 points,
+    # DPC k = 4 centers, the default delta and 100 extended-centers per
+    # set. The 404 members lie in few cells, whose blocks hold at most a
+    # third of the runs' ids, and no other block is allocated.
+    means = [[0, 0], [12, 0], [0, 12], [12, 12]]
+    ds, _ = generate_gaussian_mixture(4, 2500, means, 2.0, 0)
+    delta = ecac.default_delta(ds)
+    centers, _ = ecac.build_algorithm("dpc").center_process(ds, 4)
+    ext = identify_extended_centers(ds, centers.tolist(), delta, SelectionStrategy(cap=100))
+    assert ext.s == 4 + 4 * 100
+    runs = ds.index.candidate_runs(2 * delta)
+    gathered = [block.size for block in runs.blocks if block is not None]
+    assert ext.stats["run_entries"] == sum(gathered) <= runs.bounds[-1] / 3
+    assert len(gathered) < len(runs.blocks) / 3
 
 
 def test_extensions_and_dpc_read_the_one_kept_transpose(monkeypatch):

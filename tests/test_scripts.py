@@ -43,6 +43,10 @@ def test_timing_script_prints_the_workload_row(argv):
         assert rows[0][-4:] == ["prepare", "MB", "dpc", "MB"]
         (row,) = [row for row in rows if row[:2] == ["ablate-spiral-global", "0"]]
         assert 0 < float(row[-2]) < 50 and row[-1] == row[-3] == "-"
+        # Both uncapped extensions read every block of runs they gather.
+        assert rows[0][4:7] == ["gathered", "MB", "blocks"]
+        read, blocks = map(int, row[4].split("/"))
+        assert float(row[3]) > 0 and read == blocks > 0
     if argv[0] == "scripts/run_timing.py":
         # The import footprint of the one checkout: the run path draws its
         # seeded samples without numpy.random, so neither it nor hashlib

@@ -27,7 +27,9 @@ import pytest
 
 import ecac
 from ecac.cli import main
-from ecac.data import _CELLS_PER_RADIUS, Dataset, SpatialIndex, _Grid, generate_gaussian_mixture
+from ecac.data import (
+    _CELLS_PER_RADIUS, CandidateRuns, Dataset, SpatialIndex, _Grid, generate_gaussian_mixture,
+)
 from ecac.optimizer import STRATEGY_KINDS, SelectionStrategy, _GreedyState, identify_extended_centers
 from test_cli import use_cores
 
@@ -136,6 +138,28 @@ def runs_builds(tmp_path, monkeypatch):
     return built
 
 
+@pytest.fixture
+def block_gathers(tmp_path, monkeypatch):
+    """The (process, cell side, block) of every block of candidate runs
+    gathered, in this process and in forked ones."""
+    gathered = CallLog(tmp_path / "gathers.log")
+    build_runs = _Grid.runs
+    gather = CandidateRuns._gather
+
+    def tagging(self, reach):
+        runs = build_runs(self, reach)
+        runs.side = self.side
+        return runs
+
+    def counting(self, b):
+        gathered.append((os.getpid(), self.side, b))
+        return gather(self, b)
+
+    monkeypatch.setattr(_Grid, "runs", tagging)
+    monkeypatch.setattr(CandidateRuns, "_gather", counting)
+    return gathered
+
+
 def test_dpc_run_builds_one_index_and_counts_its_radius_once(tmp_path, neighbour_work):
     # d_c and δ both default to the 2% percentile: one radius.
     csv = write_blobs_csv(tmp_path / "blobs.csv", 40)
@@ -220,13 +244,15 @@ def test_default_sweep_builds_each_grid_once(tmp_path, monkeypatch, grid_builds,
     (["ablate", "--variants", "local,nodensity"], 1, 3),
 ])
 def test_candidate_runs_are_built_once_per_extension(
-    tmp_path, monkeypatch, runs_builds, command, radii, extensions
+    tmp_path, monkeypatch, runs_builds, block_gathers, command, radii, extensions
 ):
     # The sweep's five local extensions read runs at five radii (2δ each)
     # and build each radius's runs once. The ablation's local and global
     # extensions, and a count-matched ablation's probe, local and
     # nodensity extensions, all read the one set of runs at 2δ that the
     # command builds before its variants run, on one core or forked on two.
+    # A process gathers each block of runs at most once: a forked worker
+    # shares the blocks gathered before the fork and gathers the others.
     made = CallLog(tmp_path / "states.log")
     make_state = _GreedyState.__init__
 
@@ -239,6 +265,7 @@ def test_candidate_runs_are_built_once_per_extension(
     for cores in (1, 2):
         use_cores(monkeypatch, cores)
         runs_builds.clear()
+        block_gathers.clear()
         made.clear()
         code = main([
             *command, "--data", str(csv), "--label-col", "-1", "--algo", "kmeans", "--k", "4",
@@ -247,6 +274,7 @@ def test_candidate_runs_are_built_once_per_extension(
         assert code == 0
         assert len(set(runs_builds)) == radii and len(runs_builds) == radii
         assert len(made) == extensions
+        assert block_gathers and len(set(block_gathers)) == len(block_gathers)
 
 
 def test_every_strategy_reads_candidate_runs_at_twice_delta(monkeypatch):
@@ -328,20 +356,28 @@ def test_many_radii_keep_a_bounded_number_of_grids(grid_builds):
     assert len(grid_builds) == radii.size + 4
 
 
-def test_a_second_radius_replaces_the_kept_runs(monkeypatch, runs_builds):
+def test_a_second_radius_replaces_the_kept_runs(monkeypatch, runs_builds, block_gathers):
     # One set of runs is kept per dataset, read-only and shared by every
-    # index over it; another radius frees it before its own are built.
+    # index over it, each block gathered once; another radius frees it,
+    # with its blocks, before its own are built. Blocks of at most 64 ids
+    # spread the runs over several.
+    monkeypatch.setattr("ecac.data._RUN_BLOCK", 64)
     dataset, _ = generate_gaussian_mixture(2, 30, [[0, 0], [5, 0]], 1.0, 0)
     runs = dataset.index.candidate_runs(1.0)
     assert SpatialIndex(dataset).candidate_runs(1.0) is runs
-    assert not any(array.flags.writeable for array in runs)
+    assert len(runs.blocks) > 3
+    cells = range(runs.bounds.size - 1)
+    read = [runs.run(c) for c in cells] + [SpatialIndex(dataset).candidate_runs(1.0).run(c) for c in cells]
+    assert len(block_gathers) == len(runs.blocks)
+    arrays = [runs.cell, runs.bounds, *runs.blocks]
+    assert not any(array.flags.writeable for array in arrays + read)
     assert len(runs_builds) == 1
-    freed = [weakref.ref(array) for array in runs]
-    del runs
+    freed = [weakref.ref(array) for array in arrays]
+    del runs, read, arrays
     build_runs = _Grid.runs
 
     def checking(self, reach):
-        assert [ref() for ref in freed] == [None] * 3
+        assert [ref() for ref in freed] == [None] * len(freed)
         return build_runs(self, reach)
 
     monkeypatch.setattr(_Grid, "runs", checking)
