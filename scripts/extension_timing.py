@@ -40,8 +40,10 @@ Each ``--src`` directory is imported as its own copy of the package, so
 two checkouts are compared in one process: every repeat times each
 input once per checkout, and the order of the checkouts alternates from
 repeat to repeat. The script prints, per input and checkout, the median
-time, the megabytes of candidate-run ids that the input's extensions
-gathered (``gathered MB``) and the blocks of runs that they read out of
+wall time (``median s``) and the median CPU time of the process
+(``time.process_time``, ``cpu s``) of the input's calls, the megabytes
+of candidate-run ids that the input's extensions gathered
+(``gathered MB``) and the blocks of runs that they read out of
 all blocks (``blocks``), both summed over the deltas and taken in one
 more untimed pass on a fresh ``Dataset``, and three counters of
 ``ExtendedSets.stats`` summed over the input's calls: ``run_entries``,
@@ -158,18 +160,18 @@ COUNTERS = ("run_entries", "candidates", "far_rows")
 
 
 def time_calls(ecac, calls):
-    """Seconds for the calls, and their summed counters (None where the
-    extension does not keep one)."""
+    """Wall and CPU seconds for the calls, and their summed counters (None
+    where the extension does not keep one)."""
     gc.collect()
-    start = time.perf_counter()
+    start, cpu = time.perf_counter(), time.process_time()
     results = [ecac.identify_extended_centers(*call) for call in calls]
-    seconds = time.perf_counter() - start
+    seconds, cpu = time.perf_counter() - start, time.process_time() - cpu
     stats = [getattr(ext, "stats", None) or {} for ext in results]
     counters = {
         key: sum(s[key] for s in stats) if all(key in s for s in stats) else None
         for key in COUNTERS
     }
-    return seconds, counters
+    return seconds, cpu, counters
 
 
 def gathered(ecac, calls):
@@ -244,7 +246,7 @@ def main(argv=None) -> int:
         parser.error(f"unknown input(s): {', '.join(unknown)}")
 
     packages = [load_package(src.resolve(), f"ecac_timed_{i}") for i, src in enumerate(srcs)]
-    print(f"{'input':22s}{'src':>5s}{'median s':>10s}{'gathered MB':>13s}{'blocks':>11s}{'run entries':>13s}"
+    print(f"{'input':22s}{'src':>5s}{'median s':>10s}{'cpu s':>8s}{'gathered MB':>13s}{'blocks':>11s}{'run entries':>13s}"
           f"{'candidates':>12s}{'far rows':>10s}{'prepare s':>11s}{'dpc s':>8s}"
           f"{'prepare MB':>12s}{'dpc MB':>8s}")
     with tempfile.TemporaryDirectory() as tmp:
@@ -253,13 +255,15 @@ def main(argv=None) -> int:
             write_input(name, args.seed, csv_path)
             calls = [prepare(name, csv_path, ecac) for ecac in packages]
             times = [[] for _ in packages]
+            cpu_times = [[] for _ in packages]
             passes = [[] for _ in packages]
             counters = [None] * len(packages)
             for repeat in range(args.repeats):
                 order = range(len(packages)) if repeat % 2 == 0 else reversed(range(len(packages)))
                 for i in order:
-                    elapsed, counters[i] = time_calls(packages[i], calls[i])
+                    elapsed, cpu, counters[i] = time_calls(packages[i], calls[i])
                     times[i].append(elapsed)
+                    cpu_times[i].append(cpu)
                     passes[i].append(grid_passes(packages[i], calls[i], name in DPC_TIMED))
             # Two more passes, untimed, for the runs gathered and the traced peaks.
             gathers = [gathered(ecac, c) for ecac, c in zip(packages, calls)]
@@ -278,6 +282,7 @@ def main(argv=None) -> int:
                 blocks = "-" if blocks is None else "/".join(map(str, blocks))
                 print(
                     f"{name:22s}{i:>5d}{statistics.median(src_times):>10.3f}"
+                    f"{statistics.median(cpu_times[i]):>8.3f}"
                     f"{gathered_mb:>13.2f}{blocks:>11s}{entries:>13}{candidates:>12}{far_rows:>10}"
                     f"{statistics.median(prepare_s):>11.3f}{dpc:>8}{prepare_mb:>12.2f}{dpc_mb:>8}",
                     flush=True,

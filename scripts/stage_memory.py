@@ -3,22 +3,27 @@
 
     python3 scripts/stage_memory.py blobs-dpc-capped
     python3 scripts/stage_memory.py sweep-spiral-kmeans --seed 5 --src old/src
+    python3 scripts/stage_memory.py sweep-spiral-kmeans --n 20001
 
-The workload's input and command come from ``perfbench/workloads.py``,
-and the command runs in a fresh interpreter as ``scripts/run_timing.py``
-runs it: from a copy of the ``--src`` tree without ``__pycache__``,
+The workload's input and command come from ``perfbench/workloads.py``;
+``--n N`` writes the input at N points in place of the workload's own
+(``dataclasses.replace(workload, n=N)``; a spiral has N // 3 points per
+arm, blobs N // k per blob). The command runs in a fresh interpreter as
+``scripts/run_timing.py`` runs it: from a copy of the ``--src`` tree without ``__pycache__``,
 writing no bytecode, so the child compiles ``ecac`` from the source. The
 child wraps the command's stages in its calling process and reads that
 process's ``VmRSS`` and ``VmHWM`` before and after each: the load, the
 centers, the baseline, the delta resolution, the ablation's shared
 preparation, each job that the calling process runs itself (the jobs of
 forked workers are not shown) and the write of the result. The script
-prints one row per stage, in MB, and the child's peak at its exit.
+prints the workload's name and input size, then one row per stage, in
+MB, and the child's peak at its exit.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import subprocess
 import sys
@@ -97,8 +102,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="seed of the workload input")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the checkout's src directory (default: this one)")
+    parser.add_argument("--n", type=int, help="the input's size (default: the workload's)")
     args = parser.parse_args(argv)
-    result = stage_memory(WORKLOADS[args.workload], args.seed, args.src.resolve())
+    workload = WORKLOADS[args.workload]
+    if args.n is not None:
+        if args.n < 1:
+            parser.error(f"--n must be positive, got {args.n}")
+        workload = dataclasses.replace(workload, n=args.n)
+    result = stage_memory(workload, args.seed, args.src.resolve())
+    print(f"{workload.name}: n = {workload.n}, seed {args.seed}")
     print(f"{'stage':28s}{'RSS before':>11s}{'after':>8s}{'HWM before':>12s}{'after':>8s}")
     for name, *kb in result["stages"]:
         rss, hwm, rss_after, hwm_after = (value / 1024.0 for value in kb)

@@ -7,6 +7,7 @@ import json
 import os
 import pickle
 import sys
+from contextlib import contextmanager
 from itertools import groupby
 from pathlib import Path
 
@@ -91,29 +92,38 @@ def _pieces(value):
         yield _encode(value)
 
 
-def _write_json(path: Path, payload: dict):
-    """Write ``payload`` to ``path`` as one compact line with sorted keys,
-    piece by piece (``_json_pieces``): the C encoder holds the text of a
-    piece's values until it joins them, so the write holds a slice of a
-    list encoded, not a record or the whole payload.
-    ``json.dump`` would stream too, but only through the pure-Python
-    encoder, several times slower, as ``indent`` would. The pieces go to
-    a temporary file beside ``path`` that then replaces it, so a failed
-    write leaves the previous file whole."""
+@contextmanager
+def _replacing(path: Path):
+    """A text file to write in place of ``path``: a temporary file beside
+    it that replaces it once the block ends, so a failed write leaves
+    the previous file whole and no temporary file behind."""
     path.parent.mkdir(parents=True, exist_ok=True)
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with temporary.open("w", encoding="utf-8") as fh:
-            fh.writelines(_json_pieces(payload))
+            yield fh
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
 
 
+def _write_json(path: Path, payload: dict):
+    """Write ``payload`` to ``path`` as one compact line with sorted keys,
+    piece by piece (``_json_pieces``): the C encoder holds the text of a
+    piece's values until it joins them, so the write holds a slice of a
+    list encoded, not a record or the whole payload.
+    ``json.dump`` would stream too, but only through the pure-Python
+    encoder, several times slower, as ``indent`` would. The file is
+    written through ``_replacing``."""
+    with _replacing(path) as fh:
+        fh.writelines(_json_pieces(payload))
+
+
 def _write_trace(path: Path, trace: list[dict]):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
+    """Write the trace records to ``path``, one JSON line each, through
+    ``_replacing``."""
+    with _replacing(path) as fh:
         for record in trace:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 

@@ -18,12 +18,27 @@ from .optimizer import SelectionStrategy, identify_extended_centers, merge_clust
 SCHEMA_VERSION = 1
 
 
+# The dtypes of the trace's columns: object, set, dis and covered.
+_STEP_TYPES = (np.int64, np.int64, np.float64, np.int64)
+
+
+def _step_columns(steps=((), (), (), ())) -> tuple:
+    """The trace's four columns as arrays of ``_STEP_TYPES``."""
+    return tuple(np.asarray(column, dtype=t) for column, t in zip(steps, _STEP_TYPES))
+
+
 @dataclass
 class ClusteringResult:
     """One clustering run: labels, provenance, and (optional) scores.
 
     ``timings`` is the only nondeterministic part of a result; everything
     else is a pure function of the inputs and seeds.
+
+    A record holds its per-object values as NumPy arrays, whichever
+    function built it: ``labels``, one int64 array per extended-set, and
+    the trace's columns. With s close to n, a record of Python lists
+    held, and a forked worker pickled back, 32 to 36 bytes per value
+    against 8.
     """
 
     algorithm: str
@@ -31,7 +46,7 @@ class ClusteringResult:
     strategy: str
     labels: np.ndarray
     center_ids: list[int]
-    extended_sets: list[list[int]]
+    extended_sets: list[np.ndarray]
     delta: float | None = None
     cap: int | None = None
     fallback_count: int = 0
@@ -39,10 +54,12 @@ class ClusteringResult:
     ri_score: float | None = None
     timings: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
-    # The extension's per-selection trace as columns
-    # (``ExtendedSets.steps``); dumped to a JSON-lines file on request,
-    # never part of the result record itself.
-    steps: tuple = field(default=((), (), (), ()), repr=False)
+    # The extension's per-selection trace as columns (``ExtendedSets.steps``
+    # as arrays of ``_STEP_TYPES``); dumped to a JSON-lines file on
+    # request, never part of the result record itself.
+    steps: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] = field(
+        default_factory=_step_columns, repr=False
+    )
 
     @property
     def s(self) -> int:
@@ -86,7 +103,7 @@ class ClusteringResult:
             strategy=record["strategy"],
             labels=np.asarray(record["labels"], dtype=np.int64),
             center_ids=list(record["center_ids"]),
-            extended_sets=[list(g) for g in record["extended_sets"]],
+            extended_sets=_int_arrays(record["extended_sets"]),
             delta=record.get("delta"),
             cap=record.get("cap"),
             fallback_count=record.get("fallback_count", 0),
@@ -100,6 +117,11 @@ class ClusteringResult:
 def _int_list(values) -> list[int]:
     """Integer values as a list of Python ints, converted in one call."""
     return np.asarray(values, dtype=np.int64).tolist()
+
+
+def _int_arrays(groups) -> list[np.ndarray]:
+    """Each group of integer values as an int64 array."""
+    return [np.asarray(group, dtype=np.int64) for group in groups]
 
 
 def compute_centers(dataset: Dataset, algorithm: CenterBasedAlgorithm, k: int):
@@ -129,7 +151,7 @@ def run_baseline(
         strategy="baseline",
         labels=np.asarray(labels, dtype=np.int64),
         center_ids=list(centers),
-        extended_sets=[[c] for c in centers],
+        extended_sets=_int_arrays([c] for c in centers),
         timings={"total_ms": total_ms},
         extras=extras,
     )
@@ -166,7 +188,7 @@ def run_optimized(
         strategy=strategy.kind,
         labels=labels,
         center_ids=list(centers),
-        extended_sets=[list(group) for group in ext.sets],
+        extended_sets=_int_arrays(ext.sets),
         delta=float(delta),
         cap=strategy.cap,
         fallback_count=ext.fallback_count,
@@ -177,7 +199,7 @@ def run_optimized(
             "assign_ms": 1000.0 * (t3 - t2),
         },
         extras=extras,
-        steps=ext.steps,
+        steps=_step_columns(ext.steps),
     )
     result.extras["coverage_complete"] = ext.fully_covered
     return result

@@ -428,6 +428,17 @@ except OSError as exc:
         assert path.read_bytes() == before
         assert [p.name for p in path.parent.iterdir()] == ["result.json"]
 
+    def test_a_trace_dump_that_fails_partway_leaves_the_previous_file(self, tmp_path):
+        path = tmp_path / "o" / "trace.jsonl"
+        cli._write_trace(path, [{"object": 1, "set": 0, "dis": 0.5, "covered": 3}])
+        before = path.read_bytes()
+        # The second record cannot be encoded, after the first was written.
+        with pytest.raises(TypeError):
+            cli._write_trace(path, [{"object": 2, "set": 0, "dis": 0.25, "covered": 4},
+                                    {"object": object()}])
+        assert path.read_bytes() == before
+        assert [p.name for p in path.parent.iterdir()] == ["trace.jsonl"]
+
     def test_a_write_holds_one_record_encoded(self, tmp_path):
         # Five sweep records over 20,000 objects: json.dumps of the whole
         # payload holds a string per value, the pieces one record's.

@@ -237,25 +237,41 @@ def test_matches_naive_reference_across_tree_rebuilds(kind, cap):
 def test_matches_naive_reference_with_members_in_answers(monkeypatch, kind, cap):
     # The run slice that a new member reads lists the members near it;
     # they are dropped before any distance is computed, and no answer
-    # lists one.
+    # lists one. An answer is the gather of columns that follows the
+    # member's read of its run.
     pts, centers, delta = _grid_with_far_clump()
     listed_members = []
     answered_members = []
-    add = optimizer._GreedyState.add
+    states = []
+    answer_due = []
+    make_state, read_run = optimizer._GreedyState.__init__, CandidateRuns.run
 
-    def counting_add(state, o, j):
-        ids, dists = add(state, o, j)
-        run = state.runs.run(state.cell[o])
-        listed_members.append(int(np.count_nonzero(~state.free[run])) - 1)
-        answered_members.append(int(np.count_nonzero(~state.free[ids])))
-        return ids, dists
+    class Columns(np.ndarray):
+        def take(self, ids, axis=None):
+            if answer_due:
+                answer_due.pop()
+                answered_members.append(int(np.count_nonzero(~states[-1].free[ids])))
+            return np.asarray(self).take(ids, axis=axis)
 
-    monkeypatch.setattr(optimizer._GreedyState, "add", counting_add)
+    def watched_state(state, *args):
+        make_state(state, *args)
+        state.columns = state.columns.view(Columns)
+        states.append(state)
+
+    def counting_run(runs, c):
+        run = read_run(runs, c)
+        listed_members.append(int(np.count_nonzero(~states[-1].free[run])) - 1)
+        answer_due.append(True)
+        return run
+
+    monkeypatch.setattr(optimizer._GreedyState, "__init__", watched_state)
+    monkeypatch.setattr(CandidateRuns, "run", counting_run)
     ext = identify(pts, centers, delta, strategy=SelectionStrategy(kind, cap=cap))
     _, order, order_sets, covered, fallbacks, trace = naive_identify(
         pts, centers, delta, kind=kind, cap=cap
     )
     assert sum(listed_members) > 5 * len(listed_members)
+    assert len(answered_members) == len(listed_members) == ext.s
     assert sum(answered_members) == 0
     assert ext.all == order
     assert ext.all_sets == order_sets

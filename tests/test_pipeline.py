@@ -1,3 +1,5 @@
+import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -5,10 +7,12 @@ import pytest
 
 from ecac import density
 from ecac.algorithms import build_algorithm
-from ecac.data import generate_gaussian_mixture, load_csv, smallest_pairwise_distances
+from ecac.data import Dataset, generate_gaussian_mixture, load_csv, smallest_pairwise_distances
 from ecac.errors import InvalidK
-from ecac.optimizer import SelectionStrategy
+from ecac.optimizer import SelectionStrategy, identify_extended_centers
 from ecac.pipeline import ClusteringResult, compute_centers, run_baseline, run_optimized
+
+from test_scripts import load_script
 
 
 @pytest.fixture(scope="module")
@@ -93,3 +97,57 @@ def test_default_delta_runs_sample_once(monkeypatch):
     runs = [run_optimized(ds, build_algorithm("kmeans"), 3) for _ in range(3)]
     assert len(calls) == 1
     assert len({r.delta for r in runs}) == 1
+
+
+STEP_TYPES = [np.int64, np.int64, np.float64, np.int64]
+
+
+def assert_array_record(result: ClusteringResult):
+    """The record holds one int64 array per extended-set and the trace's
+    four columns as arrays of their types."""
+    assert all(type(g) is np.ndarray and g.dtype == np.int64 for g in result.extended_sets)
+    assert all(type(c) is np.ndarray for c in result.steps)
+    assert [c.dtype for c in result.steps] == STEP_TYPES
+
+
+@pytest.mark.parametrize("kind", ["local", "global", "random"])
+def test_records_hold_arrays(blobs, kind):
+    ds, gt = blobs
+    alg = build_algorithm("kmeans", seed=2)
+    centers, _ = compute_centers(ds, alg, 3)
+    strategy = SelectionStrategy(kind, seed=0 if kind == "random" else None)
+    result = run_optimized(ds, alg, 3, centers=centers, strategy=strategy).attach_metrics(gt)
+    base = run_baseline(ds, alg, 3, centers=centers)
+    restored = ClusteringResult.from_dict(result.to_dict())
+    for record in (result, base, restored):
+        assert_array_record(record)
+    assert [g.tolist() for g in base.extended_sets] == [[c] for c in centers]
+    assert [g.tolist() for g in restored.extended_sets] == [g.tolist() for g in result.extended_sets]
+    assert len(result.steps[0]) == result.s - 3 > 0
+    assert restored.trace == base.trace == []
+    # Every trace record holds Python numbers, which json encodes.
+    for step in result.trace:
+        assert json.loads(json.dumps(step)) == step
+        assert [type(step[key]) for key in ("object", "set", "dis", "covered")] == [int, int, float, int]
+
+
+def test_a_record_retains_little_more_than_its_arrays():
+    # A 3,000-point spiral, s close to n: once the dataset's count and
+    # runs are built (an extension has read every block of runs), a run
+    # retains its record, whose arrays hold 8 bytes per value; Python
+    # lists of ints and floats would hold about 36.
+    points, _ = load_script("make_benchmarks").spiral(n_per_arm=1000, seed=0)
+    ds = Dataset(points)
+    alg = build_algorithm("kmeans")
+    centers, _ = compute_centers(ds, alg, 3)
+    delta = density.default_delta(ds)
+    identify_extended_centers(ds, centers, delta)
+    tracemalloc.start()
+    try:
+        result = run_optimized(ds, alg, 3, delta=delta, centers=centers)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    own = sum(np.asarray(a).nbytes for a in (result.labels, *result.extended_sets, *result.steps))
+    assert result.s > 0.9 * ds.n
+    assert held <= 1.5 * own

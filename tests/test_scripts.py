@@ -43,10 +43,15 @@ def test_timing_script_prints_the_workload_row(argv):
         assert rows[0][-4:] == ["prepare", "MB", "dpc", "MB"]
         (row,) = [row for row in rows if row[:2] == ["ablate-spiral-global", "0"]]
         assert 0 < float(row[-2]) < 50 and row[-1] == row[-3] == "-"
+        # The median wall and CPU times of the calls come first; on one
+        # busy core the CPU time is at most the wall time, within the
+        # three decimals printed.
+        assert rows[0][2:6] == ["median", "s", "cpu", "s"]
+        assert 0 < float(row[3]) <= float(row[2]) + 0.001
         # Both uncapped extensions read every block of runs they gather.
-        assert rows[0][4:7] == ["gathered", "MB", "blocks"]
-        read, blocks = map(int, row[4].split("/"))
-        assert float(row[3]) > 0 and read == blocks > 0
+        assert rows[0][6:9] == ["gathered", "MB", "blocks"]
+        read, blocks = map(int, row[5].split("/"))
+        assert float(row[4]) > 0 and read == blocks > 0
     if argv[0] == "scripts/run_timing.py":
         # The import footprint of the one checkout: the run path draws its
         # seeded samples without numpy.random, so neither it nor hashlib
@@ -64,7 +69,8 @@ def test_stage_memory_prints_each_stage_of_the_calling_process():
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert child.returncode == 0, child.stderr
-    header, *lines = child.stdout.splitlines()
+    title, header, *lines = child.stdout.splitlines()
+    assert title == "ablate-spiral-global: n = 1200, seed 0"
     assert header.split() == ["stage", "RSS", "before", "after", "HWM", "before", "after"]
     rows = {line[:28].strip(): [float(cell) for cell in line[28:].split()] for line in lines}
     # This process runs the first variant; the second runs here too, or
@@ -75,6 +81,32 @@ def test_stage_memory_prints_each_stage_of_the_calling_process():
     for rss, rss_after, hwm, hwm_after in (rows[name] for name in list(rows)[:-1]):
         assert 0 < rss <= hwm <= hwm_after and rss_after <= hwm_after
     assert rows["exit"][1] >= max(row[3] for row in list(rows.values())[:-1])
+
+
+def test_stage_memory_rescales_the_workload_input(monkeypatch, capsys):
+    # --n writes the workload's input at that size, and the command runs
+    # on it stage by stage.
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))  # its imports of run_timing and workloads
+    stage_memory = load_script("stage_memory")
+    workload_type = type(stage_memory.WORKLOADS["sweep-spiral-kmeans"])
+    write_input = workload_type.write_input
+    sizes = []
+
+    def counted(workload, root, seed, path):
+        write_input(workload, root, seed, path)
+        sizes.append(len(path.read_text().splitlines()))
+
+    monkeypatch.setattr(workload_type, "write_input", counted)
+    assert stage_memory.main(["sweep-spiral-kmeans", "--n", "303"]) == 0
+    assert sizes == [303]
+    title, header, *rows = capsys.readouterr().out.splitlines()
+    assert title == "sweep-spiral-kmeans: n = 303, seed 0"
+    assert [row.split()[0] for row in rows][:4] == ["load", "centers", "baseline", "delta"]
+    child = subprocess.run(
+        [sys.executable, "scripts/stage_memory.py", "sweep-spiral-kmeans", "--n", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 2 and "--n must be positive" in child.stderr
 
 
 def test_timing_children_compile_ecac_from_the_source(tmp_path, monkeypatch):
