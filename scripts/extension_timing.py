@@ -57,7 +57,14 @@ input without a ``dpc s``. The last two columns, ``prepare MB`` and
 ``dpc MB``, are the traced peaks (``tracemalloc``, MB over what was held
 before the call) of the same two grid-pass calls, taken in one more
 repeat that is not timed; they include what the calls keep, such as the
-grid, the counts and the candidate runs.
+grid, the counts and the candidate runs. With more than one ``--src``,
+two paired columns close the rows of every checkout after the first:
+``cpu/src0``, the median over the repeats of the ratio of its CPU time
+to the first checkout's in the same repeat, and ``faster``, the repeats
+in which its CPU time was the lower of the two, out of all repeats. A
+pair times both checkouts back to back, so a slow spell of the host
+falls on both sides of most ratios, which the medians per checkout do
+not cancel.
 """
 
 from __future__ import annotations
@@ -248,7 +255,7 @@ def main(argv=None) -> int:
     packages = [load_package(src.resolve(), f"ecac_timed_{i}") for i, src in enumerate(srcs)]
     print(f"{'input':22s}{'src':>5s}{'median s':>10s}{'cpu s':>8s}{'gathered MB':>13s}{'blocks':>11s}{'run entries':>13s}"
           f"{'candidates':>12s}{'far rows':>10s}{'prepare s':>11s}{'dpc s':>8s}"
-          f"{'prepare MB':>12s}{'dpc MB':>8s}")
+          f"{'prepare MB':>12s}{'dpc MB':>8s}" + (f"{'cpu/src0':>10s}{'faster':>8s}" if len(srcs) > 1 else ""))
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
             csv_path = Path(tmp) / f"{name}.csv"
@@ -280,11 +287,19 @@ def main(argv=None) -> int:
                 dpc_mb = "-" if dpc_mb is None else f"{dpc_mb:.2f}"
                 gathered_mb, blocks = gathers[i]
                 blocks = "-" if blocks is None else "/".join(map(str, blocks))
+                paired = ""
+                if len(packages) > 1:
+                    ratio, faster = "-", "-"
+                    if i:
+                        ratios = [cpu / first for cpu, first in zip(cpu_times[i], cpu_times[0])]
+                        ratio = f"{statistics.median(ratios):.3f}"
+                        faster = f"{sum(r < 1 for r in ratios)}/{len(ratios)}"
+                    paired = f"{ratio:>10s}{faster:>8s}"
                 print(
                     f"{name:22s}{i:>5d}{statistics.median(src_times):>10.3f}"
                     f"{statistics.median(cpu_times[i]):>8.3f}"
                     f"{gathered_mb:>13.2f}{blocks:>11s}{entries:>13}{candidates:>12}{far_rows:>10}"
-                    f"{statistics.median(prepare_s):>11.3f}{dpc:>8}{prepare_mb:>12.2f}{dpc_mb:>8}",
+                    f"{statistics.median(prepare_s):>11.3f}{dpc:>8}{prepare_mb:>12.2f}{dpc_mb:>8}{paired}",
                     flush=True,
                 )
     for i, src in enumerate(srcs):

@@ -268,18 +268,18 @@ def cmd_run(config: RunConfig, dump_trace: bool = False, quiet: bool = False) ->
         ).attach_metrics(truth)
 
     sweep = _fan_out(optimize, _resolve_deltas(config, dataset, truth), "sweep")
-
-    if truth is not None:
-        best = max(sweep, key=lambda r: r.nmi_score)
-    else:
-        best = sweep[0]
+    # The first record with the highest NMI; its dict is built once, for
+    # both "optimized" and "sweep".
+    pick = max(range(len(sweep)), key=lambda i: sweep[i].nmi_score) if truth is not None else 0
+    best = sweep[pick]
+    records = [r.to_dict() for r in sweep]
 
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": config.echo(),
         "baseline": baseline.to_dict(),
-        "optimized": best.to_dict(),
-        "sweep": [r.to_dict() for r in sweep],
+        "optimized": records[pick],
+        "sweep": records,
     }
     out = Path(config.out)
     _write_json(out / "result.json", payload)

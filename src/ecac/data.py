@@ -507,7 +507,7 @@ class CandidateRuns:
 
     def run(self, c) -> np.ndarray:
         """The ids of cell c's run, a read-only int32 view into its block."""
-        b, lo, hi = self._where[c].tolist()  # Python ints: a member's add reads one run
+        b, lo, hi = self._where[c].tolist()  # Python ints: each new member reads one run
         ids = self.blocks[b]
         if ids is None:
             ids = self._gather(b)

@@ -20,7 +20,7 @@ Strategies:
   best (distance, set) pair is cached and updated as members arrive, so
   a step costs O(n) rather than a rescan of every member.
 * ``random`` samples the object uniformly (seeded) and attaches it to
-  the set whose clustering center is nearest.
+  the open set whose clustering center is nearest.
 * ``nodensity`` is ``local`` without the density weighting.
 
 Ties in the minimization break toward the lower object id, then the
@@ -35,8 +35,9 @@ is gathered, with a block of nearby cells' runs, when first read, so a
 capped extension holds the runs of the few cells its members lie in.
 Folding the answer into the cache is what admits rows to the local
 pool; a fold also visits ``far``, the pooled rows whose cached distance
-is at least 2*delta. Coverage grows by the answer's newly covered objects.
-``_run_scored`` and ``_GreedyState`` say why all of this is exact.
+is at least 2*delta, in the same write. Coverage grows by the answer's
+newly covered objects. One loop, ``_extend``, runs every strategy, and
+its docstring says why all of this is exact.
 ``prepare_extension`` is the one place that names what an extension at
 one delta reads, the count at delta and the runs at 2*delta: it builds
 the count and every run's length once per dataset, so that extensions
@@ -100,8 +101,9 @@ class ExtendedSets:
     81 per object), whether this run or an earlier one gathered them,
     ``candidates``, the non-members whose distance to a new
     member was computed in its answer, summed over the members, and
-    ``far_rows``, the rows folded from ``far`` (see ``_run_scored``),
-    summed over the folds (0 for the uncapped local pool).
+    ``far_rows``, the rows folded from ``far`` (see ``_extend``),
+    summed over the folds (0 for the uncapped local pool and for
+    ``random``).
     """
 
     sets: list[list[int]]
@@ -144,108 +146,6 @@ def prepare_extension(dataset: Dataset, delta: float):
     return index.density(delta), index.candidate_runs(_query_radius(delta))
 
 
-class _GreedyState:
-    """Bookkeeping shared by every strategy: membership, coverage, the
-    count and candidate runs from ``prepare_extension``, and the trace.
-    The random strategy steps through ``add`` and ``record``;
-    ``_run_scored`` does the same bookkeeping in its own loop body.
-
-    A new member's answer lists the non-members of its cell's run at the
-    query radius (``_query_radius``, 2*delta for every strategy), with
-    their distances. Every distance from one object to many is
-    ``_distances`` on columns gathered from ``dataset.columns``, against
-    the object's own ``columns[:, o, None]``; the run's int32 ids are
-    widened once per answer, so every later index is an ``np.intp``.
-    Each member reads its own cell's run once, so the members' cells are
-    the cells whose blocks ``stats["run_entries"]`` counts.
-
-    Why this is exact: a run holds every point at strict distance below
-    the radius from any point of its cell, so an answer holds every
-    non-member within the radius of the new member (and maybe farther
-    ones), with the distances a grid query would compute. A member needs
-    no query, because it is always covered (it covers itself when it
-    joins) and never re-scored (see ``_run_scored``).
-    """
-
-    def __init__(self, dataset, delta, centers, cap):
-        self.points = dataset.points
-        self.columns = dataset.columns
-        self.rho, self.runs = prepare_extension(dataset, delta)
-        self.cell = self.runs.cell
-        self.centers = centers
-        self.delta = float(delta)
-        self.cap = cap
-        self.query_radius = _query_radius(self.delta)
-        self.k = len(centers)
-        self.n = dataset.n
-        self.sets: list[list[int]] = [[] for _ in range(self.k)]
-        self.all: list[int] = []
-        self.all_sets: list[int] = []
-        self.free = np.ones(self.n, dtype=bool)  # not a member
-        self.closed = np.zeros(self.k, dtype=bool)
-        self.n_closed = 0
-        self.uncovered = np.ones(self.n, dtype=bool)
-        self.n_covered = 0
-        self.stats = {"run_entries": 0, "candidates": 0, "far_rows": 0}
-        # The trace's dis and covered columns; its object and set columns
-        # are all[k:] and all_sets[k:]. Ints and floats are not tracked by
-        # the garbage collector, so a step allocates no container (a tuple
-        # per step cost a fresh ``ecac ablate`` a full collection, about
-        # 20 ms); the records are built only when the trace is read.
-        self.dis: list[float] = []
-        self.covered: list[int] = []
-        self.fallback_count = 0
-
-    def add(self, o: int, j: int):
-        """Register a new member; returns its answer ``(ids, dists)``:
-        every non-member of its cell's candidate run, with its distance,
-        ids in no particular order.
-
-        The answer's subset at strict distance < delta is newly covered
-        unless covered before. Set j is closed once it holds ``cap``
-        extended-centers.
-        """
-        self.free[o] = False
-        self.sets[j].append(o)
-        self.all.append(o)
-        self.all_sets.append(j)
-        if len(self.sets[j]) - 1 == self.cap:
-            self.closed[j] = True
-            self.n_closed += 1
-        run = self.runs.run(self.cell[o]).astype(np.intp)
-        ids = run[self.free[run]]
-        dists = _distances(self.columns.take(ids, axis=1), self.columns[:, o, None])
-        self.stats["candidates"] += ids.size
-        uncovered = self.uncovered
-        new = ids[(dists < self.delta) & uncovered[ids]]
-        uncovered[new] = False
-        self.n_covered += new.size
-        if uncovered[o]:
-            uncovered[o] = False
-            self.n_covered += 1
-        return ids, dists
-
-    def record(self, dis: float):
-        """Trace the step whose member ``add`` registered last."""
-        self.dis.append(dis)
-        self.covered.append(self.n_covered)
-
-    def done(self) -> bool:
-        return self.n_covered == self.n or len(self.all) == self.n or self.n_closed == self.k
-
-    def finish(self) -> ExtendedSets:
-        self.stats["run_entries"] = self.runs.entries(self.cell.take(self.all))
-        return ExtendedSets(
-            sets=self.sets,
-            all=self.all,
-            all_sets=self.all_sets,
-            coverage=~self.uncovered,
-            fallback_count=self.fallback_count,
-            steps=(self.all[self.k:], self.all_sets[self.k:], self.dis, self.covered),
-            stats=self.stats,
-        )
-
-
 def trace_records(steps) -> list[dict]:
     """Trace columns (object, set, dis, covered), lists or arrays, as one
     dict per step with the keys ``object``, ``set``, ``dis`` and
@@ -256,12 +156,35 @@ def trace_records(steps) -> list[dict]:
     ]
 
 
-def _run_scored(state: _GreedyState, use_density: bool, local: bool):
-    """Distance-minimizing selection with either the local or global pool.
+def _extend(dataset: Dataset, delta: float, centers: list[int], strategy: SelectionStrategy) -> ExtendedSets:
+    """The greedy loop of every strategy; the k centers' steps come first.
 
-    The selection cache lives here: per object a (min distance, best
-    set) pair (``best_dis``, ``best_set``) and a score. As the density
-    weight does not depend on the set, the cache is all selection needs.
+    A step selects an object o and a set j in one of three ways: the
+    score's ``argmin``; the fallback ``scan``; or, for ``random``, a
+    seeded draw of a non-member, attached to the open set whose center is
+    nearest (its ``dis`` is traced only). It then registers o in set j,
+    which closes once it holds ``cap`` extended-centers, and builds o's
+    answer: every non-member of its cell's candidate run at the query
+    radius (``_query_radius``, 2*delta for every strategy), with its
+    distance, ids in no particular order. The answer's objects at strict
+    distance below delta are covered, and so is o.
+
+    Why the answer is exact: a run holds every point at strict distance
+    below the radius from any point of its cell, so an answer holds every
+    non-member within the radius of the new member (and maybe farther
+    ones), with the distances a grid query would compute. A member needs
+    no query: it covers itself when it joins and is never re-scored.
+    Every distance from one object to many is ``_distances`` on columns
+    gathered from ``dataset.columns``, against the object's own
+    ``columns[:, o, None]``; the run's int32 ids are widened once per
+    answer, so every later index is an ``np.intp``. Each member reads its
+    own cell's run once, so the members' cells are the cells whose blocks
+    ``stats["run_entries"]`` counts.
+
+    The selection cache: per object a (min distance, best set) pair
+    (``best_dis``, ``best_set``) and a score. As the density weight does
+    not depend on the set, the cache is all selection needs. ``random``
+    reads no cache, so it skips the fold and ``close_set``.
 
     One cache rule: every row starts with the cache of a row outside the
     pool, (2*delta, -1) for the local pool and (inf, -1) for the global
@@ -273,14 +196,19 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
     later fold changes it.
 
     A fold visits the new member's answer, which holds every non-member
-    within 2*delta of it, and then ``far``: the free rows with a set
-    whose cached distance is at least 2*delta. No other row can change:
-    its cache is below 2*delta, or 2*delta with set -1, so only a member
-    within 2*delta can beat it.
-    ``far`` is every object before the global pool's first fold and
-    empty for the local one; a fold drops the rows it brings below
-    2*delta, and ``close_set`` (a set reached its cap, so its rows are
-    re-pointed to farther members of open sets) recomputes it.
+    within 2*delta of it, and ``far``: the free rows with a set whose
+    cached distance is at least 2*delta. No other row can change: its
+    cache is below 2*delta, or 2*delta with set -1, so only a member
+    within 2*delta can beat it. ``far`` is every object before the
+    global pool's first fold and empty for the local one; a fold drops
+    the rows it brings below 2*delta, and ``close_set`` (a set reached
+    its cap, so its rows are re-pointed to farther members of open sets)
+    recomputes it. The far rows and their distances are appended to the
+    answer and folded with it in one write: a row in both lists has the
+    same distance bits in each (``_distances`` computes each column on
+    its own), so both copies make the same choice, and the write ends as
+    a fold of the answer followed by one of ``far`` would, ties to the
+    lower set included.
 
     ``score[i]`` is ``best_dis[i] / rho[i]`` (``best_dis[i]`` without the
     density weight), and inf for members and for objects outside the
@@ -292,25 +220,39 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
     (``scan``). The from-definition loop is
     ``tests/oracles.naive_identify``.
 
-    One loop body runs every step, the k centers' first: it registers
-    the member and builds its answer as ``_GreedyState.add`` does, folds
-    it and traces the step, on locals bound once. The calls per step
-    that it replaces (``add``, a fold, two cache updates and ``record``)
-    cost an extension with s close to n about a tenth of its time.
+    The loop's state lives in locals bound once, and a step calls no
+    function of this module but ``scan`` and ``close_set``: per-step calls
+    to register, fold and trace cost an extension with s close to n about
+    a tenth of its time.
     """
-    points, columns, cell, run = state.points, state.columns, state.cell, state.runs.run
-    n, k, cap, centers = state.n, state.k, state.cap, state.centers
-    delta, radius = state.delta, state.query_radius
-    free, uncovered, closed = state.free, state.uncovered, state.closed
-    sets, members, member_sets = state.sets, state.all, state.all_sets
-    trace_dis, trace_covered = state.dis, state.covered
-    weight = state.rho.astype(np.float64) if use_density else np.ones(n)
+    points, columns = dataset.points, dataset.columns
+    rho, runs = prepare_extension(dataset, delta)
+    cell, run = runs.cell, runs.run
+    n, k, cap = dataset.n, len(centers), strategy.cap
+    delta = float(delta)
+    radius = _query_radius(delta)
+    sampler = Sampler(strategy.seed) if strategy.kind == RANDOM else None
+    local = strategy.kind != GLOBAL
+    weight = np.ones(n) if strategy.kind == NODENSITY else rho.astype(np.float64)
+    sets: list[list[int]] = [[] for _ in range(k)]
+    members: list[int] = []
+    member_sets: list[int] = []
+    free = np.ones(n, dtype=bool)  # not a member
+    uncovered = np.ones(n, dtype=bool)
+    closed = np.zeros(k, dtype=bool)
     best_dis = np.full(n, radius if local else np.inf)
     best_set = np.full(n, -1, dtype=np.int64)
     score = np.full(n, np.inf)
     far = np.empty(0, dtype=np.int64) if local else np.arange(n)
+    # The trace's dis and covered columns; its object and set columns are
+    # members[k:] and member_sets[k:]. Ints and floats are not tracked by
+    # the garbage collector, so a step allocates no container (a tuple per
+    # step cost a fresh ``ecac ablate`` a full collection, about 20 ms);
+    # the records are built only when the trace is read.
+    trace_dis: list[float] = []
+    trace_covered: list[int] = []
     inf = np.inf
-    n_covered = n_closed = candidates = far_rows = 0
+    n_covered = n_closed = candidates = far_rows = fallbacks = 0
 
     def scan(ids: np.ndarray):
         """Distance from each given id to its nearest open-set member, and
@@ -343,6 +285,14 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
             o, j = centers[step], step
         elif n_covered == n or step == n or n_closed == k:
             break
+        elif sampler is not None:
+            cands = np.flatnonzero(free)
+            o = int(cands[sampler.integer(cands.size)])
+            column = columns[:, o, None]
+            dists = _distances(columns.take(centers, axis=1), column)
+            dists[closed] = inf
+            j = int(np.argmin(dists))
+            dis = _distances(columns.take(sets[j], axis=1), column).min() / weight[o]
         else:
             o = int(score.argmin())  # ties: lowest object id
             dis = score.item(o)
@@ -351,14 +301,14 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
             else:
                 # Disconnected region: one whole-dataset step, then resume.
                 cands = np.flatnonzero(free)
-                state.fallback_count += 1
+                fallbacks += 1
                 dis_vec, set_vec = scan(cands)
                 scores = dis_vec / weight[cands]
                 pick = int(np.argmin(scores))
                 o, j, dis = int(cands[pick]), int(set_vec[pick]), float(scores[pick])
         step += 1
 
-        # The member and its answer (``_GreedyState.add``).
+        # The member and its answer.
         free[o] = False
         sets[j].append(o)
         members.append(o)
@@ -378,59 +328,44 @@ def _run_scored(state: _GreedyState, use_density: bool, local: bool):
             uncovered[o] = False
             n_covered += 1
 
-        # Its fold: the answer, then the far rows.
-        best_dis[o] = -inf
-        score[o] = inf
-        old = best_dis[ids]
-        better = dists < old
-        tie = dists == old
-        if np.count_nonzero(tie):
-            better |= tie & (j < best_set[ids])
-        ids, dists = ids[better], dists[better]
-        best_dis[ids] = dists
-        best_set[ids] = j
-        score[ids] = dists / weight[ids]
-        if far.size:
-            far_rows += far.size
-            dists = _distances(columns.take(far, axis=1), column)
-            old = best_dis[far]
+        # Its fold: the answer with the far rows appended.
+        if sampler is None:
+            best_dis[o] = -inf
+            score[o] = inf
+            if far.size:
+                far_rows += far.size
+                ids = np.concatenate((ids, far))
+                dists = np.concatenate((dists, _distances(columns.take(far, axis=1), column)))
+            old = best_dis[ids]
             better = dists < old
             tie = dists == old
             if np.count_nonzero(tie):
-                better |= tie & (j < best_set[far])
-            ids, dists = far[better], dists[better]
+                better |= tie & (j < best_set[ids])
+            ids, dists = ids[better], dists[better]
             best_dis[ids] = dists
             best_set[ids] = j
             score[ids] = dists / weight[ids]
-            far = far[best_dis[far] >= radius]
+            if far.size:
+                far = far[best_dis[far] >= radius]
+            if closed[j] and step > k:
+                far = close_set(j)
 
         if step > k:
             trace_dis.append(dis)
             trace_covered.append(n_covered)
-            if closed[j]:
-                far = close_set(j)
-    state.stats["candidates"] = candidates
-    state.stats["far_rows"] = far_rows
-    return state.finish()
-
-
-def _run_random(state: _GreedyState, sampler: Sampler):
-    """Uniformly sampled objects, attached to the nearest center's set."""
-    rho = state.rho.astype(np.float64)
-    for j, center in enumerate(state.centers):
-        state.add(center, j)
-    while not state.done():
-        cands = np.flatnonzero(state.free)
-        o = int(cands[sampler.integer(cands.size)])
-        column = state.columns[:, o, None]
-        dists = _distances(state.columns.take(state.centers, axis=1), column)
-        dists[state.closed] = np.inf
-        j = int(np.argmin(dists))
-        # Recorded for the trace only; random selection ignores distances.
-        dis = _distances(state.columns.take(state.sets[j], axis=1), column).min() / rho[o]
-        state.add(o, j)
-        state.record(dis)
-    return state.finish()
+    return ExtendedSets(
+        sets=sets,
+        all=members,
+        all_sets=member_sets,
+        coverage=~uncovered,
+        fallback_count=fallbacks,
+        steps=(members[k:], member_sets[k:], trace_dis, trace_covered),
+        stats={
+            "run_entries": runs.entries(cell.take(members)),
+            "candidates": candidates,
+            "far_rows": far_rows,
+        },
+    )
 
 
 def _object_id(c, n: int) -> int:
@@ -482,10 +417,7 @@ def identify_extended_centers(
         if not np.array_equal(densities.rho, dataset.index.density(delta)):
             raise InvalidSpec(f"densities hold {densities.rho.size} objects, not this dataset's counts")
 
-    state = _GreedyState(dataset, delta, centers, strategy.cap)
-    if strategy.kind == RANDOM:
-        return _run_random(state, Sampler(strategy.seed))
-    return _run_scored(state, use_density=strategy.kind != NODENSITY, local=strategy.kind != GLOBAL)
+    return _extend(dataset, delta, centers, strategy)
 
 
 def merge_clusters(initial_labels, ext: ExtendedSets) -> np.ndarray:

@@ -327,6 +327,25 @@ class TestCmdRun:
         restored = ClusteringResult.from_dict(payload["optimized"])
         assert restored.to_dict() == payload["optimized"]
 
+    def test_each_record_is_converted_once(self, tmp_path, monkeypatch):
+        # "optimized" is the dict of the first sweep record with the
+        # highest NMI, built once with the others, not a second time.
+        converted = []
+        to_dict = ClusteringResult.to_dict
+
+        def counting(self):
+            converted.append(self)
+            return to_dict(self)
+
+        monkeypatch.setattr(ClusteringResult, "to_dict", counting)
+        payload = cmd_run(gen_config(tmp_path), quiet=True)
+        sweep = payload["sweep"]
+        assert len(sweep) == len(DEFAULT_SWEEP)
+        assert len(converted) == 1 + len(sweep)
+        assert len({id(result) for result in converted}) == len(converted)
+        nmis = [record["nmi"] for record in sweep]
+        assert payload["optimized"] is sweep[nmis.index(max(nmis))]
+
     def test_determinism_modulo_timings(self, tmp_path):
         a = cmd_run(gen_config(tmp_path / "a"))
         b = cmd_run(gen_config(tmp_path / "b"))

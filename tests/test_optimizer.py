@@ -238,35 +238,32 @@ def test_matches_naive_reference_with_members_in_answers(monkeypatch, kind, cap)
     # The run slice that a new member reads lists the members near it;
     # they are dropped before any distance is computed, and no answer
     # lists one. An answer is the gather of columns that follows the
-    # member's read of its run.
+    # member's read of its run. The t-th read is member t's, made once it
+    # has joined, so the members then are ext.all[:t + 1].
     pts, centers, delta = _grid_with_far_clump()
-    listed_members = []
-    answered_members = []
-    states = []
-    answer_due = []
-    make_state, read_run = optimizer._GreedyState.__init__, CandidateRuns.run
+    ds = Dataset(np.asarray(pts, float))
+    runs_read = []
+    answers = []
+    read_run = CandidateRuns.run
 
     class Columns(np.ndarray):
         def take(self, ids, axis=None):
-            if answer_due:
-                answer_due.pop()
-                answered_members.append(int(np.count_nonzero(~states[-1].free[ids])))
+            if len(answers) < len(runs_read):
+                answers.append(np.array(ids))
             return np.asarray(self).take(ids, axis=axis)
 
-    def watched_state(state, *args):
-        make_state(state, *args)
-        state.columns = state.columns.view(Columns)
-        states.append(state)
-
-    def counting_run(runs, c):
+    def watched_run(runs, c):
         run = read_run(runs, c)
-        listed_members.append(int(np.count_nonzero(~states[-1].free[run])) - 1)
-        answer_due.append(True)
+        runs_read.append(np.array(run))
         return run
 
-    monkeypatch.setattr(optimizer._GreedyState, "__init__", watched_state)
-    monkeypatch.setattr(CandidateRuns, "run", counting_run)
-    ext = identify(pts, centers, delta, strategy=SelectionStrategy(kind, cap=cap))
+    # ``columns`` is a cached property, so the extension reads the
+    # watching view put in the instance's dict.
+    ds.__dict__["columns"] = ds.columns.view(Columns)
+    monkeypatch.setattr(CandidateRuns, "run", watched_run)
+    ext = identify_extended_centers(ds, centers, delta, strategy=SelectionStrategy(kind, cap=cap))
+    listed_members = [int(np.isin(run, ext.all[:t + 1]).sum()) - 1 for t, run in enumerate(runs_read)]
+    answered_members = [int(np.isin(ids, ext.all[:t + 1]).sum()) for t, ids in enumerate(answers)]
     _, order, order_sets, covered, fallbacks, trace = naive_identify(
         pts, centers, delta, kind=kind, cap=cap
     )
@@ -281,6 +278,31 @@ def test_matches_naive_reference_with_members_in_answers(monkeypatch, kind, cap)
     assert got_trace == [(o, j, c) for (o, j, _, c) in trace]
     for got, want in zip(ext.trace, trace):
         assert got["dis"] == pytest.approx(want[2], rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", optimizer.STRATEGY_KINDS)
+@pytest.mark.parametrize("cap", [None, 3])
+def test_stats_match_their_definitions(kind, cap):
+    # ``candidates`` sums, over the members in order, the non-members of
+    # each member's candidate run when it joins; ``run_entries`` counts
+    # the ids of the blocks that hold the members' cells; ``far_rows`` is
+    # 0 where no far row is folded and positive for the global pool.
+    pts, centers, delta = _grid_with_far_clump()
+    ds = Dataset(np.asarray(pts, float))
+    strategy = SelectionStrategy(kind, seed=0 if kind == "random" else None, cap=cap)
+    ext = identify_extended_centers(ds, centers, delta, strategy)
+    assert ext.s > len(centers)
+    runs = ds.index.candidate_runs(2 * delta)
+    assert ext.stats["run_entries"] == runs.entries(runs.cell[ext.all])
+    candidates = sum(
+        int(np.count_nonzero(~np.isin(runs.run(runs.cell[o]), ext.all[:t + 1])))
+        for t, o in enumerate(ext.all)
+    )
+    assert ext.stats["candidates"] == candidates > 0
+    if kind == "global":
+        assert ext.stats["far_rows"] > 0
+    elif kind == "random" or cap is None:
+        assert ext.stats["far_rows"] == 0
 
 
 def _record_repointed(monkeypatch):
@@ -429,8 +451,9 @@ def test_extensions_and_dpc_read_the_one_kept_transpose(monkeypatch):
     ecac.compute_dpc_quantities(ds, delta)
     assert len(transposes) == 1
     optimizer.prepare_extension(ds, delta)
+    # An extension that copied a transpose of its own would add one to
+    # the count or to the traced peak.
     for centers in ([0, 1], [2, 3]):
-        assert optimizer._GreedyState(ds, delta, centers, 0).columns is ds.columns
         tracemalloc.start()
         try:
             identify_extended_centers(ds, centers, delta, SelectionStrategy(cap=0))

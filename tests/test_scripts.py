@@ -28,7 +28,8 @@ def load_script(name: str):
 
 @pytest.mark.parametrize("argv", [
     ["scripts/run_timing.py", "--pairs", "1", "--workloads", "ablate-spiral-global"],
-    ["scripts/extension_timing.py", "--repeats", "1", "--inputs", "ablate-spiral-global"],
+    ["scripts/extension_timing.py", "--repeats", "1", "--inputs", "ablate-spiral-global",
+     "--src", "src", "--src", "src"],
 ])
 def test_timing_script_prints_the_workload_row(argv):
     child = subprocess.run(
@@ -38,11 +39,18 @@ def test_timing_script_prints_the_workload_row(argv):
     rows = [line.split() for line in child.stdout.splitlines()]
     assert ["ablate-spiral-global", "0"] in [row[:2] for row in rows]
     if argv[0] == "scripts/extension_timing.py":
-        # The traced peaks of the grid passes close each row; the input
-        # has no DPC call, so its dpc columns read "-".
-        assert rows[0][-4:] == ["prepare", "MB", "dpc", "MB"]
+        # The paired columns close each row: the first checkout's read
+        # "-", the second's hold its median CPU-time ratio to the first
+        # and the repeats in which it was faster.
+        assert rows[0][-2:] == ["cpu/src0", "faster"]
         (row,) = [row for row in rows if row[:2] == ["ablate-spiral-global", "0"]]
-        assert 0 < float(row[-2]) < 50 and row[-1] == row[-3] == "-"
+        (second,) = [row for row in rows if row[:2] == ["ablate-spiral-global", "1"]]
+        assert row[-2:] == ["-", "-"]
+        assert 0 < float(second[-2]) and second[-1] in ("0/1", "1/1")
+        # The traced peaks of the grid passes come before them; the input
+        # has no DPC call, so its dpc columns read "-".
+        assert rows[0][-6:-2] == ["prepare", "MB", "dpc", "MB"]
+        assert 0 < float(row[-4]) < 50 and row[-3] == row[-5] == "-"
         # The median wall and CPU times of the calls come first; on one
         # busy core the CPU time is at most the wall time, within the
         # three decimals printed.

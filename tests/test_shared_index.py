@@ -30,7 +30,8 @@ from ecac.cli import main
 from ecac.data import (
     _CELLS_PER_RADIUS, CandidateRuns, Dataset, SpatialIndex, _Grid, generate_gaussian_mixture,
 )
-from ecac.optimizer import STRATEGY_KINDS, SelectionStrategy, _GreedyState, identify_extended_centers
+from ecac import optimizer
+from ecac.optimizer import STRATEGY_KINDS, SelectionStrategy, identify_extended_centers
 from test_cli import use_cores
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -253,14 +254,16 @@ def test_candidate_runs_are_built_once_per_extension(
     # command builds before its variants run, on one core or forked on two.
     # A process gathers each block of runs at most once: a forked worker
     # shares the blocks gathered before the fork and gathers the others.
-    made = CallLog(tmp_path / "states.log")
-    make_state = _GreedyState.__init__
+    # Each extension is one call of the loop; ``prepare_extension`` is not
+    # counted, as the ablation also calls it before its fork.
+    made = CallLog(tmp_path / "extensions.log")
+    extend = optimizer._extend
 
-    def counting(self, *args):
+    def counting(*args):
         made.append("extension")
-        make_state(self, *args)
+        return extend(*args)
 
-    monkeypatch.setattr(_GreedyState, "__init__", counting)
+    monkeypatch.setattr(optimizer, "_extend", counting)
     csv = write_blobs_csv(tmp_path / "blobs.csv", 40)
     for cores in (1, 2):
         use_cores(monkeypatch, cores)
