@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the result-identity digests of the 30-cell grid.
+"""Print the 47 result-identity digests: a grid of 30 commands and 17 more runs.
 
 The grid is the 3 shipped CSVs x {kmeans, dpc} x five commands:
 ``ecac run --strategy {local,global,nodensity,random}`` and
@@ -9,7 +9,8 @@ two digests (first 16 hex of sha256):
 
 * ``result`` hashes the result JSON (``result.json`` or
   ``ablate.json``) re-serialized with sorted keys after removing every
-  ``timings`` and ``iterations`` entry;
+  ``timings`` and ``iterations`` entry and blanking the config echo's
+  ``data`` and ``out`` paths;
 * ``trace`` hashes the bytes of the cell's trace ``.jsonl`` files
   (one for ``run``; one per variant, in variant order, for ``ablate``).
 
@@ -41,17 +42,25 @@ that are near on the grid axes but far on the others.
 The next line digests the labels of ``run_optimized`` (default delta,
 local strategy) with one ``build_algorithm("dpc")`` object used on
 ``spiral.csv`` (k = 3), then ``jain.csv`` (k = 2), then the same
-``spiral.csv`` dataset again. The last six lines, appended after these
-40, digest the same four extension runs on the mixtures in 4 and 7
+``spiral.csv`` dataset again. Six lines appended after these 40
+digest the same four extension runs on the mixtures in 4 and 7
 dimensions, built alike, and the DPC quantities (at the default cutoff)
-of the mixtures in 3, 4, 7 and 8 dimensions.
+of the mixtures in 3, 4, 7 and 8 dimensions. The 47th line digests the
+same four runs on a 30 x 30 integer lattice less the columns x = 12 to
+17, from two centers at (0, 5) and (0, 24): its distances tie exactly
+between sets and between objects, so the tie rules decide its steps,
+and its far half is reached by a fallback step.
 
-The config echo inside the JSON holds the CSV and output paths, so two
-checkouts are compared by running this script against each one (chosen
-by ``PYTHONPATH``) with the same ``--data-dir`` and the same output root:
+As the paths are blanked, no digest depends on where the data or the
+outputs lie. Two checkouts are compared by running this script against
+each one (chosen by ``PYTHONPATH``):
 
-    PYTHONPATH=old/src python3 scripts/result_digests.py /tmp/grid --data-dir data > old.txt
-    PYTHONPATH=src python3 scripts/result_digests.py /tmp/grid --data-dir data > new.txt
+    PYTHONPATH=old/src python3 scripts/result_digests.py /tmp/old-grid > old.txt
+    PYTHONPATH=src python3 scripts/result_digests.py /tmp/new-grid > new.txt
+
+``tests/result_digests.txt`` holds the 47 lines, after a comment naming
+the NumPy and Python versions that printed them; a test compares them
+with this script's output.
 """
 
 from __future__ import annotations
@@ -78,7 +87,7 @@ from ecac import (
     run_optimized,
 )
 from ecac.cli import main as ecac_main
-from ecac.optimizer import SelectionStrategy, identify_extended_centers
+from ecac.optimizer import SelectionStrategy, identify_extended_centers, trace_records
 from make_benchmarks import spiral
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,8 +116,9 @@ def _run_cell(argv: list[str], out: Path, result_name: str, trace_names: list[st
         code = ecac_main(argv + ["--out", str(out)])
     if code != 0:
         raise SystemExit(f"ecac {' '.join(argv)} exited with {code}")
-    payload = json.loads((out / result_name).read_text(encoding="utf-8"))
-    result = _digest(json.dumps(_strip(payload), sort_keys=True).encode())
+    payload = _strip(json.loads((out / result_name).read_text(encoding="utf-8")))
+    payload["config"].update(data="", out="")
+    result = _digest(json.dumps(payload, sort_keys=True).encode())
     trace = _digest(b"".join((out / name).read_bytes() for name in trace_names))
     return result, trace
 
@@ -144,7 +154,7 @@ def _far_blobs_digest() -> str:
 
 
 def _run_digest(result) -> str:
-    trace = json.dumps(result.trace, sort_keys=True).encode()
+    trace = json.dumps(trace_records(result.steps), sort_keys=True).encode()
     return _digest(result.labels.tobytes() + trace)
 
 
@@ -172,24 +182,41 @@ def _mixture(d: int):
     return dataset
 
 
-def _high_dimension_digests(dims) -> dict[int, str]:
+def _extensions_digest(dataset, centers) -> str:
+    """The sets and the trace of the local, global, capped local (100 per
+    set) and random (seed 0) extensions from ``centers`` at the default
+    delta."""
     strategies = [
         SelectionStrategy("local"),
         SelectionStrategy("global"),
         SelectionStrategy("local", cap=100),
         SelectionStrategy("random", seed=0),
     ]
+    delta = default_delta(dataset)
+    runs = [
+        identify_extended_centers(dataset, centers, delta, strategy)
+        for strategy in strategies
+    ]
+    return _digest(json.dumps([[ext.sets, ext.trace] for ext in runs], sort_keys=True).encode())
+
+
+def _high_dimension_digests(dims) -> dict[int, str]:
     digests = {}
     for d in dims:
         dataset = _mixture(d)
         centers, _ = build_algorithm("kmeans").center_process(dataset, 4)
-        delta = default_delta(dataset)
-        runs = [
-            identify_extended_centers(dataset, centers, delta, strategy)
-            for strategy in strategies
-        ]
-        digests[d] = _digest(json.dumps([[ext.sets, ext.trace] for ext in runs], sort_keys=True).encode())
+        digests[d] = _extensions_digest(dataset, centers)
     return digests
+
+
+def _lattice_digest() -> str:
+    """``_extensions_digest`` on the 30 x 30 integer lattice less the
+    columns x = 12 to 17, from the centers at (0, 5) and (0, 24)."""
+    x, y = np.meshgrid(np.arange(30.0), np.arange(30.0))
+    keep = (x < 12) | (x > 17)
+    points = np.column_stack([x[keep], y[keep]])
+    centers = [int(np.flatnonzero((points[:, 0] == 0) & (points[:, 1] == c))[0]) for c in (5, 24)]
+    return _extensions_digest(Dataset(points), centers)
 
 
 def _dpc_alternating_digest(data_dir: Path) -> str:
@@ -245,6 +272,7 @@ def main():
         print(f"blobs-2k-{d}d extension={digest}")
     for d in (3, 4, 7, 8):
         print(f"blobs-2k-{d}d dpc-quantities={_dpc_digest(_mixture(d))}")
+    print(f"lattice-2c extension={_lattice_digest()}")
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from .errors import ConfigError, EcacError, MissingResult, ZeroBaseline
 from .metrics import improvement_rate
 from .optimizer import (
     NODENSITY, RANDOM, STRATEGY_KINDS, SelectionStrategy, identify_extended_centers, prepare_extension,
+    trace_records,
 )
 from .pipeline import SCHEMA_VERSION, ClusteringResult, compute_centers, run_baseline, run_optimized
 from .svg import render_scatter
@@ -120,12 +121,15 @@ def _write_json(path: Path, payload: dict):
         fh.writelines(_json_pieces(payload))
 
 
-def _write_trace(path: Path, trace: list[dict]):
-    """Write the trace records to ``path``, one JSON line each, through
-    ``_replacing``."""
+def _write_trace(path: Path, steps):
+    """Write the trace columns ``steps`` (``ExtendedSets.steps``) to
+    ``path`` through ``_replacing``, one line per step, its record
+    (``trace_records``) as ``json.dumps(record, sort_keys=True)`` writes
+    it. Records are built ``_JSON_SLICE`` steps at a time, never all."""
     with _replacing(path) as fh:
-        for record in trace:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        for lo in range(0, len(steps[0]), _JSON_SLICE):
+            records = trace_records([column[lo:lo + _JSON_SLICE] for column in steps])
+            fh.write("".join([_encode(record) + "\n" for record in records]))
 
 
 def _resolve_deltas(config: RunConfig, dataset, truth) -> list[float]:
@@ -284,7 +288,7 @@ def cmd_run(config: RunConfig, dump_trace: bool = False, quiet: bool = False) ->
     out = Path(config.out)
     _write_json(out / "result.json", payload)
     if dump_trace:
-        _write_trace(out / "trace.jsonl", best.trace)
+        _write_trace(out / "trace.jsonl", best.steps)
 
     if quiet:
         return payload
@@ -362,7 +366,7 @@ def cmd_ablate(config: RunConfig, variants: list[str], dump_trace: bool = False,
     _write_json(out / "ablate.json", payload)
     if dump_trace:
         for r in records:
-            _write_trace(out / f"trace-{r.strategy}.jsonl", r.trace)
+            _write_trace(out / f"trace-{r.strategy}.jsonl", r.steps)
 
     if quiet:
         return payload

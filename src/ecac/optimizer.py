@@ -86,16 +86,24 @@ class SelectionStrategy:
             raise InvalidSpec(f"cap must be >= 0, got {self.cap}")
 
 
+def step_columns(steps=((), (), (), ())) -> tuple[np.ndarray, ...]:
+    """The trace's four columns, object, set, dis and covered, as int64,
+    int64, float64 and int64 arrays; with no argument, the empty trace."""
+    types = (np.int64, np.int64, np.float64, np.int64)
+    return tuple(np.asarray(column, dtype=t) for column, t in zip(steps, types))
+
+
 @dataclass
 class ExtendedSets:
     """Clustering centers plus their extended-centers.
 
     ``all`` lists every member in identification order (the k centers
     first); ``sets[i]`` starts with center i; ``all_sets[p]`` is the set
-    index of ``all[p]``. ``steps`` holds four columns with one entry per
-    greedy selection: object id, set index, selection distance, and
-    covered count after the step; ``trace`` reads them as one dict per
-    step (see ``trace_records``). ``stats`` counts the distance work,
+    index of ``all[p]``. ``steps`` holds the trace: four NumPy columns
+    (``step_columns``) with one entry per greedy selection, the object
+    id, set index, selection distance and covered count after the step;
+    ``trace`` reads them as one dict per step (``trace_records``), built
+    on first read. ``stats`` counts the distance work,
     the same on every run of the same input: ``run_entries``, the ids
     held by the blocks of candidate runs that the queries read (at most
     81 per object), whether this run or an earlier one gathered them,
@@ -111,7 +119,7 @@ class ExtendedSets:
     all_sets: list[int]
     coverage: np.ndarray
     fallback_count: int = 0
-    steps: tuple = ((), (), (), ())
+    steps: tuple[np.ndarray, ...] = field(default_factory=step_columns)
     stats: dict = field(default_factory=dict)
 
     @cached_property
@@ -148,11 +156,11 @@ def prepare_extension(dataset: Dataset, delta: float):
 
 def trace_records(steps) -> list[dict]:
     """Trace columns (object, set, dis, covered), lists or arrays, as one
-    dict per step with the keys ``object``, ``set``, ``dis`` and
-    ``covered``, each value a Python int or float."""
+    dict per step keyed ``object``, ``set``, ``dis`` and ``covered``, each
+    value a Python int or float: the records of a trace file's lines."""
     return [
-        {"object": int(o), "set": int(j), "dis": float(dis), "covered": int(covered)}
-        for o, j, dis, covered in zip(*steps)
+        {"object": o, "set": j, "dis": dis, "covered": covered}
+        for o, j, dis, covered in zip(*(column.tolist() for column in step_columns(steps)))
     ]
 
 
@@ -248,7 +256,7 @@ def _extend(dataset: Dataset, delta: float, centers: list[int], strategy: Select
     # members[k:] and member_sets[k:]. Ints and floats are not tracked by
     # the garbage collector, so a step allocates no container (a tuple per
     # step cost a fresh ``ecac ablate`` a full collection, about 20 ms);
-    # the records are built only when the trace is read.
+    # the columns become arrays once the loop ends.
     trace_dis: list[float] = []
     trace_covered: list[int] = []
     inf = np.inf
@@ -359,7 +367,7 @@ def _extend(dataset: Dataset, delta: float, centers: list[int], strategy: Select
         all_sets=member_sets,
         coverage=~uncovered,
         fallback_count=fallbacks,
-        steps=(members[k:], member_sets[k:], trace_dis, trace_covered),
+        steps=step_columns((members[k:], member_sets[k:], trace_dis, trace_covered)),
         stats={
             "run_entries": runs.entries(cell.take(members)),
             "candidates": candidates,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -13,18 +12,9 @@ from .data import Dataset, GroundTruth
 from .density import default_delta
 from .errors import InvalidK
 from .metrics import nmi, rand_index
-from .optimizer import SelectionStrategy, identify_extended_centers, merge_clusters, trace_records
+from .optimizer import SelectionStrategy, identify_extended_centers, merge_clusters, step_columns
 
 SCHEMA_VERSION = 1
-
-
-# The dtypes of the trace's columns: object, set, dis and covered.
-_STEP_TYPES = (np.int64, np.int64, np.float64, np.int64)
-
-
-def _step_columns(steps=((), (), (), ())) -> tuple:
-    """The trace's four columns as arrays of ``_STEP_TYPES``."""
-    return tuple(np.asarray(column, dtype=t) for column, t in zip(steps, _STEP_TYPES))
 
 
 @dataclass
@@ -36,9 +26,11 @@ class ClusteringResult:
 
     A record holds its per-object values as NumPy arrays, whichever
     function built it: ``labels``, one int64 array per extended-set, and
-    the trace's columns. With s close to n, a record of Python lists
-    held, and a forked worker pickled back, 32 to 36 bytes per value
-    against 8.
+    ``steps``, the trace columns of ``ExtendedSets.steps`` (empty for a
+    baseline), which ``ecac.cli`` writes to a JSON-lines file on request
+    and ``to_dict`` leaves out. With s close to n, a record of Python
+    lists held, and a forked worker pickled back, 32 to 36 bytes per
+    value against 8.
     """
 
     algorithm: str
@@ -54,21 +46,11 @@ class ClusteringResult:
     ri_score: float | None = None
     timings: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
-    # The extension's per-selection trace as columns (``ExtendedSets.steps``
-    # as arrays of ``_STEP_TYPES``); dumped to a JSON-lines file on
-    # request, never part of the result record itself.
-    steps: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] = field(
-        default_factory=_step_columns, repr=False
-    )
+    steps: tuple[np.ndarray, ...] = field(default_factory=step_columns, repr=False)
 
     @property
     def s(self) -> int:
         return sum(len(group) for group in self.extended_sets)
-
-    @cached_property
-    def trace(self) -> list[dict]:
-        """The steps as records (``trace_records``), built on first read."""
-        return trace_records(self.steps)
 
     def attach_metrics(self, truth: GroundTruth | None):
         if truth is not None:
@@ -199,7 +181,7 @@ def run_optimized(
             "assign_ms": 1000.0 * (t3 - t2),
         },
         extras=extras,
-        steps=_step_columns(ext.steps),
+        steps=ext.steps,
     )
     result.extras["coverage_complete"] = ext.fully_covered
     return result

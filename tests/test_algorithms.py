@@ -1,5 +1,4 @@
 import gc
-import os
 import subprocess
 import sys
 import weakref
@@ -10,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ecac
 from ecac.algorithms import (
     build_algorithm,
     compute_dpc_quantities,
@@ -272,13 +270,12 @@ with open("/proc/self/status") as fh:
 """
 
 
-def test_dpc_quantities_peak_memory_at_50k():
+def test_dpc_quantities_peak_memory_at_50k(child_env):
     if not Path("/proc/self/status").exists():
         pytest.skip("VmHWM is read from /proc/self/status (Linux only)")
-    env = dict(os.environ, PYTHONPATH=str(Path(ecac.__file__).resolve().parents[1]))
     child = subprocess.run(
         [sys.executable, "-c", _PEAK_RSS_SCRIPT],
-        capture_output=True, text=True, env=env, timeout=300, check=True,
+        capture_output=True, text=True, env=child_env, timeout=300, check=True,
     )
     peak_mb = int(child.stdout) / 1024
     assert peak_mb < PEAK_RSS_BUDGET_MB

@@ -13,18 +13,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ecac
-from ecac import cli, density, optimizer, pipeline
+from ecac import cli, density, optimizer
 from ecac.cli import _config_from_args, build_parser, cmd_ablate, cmd_plot, cmd_run, main
 from ecac.config import DEFAULT_SWEEP, RunConfig, min_max_normalize, parse_config_file
 from ecac.data import Dataset, generate_gaussian_mixture, smallest_pairwise_distances
 from ecac.density import pairwise_distance_percentile, pairwise_distance_percentiles
 from ecac.errors import ConfigError, MissingResult, NotPlottable
-from ecac.optimizer import trace_records
+from ecac.optimizer import step_columns, trace_records
 from ecac.pipeline import ClusteringResult
 from ecac.svg import PALETTE, render_scatter
 
 from test_data import traced_peak_mb
+
+
+def dumps_per_step(steps) -> str:
+    """The trace file of the four columns: per step, ``json.dumps`` of its
+    record with sorted keys, and a newline."""
+    return "".join(
+        json.dumps({"object": int(o), "set": int(j), "dis": float(dis), "covered": int(covered)},
+                   sort_keys=True) + "\n"
+        for o, j, dis, covered in zip(*steps)
+    )
+
 
 ROOT = Path(__file__).resolve().parents[1]
 SPIRAL = ["--data", str(ROOT / "data" / "spiral.csv"), "--label-col", "-1", "--k", "3"]
@@ -218,15 +228,14 @@ class TestConfig:
         dataset, truth = config.load_dataset()
         assert dataset.n == 80 and truth.k_true == 2
 
-    def test_importing_the_cli_leaves_tomllib_unloaded(self):
-        env = dict(os.environ, PYTHONPATH=str(Path(ecac.__file__).resolve().parents[1]))
+    def test_importing_the_cli_leaves_tomllib_unloaded(self, child_env):
         child = subprocess.run(
             [sys.executable, "-c", "import sys, ecac.cli; print('tomllib' in sys.modules)"],
-            capture_output=True, text=True, env=env, check=True,
+            capture_output=True, text=True, env=child_env, check=True,
         )
         assert child.stdout.strip() == "False"
 
-    def test_cli_runs_without_loading_scipy(self, tmp_path):
+    def test_cli_runs_without_loading_scipy(self, tmp_path, child_env):
         # The package is pure NumPy: neither the import nor a run or an
         # ablation loads SciPy, whatever is installed.
         script = (
@@ -236,9 +245,8 @@ class TestConfig:
             f"assert ecac.cli.main(['ablate', *argv, '--out', {str(tmp_path / 'a')!r}]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(ecac.__file__).resolve().parents[1]))
         child = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True,
+            [sys.executable, "-c", script], capture_output=True, text=True, env=child_env, check=True,
         )
         assert child.stdout.strip().splitlines()[-1] == "[]"
 
@@ -247,7 +255,7 @@ class TestConfig:
         ["run", "--algo", "dpc"],
         ["ablate", "--variants", "local,global,random"],
     ], ids=["run-kmeans", "run-dpc", "ablate-random"])
-    def test_commands_leave_numpy_random_and_hashlib_unloaded(self, tmp_path, command):
+    def test_commands_leave_numpy_random_and_hashlib_unloaded(self, tmp_path, command, child_env):
         # Seeded draws come from ecac.sampling: importing NumPy's random
         # package would load OpenSSL through hashlib. More than 1,000 rows,
         # so the percentile sample is drawn too, and one core, so every
@@ -265,14 +273,13 @@ class TestConfig:
             f"assert ecac.cli.main({argv!r}) == 0\n"
             "print(sorted(m for m in ('numpy.random', 'hashlib') if m in sys.modules))\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(ecac.__file__).resolve().parents[1]))
         child = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300,
+            [sys.executable, "-c", script], capture_output=True, text=True, env=child_env, timeout=300,
         )
         assert child.returncode == 0, child.stderr
         assert child.stdout.splitlines()[-1] == "[]"
 
-    def test_cli_loads_no_process_pool_modules(self, tmp_path):
+    def test_cli_loads_no_process_pool_modules(self, tmp_path, child_env):
         # The sweep forks its workers itself: neither the import nor a
         # default-sweep run pays for importing a process pool.
         script = (
@@ -284,9 +291,8 @@ class TestConfig:
             f"assert ecac.cli.main(['run', *{SPIRAL!r}, '--out', {str(tmp_path / 'r')!r}]) == 0\n"
             "print(pools())\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(ecac.__file__).resolve().parents[1]))
         child = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True,
+            [sys.executable, "-c", script], capture_output=True, text=True, env=child_env, check=True,
         )
         lines = child.stdout.splitlines()
         assert (lines[0], lines[-1]) == ("[]", "[]")
@@ -422,7 +428,7 @@ class TestCmdRun:
         assert (out / name).read_bytes() == want.encode("utf-8")
         assert sorted(path.name for path in out.iterdir()) == [name]
 
-    def test_a_write_that_fails_partway_leaves_the_previous_file(self, tmp_path):
+    def test_a_write_that_fails_partway_leaves_the_previous_file(self, tmp_path, child_env):
         path = tmp_path / "o" / "result.json"
         cli._write_json(path, {"schema_version": 1, "sweep": [{"a": 1}]})
         before = path.read_bytes()
@@ -442,21 +448,62 @@ try:
     _write_json(Path(sys.argv[1]), {"sweep": [{"labels": list(range(20_000))}] * 3})
 except OSError as exc:
     print(exc.errno)
-""", str(path)], capture_output=True, text=True, timeout=60, check=True)
+""", str(path)], capture_output=True, text=True, env=child_env, timeout=60, check=True)
         assert child.stdout.split() == [str(errno.EFBIG)]
         assert path.read_bytes() == before
         assert [p.name for p in path.parent.iterdir()] == ["result.json"]
 
     def test_a_trace_dump_that_fails_partway_leaves_the_previous_file(self, tmp_path):
         path = tmp_path / "o" / "trace.jsonl"
-        cli._write_trace(path, [{"object": 1, "set": 0, "dis": 0.5, "covered": 3}])
+        cli._write_trace(path, step_columns(([1], [0], [0.5], [3])))
         before = path.read_bytes()
-        # The second record cannot be encoded, after the first was written.
+        # The last step's dis cannot be converted, after three slices of
+        # steps were written.
+        n = 3 * cli._JSON_SLICE + 5
+        dis = np.full(n, 0.25, dtype=object)
+        dis[-1] = object()
         with pytest.raises(TypeError):
-            cli._write_trace(path, [{"object": 2, "set": 0, "dis": 0.25, "covered": 4},
-                                    {"object": object()}])
+            cli._write_trace(path, (np.arange(n), np.zeros(n, dtype=np.int64), dis, np.arange(n)))
         assert path.read_bytes() == before
         assert [p.name for p in path.parent.iterdir()] == ["trace.jsonl"]
+
+    @pytest.mark.parametrize("length", [0, 1, cli._JSON_SLICE - 1, cli._JSON_SLICE,
+                                        cli._JSON_SLICE + 1, 3 * cli._JSON_SLICE + 5])
+    def test_trace_lines_are_one_dumps_per_step(self, tmp_path, length):
+        # Steps fewer than, as many as and more than one slice: each line
+        # is the step's record as json.dumps writes it.
+        rng = np.random.default_rng(length)
+        steps = (
+            rng.permutation(length).astype(np.int64),
+            rng.integers(0, 4, length, dtype=np.int64),
+            rng.random(length) * 10.0 ** rng.integers(-8, 8, length),
+            np.arange(1, length + 1, dtype=np.int64),
+        )
+        cli._write_trace(tmp_path / "trace.jsonl", steps)
+        assert (tmp_path / "trace.jsonl").read_text(encoding="utf-8") == dumps_per_step(steps)
+
+    def test_an_infinite_dis_is_written_as_json_writes_it(self, tmp_path):
+        # Coordinates whose squared distances overflow: the fallback steps
+        # select at an infinite distance.
+        ds = Dataset(np.array([[0.0, 0.0], [1e200, 0.0], [1.0, 0.0], [-1e200, 5.0]]))
+        with np.errstate(over="ignore"):
+            ext = optimizer.identify_extended_centers(ds, [0], 2.0)
+        assert [type(c) for c in ext.steps] == [np.ndarray] * 4
+        assert [c.dtype for c in ext.steps] == [np.int64, np.int64, np.float64, np.int64]
+        cli._write_trace(tmp_path / "trace.jsonl", ext.steps)
+        text = (tmp_path / "trace.jsonl").read_text(encoding="utf-8")
+        assert text == dumps_per_step(ext.steps)
+        assert text.count('"dis": Infinity') == 2
+
+    def test_a_trace_dump_holds_one_slice_of_records(self, tmp_path):
+        # 200,000 steps: a list of every step's record would hold about
+        # 53 MB; the dump holds one slice's.
+        n = 200_000
+        steps = step_columns((np.arange(n)[::-1], np.arange(n) % 5, np.linspace(0.0, 3.0, n), np.arange(1, n + 1)))
+        peak = traced_peak_mb(lambda: cli._write_trace(tmp_path / "trace.jsonl", steps))
+        assert peak < 1.0
+        with (tmp_path / "trace.jsonl").open(encoding="utf-8") as fh:
+            assert sum(1 for _ in fh) == n
 
     def test_a_write_holds_one_record_encoded(self, tmp_path):
         # Five sweep records over 20,000 objects: json.dumps of the whole
@@ -502,7 +549,7 @@ except OSError as exc:
             return trace_records(steps)
 
         monkeypatch.setattr(optimizer, "trace_records", counted)
-        monkeypatch.setattr(pipeline, "trace_records", counted)
+        monkeypatch.setattr(cli, "trace_records", counted)
         argv = ["run", "--data", "data/spiral.csv", "--label-col", "-1", "--k", "3",
                 "--out", str(tmp_path / "o")]
         assert main(argv) == 0
@@ -616,7 +663,7 @@ class TestSweepWorkers:
         assert err.startswith("error: sweep worker ") and "(exit status 3)" in err
         assert_no_child_left()
 
-    def test_the_table_is_printed_once(self, tmp_path):
+    def test_the_table_is_printed_once(self, tmp_path, child_env):
         # In a fresh interpreter, so a worker that went back up the
         # caller's stack would print a second table and flush it at exit.
         script = (
@@ -625,10 +672,9 @@ class TestSweepWorkers:
             "from ecac.cli import main\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(ecac.__file__).resolve().parents[1]))
         child = subprocess.run(
             [sys.executable, "-c", script, "run", *SPIRAL, "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=child_env, timeout=120,
         )
         assert child.returncode == 0, child.stderr
         assert "Traceback" not in child.stderr
@@ -847,16 +893,15 @@ class TestMainEntry:
         assert "missing.json" in err
 
     @pytest.mark.parametrize("algo", ["kmeans", "dpc"])
-    def test_overflowing_distances_run_without_a_traceback(self, tmp_path, algo):
+    def test_overflowing_distances_run_without_a_traceback(self, tmp_path, algo, child_env):
         # Every pairwise distance overflows to inf, so the default delta
         # is inf; the percentile must not index past its kept distances.
         csv = tmp_path / "overflow.csv"
         csv.write_text("1e308,0,0\n-1e308,0,1\n0,0,0\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(ecac.__file__).resolve().parents[1]))
         child = subprocess.run(
             [sys.executable, "-m", "ecac", "run", "--data", str(csv), "--label-col", "-1",
              "--algo", algo, "--k", "2", "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=child_env, timeout=120,
         )
         assert "Traceback" not in child.stderr
         assert child.returncode == 0, child.stderr

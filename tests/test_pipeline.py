@@ -9,7 +9,7 @@ from ecac import density
 from ecac.algorithms import build_algorithm
 from ecac.data import Dataset, generate_gaussian_mixture, load_csv, smallest_pairwise_distances
 from ecac.errors import InvalidK
-from ecac.optimizer import SelectionStrategy, identify_extended_centers
+from ecac.optimizer import SelectionStrategy, identify_extended_centers, trace_records
 from ecac.pipeline import ClusteringResult, compute_centers, run_baseline, run_optimized
 
 from test_scripts import load_script
@@ -29,7 +29,7 @@ def test_zero_cap_degenerates_to_baseline(blobs):
         ds, alg, 3, centers=centers, strategy=SelectionStrategy("local", cap=0)
     )
     assert degenerate.s == 3
-    assert degenerate.trace == []
+    assert trace_records(degenerate.steps) == []
     assert degenerate.labels.tolist() == base.labels.tolist()
 
 
@@ -38,7 +38,7 @@ def test_optimized_records_bookkeeping(blobs):
     alg = build_algorithm("kmeans", seed=0)
     result = run_optimized(ds, alg, 3).attach_metrics(gt)
     assert result.s == sum(len(g) for g in result.extended_sets)
-    assert len(result.trace) == result.s - 3
+    assert len(result.steps[0]) == result.s - 3
     assert result.delta > 0
     assert set(result.timings) == {"total_ms", "density_ms", "extend_ms", "assign_ms"}
     assert result.extras["coverage_complete"] is True
@@ -79,7 +79,7 @@ def test_result_dict_roundtrip(blobs):
     assert restored.to_dict() == record
     assert np.array_equal(restored.labels, result.labels)
     # Older result files also carry an "iterations" count; they still load.
-    legacy = dict(record, iterations=len(result.trace))
+    legacy = dict(record, iterations=len(result.steps[0]))
     assert ClusteringResult.from_dict(legacy).to_dict() == record
 
 
@@ -124,9 +124,9 @@ def test_records_hold_arrays(blobs, kind):
     assert [g.tolist() for g in base.extended_sets] == [[c] for c in centers]
     assert [g.tolist() for g in restored.extended_sets] == [g.tolist() for g in result.extended_sets]
     assert len(result.steps[0]) == result.s - 3 > 0
-    assert restored.trace == base.trace == []
+    assert trace_records(restored.steps) == trace_records(base.steps) == []
     # Every trace record holds Python numbers, which json encodes.
-    for step in result.trace:
+    for step in trace_records(result.steps):
         assert json.loads(json.dumps(step)) == step
         assert [type(step[key]) for key in ("object", "set", "dis", "covered")] == [int, int, float, int]
 

@@ -4,10 +4,12 @@ written with."""
 
 import compileall
 import importlib.util
+import platform
 import re
 import shutil
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -172,3 +174,28 @@ def test_write_csv_writes_every_coordinate(tmp_path):
     dataset, truth = load_csv(tmp_path / "3d.csv", label_column=-1)
     assert np.array_equal(dataset.points, points)
     assert truth.labels.tolist() == [0, 1]
+
+
+def test_results_match_the_committed_digests(tmp_path, child_env):
+    # Result identity: the 47 lines of scripts/result_digests.py (30 ecac
+    # commands, paths blanked, and 17 library runs) equal the committed
+    # ones. A change meant to change results writes the file again:
+    #   (python3 -c "import platform, numpy; print(f'# numpy {numpy.__version__}, python {platform.python_version()}')";
+    #    PYTHONPATH=src python3 scripts/result_digests.py /tmp/grid) > tests/result_digests.txt
+    header, *want = (ROOT / "tests" / "result_digests.txt").read_text(encoding="utf-8").splitlines()
+    child = subprocess.run(
+        [sys.executable, "scripts/result_digests.py", str(tmp_path / "grid")],
+        cwd=ROOT, env=child_env, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    got = child.stdout.splitlines()
+    differ = [
+        f"  committed: {w}\n  now:       {g}"
+        for w, g in zip_longest(want, got, fillvalue="")
+        if w != g
+    ]
+    assert not differ, (
+        f"{len(differ)} of {len(want)} digest lines differ "
+        f"(committed with {header.removeprefix('# ')}; "
+        f"now numpy {np.__version__}, python {platform.python_version()}):\n" + "\n".join(differ)
+    )

@@ -432,16 +432,15 @@ sys.exit(code)
 """
 
 
-def test_capped_dpc_run_peak_memory_at_50k(tmp_path):
+def test_capped_dpc_run_peak_memory_at_50k(tmp_path, child_env):
     if not Path("/proc/self/status").exists():
         pytest.skip("VmHWM is read from /proc/self/status (Linux only)")
     csv = write_blobs_csv(tmp_path / "blobs-50k.csv", 12500)
-    env = dict(os.environ, PYTHONPATH=str(Path(ecac.__file__).resolve().parents[1]))
     child = subprocess.run(
         [sys.executable, "-c", _RUN_PEAK_SCRIPT,
          "run", "--data", str(csv), "--label-col", "-1", "--algo", "dpc", "--k", "4",
          "--cap", "50", "--delta-percentile", "0.02", "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=child_env, timeout=300,
     )
     assert child.returncode == 0, child.stderr
     peak_mb = int(child.stdout.split()[-1]) / 1024
