@@ -58,13 +58,14 @@ input without a ``dpc s``. The last two columns, ``prepare MB`` and
 before the call) of the same two grid-pass calls, taken in one more
 repeat that is not timed; they include what the calls keep, such as the
 grid, the counts and the candidate runs. With more than one ``--src``,
-two paired columns close the rows of every checkout after the first:
+four paired columns close the rows of every checkout after the first:
 ``cpu/src0``, the median over the repeats of the ratio of its CPU time
-to the first checkout's in the same repeat, and ``faster``, the repeats
-in which its CPU time was the lower of the two, out of all repeats. A
-pair times both checkouts back to back, so a slow spell of the host
-falls on both sides of most ratios, which the medians per checkout do
-not cancel.
+to the first checkout's in the same repeat, ``faster``, the repeats in
+which its CPU time was the lower of the two, out of all repeats, and
+``prepare/src0`` and ``dpc/src0``, the same median ratio for the CPU
+time of the two grid passes. A pair times both checkouts back to back,
+so a slow spell of the host falls on both sides of most ratios, which
+the medians per checkout do not cancel.
 """
 
 from __future__ import annotations
@@ -201,11 +202,11 @@ def gathered(ecac, calls):
     return sum(block.nbytes for block in read) / 1e6, (len(read), len(blocks))
 
 
-def seconds(call) -> float:
-    """The wall time of call(), in seconds."""
-    start = time.perf_counter()
+def seconds(call) -> tuple[float, float]:
+    """The wall and CPU seconds (``time.process_time``) of call()."""
+    start, cpu = time.perf_counter(), time.process_time()
     call()
-    return time.perf_counter() - start
+    return time.perf_counter() - start, time.process_time() - cpu
 
 
 def traced_mb(call) -> float:
@@ -220,10 +221,10 @@ def traced_mb(call) -> float:
 
 
 def grid_passes(ecac, calls, dpc: bool, measure=seconds):
-    """``measure`` (seconds, or traced MB) of the ``prepare_extension``
-    calls at the calls' deltas, and of ``compute_dpc_quantities`` at the
-    first delta (None unless ``dpc``), each on a fresh ``Dataset`` of the
-    calls' points."""
+    """``measure`` (wall and CPU seconds, or traced MB) of the
+    ``prepare_extension`` calls at the calls' deltas, and of
+    ``compute_dpc_quantities`` at the first delta (None unless ``dpc``),
+    each on a fresh ``Dataset`` of the calls' points."""
     optimizer = importlib.import_module(ecac.__name__ + ".optimizer")
     points = calls[0][0].points
     deltas = list(dict.fromkeys(call[2] for call in calls))
@@ -235,6 +236,15 @@ def grid_passes(ecac, calls, dpc: bool, measure=seconds):
     gc.collect()
     dataset = ecac.Dataset(points)
     return prepare, measure(lambda: ecac.compute_dpc_quantities(dataset, deltas[0]))
+
+
+def cpu_ratio(times, first) -> str:
+    """The median over the repeats of the ratio of a grid pass's CPU
+    seconds to the first checkout's, from the (wall, cpu) seconds of
+    each repeat; "-" for a pass that the input does not run."""
+    if times[0] is None:
+        return "-"
+    return f"{statistics.median(t[1] / f[1] for t, f in zip(times, first)):.3f}"
 
 
 def main(argv=None) -> int:
@@ -255,7 +265,8 @@ def main(argv=None) -> int:
     packages = [load_package(src.resolve(), f"ecac_timed_{i}") for i, src in enumerate(srcs)]
     print(f"{'input':22s}{'src':>5s}{'median s':>10s}{'cpu s':>8s}{'gathered MB':>13s}{'blocks':>11s}{'run entries':>13s}"
           f"{'candidates':>12s}{'far rows':>10s}{'prepare s':>11s}{'dpc s':>8s}"
-          f"{'prepare MB':>12s}{'dpc MB':>8s}" + (f"{'cpu/src0':>10s}{'faster':>8s}" if len(srcs) > 1 else ""))
+          f"{'prepare MB':>12s}{'dpc MB':>8s}" + (f"{'cpu/src0':>10s}{'faster':>8s}{'prepare/src0':>14s}{'dpc/src0':>10s}"
+             if len(srcs) > 1 else ""))
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:
             csv_path = Path(tmp) / f"{name}.csv"
@@ -281,25 +292,28 @@ def main(argv=None) -> int:
                 entries, candidates, far_rows = (
                     "-" if counters[i][key] is None else counters[i][key] for key in COUNTERS
                 )
-                prepare_s, dpc_s = zip(*passes[i])
-                dpc = "-" if dpc_s[0] is None else f"{statistics.median(dpc_s):.3f}"
+                prepare_s, dpc_s = zip(*passes[i])  # (wall, cpu) per repeat
+                dpc = "-" if dpc_s[0] is None else f"{statistics.median(w for w, _ in dpc_s):.3f}"
                 prepare_mb, dpc_mb = peaks[i]
                 dpc_mb = "-" if dpc_mb is None else f"{dpc_mb:.2f}"
                 gathered_mb, blocks = gathers[i]
                 blocks = "-" if blocks is None else "/".join(map(str, blocks))
                 paired = ""
                 if len(packages) > 1:
-                    ratio, faster = "-", "-"
+                    ratio = faster = prepare_ratio = dpc_ratio = "-"
                     if i:
                         ratios = [cpu / first for cpu, first in zip(cpu_times[i], cpu_times[0])]
                         ratio = f"{statistics.median(ratios):.3f}"
                         faster = f"{sum(r < 1 for r in ratios)}/{len(ratios)}"
-                    paired = f"{ratio:>10s}{faster:>8s}"
+                        prepare_ratio, dpc_ratio = (
+                            cpu_ratio(own, first) for own, first in zip((prepare_s, dpc_s), zip(*passes[0]))
+                        )
+                    paired = f"{ratio:>10s}{faster:>8s}{prepare_ratio:>14s}{dpc_ratio:>10s}"
                 print(
                     f"{name:22s}{i:>5d}{statistics.median(src_times):>10.3f}"
                     f"{statistics.median(cpu_times[i]):>8.3f}"
                     f"{gathered_mb:>13.2f}{blocks:>11s}{entries:>13}{candidates:>12}{far_rows:>10}"
-                    f"{statistics.median(prepare_s):>11.3f}{dpc:>8}{prepare_mb:>12.2f}{dpc_mb:>8}{paired}",
+                    f"{statistics.median(w for w, _ in prepare_s):>11.3f}{dpc:>8}{prepare_mb:>12.2f}{dpc_mb:>8}{paired}",
                     flush=True,
                 )
     for i, src in enumerate(srcs):

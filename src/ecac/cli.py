@@ -387,11 +387,12 @@ def cmd_plot(result_path, mode: str, out_path=None) -> Path:
         raise MissingResult(f"no result file at {result_path}")
     try:
         payload = json.loads(result_path.read_text(encoding="utf-8"))
-        record = payload["optimized"]
+        if not isinstance(payload, dict) or not isinstance(payload.get("config"), dict):
+            raise TypeError("no config table")
         config = RunConfig.from_sources(payload["config"], {})
-    except (json.JSONDecodeError, KeyError) as exc:
+        result = ClusteringResult.from_dict(payload["optimized"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise MissingResult(f"{result_path} is not a run result: {exc}") from None
-    result = ClusteringResult.from_dict(record)
     dataset, _ = config.load_dataset()
     svg = render_scatter(
         dataset.points,

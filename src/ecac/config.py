@@ -10,7 +10,7 @@ import numpy as np
 from .algorithms import ALGORITHM_NAMES
 from .data import Dataset, GroundTruth, generate_gaussian_mixture, load_csv
 from .density import DEFAULT_PERCENTILE  # noqa: F401  (perfbench/workloads.py imports it from here)
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateDataset
 from .optimizer import STRATEGY_KINDS
 
 # Percentiles swept when no delta option is given and ground truth is
@@ -157,6 +157,8 @@ class RunConfig:
             dataset, truth = load_csv(path, self.label_col)
         else:
             dataset, truth = generate_gaussian_mixture(*self._generator_spec())
+        if truth is not None and dataset.n < 2:  # NMI and RI score pairs of objects
+            raise DegenerateDataset("need at least two points")
         if self.normalize:
             dataset = min_max_normalize(dataset)
         return dataset, truth

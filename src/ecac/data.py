@@ -186,11 +186,6 @@ class SpatialIndex:
         # The (at most two) axes of largest extent, in axis order.
         self._axes = np.sort(np.argsort(-extent, kind="stable")[:2])
 
-    @property
-    def size(self) -> int:
-        """Number of indexed objects."""
-        return self.dataset.n
-
     def _radius_grid(self, radius: float) -> _Grid:
         """The grid for queries at ``radius`` (> 0), of side radius /
         ``_CELLS_PER_RADIUS``, built unless it is the dataset's kept grid,
@@ -207,29 +202,23 @@ class SpatialIndex:
 
     def range_query_many(self, centers, radius: float) -> list[np.ndarray]:
         """Per row of ``centers`` (a queries x d array), the sorted ids at
-        strict distance < radius from it. The queries go in blocks of
-        ``_BOXES``, so no slice table covers them all."""
+        strict distance < radius from it."""
         centers = np.asarray(centers, dtype=np.float64)
         if centers.ndim != 2 or centers.shape[1] != self.dataset.d:
             raise DimensionMismatch(
                 f"query point has shape {centers.shape}, dataset is {self.dataset.d}-D"
             )
         grid = self._radius_grid(radius)
-        reach = _reach(radius)
+        centers = centers.T  # a view: its rows are gathered one at a time
         answers = []
-        for lo in range(0, centers.shape[0], _BOXES):
-            block = centers[lo:lo + _BOXES].T  # a view: its rows are gathered one at a time
-            near = block[grid.axes], reach
-            ids, owners = [], []
-            for pos, owner in grid.candidates(*grid.slices(*near), near):
-                d = _distances(grid.columns, block, (pos, owner))
-                keep = np.flatnonzero(d < radius)
-                ids.append(grid.ids.take(pos.take(keep)))
-                owners.append(owner.take(keep))
-            ids = np.concatenate(ids)
-            bounds = np.searchsorted(np.concatenate(owners), np.arange(block.shape[1] + 1))
-            answers += [np.sort(ids[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
-        return answers
+        for pos, owner in grid.pairs(centers, np.arange(centers.shape[1]), _reach(radius)):
+            keep = np.flatnonzero(_distances(grid.columns, centers, (pos, owner)) < radius)
+            if keep.size:
+                # A pass holds its owners whole, and they follow those answered.
+                ids, owner = grid.ids.take(pos.take(keep)), owner.take(keep)
+                bounds = owner.searchsorted(np.arange(len(answers), owner[-1] + 2))
+                answers += [np.sort(ids[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+        return answers + [np.empty(0, dtype=np.int64) for _ in range(centers.shape[1] - len(answers))]
 
     def density(self, radius: float) -> np.ndarray:
         """Per object, the number of ids at strict distance < radius: a
@@ -245,30 +234,22 @@ class SpatialIndex:
 
     def _count(self, radius: float) -> np.ndarray:
         """One exact counting pass: per object, the ids at strict distance
-        < radius. Each object's candidates are cut to those after it in
-        the grid's order, so each pair is judged once and counts for both
-        of its objects. Objects go in blocks of ``_BOXES``, so no slice
-        table covers them all."""
+        < radius. Each pair is judged once, by the candidates after each
+        object in the grid's order, and counts for both of its objects."""
         grid = self._radius_grid(radius)
-        reach = _reach(radius)
-        counts = np.ones(self.size, dtype=np.int64)  # each object itself
-        for lo in range(0, self.size, _BOXES):
-            block = grid.columns[:, lo:lo + _BOXES]
-            near = block[grid.axes], reach
-            owner, start, stop = grid.slices(*near)
-            start = np.maximum(start, owner + (lo + 1))
-            for pos, owner in grid.candidates(owner, start, np.maximum(stop, start), near):
-                inside = np.flatnonzero(_distances(grid.columns, block, (pos, owner)) < radius)
-                if not inside.size:
-                    continue
-                # Bins from position lo + first on: owner ascends, and
-                # every pos lies after its owner's position, lo + owner.
-                first = owner[inside[0]]
-                for ends, at in ((owner, first), (pos, lo + first)):
-                    ends = ends.take(inside)
-                    ends -= at
-                    added = np.bincount(ends)
-                    counts[lo + first:lo + first + added.size] += added
+        counts = np.ones(self.dataset.n, dtype=np.int64)  # each object itself
+        for pos, owner in grid.pairs(self.dataset.columns, grid.ids, _reach(radius), after=True):
+            inside = np.flatnonzero(_distances(grid.columns, grid.columns, (pos, owner)) < radius)
+            if not inside.size:
+                continue
+            # Bins from the first owner's position on: owner ascends, and
+            # every pos lies after its owner.
+            first = owner[inside[0]]
+            for ends in owner, pos:
+                ends = ends.take(inside)
+                ends -= first
+                added = np.bincount(ends)
+                counts[first:first + added.size] += added
         result = np.empty_like(counts)
         result[grid.ids] = counts
         return result
@@ -304,17 +285,17 @@ class SpatialIndex:
         meets, with reach starting at one cell. Every other point lies
         beyond reach on a grid axis, so the nearest lower-ranked candidate
         is the answer once it is nearer than reach, or once reach is
-        infinite; until then, reach doubles. The pending objects go in
-        blocks of ``_BOXES``, so no slice table covers them all.
+        infinite; until then, reach doubles. An object's candidates come
+        in one pass (``_Grid.pairs``), so its answer is settled there.
         """
-        n = self.size
+        n = self.dataset.n
         rank = np.asarray(rank)
         if rank.shape != (n,) or not np.array_equal(np.sort(rank), np.arange(n)):
             raise InvalidSpec("rank must order the ids 0..N-1")
         grid = self._radius_grid(radius)
         by_rank = np.empty(n, dtype=np.int64)
         by_rank[rank] = np.arange(n)
-        grid_rank = rank.take(grid.ids)
+        grid_rank = rank.take(grid.ids).astype(np.int32)  # as the runs' ids: half of int64's bytes
         dist = np.full(n, np.inf)
         found = np.full(n, -1, dtype=np.int64)
         pending = np.flatnonzero(grid_rank > 0)  # grid positions
@@ -322,34 +303,27 @@ class SpatialIndex:
         while pending.size:
             reach = max(reach, _TINY)
             everything = reach == np.inf  # every point a candidate, even at overflow
-            done = np.zeros(pending.size, dtype=bool)
-            for lo in range(0, pending.size, _BOXES):
-                block = pending[lo:lo + _BOXES]
-                centers = grid.columns[grid.axes[:, None], block]
-                row_rank = grid_rank.take(block)
-                best = np.full(block.size, np.inf)
-                best_rank = np.full(block.size, n)
-                for pos, owner in grid.candidates(
-                    *grid.slices(centers, reach), None if everything else (centers, reach)
-                ):
-                    higher = grid_rank.take(pos)
-                    keep = np.flatnonzero(higher < row_rank.take(owner))
-                    if not keep.size:
-                        continue
-                    pos, owner, higher = pos.take(keep), owner.take(keep), higher.take(keep)
-                    d = _distances(grid.columns, grid.columns, (pos, block.take(owner)))
-                    # Per owner: its least distance, then the least rank at it.
-                    heads = np.flatnonzero(np.diff(owner, prepend=-1))
-                    least = np.minimum.reduceat(d, heads)
-                    tied = np.where(d == np.repeat(least, np.diff(heads, append=d.size)), higher, n)
-                    best[owner.take(heads)] = least
-                    best_rank[owner.take(heads)] = np.minimum.reduceat(tied, heads)
-                resolved = (best_rank < n) & (everything | (best < reach * (1.0 - _ROUNDING)))
-                ids = grid.ids.take(block[resolved])
-                dist[ids] = best[resolved]
-                found[ids] = by_rank.take(best_rank[resolved])
-                done[lo:lo + block.size] = resolved
-            pending = pending[~done]
+            resolved = np.zeros(pending.size, dtype=bool)
+            pending_rank = grid_rank.take(pending)
+            for pos, owner in grid.pairs(grid.columns, pending, reach):
+                higher = grid_rank.take(pos)
+                keep = np.flatnonzero(higher < pending_rank.take(owner))
+                if not keep.size:
+                    continue
+                pos, owner, higher = pos.take(keep), owner.take(keep), higher.take(keep)
+                d = _distances(grid.columns, grid.columns, (pos, pending.take(owner)))
+                # Per owner: its least distance, then the least rank at it.
+                heads = np.flatnonzero(np.diff(owner, prepend=-1))
+                least = np.minimum.reduceat(d, heads)
+                tied = np.where(d == np.repeat(least, np.diff(heads, append=d.size)), higher, n)
+                least_rank = np.minimum.reduceat(tied, heads)
+                settled = everything | (least < reach * (1.0 - _ROUNDING))
+                done = owner.take(heads[settled])
+                ids = grid.ids.take(pending.take(done))
+                dist[ids] = least[settled]
+                found[ids] = by_rank.take(least_rank[settled])
+                resolved[done] = True
+            pending = pending[~resolved]
             reach *= 2.0
         return dist, found
 
@@ -384,18 +358,50 @@ class _Grid:
     def _label(self, coords: np.ndarray) -> np.ndarray:
         return np.floor((coords - self.origin) / self.side)
 
-    def slices(self, centers: np.ndarray, reach: float):
-        """``(owner, start, stop)``: the slices of sorted positions that
-        hold the cells each center's box [c - reach, c + reach] meets,
-        ``owner`` ascending; ``centers`` holds the m centers' coordinates
-        on the grid axes, one row per axis."""
-        return self.box_slices(centers - reach, centers + reach)
+    def pairs(self, points: np.ndarray, at: np.ndarray, reach: float, after: bool = False):
+        """Yield ``(positions, owner)``: the sorted positions of the points
+        in the cells that each box meets, and the box's number, ``owner``,
+        ascending from 0. Box j is [c - reach, c + reach] for c the column
+        ``at[j]`` of ``points`` (d x m, the index's dimension). With
+        ``after``, box j belongs to the point at position j of this grid,
+        and only the positions after j are kept.
 
-    def box_slices(self, low: np.ndarray, high: np.ndarray):
-        """``(owner, start, stop)``: the slices of sorted positions that
-        hold the cells each box [low[:, i], high[:, i]] (one row per grid
-        axis) meets, ``owner`` ascending."""
-        return _rank_slices(self.keys, self.width, *self.box_ranks(low, high))
+        The boxes go in blocks of ``_BOXES``, their centers gathered per
+        block, so no slice table covers them all, and their candidates in
+        passes of at most ``_CHUNK`` that hold each owner's candidates
+        whole (an owner with more is a pass alone). Every array of a pass,
+        here and in the callers, holds one entry per candidate, whatever
+        the dimension: a caller gathers each pair's coordinates one row at
+        a time (``_distances`` with pairs), so a pass holds a few
+        ``_CHUNK``-entry arrays, never a d x m block.
+
+        Where the grid leaves some axes out and reach is finite, a
+        candidate whose distance over the grid axes alone is at least
+        reach is dropped: its full distance cannot be below the radius
+        that reach covers, so only the rest of its coordinates are read.
+        """
+        rows = [self.columns[axis] for axis in self.axes]
+        near = self.axes.size < self.columns.shape[0] and reach < np.inf
+        for lo in range(0, at.size, _BOXES):
+            centers = points[self.axes[:, None], at[lo:lo + _BOXES]]
+            owner, start, stop = _rank_slices(
+                self.keys, self.width, *self.box_ranks(centers - reach, centers + reach)
+            )
+            if after:
+                start = np.maximum(start, owner + (lo + 1))
+                stop = np.maximum(stop, start)
+            lengths = stop - start
+            for a, b in _passes(lengths, owner):
+                pos = _ragged_arange(start[a:b], lengths[a:b])
+                # The block's owner numbers read its centers; lo makes them global.
+                if near:
+                    owner_of = np.repeat(owner[a:b], lengths[a:b])
+                    keep = np.flatnonzero(_distances(rows, centers, (pos, owner_of)) < reach)
+                    pos, owner_of = pos.take(keep), owner_of.take(keep)
+                    owner_of += lo
+                else:
+                    owner_of = np.repeat(owner[a:b] + lo, lengths[a:b])
+                yield pos, owner_of
 
     def box_ranks(self, low: np.ndarray, high: np.ndarray):
         """``(first, last)``: per grid axis, the ranks among the points'
@@ -420,7 +426,7 @@ class _Grid:
 
         That box holds the query box [p - reach, p + reach] of each point
         p of the cell, and its ends are rounded and labelled as in
-        ``slices``, so the run holds every candidate of a radius query
+        ``pairs``, so the run holds every candidate of a radius query
         centered on p. The lengths are counted in bounded passes, so the
         cells, lengths and boxes are the only lasting memory until a run
         is read.
@@ -446,33 +452,6 @@ class _Grid:
         cell = np.empty(self.ids.size, dtype=np.int64)
         cell[self.ids] = np.cumsum(head) - 1
         return CandidateRuns(self, ranks, cell, bounds)
-
-    def candidates(self, owner, start, stop, near=None):
-        """Yield ``(positions, owner)`` over the given slices, ``owner``
-        ascending, in passes of at most ``_CHUNK`` candidates that hold
-        each owner's candidates whole (an owner with more is a pass alone).
-
-        Every array of a pass, here and in the callers, holds one entry per
-        candidate, whatever the dimension: a caller gathers each pair's
-        coordinates one row at a time (``_distances`` with pairs), so a
-        pass holds a few ``_CHUNK``-entry arrays, never a d x m block.
-
-        ``near``, if given, is ``(centers, reach)``, centers as in
-        ``slices``. Where the grid leaves some axes out, a candidate whose
-        distance over the grid axes alone is at least reach is then
-        dropped: its full distance cannot be below the radius that reach
-        covers, so only the rest of its coordinates are read.
-        """
-        lengths = stop - start
-        for a, b in _passes(lengths, owner):
-            pos = _ragged_arange(start[a:b], lengths[a:b])
-            owner_of = np.repeat(owner[a:b], lengths[a:b])
-            if near is not None and self.axes.size < self.columns.shape[0]:
-                centers, reach = near
-                rows = [self.columns[axis] for axis in self.axes]
-                keep = np.flatnonzero(_distances(rows, centers, (pos, owner_of)) < reach)
-                pos, owner_of = pos.take(keep), owner_of.take(keep)
-            yield pos, owner_of
 
 
 class CandidateRuns:

@@ -377,13 +377,13 @@ def _extend(dataset: Dataset, delta: float, centers: list[int], strategy: Select
 
 
 def _object_id(c, n: int) -> int:
-    """``c`` as an object id in 0..n-1; ``InvalidSpec`` when it is not an
-    integer value or lies outside that range."""
+    """``c`` as an object id in 0..n-1; ``InvalidSpec`` when it is a
+    boolean, not an integer value or outside that range."""
     try:
         i = int(c)
     except (TypeError, ValueError, OverflowError):
         i = None
-    if i is None or i != c:
+    if i is None or i != c or isinstance(c, (bool, np.bool_)):
         raise InvalidSpec(f"center id {c} is not an integer")
     if not 0 <= i < n:
         raise InvalidSpec(f"center id {i} is not an object id in 0..{n - 1}")

@@ -9,6 +9,7 @@ route.
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import math
 from collections import Counter
@@ -241,6 +242,46 @@ def naive_identify(points: np.ndarray, centers, delta: float, kind="local",
         covered |= brute_range_query(points, points[o], delta)
         trace.append((o, j, dis, len(covered)))
     return sets, order, order_sets, covered, fallbacks, trace
+
+
+def _distance(p, q) -> float:
+    """The package's distance rule on two rows of Python floats: the
+    squared differences added one by one in coordinate order (``sum``
+    compensates its additions from Python 3.12 on), then the root."""
+    total = 0.0
+    for a, b in zip(p, q):
+        total += (a - b) * (a - b)
+    return math.sqrt(total)
+
+
+def minimax_forest(points, rho, centers, delta: float, local: bool):
+    """What the published rule computes, by its definition: the
+    bottleneck Dijkstra from the k centers at once over the complete
+    directed graph whose arc x -> o costs d(x, o) / rho(o) (rho of ones
+    for ``nodensity``). A path costs its largest arc. With ``local``, an
+    arc of length at least 2*delta is of a second tier, which the local
+    pool reaches only by fallback steps, and costs compare the tier
+    first: a cost is ``(tier, d / rho)``.
+
+    Returns ``(center, cost)``: per object, the position in ``centers``
+    of the root of its cheapest path, and that path's cost. Of equally
+    cheap paths, the lower center position wins. Distances follow the
+    package's rule, the squared differences added in coordinate order.
+    """
+    rows = np.asarray(points, dtype=float).tolist()
+    center, cost = [None] * len(rows), [None] * len(rows)
+    heap = [((0, 0.0), j, c) for j, c in enumerate(centers)]
+    while heap:
+        path, j, x = heapq.heappop(heap)
+        if center[x] is not None:
+            continue
+        center[x], cost[x] = j, path
+        for o, row in enumerate(rows):
+            if center[o] is None:
+                d = _distance(rows[x], row)
+                arc = (int(local and d >= 2 * delta), d / rho[o])
+                heapq.heappush(heap, (max(path, arc), j, o))
+    return center, cost
 
 
 def dpc_assignment_loop(points: np.ndarray, centers, rho, nearest_higher) -> list[int]:

@@ -193,13 +193,13 @@ class TestDpcQuantities:
         # higher object lies about 50 away, far beyond the first search
         # box (one cell, d_c / 3), so the box must widen past 40.
         reaches = []
-        slices = _Grid.slices
+        pairs = _Grid.pairs
 
-        def recording(self, centers, reach):
+        def recording(self, points, at, reach, after=False):
             reaches.append(reach)
-            return slices(self, centers, reach)
+            return pairs(self, points, at, reach, after)
 
-        monkeypatch.setattr(_Grid, "slices", recording)
+        monkeypatch.setattr(_Grid, "pairs", recording)
         rng = np.random.default_rng(31)
         pts = np.vstack([rng.normal(c, 1.0, size=(100, 2)) for c in ([0, 0], [50, 0], [0, 50])])
         assert_matches_loop_oracle(pts, 1.0)

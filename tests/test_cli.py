@@ -177,6 +177,16 @@ class TestConfig:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flags", [[], ["--delta", "0.5"]])
+    def test_one_labelled_row_exits_2(self, tmp_path, capsys, flags):
+        csv = tmp_path / "one.csv"
+        csv.write_text("1.0,2.0,0\n")
+        argv = ["run", "--data", str(csv), "--label-col", "-1", "--k", "1", *flags,
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: need at least two points\n"
+        assert not (tmp_path / "o").exists()
+
     def test_data_naming_a_directory_exits_2(self, tmp_path, capsys):
         argv = ["run", "--data", str(tmp_path), "--k", "2", "--out", str(tmp_path / "o")]
         assert main(argv) == 2
@@ -843,6 +853,20 @@ class TestCmdPlot:
     def test_missing_result(self, tmp_path):
         with pytest.raises(MissingResult):
             cmd_plot(tmp_path / "nothing.json", "clusters")
+
+    @pytest.mark.parametrize("fault", ["list", "string", "config", "algorithm"])
+    def test_malformed_result(self, tmp_path, fault):
+        cmd_run(gen_config(tmp_path), quiet=True)
+        result = tmp_path / "out" / "result.json"
+        payload = json.loads(result.read_text())
+        if fault == "config":
+            payload["config"] = ["data.csv"]
+        if fault == "algorithm":
+            del payload["optimized"]["algorithm"]
+        payload = {"list": [payload], "string": "result"}.get(fault, payload)
+        result.write_text(json.dumps(payload))
+        with pytest.raises(MissingResult, match=re.escape(str(result))):
+            cmd_plot(result, "clusters")
 
     @pytest.mark.parametrize("rows", [100, 300])
     def test_csv_resized_since_run_exits_2(self, tmp_path, capsys, rows):

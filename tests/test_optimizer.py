@@ -2,6 +2,7 @@ import importlib.util
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from ecac.optimizer import (
     merge_clusters,
 )
 
-from oracles import naive_identify
+from oracles import minimax_forest, naive_identify
 
 
 def identify(points, centers, delta, **kw):
@@ -74,7 +75,7 @@ class TestIdentify:
         with pytest.raises(InvalidSpec):
             SelectionStrategy("local", cap=-1)
 
-    @pytest.mark.parametrize("bad", [-1, 4, 1.7, 0.5])
+    @pytest.mark.parametrize("bad", [-1, 4, 1.7, 0.5, True])
     def test_center_id_out_of_range(self, bad):
         ds = Dataset(np.arange(4.0).reshape(4, 1))
         with pytest.raises(InvalidSpec, match=f"center id {bad} "):
@@ -195,6 +196,53 @@ def test_matches_naive_reference_on_grid_ties(instance):
     assert got_trace == [(o, j, c) for (o, j, _, c) in trace]
     for got, want in zip(ext.trace, trace):
         assert got["dis"] == pytest.approx(want[2], rel=1e-9)
+
+
+@st.composite
+def continuous_instances(draw):
+    """5 to 59 points with continuous coordinates in 1 to 3 dimensions,
+    1 to 4 centers and a radius."""
+    n, d = draw(st.integers(5, 59)), draw(st.integers(1, 3))
+    pts = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0, 10, (n, d))
+    centers = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True))
+    return pts, centers, draw(st.floats(0.1, 3.0))
+
+
+def scored_runs(pts, centers, delta):
+    """Per scored strategy, uncapped: its extension, and the minimax
+    forest of its rule (``minimax_forest``) from any list of roots."""
+    ds = Dataset(pts)
+    rho = ds.index.density(delta)
+    for kind in ("local", "global", "nodensity"):
+        weights = np.ones(ds.n) if kind == "nodensity" else rho
+        ext = identify_extended_centers(ds, centers, delta, SelectionStrategy(kind))
+        yield ext, partial(minimax_forest, pts, weights, delta=delta, local=kind != "global")
+
+
+@settings(max_examples=100, deadline=None)
+@given(continuous_instances())
+def test_members_join_the_center_of_their_cheapest_path(instance):
+    # Without ties, every member's set is the root of its cheapest path,
+    # fallback steps included.
+    pts, centers, delta = instance
+    for ext, forest in scored_runs(pts, centers, delta):
+        root, _ = forest(centers)
+        assert [[root[o] for o in members] for members in ext.sets] == [
+            [j] * len(members) for j, members in enumerate(ext.sets)
+        ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_instances())
+def test_members_join_a_center_of_least_path_cost_on_grid_ties(instance):
+    # Where path costs tie, the ties decide which of the cheapest centers
+    # a member joins, and it joins one of them.
+    pts, centers, delta, _, _ = instance  # every scored strategy, uncapped
+    for ext, forest in scored_runs(pts, centers, delta):
+        costs = [forest([c])[1] for c in centers]
+        least = [min(path) for path in zip(*costs)]
+        dearer = [(o, j) for j, members in enumerate(ext.sets) for o in members if costs[j][o] != least[o]]
+        assert dearer == []
 
 
 def _grid_with_far_clump():

@@ -42,17 +42,19 @@ def test_timing_script_prints_the_workload_row(argv):
     assert ["ablate-spiral-global", "0"] in [row[:2] for row in rows]
     if argv[0] == "scripts/extension_timing.py":
         # The paired columns close each row: the first checkout's read
-        # "-", the second's hold its median CPU-time ratio to the first
-        # and the repeats in which it was faster.
-        assert rows[0][-2:] == ["cpu/src0", "faster"]
+        # "-", the second's hold its median CPU-time ratio to the first,
+        # the repeats in which it was faster, and the median CPU-time
+        # ratios of the grid passes, "-" for the DPC call the input lacks.
+        assert rows[0][-4:] == ["cpu/src0", "faster", "prepare/src0", "dpc/src0"]
         (row,) = [row for row in rows if row[:2] == ["ablate-spiral-global", "0"]]
         (second,) = [row for row in rows if row[:2] == ["ablate-spiral-global", "1"]]
-        assert row[-2:] == ["-", "-"]
-        assert 0 < float(second[-2]) and second[-1] in ("0/1", "1/1")
+        assert row[-4:] == ["-", "-", "-", "-"]
+        assert 0 < float(second[-4]) and second[-3] in ("0/1", "1/1")
+        assert 0 < float(second[-2]) and second[-1] == "-"
         # The traced peaks of the grid passes come before them; the input
         # has no DPC call, so its dpc columns read "-".
-        assert rows[0][-6:-2] == ["prepare", "MB", "dpc", "MB"]
-        assert 0 < float(row[-4]) < 50 and row[-3] == row[-5] == "-"
+        assert rows[0][-8:-4] == ["prepare", "MB", "dpc", "MB"]
+        assert 0 < float(row[-6]) < 50 and row[-5] == row[-7] == "-"
         # The median wall and CPU times of the calls come first; on one
         # busy core the CPU time is at most the wall time, within the
         # three decimals printed.
