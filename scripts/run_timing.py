@@ -9,7 +9,10 @@ command, from ``perfbench/workloads.py``) runs in ``perfbench/child.py``,
 a fresh interpreter with ``PYTHONPATH`` set to one ``--src`` checkout,
 and its output goes through ``perfbench/checks.py``. ``run_s`` is the
 time of the command, ``setup_s`` the time from spawn until
-``import ecac.cli`` was done, and the peak is the child's own ``VmHWM``.
+``import ecac.cli`` was done, ``cpu_s`` the child's user and system
+time from spawn to exit (``getrusage(RUSAGE_CHILDREN)`` read before and
+after it, which counts the ``_fan_out`` workers the child reaped), and
+the peak is the child's own ``VmHWM``.
 The children read a copy of each ``--src`` tree without its
 ``__pycache__`` and write no bytecode, so every child compiles ``ecac``
 from the source, as in the benchmark's fresh checkouts, whatever
@@ -19,18 +22,21 @@ Runs of two or more checkouts are interleaved: every pair runs the
 workload once per checkout, and the order of the checkouts alternates
 from pair to pair, so a host whose speed drifts over minutes weighs on
 both sides alike. The script prints, per workload and checkout, the
-median and quartiles of ``run_s``, the median ``setup_s``, the median
-peak and its range over the checkout's runs (min-max), the pairs in
-which the checkout beat the first one, and the content digest
-of the output (the result without its ``timings``). It exits 1 when an
-output fails a check or a workload's digests differ between runs or
-checkouts.
+median and quartiles of ``run_s``, the medians of ``setup_s`` and
+``cpu_s``, the median peak and its range over the checkout's runs
+(min-max), the pairs in which the checkout beat the first one, and the
+content digest of the output (the result without its ``timings``). It
+exits 1 when an output fails a check or a workload's digests differ
+between runs or checkouts.
 
 For each checkout after the first it also prints the verdict on a
 claimed gain in ``run_s`` over the first: the claim holds when the
 checkout was faster in at least nine of every ten pairs and its median
 gain (the first checkout's median less its own) exceeds the spread
-(Q3 - Q1) of the first checkout's runs. Next to it come the verdicts
+(Q3 - Q1) of the first checkout's runs. Then come the pairs in which
+its ``cpu_s`` was the lower, and the median of the pairs' ``cpu_s``
+ratios: CPU time leaves out the wall time that other processes on a
+shared host take. Next come the verdicts
 on a regression, one per metric (``run_s``, ``setup_s`` and the peak),
 against the metric's ``end_to_end`` bound in ``BENCHMARK.json``, a
 fraction of the first checkout's median: ``regression`` when the
@@ -52,6 +58,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import shutil
 import statistics
 import subprocess
@@ -113,11 +120,13 @@ def run_child(src: Path, workload, csv_path: Path, work: Path) -> dict:
     times_path = work / "times.json"
     out = work / "out"  # one path for every run: the result's config echo holds it
     argv = workload.argv(csv_path, out)
+    used = resource.getrusage(resource.RUSAGE_CHILDREN)
     spawned = now()
     code = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "child.py"), str(times_path), *argv],
         env=child_env(src), cwd=work, stdout=subprocess.DEVNULL,
     ).returncode
+    reaped = resource.getrusage(resource.RUSAGE_CHILDREN)
     if code != 0:
         raise SystemExit(f"ecac {' '.join(argv)} exited with {code} ({src})")
     times = json.loads(times_path.read_text(encoding="utf-8"))
@@ -131,6 +140,7 @@ def run_child(src: Path, workload, csv_path: Path, work: Path) -> dict:
     return {
         "run_s": times["end"] - times["start"],
         "setup_s": times["imported"] - spawned,
+        "cpu_s": reaped.ru_utime + reaped.ru_stime - used.ru_utime - used.ru_stime,
         "peak_mb": times["peak_rss_kb"] / 1024.0,
         "digest": content_digest(payload)[:16],
     }
@@ -212,7 +222,7 @@ def main(argv=None) -> int:
         for i, copy in enumerate(copies):
             print(f"{'import ecac.cli':22s}{i:>4d}  {import_footprint(copy, work)}", flush=True)
         print(f"{'workload':22s}{'src':>4s}{'run_s':>8s}{'q1-q3':>15s}{'setup_s':>9s}"
-              f"{'peak MB':>9s}{'min-max':>13s}{'faster':>8s}  digest")
+              f"{'cpu_s':>8s}{'peak MB':>9s}{'min-max':>13s}{'faster':>8s}  digest")
         for name in names:
             workload = WORKLOADS[name]
             csv_path = work / f"{name}.csv"
@@ -233,6 +243,7 @@ def main(argv=None) -> int:
                     f"{name:22s}{i:>4d}{statistics.median(run_s):>8.3f}"
                     f"{f'{q1:.3f}-{q3:.3f}':>15s}"
                     f"{statistics.median(run['setup_s'] for run in src_runs):>9.3f}"
+                    f"{statistics.median(run['cpu_s'] for run in src_runs):>8.3f}"
                     f"{statistics.median(peaks):>9.1f}"
                     f"{f'{min(peaks):.1f}-{max(peaks):.1f}':>13s}"
                     f"{f'{faster}/{len(run_s)}' if i else '-':>8s}"
@@ -242,6 +253,10 @@ def main(argv=None) -> int:
             for i, src_runs in enumerate(runs[1:], 1):
                 verdict = claim_verdict(first, [run["run_s"] for run in src_runs])
                 print(f"{name:22s}{i:>4d}  run_s vs src 0: {verdict}", flush=True)
+                cpu = [(a["cpu_s"], b["cpu_s"]) for a, b in zip(runs[0], src_runs)]
+                print(f"{name:22s}{i:>4d}  cpu_s vs src 0: faster in "
+                      f"{sum(b < a for a, b in cpu)}/{len(cpu)} pairs, "
+                      f"median ratio {statistics.median(b / a for a, b in cpu):.3f}", flush=True)
                 for key, entry in bounds.items():
                     verdict = regression_verdict(
                         [run[key] for run in runs[0]], [run[key] for run in src_runs], entry

@@ -97,16 +97,20 @@ def _pieces(value):
 def _replacing(path: Path):
     """A text file to write in place of ``path``: a temporary file beside
     it that replaces it once the block ends, so a failed write leaves
-    the previous file whole and no temporary file behind."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    the previous file whole and no temporary file behind. An ``OSError``
+    becomes a ``ConfigError`` that names ``path``."""
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with temporary.open("w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(temporary, path)
-    except BaseException:
-        temporary.unlink(missing_ok=True)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with temporary.open("w", encoding="utf-8") as fh:
+                yield fh
+            os.replace(temporary, path)
+        except BaseException:
+            temporary.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_json(path: Path, payload: dict):
@@ -404,8 +408,8 @@ def cmd_plot(result_path, mode: str, out_path=None) -> Path:
     if out_path is None:
         out_path = result_path.parent / f"plot-{mode}.svg"
     out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(svg, encoding="utf-8")
+    with _replacing(out_path) as fh:
+        fh.write(svg)
     print(f"wrote {out_path}")
     return out_path
 

@@ -90,10 +90,14 @@ class RunConfig:
             (("k", "cap", "seed", "max_iter", "gen_k", "gen_seed"), int, "an integer"),
             (("delta", "delta_percentile", "d_c"), (int, float), "a number"),
             (("label_col",), (int, str), "a column number or name"),
+            (("gen_n",), int, "an integer or a list of integers"),
+            (("gen_stddev",), (int, float), "a number or a list of numbers"),
         ):
             for key in keys:
                 value = getattr(self, key)
-                if value is not None and (isinstance(value, bool) or not isinstance(value, kinds)):
+                listed = key in ("gen_n", "gen_stddev") and isinstance(value, list)
+                entries = value if listed else [value]
+                if value is not None and any(isinstance(v, bool) or not isinstance(v, kinds) for v in entries):
                     raise ConfigError(f"{key} must be {what}, got {value!r}")
         if not isinstance(self.normalize, bool):
             raise ConfigError(f"normalize must be true or false, got {self.normalize!r}")

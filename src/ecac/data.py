@@ -374,14 +374,7 @@ class _Grid:
         the dimension: a caller gathers each pair's coordinates one row at
         a time (``_distances`` with pairs), so a pass holds a few
         ``_CHUNK``-entry arrays, never a d x m block.
-
-        Where the grid leaves some axes out and reach is finite, a
-        candidate whose distance over the grid axes alone is at least
-        reach is dropped: its full distance cannot be below the radius
-        that reach covers, so only the rest of its coordinates are read.
         """
-        rows = [self.columns[axis] for axis in self.axes]
-        near = self.axes.size < self.columns.shape[0] and reach < np.inf
         for lo in range(0, at.size, _BOXES):
             centers = points[self.axes[:, None], at[lo:lo + _BOXES]]
             owner, start, stop = _rank_slices(
@@ -392,16 +385,8 @@ class _Grid:
                 stop = np.maximum(stop, start)
             lengths = stop - start
             for a, b in _passes(lengths, owner):
-                pos = _ragged_arange(start[a:b], lengths[a:b])
-                # The block's owner numbers read its centers; lo makes them global.
-                if near:
-                    owner_of = np.repeat(owner[a:b], lengths[a:b])
-                    keep = np.flatnonzero(_distances(rows, centers, (pos, owner_of)) < reach)
-                    pos, owner_of = pos.take(keep), owner_of.take(keep)
-                    owner_of += lo
-                else:
-                    owner_of = np.repeat(owner[a:b] + lo, lengths[a:b])
-                yield pos, owner_of
+                # lo makes the block's owner numbers global.
+                yield _ragged_arange(start[a:b], lengths[a:b]), np.repeat(owner[a:b] + lo, lengths[a:b])
 
     def box_ranks(self, low: np.ndarray, high: np.ndarray):
         """``(first, last)``: per grid axis, the ranks among the points'
@@ -581,8 +566,7 @@ def _distances(a: np.ndarray, b: np.ndarray, pairs=None) -> np.ndarray:
     With ``pairs``, ``(i, j)``, the distance of each pair of columns
     ``a[:, i[t]]`` and ``b[:, j[t]]`` instead, their coordinates gathered
     one row at a time (the grid passes), so that no d x m block is held
-    and neither array changes; ``a`` may then be a list of rows, such as
-    those of a grid's axes.
+    and neither array changes.
 
     The package's one distance rule: the squared differences are added
     row by row (each a loop over the m pairs), in coordinate order, before
@@ -846,8 +830,9 @@ def generate_gaussian_mixture(
 ) -> tuple[Dataset, GroundTruth]:
     """Sample an isotropic Gaussian mixture with known component labels.
 
-    ``per_cluster_n`` and ``stddev`` may be scalars (shared by every
-    component) or length-k sequences. Deterministic for a fixed seed.
+    ``per_cluster_n`` (integers) and ``stddev`` (numbers), neither of
+    them booleans, may be scalars (shared by every component) or length-k
+    sequences. Deterministic for a fixed seed.
     """
     if k < 1:
         raise InvalidSpec(f"k must be >= 1, got {k}")
@@ -855,10 +840,15 @@ def generate_gaussian_mixture(
         means = np.asarray(means, dtype=np.float64)
         if means.ndim != 2 or means.shape[0] != k:
             raise InvalidSpec(f"means must be k x d, got shape {means.shape}")
-        counts = np.broadcast_to(np.asarray(per_cluster_n, dtype=np.int64), (k,))
+        given = chain(*(np.ravel(np.array(v, dtype=object)) for v in (per_cluster_n, stddev)))
+        if any(isinstance(v, (bool, np.bool_)) for v in given):
+            raise InvalidSpec("per-cluster counts and stddevs must not be booleans")
+        counts = np.broadcast_to(np.asarray(per_cluster_n), (k,))
         sigmas = np.broadcast_to(np.asarray(stddev, dtype=np.float64), (k,))
     except (TypeError, ValueError) as exc:
         raise InvalidSpec(f"bad mixture specification: {exc}") from None
+    if counts.dtype.kind not in "iu":
+        raise InvalidSpec(f"every per-cluster count must be an integer, got {per_cluster_n!r}")
     if (counts < 1).any():
         raise InvalidSpec("every per-cluster count must be >= 1")
     if (sigmas <= 0).any():

@@ -135,6 +135,10 @@ class TestConfig:
         ("max_iter = -3", "max_iter"),
         ("label_col = 1.5", "label_col"),
         ('normalize = "yes"', "normalize"),
+        ("gen_n = 20.7", "gen_n"),
+        ("gen_n = true", "gen_n"),
+        ("gen_n = [10, 2.5]", "gen_n"),
+        ("gen_stddev = true", "gen_stddev"),
     ])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, line, key):
         cfg_file = tmp_path / "run.toml"
@@ -452,16 +456,27 @@ class TestCmdRun:
 import resource, signal, sys
 from pathlib import Path
 from ecac.cli import _write_json
+from ecac.errors import ConfigError
 signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
 resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 16, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
 try:
     _write_json(Path(sys.argv[1]), {"sweep": [{"labels": list(range(20_000))}] * 3})
-except OSError as exc:
-    print(exc.errno)
+except ConfigError as exc:
+    print(exc.__cause__.errno, sys.argv[1] in str(exc))
 """, str(path)], capture_output=True, text=True, env=child_env, timeout=60, check=True)
-        assert child.stdout.split() == [str(errno.EFBIG)]
+        assert child.stdout.split() == [str(errno.EFBIG), "True"]
         assert path.read_bytes() == before
         assert [p.name for p in path.parent.iterdir()] == ["result.json"]
+
+    def test_an_output_that_cannot_be_written_exits_2(self, tmp_path, capsys):
+        # --out names a file: the result's directory cannot be made.
+        out = tmp_path / "o"
+        out.write_text("kept\n")
+        assert main(["run", *SPIRAL, "--delta-percentile", "0.02", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / 'result.json'}: ") and err.count("\n") == 1
+        assert out.read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["o"]
 
     def test_a_trace_dump_that_fails_partway_leaves_the_previous_file(self, tmp_path):
         path = tmp_path / "o" / "trace.jsonl"
@@ -853,6 +868,16 @@ class TestCmdPlot:
     def test_missing_result(self, tmp_path):
         with pytest.raises(MissingResult):
             cmd_plot(tmp_path / "nothing.json", "clusters")
+
+    def test_an_svg_that_cannot_be_written_exits_2(self, tmp_path, capsys):
+        cmd_run(gen_config(tmp_path), quiet=True)
+        out = tmp_path / "plots"
+        (out / "a").mkdir(parents=True)
+        assert main(["plot", str(tmp_path / "out" / "result.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+        assert [p.name for p in out.iterdir()] == ["a"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "plots"]
 
     @pytest.mark.parametrize("fault", ["list", "string", "config", "algorithm"])
     def test_malformed_result(self, tmp_path, fault):

@@ -173,7 +173,7 @@ class TestLoadCsv:
 CELLS = st.one_of(
     st.floats(-1e9, 1e9, allow_nan=False).map(repr),
     st.integers(-999, 999).map(str),
-    st.sampled_from(["1e3", " 2.5", "-0.0 ", "\"3.25\"", "\t7"]),
+    st.sampled_from(["1e3", " 2.5", "-0.0 ", "\"3.25\"", "\t7", "1.7e308"]),
 )
 BAD_CELLS = ["abc", "nan", "inf", "-inf", "", "\"1,5\"", "1.2.3"]
 BLANK_ROWS = ["", "  ", ",,", " , "]
@@ -299,6 +299,13 @@ class TestGaussianMixture:
     def test_bad_sigma(self):
         with pytest.raises(InvalidSpec):
             generate_gaussian_mixture(1, 5, [[0, 0]], 0.0, seed=0)
+
+    @pytest.mark.parametrize("counts, stddev", [
+        ([3.9, 2], 1.0), (20.7, 1.0), (True, 1.0), ([10, True], 1.0), (5, True), (5, [1.0, True]),
+    ])
+    def test_boolean_or_fractional_spec_rejected(self, counts, stddev):
+        with pytest.raises(InvalidSpec):
+            generate_gaussian_mixture(2, counts, [[0, 0], [9, 9]], stddev, seed=0)
 
 
 class TestRangeQuery:

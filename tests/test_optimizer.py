@@ -75,7 +75,7 @@ class TestIdentify:
         with pytest.raises(InvalidSpec):
             SelectionStrategy("local", cap=-1)
 
-    @pytest.mark.parametrize("bad", [-1, 4, 1.7, 0.5, True])
+    @pytest.mark.parametrize("bad", [-1, 4, 1.7, 0.5, True, "a", None, float("inf")])
     def test_center_id_out_of_range(self, bad):
         ds = Dataset(np.arange(4.0).reshape(4, 1))
         with pytest.raises(InvalidSpec, match=f"center id {bad} "):

@@ -82,6 +82,12 @@ def choices(draw):
 @example((2**33, 10_001, 10_001))
 @example((5, 60_000, 1_200))
 @example((5, 60_000, 1_201))
+# Seeds of 129, 161, 200 and 257 bits: SeedSequence mixes the words
+# beyond its pool into every pool word.
+@example((2**128 + 5, 1_000, 10))
+@example((2**160 + 3, 20_000, 15_000))
+@example((2**199 + 1, 5, 5))
+@example((2**256 + 9, 10_001, 300))
 def test_choice_matches_numpy(case):
     seed, n, k = case
     assert np.array_equal(Sampler(seed).choice(n, k), numpy_choice(seed, n, k))

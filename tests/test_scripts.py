@@ -65,6 +65,10 @@ def test_timing_script_prints_the_workload_row(argv):
         read, blocks = map(int, row[5].split("/"))
         assert float(row[4]) > 0 and read == blocks > 0
     if argv[0] == "scripts/run_timing.py":
+        # The child's CPU time, start-up included, is the sixth column.
+        assert rows[1][5] == "cpu_s"
+        (row,) = [row for row in rows if row[:2] == ["ablate-spiral-global", "0"]]
+        assert float(row[5]) > 0
         # The import footprint of the one checkout: the run path draws its
         # seeded samples without numpy.random, so neither it nor hashlib
         # is loaded.
